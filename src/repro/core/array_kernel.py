@@ -19,24 +19,33 @@ rebuilds the data plane on the contiguous ``array('q')`` buffers of
   ``GH_k`` stores -- there is no per-pair Python dispatch in either the
   bulk or the near regime.
 * **Verdict-row sweep for extension.**  :func:`array_extend_group_patterns`
-  precomputes the bulk boundaries of every existing instance of a column
-  against the new-event column in one ``searchsorted`` pair, builds each
-  verdict row once (bulk prefix/suffix fills plus a classified near
-  window), and -- new over the sweep kernel -- combines rows per
-  assignment with O(1) *bulk-zone* handling: the index range where every
-  slot verdict is a constant Follows is accepted (or rejected, when the
-  Iterative Check already killed the triple) without touching the
-  per-index loop.
+  builds each verdict row once (bulk prefix/suffix fills bounded by two
+  bisects, plus a classified near window), and -- new over the sweep
+  kernel -- combines rows per assignment with O(1) *bulk-zone* handling:
+  the index range where every slot verdict is a constant Follows is
+  accepted (or rejected, when the Iterative Check already killed the
+  triple) without touching the per-index loop.  Extension columns are
+  short (1.4-12.9 instances on average on the benchmark workloads), so
+  the row boundaries come from bisection rather than numpy, whose four
+  ``frombuffer`` and two ``searchsorted`` calls per column pair cost more
+  than they saved.
+* **Supports only at the last level.**  ``GH_k`` assignments exist only
+  for level k + 1 to extend.  At ``k == max_pattern_length`` nothing
+  reads them, so the extension kernel records just the granules each
+  extended pattern occurs in -- no assignment tuples, no per-granule
+  sets -- and returns an empty assignment table per pattern.
 
 Compute backend
 ---------------
-The vectorized paths run on numpy when
+The pair kernel's vectorized paths run on numpy when
 :func:`repro.core.config.get_numpy` provides it; the pure-Python
 machine-word fallback (same boundaries via an amortized two-pointer,
 same batched semantics via C-level ``zip``/``range`` bulk generation) is
 always available and produces identical results.  Selection is
 process-wide (``REPRO_COMPUTE`` / ``set_compute_backend``); parity
-across backends is pinned by the hypothesis suites.
+across backends is pinned by the hypothesis suites.  The extension
+kernel makes no numpy call, so it runs the same code under both
+backends.
 
 Both kernels accept and produce exactly the structures of their sweep
 counterparts in :mod:`repro.core.stpm`, so the batch miner, the
@@ -46,6 +55,7 @@ implementation interchangeably (``results_equivalent`` output).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from itertools import repeat
 
 from repro.core.config import get_numpy
@@ -416,44 +426,10 @@ def _self_join_python(
 # ---------------------------------------------------------------------------
 
 
-def _column_boundaries(np, existing_column, new_column, epsilon):
-    """Bulk-Follows boundaries of *every* existing instance against the
-    new-event column, as parallel ``head`` / ``tail`` lists.
-
-    One vectorized ``searchsorted`` pair per (existing event, granule)
-    replaces two bisects per verdict row; the pure-Python path keeps the
-    bisect-equivalent scan on the raw arrays.
-    """
-    if np is not None:
-        ex_starts = np.frombuffer(existing_column.starts_arr, dtype=np.int64)
-        ex_ends = np.frombuffer(existing_column.ends_arr, dtype=np.int64)
-        new_starts = np.frombuffer(new_column.starts_arr, dtype=np.int64)
-        new_ends = np.frombuffer(new_column.ends_arr, dtype=np.int64)
-        heads = new_ends.searchsorted(ex_starts - (epsilon + 1), side="right")
-        tails = np.maximum(
-            new_starts.searchsorted(ex_ends + (epsilon + 1), side="left"), heads
-        )
-        return heads.tolist(), tails.tolist()
-    from bisect import bisect_left, bisect_right
-
-    new_starts = new_column.starts
-    new_ends = new_column.ends
-    heads = []
-    tails = []
-    for index in range(len(existing_column.starts_arr)):
-        head = bisect_right(new_ends, existing_column.starts_arr[index] - epsilon - 1)
-        tail = bisect_left(new_starts, existing_column.ends_arr[index] + epsilon + 1)
-        heads.append(head)
-        tails.append(tail if tail > head else head)
-    return heads, tails
-
-
 def _verdict_row_array(
     existing_column,
     existing_event: str,
     existing_index: int,
-    head: int,
-    tail: int,
     event: str,
     new_column,
     epsilon: int,
@@ -466,16 +442,23 @@ def _verdict_row_array(
 
     Returns ``(row, head, tail)``: ``row`` is the full verdict list
     indexed by new-instance position (entries are ``(existing_first,
-    triple)`` or :data:`_NO_RELATION`); ``before`` / ``after`` are the
-    constant verdicts of the bulk prefix/suffix zones, precomputed once
-    per existing event by the caller (they depend only on the event
-    pair, not on the instance).
+    triple)`` or :data:`_NO_RELATION`); ``head`` / ``tail`` bound the
+    near window.  They come from two bisects, as in the sweep kernel's
+    :func:`~repro.core.stpm._verdict_row`: new instances before ``head``
+    end more than epsilon before the existing start, new instances from
+    ``tail`` on start more than epsilon after its end.  Both columns are
+    strictly ascending, so ``head <= tail``.  ``before`` / ``after`` are
+    the constant verdicts of those bulk zones, precomputed once per
+    existing event by the caller (they depend only on the event pair, not
+    on the instance).
     """
     new_starts = new_column.starts
     new_ends = new_column.ends
     n_new = len(new_starts)
     s_e = existing_column.starts_arr[existing_index]
     e_e = existing_column.ends_arr[existing_index]
+    head = bisect_right(new_ends, s_e - epsilon - 1)
+    tail = bisect_left(new_starts, e_e + epsilon + 1)
     row: list = [before] * head if head else []
     for j in range(head, tail):
         s_n = new_starts[j]
@@ -520,9 +503,56 @@ def _verdict_row_array(
     return (row, head, tail)
 
 
+def _shape_entry(
+    shape_cache: dict,
+    accumulator: dict,
+    merged: set,
+    shape: tuple,
+    events: tuple[str, ...],
+    triples: tuple[Triple, ...],
+    keep: bool,
+) -> list:
+    """Create the shape-cache entry ``[store, granule, bucket]`` of one
+    extended pattern identity.
+
+    ``store`` is the identity's accumulator value: per-granule assignment
+    sets when assignments are kept, otherwise the list of granules the
+    identity occurs in.  Two shapes can splice to one identity (a
+    repeated event inserted at two positions, or two parent patterns
+    embedding the parent group in two ways); their granule lists then
+    interleave, so such an identity is noted in ``merged`` and sorted
+    once at the end.
+    """
+    key = (events, triples)
+    store = accumulator.get(key)
+    if store is None:
+        store = accumulator[key] = {} if keep else []
+    elif not keep:
+        merged.add(key)
+    entry = shape_cache[shape] = [store, -1, None]
+    return entry
+
+
+def _enter_granule(entry: list, granule: int, keep: bool) -> None:
+    """Move a shape entry to ``granule``: its bucket becomes the
+    identity's assignment set there, or -- when assignments are not kept
+    -- the granule is recorded once and the bucket is the granule list."""
+    entry[1] = granule
+    store = entry[0]
+    if keep:
+        bucket = store.get(granule)
+        if bucket is None:
+            bucket = store[granule] = set()
+        entry[2] = bucket
+    else:
+        store.append(granule)
+        entry[2] = store
+
+
 def _resolve_zone_bucket(
     shape_cache: dict,
     accumulator: dict,
+    merged: set,
     shape: tuple,
     events: tuple[str, ...],
     prev_triples: tuple[Triple, ...],
@@ -530,25 +560,22 @@ def _resolve_zone_bucket(
     position: int,
     k: int,
     granule: int,
-) -> set:
-    """The dedup set of one bulk-zone shape at one granule.
+    keep: bool,
+):
+    """The bucket of one bulk-zone shape at one granule.
 
     Resolved lazily on the first contributing assignment (so a granule
-    whose assignments all have an empty zone never creates an empty
-    bucket), then reused for the rest of the granule by the caller.
+    whose assignments all have an empty zone never records the shape),
+    then reused for the rest of the granule by the caller.
     """
     entry = shape_cache.get(shape)
     if entry is None:
         triples = splice_triples(prev_triples, partners, position, k)
-        per_granule = accumulator.setdefault((events, triples), {})
-        entry = shape_cache[shape] = [per_granule, -1, None]
+        entry = _shape_entry(
+            shape_cache, accumulator, merged, shape, events, triples, keep
+        )
     if entry[1] != granule:
-        per_granule = entry[0]
-        bucket = per_granule.get(granule)
-        if bucket is None:
-            bucket = per_granule[granule] = set()
-        entry[1] = granule
-        entry[2] = bucket
+        _enter_granule(entry, granule, keep)
     return entry[2]
 
 
@@ -570,28 +597,31 @@ def array_extend_group_patterns(
 
     Drop-in replacement for
     :func:`repro.core.stpm.extend_group_patterns` (same signature,
-    streaming hooks included, equivalent output).  On top of the sweep
-    kernel's verdict-row caching it precomputes whole-column bulk
-    boundaries (:func:`_column_boundaries`) and handles each assignment's
-    bulk zones in O(1): new-instance indices where every slot's verdict
-    is the constant before/after Follows are accepted as one batch --
-    or rejected as one batch when the Iterative Check already discarded
+    streaming hooks included, equivalent supports).  On top of the sweep
+    kernel's verdict-row caching it handles each assignment's bulk zones
+    in O(1): new-instance indices where every slot's verdict is the
+    constant before/after Follows are accepted as one batch -- or
+    rejected as one batch when the Iterative Check already discarded
     that Follows triple -- leaving the per-index loop only the combined
     near window.
+
+    At the last level (``previous.k + 1 == params.max_pattern_length``)
+    nothing will extend the new patterns, so only the granules each one
+    occurs in are recorded: its support list, with an empty per-granule
+    assignment table.
     """
     relation = params.relation
     epsilon = relation.epsilon
     min_overlap = relation.min_overlap
-    np = get_numpy()
     allowed_triples = candidate_triples if check_candidates else None
     if parent_patterns is None:
         parent_patterns = entry_prev.patterns
-    accumulator: dict[tuple, dict[int, set[Assignment]]] = {}
-    # Per-granule caches: per existing event, a row list parallel to the
-    # event's instance column (verdict rows filled lazily) plus the
-    # whole-column boundary arrays.
+    keep = previous.k + 1 < params.max_pattern_length
+    accumulator: dict[tuple, dict | list] = {}
+    merged: set[tuple] = set()
+    # Per-granule verdict-row cache: per existing event, a row list
+    # parallel to the event's instance column, filled lazily.
     row_cache: dict[int, dict[str, list]] = {}
-    boundary_cache: dict[int, dict[str, tuple[list, list]]] = {}
     # Bulk-zone verdict constants per existing event: the prefix verdict
     # of a slot is always "new Follows existing" and the suffix verdict
     # "existing Follows new" -- independent of the realizing instance.
@@ -648,16 +678,12 @@ def array_extend_group_patterns(
             cache = row_cache.get(granule)
             if cache is None:
                 cache = row_cache[granule] = {}
-                boundary_cache[granule] = {}
-            boundaries = boundary_cache[granule]
             # Per-slot row lists, indexed directly by the encoded
             # instance index of the slot's event (no tuple-key hashing
-            # in the per-assignment loop), plus the resolved boundary
-            # arrays and bulk-zone constants so a verdict-row miss costs
-            # one call.
+            # in the per-assignment loop), plus the resolved columns and
+            # bulk-zone constants so a verdict-row miss costs one call.
             slot_rows = []
             slot_columns = []
-            slot_bounds = []
             slot_zones = []
             for existing_event in prev_events:
                 rows_of = cache.get(existing_event)
@@ -666,17 +692,11 @@ def array_extend_group_patterns(
                     rows_of = cache[existing_event] = (
                         [None] * len(existing_column.starts_arr)
                     )
-                bounds = boundaries.get(existing_event)
-                if bounds is None:
-                    bounds = boundaries[existing_event] = _column_boundaries(
-                        np, existing_column, new_column, epsilon
-                    )
                 slot_rows.append(rows_of)
                 slot_columns.append(existing_column)
-                slot_bounds.append(bounds)
                 slot_zones.append(_zone_constants(existing_event))
-            prefix_bucket: set | None = None
-            suffix_bucket: set | None = None
+            prefix_bucket = None
+            suffix_bucket = None
             assignments = previous.assignments_of(pattern_prev, granule)
             if n_slots == 2:
                 # k = 3 fast path (the dominant level under the default
@@ -684,7 +704,6 @@ def array_extend_group_patterns(
                 # tuples built positionally.
                 rows_of_0, rows_of_1 = slot_rows
                 column_0, column_1 = slot_columns
-                bounds_0, bounds_1 = slot_bounds
                 zone_0, zone_1 = slot_zones
                 event_0, event_1 = prev_events
                 for assignment in assignments:
@@ -692,18 +711,16 @@ def array_extend_group_patterns(
                     row_0 = rows_of_0[index_0]
                     if row_0 is None:
                         row_0 = rows_of_0[index_0] = _verdict_row_array(
-                            column_0, event_0, index_0,
-                            bounds_0[0][index_0], bounds_0[1][index_0],
-                            event, new_column, epsilon, min_overlap,
-                            allowed_triples, zone_0[0], zone_0[1],
+                            column_0, event_0, index_0, event, new_column,
+                            epsilon, min_overlap, allowed_triples,
+                            zone_0[0], zone_0[1],
                         )
                     row_1 = rows_of_1[index_1]
                     if row_1 is None:
                         row_1 = rows_of_1[index_1] = _verdict_row_array(
-                            column_1, event_1, index_1,
-                            bounds_1[0][index_1], bounds_1[1][index_1],
-                            event, new_column, epsilon, min_overlap,
-                            allowed_triples, zone_1[0], zone_1[1],
+                            column_1, event_1, index_1, event, new_column,
+                            epsilon, min_overlap, allowed_triples,
+                            zone_1[0], zone_1[1],
                         )
                     head = row_0[1]
                     other = row_1[1]
@@ -714,23 +731,25 @@ def array_extend_group_patterns(
                     if before_ok and lo:
                         if prefix_bucket is None:
                             prefix_bucket = _resolve_zone_bucket(
-                                shape_cache, accumulator, prefix_shape,
-                                prefix_events, prev_triples,
-                                before_partners, 0, k, granule,
+                                shape_cache, accumulator, merged, prefix_shape,
+                                prefix_events, prev_triples, before_partners,
+                                0, k, granule, keep,
                             )
-                        prefix_bucket.update(
-                            zip(range(lo), repeat(index_0), repeat(index_1))
-                        )
+                        if keep:
+                            prefix_bucket.update(
+                                zip(range(lo), repeat(index_0), repeat(index_1))
+                            )
                     if after_ok and hi < n_new:
                         if suffix_bucket is None:
                             suffix_bucket = _resolve_zone_bucket(
-                                shape_cache, accumulator, suffix_shape,
-                                suffix_events, prev_triples,
-                                after_partners, n_slots, k, granule,
+                                shape_cache, accumulator, merged, suffix_shape,
+                                suffix_events, prev_triples, after_partners,
+                                n_slots, k, granule, keep,
                             )
-                        suffix_bucket.update(
-                            zip(repeat(index_0), repeat(index_1), range(hi, n_new))
-                        )
+                        if keep:
+                            suffix_bucket.update(
+                                zip(repeat(index_0), repeat(index_1), range(hi, n_new))
+                            )
                     if lo >= hi:
                         continue
                     verdicts_0 = row_0[0]
@@ -744,43 +763,29 @@ def array_extend_group_patterns(
                             continue
                         if info_0[0]:
                             position = 2 if info_1[0] else 1
-                            extended = (
-                                (index_0, index_1, new_index)
-                                if position == 2
-                                else (index_0, new_index, index_1)
-                            )
-                        elif info_1[0]:
-                            position = 1
-                            extended = (index_0, new_index, index_1)
                         else:
-                            position = 0
-                            extended = (new_index, index_0, index_1)
+                            position = 1 if info_1[0] else 0
                         shape_key = (position, info_0[1], info_1[1])
                         entry = shape_cache.get(shape_key)
                         if entry is None:
-                            events = (
-                                prev_events[:position]
-                                + (event,)
-                                + prev_events[position:]
+                            entry = _shape_entry(
+                                shape_cache, accumulator, merged, shape_key,
+                                prev_events[:position] + (event,) + prev_events[position:],
+                                splice_triples(
+                                    prev_triples, (info_0[1], info_1[1]), position, k
+                                ),
+                                keep,
                             )
-                            triples = splice_triples(
-                                prev_triples,
-                                (info_0[1], info_1[1]),
-                                position,
-                                k,
-                            )
-                            per_granule = accumulator.setdefault(
-                                (events, triples), {}
-                            )
-                            entry = shape_cache[shape_key] = [per_granule, -1, None]
                         if entry[1] != granule:
-                            per_granule = entry[0]
-                            bucket = per_granule.get(granule)
-                            if bucket is None:
-                                bucket = per_granule[granule] = set()
-                            entry[1] = granule
-                            entry[2] = bucket
-                        entry[2].add(extended)
+                            _enter_granule(entry, granule, keep)
+                        if keep:
+                            entry[2].add(
+                                (index_0, index_1, new_index)
+                                if position == 2
+                                else (index_0, new_index, index_1)
+                                if position == 1
+                                else (new_index, index_0, index_1)
+                            )
                 continue
             for assignment in assignments:
                 rows = []
@@ -791,11 +796,9 @@ def array_extend_group_patterns(
                     rows_of = slot_rows[slot]
                     row = rows_of[index]
                     if row is None:
-                        bounds = slot_bounds[slot]
                         zone = slot_zones[slot]
                         row = rows_of[index] = _verdict_row_array(
                             slot_columns[slot], prev_events[slot], index,
-                            bounds[0][index], bounds[1][index],
                             event, new_column, epsilon, min_overlap,
                             allowed_triples, zone[0], zone[1],
                         )
@@ -813,25 +816,27 @@ def array_extend_group_patterns(
                     # discarded any of the Follows triples).
                     if prefix_bucket is None:
                         prefix_bucket = _resolve_zone_bucket(
-                            shape_cache, accumulator, prefix_shape,
+                            shape_cache, accumulator, merged, prefix_shape,
                             prefix_events, prev_triples, before_partners,
-                            0, k, granule,
+                            0, k, granule, keep,
                         )
-                    prefix_bucket.update(
-                        [(new_index,) + assignment for new_index in range(lo)]
-                    )
+                    if keep:
+                        prefix_bucket.update(
+                            [(new_index,) + assignment for new_index in range(lo)]
+                        )
                 if after_ok and hi < n_new:
                     # Bulk suffix: every new instance from hi on is a
                     # pure existing -> new Follows against every slot.
                     if suffix_bucket is None:
                         suffix_bucket = _resolve_zone_bucket(
-                            shape_cache, accumulator, suffix_shape,
+                            shape_cache, accumulator, merged, suffix_shape,
                             suffix_events, prev_triples, after_partners,
-                            n_slots, k, granule,
+                            n_slots, k, granule, keep,
                         )
-                    suffix_bucket.update(
-                        [assignment + (new_index,) for new_index in range(hi, n_new)]
-                    )
+                    if keep:
+                        suffix_bucket.update(
+                            [assignment + (new_index,) for new_index in range(hi, n_new)]
+                        )
                 for new_index in range(lo, hi):
                     position = 0
                     partner: list[Triple] = []
@@ -849,33 +854,31 @@ def array_extend_group_patterns(
                     shape_key = (position, *partner)
                     entry = shape_cache.get(shape_key)
                     if entry is None:
-                        events = (
-                            prev_events[:position]
-                            + (event,)
-                            + prev_events[position:]
+                        entry = _shape_entry(
+                            shape_cache, accumulator, merged, shape_key,
+                            prev_events[:position] + (event,) + prev_events[position:],
+                            splice_triples(prev_triples, partner, position, k),
+                            keep,
                         )
-                        triples = splice_triples(prev_triples, partner, position, k)
-                        per_granule = accumulator.setdefault((events, triples), {})
-                        entry = shape_cache[shape_key] = [per_granule, -1, None]
                     if entry[1] != granule:
-                        per_granule = entry[0]
-                        bucket = per_granule.get(granule)
-                        if bucket is None:
-                            bucket = per_granule[granule] = set()
-                        entry[1] = granule
-                        entry[2] = bucket
-                    entry[2].add(
-                        assignment[:position]
-                        + (new_index,)
-                        + assignment[position:]
-                    )
+                        _enter_granule(entry, granule, keep)
+                    if keep:
+                        entry[2].add(
+                            assignment[:position]
+                            + (new_index,)
+                            + assignment[position:]
+                        )
     pattern_support: dict[TemporalPattern, list[int]] = {}
     pattern_assignments: dict[TemporalPattern, dict[int, list[Assignment]]] = {}
-    for (events, triples), per_granule in accumulator.items():
-        pattern = intern_pattern(events, triples)
-        pattern_support[pattern] = sorted(per_granule)
-        pattern_assignments[pattern] = {
-            granule: sorted(assignments)
-            for granule, assignments in per_granule.items()
-        }
+    for key, store in accumulator.items():
+        pattern = intern_pattern(*key)
+        if keep:
+            pattern_support[pattern] = sorted(store)
+            pattern_assignments[pattern] = {
+                granule: sorted(assignments)
+                for granule, assignments in store.items()
+            }
+        else:
+            pattern_support[pattern] = sorted(set(store)) if key in merged else store
+            pattern_assignments[pattern] = {}
     return pattern_support, pattern_assignments

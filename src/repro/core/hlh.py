@@ -124,14 +124,14 @@ class HLH1:
 
 
 #: One realizing assignment of a pattern, chronologically ordered -- what
-#: GHk stores per granule.  Under the sweep kernels (the default) this is
-#: the *compact encoding*: a tuple of column indices parallel to the
-#: pattern's ``events`` (``assignment[i]`` indexes the instance of
-#: ``pattern.events[i]`` in its ``(event, granule)`` column -- see
-#: :mod:`repro.core.instance_index`).  Under the reference kernels it is
-#: the classical tuple of :class:`EventInstance` objects.  A mining job
-#: runs entirely on one kernel, so the two encodings never mix within a
-#: structure; :meth:`HLHk.decoded_assignments_of` rematerializes
+#: GHk stores per granule.  Under the array kernel (the default) and the
+#: sweep kernel this is the *compact encoding*: a tuple of column indices
+#: parallel to the pattern's ``events`` (``assignment[i]`` indexes the
+#: instance of ``pattern.events[i]`` in its ``(event, granule)`` column --
+#: see :mod:`repro.core.instance_index`).  Under the reference kernel it
+#: is the classical tuple of :class:`EventInstance` objects.  A mining
+#: job runs entirely on one kernel, so the two encodings never mix within
+#: a structure; :meth:`HLHk.decoded_assignments_of` rematerializes
 #: instance tuples from the compact form.
 Assignment = tuple[EventInstance, ...] | tuple[int, ...]
 
@@ -146,7 +146,14 @@ class GroupEntry:
 
 @dataclass
 class HLHk:
-    """Candidate seasonal k-event groups and patterns for one level k."""
+    """Candidate seasonal k-event groups and patterns for one level k.
+
+    GHk exists only so that level k + 1 can extend its assignments.
+    Nothing extends the last level (``k == max_pattern_length``), so
+    there the array extension kernel (k >= 3) and the streaming miner
+    record supports only, and every GHk entry is an empty per-granule
+    table.
+    """
 
     k: int
     ehk: dict[tuple[str, ...], GroupEntry] = field(default_factory=dict)

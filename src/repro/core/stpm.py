@@ -160,7 +160,10 @@ class GroupOutcome:
     """What one group task produced.
 
     ``support is None`` means the group failed the maxSeason candidate
-    gate and contributes nothing to the level.
+    gate and contributes nothing to the level.  At the last level
+    (``k == max_pattern_length``, k >= 3) the array kernel returns
+    supports only: every ``pattern_assignments`` entry is empty, since
+    no later level reads it.
     """
 
     group: tuple[str, ...]

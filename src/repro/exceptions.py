@@ -33,7 +33,8 @@ class MiningError(ReproError):
 
 
 class DatasetError(ReproError):
-    """Raised by the dataset generators for invalid specifications."""
+    """Raised for invalid input data: dataset specifications, malformed
+    CSV files, and NaN or infinite series values."""
 
 
 class FaultInjected(ReproError):

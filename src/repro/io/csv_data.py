@@ -11,7 +11,7 @@ import csv
 from pathlib import Path
 
 from repro.exceptions import DatasetError
-from repro.symbolic.series import TimeSeries
+from repro.symbolic.series import TimeSeries, first_non_finite
 
 
 def load_csv_series(
@@ -50,6 +50,14 @@ def load_csv_series(
                     ) from None
     if not columns[0]:
         raise DatasetError(f"CSV file {path} has a header but no rows")
+    for name, column in zip(names, columns):
+        bad = first_non_finite(column)
+        if bad is not None:
+            # Data rows start on line 2, after the header.
+            raise DatasetError(
+                f"{path}:{bad + 2}: non-finite value {column[bad]!r} "
+                f"in column {name!r}"
+            )
     return [TimeSeries(name, tuple(column)) for name, column in zip(names, columns)]
 
 

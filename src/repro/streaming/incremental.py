@@ -555,11 +555,14 @@ class IncrementalSTPM:
         Extension outcomes can re-derive an assignment already found
         through a previously incorporated parent pattern, so they merge
         as per-granule sets (``dedup=True``) -- exactly the deduplication
-        the batch accumulator performs within one group task.
+        the batch accumulator performs within one group task.  Nothing
+        extends the last level, so its patterns keep supports only,
+        merged as granule sets whatever the kernel returned.
         """
         state = self.state
         params = self.params
         mirror = state.mirror(k)
+        last_level = k == params.max_pattern_length
         for pattern, new_support in support_out.items():
             ps = gs.patterns.get(pattern)
             if ps is None:
@@ -567,7 +570,10 @@ class IncrementalSTPM:
             new_assignments = assignments_out[pattern]
             if not ps.support:
                 ps.support = list(new_support)
-                ps.assignments.update(new_assignments)
+                if not last_level:
+                    ps.assignments.update(new_assignments)
+            elif last_level:
+                ps.support = sorted(set(ps.support).union(new_support))
             elif dedup:
                 for granule, assignments in new_assignments.items():
                     existing = ps.assignments.get(granule)

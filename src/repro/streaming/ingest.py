@@ -25,7 +25,7 @@ from bisect import insort
 from typing import Sequence
 
 from repro.events.sequence import TemporalSequence
-from repro.exceptions import SymbolizationError
+from repro.exceptions import DatasetError, SymbolizationError
 from repro.symbolic.alphabet import Alphabet
 from repro.symbolic.database import SymbolicDatabase
 from repro.symbolic.mapping import (
@@ -34,7 +34,7 @@ from repro.symbolic.mapping import (
     interp_quantiles,
     quantile_breakpoints,
 )
-from repro.symbolic.series import TimeSeries
+from repro.symbolic.series import TimeSeries, first_non_finite
 from repro.transform.sequence_db import (
     FRONTEND_COLUMNAR,
     TemporalSequenceDatabase,
@@ -179,17 +179,27 @@ class StreamingSymbolizer:
 
         Returns the new symbols per series, ready for
         :meth:`StreamingDatabase.append_symbols`.  A rejected push --
-        unknown series, or a degenerate frozen fitting window (see
-        :func:`_frozen_fit`) -- mutates nothing: no series' history or
-        mapper changes, so the caller can correct the batch and re-push
-        all of it without duplicating instants.
+        unknown series, a NaN or infinite value (:class:`DatasetError`),
+        or a degenerate frozen fitting window (see :func:`_frozen_fit`)
+        -- mutates nothing: no series' history or mapper changes, so the
+        caller can correct the batch and re-push all of it without
+        duplicating instants.
         """
-        # Validate everything (series names, frozen first-push fits)
-        # before committing anything, so a multi-series push is atomic.
+        # Validate everything (series names, finite values, frozen
+        # first-push fits) before committing anything, so a multi-series
+        # push is atomic.
         blocks: dict[str, tuple[Alphabet, list[float]]] = {}
         for name, block in values.items():
             alphabet = self._alphabet_of(name)
-            blocks[name] = (alphabet, [float(v) for v in block])
+            block_list = [float(v) for v in block]
+            bad = first_non_finite(block_list)
+            if bad is not None:
+                raise DatasetError(
+                    f"series {name!r}: non-finite value {block_list[bad]!r} at "
+                    f"index {bad} of the push (stream instant "
+                    f"{len(self.history[name]) + bad})"
+                )
+            blocks[name] = (alphabet, block_list)
         fitted: dict[str, SymbolMapper] = {}
         if self.mode == MODE_FROZEN:
             for name, (alphabet, block_list) in blocks.items():

@@ -74,8 +74,9 @@ class PatternState:
     ``assignments`` holds the kernels' compact column-index encoding
     (see :mod:`repro.core.instance_index`) -- the shared inner loops
     produce and consume it, and the HLH mirrors store the same lists.
-    The cached :class:`SeasonView` is valid only while
-    ``view_support_len`` matches the support length (supports are
+    It stays empty at the last level (``k == max_pattern_length``),
+    which nothing extends.  The cached :class:`SeasonView` is valid only
+    while ``view_support_len`` matches the support length (supports are
     append-only, so length is a sufficient fingerprint).
     """
 

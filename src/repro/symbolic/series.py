@@ -10,10 +10,22 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from math import isfinite
 
 from repro.core.config import get_numpy
-from repro.exceptions import SymbolizationError
+from repro.exceptions import DatasetError, SymbolizationError
 from repro.symbolic.alphabet import Alphabet
+
+
+def first_non_finite(values) -> int | None:
+    """Index of the first NaN or infinite value, ``None`` if there is none.
+
+    Clean input costs one C-level pass (``all(map(isfinite, ...))``); only
+    a failing series is scanned again for the index.
+    """
+    if all(map(isfinite, values)):
+        return None
+    return next(index for index, value in enumerate(values) if not isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -25,7 +37,10 @@ class TimeSeries:
     name:
         Series identifier, e.g. ``"C"`` (Cooker) or ``"Temperature"``.
     values:
-        The data values in chronological order.
+        The data values in chronological order.  NaN and infinite values
+        raise :class:`DatasetError`: the numpy and pure-Python mappers
+        would encode them differently, so they are rejected here rather
+        than turned into symbols.
     """
 
     name: str
@@ -36,6 +51,12 @@ class TimeSeries:
             raise SymbolizationError("a time series needs a non-empty name")
         if not self.values:
             raise SymbolizationError(f"time series {self.name!r} has no values")
+        bad = first_non_finite(self.values)
+        if bad is not None:
+            raise DatasetError(
+                f"time series {self.name!r} has a non-finite value "
+                f"{self.values[bad]!r} at index {bad}"
+            )
 
     @classmethod
     def from_array(cls, name: str, values) -> "TimeSeries":

@@ -1,4 +1,5 @@
-"""Shared fixtures: the paper's running example and tiny datasets.
+"""Shared fixtures: the paper's running example, tiny datasets, and a
+compute-backend fixture that runs a test under numpy and pure Python.
 
 The running example is Tables II/IV of the paper: five binary device
 series (C: Cooker, D: Dish washer, F: Food processor, M: Microwave,
@@ -16,6 +17,7 @@ import os
 import pytest
 
 from repro import MiningParams, SymbolicDatabase, build_sequence_database
+from repro.core.config import set_compute_backend
 from repro.datasets import load_dataset
 
 def pytest_sessionstart(session):
@@ -73,3 +75,11 @@ def tiny_re():
 def tiny_inf():
     """A tiny INF dataset for integration tests."""
     return load_dataset("INF", "tiny")
+
+
+@pytest.fixture(params=[None, "python"], ids=["numpy", "pure"])
+def compute_backend(request):
+    """Run a test under both compute backends."""
+    set_compute_backend(request.param)
+    yield request.param
+    set_compute_backend(None)

@@ -38,14 +38,6 @@ from repro.transform.sequence_db import (
 )
 
 
-@pytest.fixture(params=[None, "python"], ids=["numpy", "pure"])
-def compute_backend(request):
-    """Run a test under both compute backends."""
-    set_compute_backend(request.param)
-    yield request.param
-    set_compute_backend(None)
-
-
 def _support_positions(dseq):
     return {
         event: list(support.positions())

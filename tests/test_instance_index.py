@@ -165,24 +165,28 @@ class TestInterning:
             ESTPM(_dseq({"A": "0101"}, 2), _params(), kernel="nope").mine()
 
 
+#: Three interleaved series whose 4-event level is non-empty at ratio 3.
+THREE_SERIES = {
+    "A": "110100110100110100",
+    "B": "011010011010011010",
+    "C": "101101101101101101",
+}
+
+
 class TestEncodedAssignments:
     def test_ghk_assignments_decode_to_realizing_instances(self):
         """Every encoded GHk assignment decodes to an instance tuple
-        that realizes exactly its pattern (pair and extension levels)."""
+        that realizes exactly its pattern (pair and extension levels).
+
+        Mined to length 4 so that k = 3 is an inner level: the last
+        level stores no assignments.
+        """
         miner = IncrementalSTPM(
-            _dseq(
-                {
-                    "A": "110100110100110100",
-                    "B": "011010011010011010",
-                    "C": "101101101101101101",
-                },
-                3,
-            ),
-            _params(),
+            _dseq(THREE_SERIES, 3), _params(max_pattern_length=4)
         )
         miner.advance()
         state = miner.state
-        checked = 0
+        checked = {}
         for k, mirror in state.hlhk.items():
             for pattern, by_granule in mirror.ghk.items():
                 assert pattern.size == k
@@ -200,8 +204,9 @@ class TestEncodedAssignments:
                             decoded, miner.params.relation
                         )
                         assert realized == pattern
-                        checked += 1
-        assert checked > 0
+                        checked[k] = checked.get(k, 0) + 1
+        assert checked.get(2, 0) > 0
+        assert checked.get(3, 0) > 0
 
 
 class TestSelfPairPaths:
@@ -233,10 +238,12 @@ class TestSelfPairPaths:
         )
 
     def test_extension_never_pairs_an_instance_with_itself(self):
+        # Mined to length 4 so the k = 3 assignments are kept.
         dseq = _dseq(self.ROWS, 6)
-        miner = IncrementalSTPM(dseq, _params(max_pattern_length=3))
+        miner = IncrementalSTPM(dseq, _params(max_pattern_length=4))
         miner.advance()
         state = miner.state
+        checked = 0
         for k, mirror in state.hlhk.items():
             if k < 3:
                 continue
@@ -246,6 +253,41 @@ class TestSelfPairPaths:
                         pattern, granule, state.hlh1
                     ):
                         assert len(set(decoded)) == len(decoded)
+                        if k == 3:
+                            checked += 1
+        assert checked > 0
+
+
+class TestLastLevelStoresSupportsOnly:
+    """Nothing extends the last level, so its GHk holds no assignments
+    while the inner levels keep theirs."""
+
+    @staticmethod
+    def _assert_last_level_empty(levels, last):
+        assert levels[last].phk, "workload must reach the last level"
+        assert all(not by_granule for by_granule in levels[last].ghk.values())
+        assert any(by_granule for by_granule in levels[last - 1].ghk.values())
+
+    def test_batch_miner(self, monkeypatch):
+        levels = {}
+        mine_level = ESTPM._mine_k_event_patterns
+
+        def recording(self, *args, **kwargs):
+            hlhk = mine_level(self, *args, **kwargs)
+            levels[hlhk.k] = hlhk
+            return hlhk
+
+        monkeypatch.setattr(ESTPM, "_mine_k_event_patterns", recording)
+        ESTPM(_dseq(THREE_SERIES, 3), _params(max_pattern_length=4)).mine()
+        self._assert_last_level_empty(levels, 4)
+
+    @pytest.mark.parametrize("kernel", ["array", "sweep", "reference"])
+    def test_streaming_miner(self, kernel):
+        miner = IncrementalSTPM(
+            _dseq(THREE_SERIES, 3), _params(max_pattern_length=4), kernel=kernel
+        )
+        miner.advance()
+        self._assert_last_level_empty(miner.state.hlhk, 4)
 
 
 class TestKernelParity:

@@ -10,7 +10,7 @@ small symbolic databases,
 * A-STPM returns a subset, exact on the series it keeps.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import (
@@ -25,7 +25,7 @@ from repro.baselines import APSGrowth, NaiveSTPM
 
 
 @st.composite
-def mining_inputs(draw):
+def mining_inputs(draw, max_lengths=(3,)):
     n_series = draw(st.integers(1, 3))
     length = draw(st.integers(8, 30))
     rows = {
@@ -40,13 +40,37 @@ def mining_inputs(draw):
         min_density=draw(st.integers(1, 2)),
         dist_interval=(draw(st.integers(0, 2)), draw(st.integers(3, 10))),
         min_season=draw(st.integers(1, 2)),
-        max_pattern_length=3,
+        max_pattern_length=draw(st.sampled_from(max_lengths)),
     )
     dseq = build_sequence_database(SymbolicDatabase.from_rows(rows), ratio)
     return SymbolicDatabase.from_rows(rows), dseq, ratio, params
 
 
-@given(mining_inputs())
+def _fixed_inputs(rows: dict[str, str], ratio: int, params: MiningParams):
+    dsyb = SymbolicDatabase.from_rows(rows)
+    return dsyb, build_sequence_database(dsyb, ratio), ratio, params
+
+
+# Lengths 2-4 put the oracle on each kind of last level (the pair level,
+# the k = 3 fast path, the general extension path) and k = 3 also as an
+# inner level whose assignments are extended.  Few random draws reach
+# frequent 4-event patterns, so one explicit example with 91 of them
+# always runs.
+@given(mining_inputs(max_lengths=(2, 3, 4)))
+@example(
+    _fixed_inputs(
+        {
+            "S0": "110100110100110100",
+            "S1": "011010011010011010",
+            "S2": "101101101101101101",
+        },
+        3,
+        MiningParams(
+            max_period=1, min_density=1, dist_interval=(0, 8),
+            min_season=2, max_pattern_length=4,
+        ),
+    )
+)
 @settings(max_examples=40, deadline=None)
 def test_estpm_equals_bruteforce_oracle(inputs):
     _, dseq, _, params = inputs
