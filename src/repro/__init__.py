@@ -104,7 +104,7 @@ from repro.resilience import (
 )
 from repro.transform import TemporalSequenceDatabase, build_sequence_database
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 __all__ = [
     # granularity

@@ -78,6 +78,7 @@ def reference_extend_group_patterns(
     candidate_triples,
     params,
     check_candidates: bool,
+    verdict_store,
     parent_patterns=None,
     granule_filter=None,
 ) -> tuple[
@@ -88,6 +89,8 @@ def reference_extend_group_patterns(
 
     The pre-index Iterative Check loop (Sec. IV-D 4.2.2), relating
     instance objects pair by pair with a value-keyed per-granule cache.
+    ``verdict_store`` is accepted for the shared kernel signature and
+    ignored: this kernel keeps its cache per call.
     """
     relation = params.relation
     if parent_patterns is None:

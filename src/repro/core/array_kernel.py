@@ -19,12 +19,14 @@ rebuilds the data plane on the contiguous ``array('q')`` buffers of
   ``GH_k`` stores -- there is no per-pair Python dispatch in either the
   bulk or the near regime.
 * **Verdict-row sweep for extension.**  :func:`array_extend_group_patterns`
-  builds each verdict row once (bulk prefix/suffix fills bounded by two
-  bisects, plus a classified near window), and -- new over the sweep
-  kernel -- combines rows per assignment with O(1) *bulk-zone* handling:
-  the index range where every slot verdict is a constant Follows is
-  accepted (or rejected, when the Iterative Check already killed the
-  triple) without touching the per-index loop.  Extension columns are
+  builds each verdict row (bulk prefix/suffix fills bounded by two
+  bisects, plus a classified near window) once per caller-owned
+  :class:`~repro.core.instance_index.VerdictStore`: once per level in the
+  batch miner, once per advance in the streaming miner.  New over the
+  sweep kernel, it combines rows per assignment with O(1) *bulk-zone*
+  handling: the index range where every slot verdict is a constant
+  Follows is accepted (or rejected, when the Iterative Check already
+  killed the triple) without touching the per-index loop.  Extension columns are
   short (1.4-12.9 instances on average on the benchmark workloads), so
   the row boundaries come from bisection rather than numpy, whose four
   ``frombuffer`` and two ``searchsorted`` calls per column pair cost more
@@ -448,9 +450,9 @@ def _verdict_row_array(
     end more than epsilon before the existing start, new instances from
     ``tail`` on start more than epsilon after its end.  Both columns are
     strictly ascending, so ``head <= tail``.  ``before`` / ``after`` are
-    the constant verdicts of those bulk zones, precomputed once per
-    existing event by the caller (they depend only on the event pair, not
-    on the instance).
+    the constant verdicts of those bulk zones, held in the caller's
+    verdict-store slot (they depend only on the event pair, not on the
+    instance).
     """
     new_starts = new_column.starts
     new_ends = new_column.ends
@@ -459,7 +461,9 @@ def _verdict_row_array(
     e_e = existing_column.ends_arr[existing_index]
     head = bisect_right(new_ends, s_e - epsilon - 1)
     tail = bisect_left(new_starts, e_e + epsilon + 1)
-    row: list = [before] * head if head else []
+    # Sized once (the store keeps every row for a whole level): bulk
+    # verdicts throughout, then the near window overwritten in place.
+    row: list = [before] * head + [after] * (n_new - head)
     for j in range(head, tail):
         s_n = new_starts[j]
         e_n = new_ends[j]
@@ -484,7 +488,7 @@ def _verdict_row_array(
         ):
             rel = OVERLAPS
         else:
-            row.append(_NO_RELATION)
+            row[j] = _NO_RELATION
             continue
         if existing_first:
             info = (True, intern_triple(rel, existing_event, event))
@@ -492,9 +496,7 @@ def _verdict_row_array(
             info = (False, intern_triple(rel, event, existing_event))
         if allowed_triples is not None and info[1] not in allowed_triples:
             info = _NO_RELATION
-        row.append(info)
-    if tail < n_new:
-        row.extend([after] * (n_new - tail))
+        row[j] = info
     if existing_event == event and existing_index < n_new:
         # The existing instance is itself a column entry of the new
         # event; it always falls inside the near window, so patching the
@@ -579,6 +581,37 @@ def _resolve_zone_bucket(
     return entry[2]
 
 
+def _granule_record(hlh1: HLH1, event: str, granule: int) -> tuple:
+    """A verdict-store record of one ``(new event, granule)``: the new
+    column, its length, and the per-existing-event slots (filled by
+    :func:`_slot_record`)."""
+    new_column = hlh1.column_of(event, granule)
+    return (new_column, len(new_column.starts_arr), {})
+
+
+def _slot_record(
+    hlh1: HLH1, existing_event: str, event: str, granule: int, allowed_triples
+) -> tuple:
+    """A verdict-store slot of one existing event at one granule:
+    ``(rows, column, before, after)``.
+
+    ``rows`` is the lazily filled row list parallel to the existing
+    column.  ``before`` / ``after`` are the bulk-zone verdict constants:
+    a new instance wholly before an existing one is always "new Follows
+    existing", one wholly after is "existing Follows new", whatever the
+    instance.
+    """
+    existing_column = hlh1.column_of(existing_event, granule)
+    before = (False, intern_triple(FOLLOWS, event, existing_event))
+    after = (True, intern_triple(FOLLOWS, existing_event, event))
+    if allowed_triples is not None:
+        if before[1] not in allowed_triples:
+            before = _NO_RELATION
+        if after[1] not in allowed_triples:
+            after = _NO_RELATION
+    return ([None] * len(existing_column.starts_arr), existing_column, before, after)
+
+
 def array_extend_group_patterns(
     hlh1: HLH1,
     previous: HLHk,
@@ -587,6 +620,7 @@ def array_extend_group_patterns(
     candidate_triples,
     params,
     check_candidates: bool,
+    verdict_store,
     parent_patterns=None,
     granule_filter=None,
 ) -> tuple[
@@ -605,6 +639,16 @@ def array_extend_group_patterns(
     that Follows triple -- leaving the per-index loop only the combined
     near window.
 
+    ``verdict_store`` is a caller-owned
+    :class:`~repro.core.instance_index.VerdictStore` shared by every call
+    with the same ``hlh1``, candidate triples, check flag and relation
+    config; each verdict row is built once per store.  Its layout: new
+    event -> granule -> ``(new column, length, slots)``, where ``slots``
+    maps an existing event to ``(rows, column, before, after)`` -- the
+    per-instance row list, the existing column and its bulk-zone verdict
+    constants.  Rows built by this call are counted under
+    ``kernel.extend.verdict_rows``.
+
     At the last level (``previous.k + 1 == params.max_pattern_length``)
     nothing will extend the new patterns, so only the granules each one
     occurs in are recorded: its support list, with an empty per-granule
@@ -619,31 +663,13 @@ def array_extend_group_patterns(
     keep = previous.k + 1 < params.max_pattern_length
     accumulator: dict[tuple, dict | list] = {}
     merged: set[tuple] = set()
-    # Per-granule verdict-row cache: per existing event, a row list
-    # parallel to the event's instance column, filled lazily.
-    row_cache: dict[int, dict[str, list]] = {}
-    # Bulk-zone verdict constants per existing event: the prefix verdict
-    # of a slot is always "new Follows existing" and the suffix verdict
-    # "existing Follows new" -- independent of the realizing instance.
-    zone_constants: dict[str, tuple] = {}
-
-    def _zone_constants(existing_event: str) -> tuple:
-        constants = zone_constants.get(existing_event)
-        if constants is None:
-            before = (False, intern_triple(FOLLOWS, event, existing_event))
-            after = (True, intern_triple(FOLLOWS, existing_event, event))
-            if allowed_triples is not None:
-                if before[1] not in allowed_triples:
-                    before = _NO_RELATION
-                if after[1] not in allowed_triples:
-                    after = _NO_RELATION
-            constants = zone_constants[existing_event] = (before, after)
-        return constants
-
+    by_granule = verdict_store.setdefault(event, {})
+    built = 0
     event_support = hlh1.support_of(event)
     for pattern_prev in parent_patterns:
         prev_events = pattern_prev.events
         prev_triples = pattern_prev.triples
+        assignments_at = previous.ghk[pattern_prev]
         k = len(prev_events) + 1
         n_slots = k - 1
         shape_cache: dict[tuple, list] = {}
@@ -671,40 +697,39 @@ def array_extend_group_patterns(
         if granule_filter is not None:
             common = common & granule_filter
         for granule in common:
-            new_column = hlh1.column_of(event, granule)
-            n_new = len(new_column.starts_arr)
+            record = by_granule.get(granule)
+            if record is None:
+                record = by_granule.setdefault(
+                    granule, _granule_record(hlh1, event, granule)
+                )
+            new_column, n_new, slots = record
             if n_new == 0:
                 continue
-            cache = row_cache.get(granule)
-            if cache is None:
-                cache = row_cache[granule] = {}
-            # Per-slot row lists, indexed directly by the encoded
-            # instance index of the slot's event (no tuple-key hashing
-            # in the per-assignment loop), plus the resolved columns and
-            # bulk-zone constants so a verdict-row miss costs one call.
-            slot_rows = []
-            slot_columns = []
-            slot_zones = []
+            # One (rows, column, before, after) slot per existing event:
+            # rows are indexed directly by the encoded instance index of
+            # the slot's event (no tuple-key hashing in the
+            # per-assignment loop).
+            slot_records = []
             for existing_event in prev_events:
-                rows_of = cache.get(existing_event)
-                existing_column = hlh1.column_of(existing_event, granule)
-                if rows_of is None:
-                    rows_of = cache[existing_event] = (
-                        [None] * len(existing_column.starts_arr)
+                slot = slots.get(existing_event)
+                if slot is None:
+                    slot = slots.setdefault(
+                        existing_event,
+                        _slot_record(
+                            hlh1, existing_event, event, granule, allowed_triples
+                        ),
                     )
-                slot_rows.append(rows_of)
-                slot_columns.append(existing_column)
-                slot_zones.append(_zone_constants(existing_event))
+                slot_records.append(slot)
             prefix_bucket = None
             suffix_bucket = None
-            assignments = previous.assignments_of(pattern_prev, granule)
+            assignments = assignments_at.get(granule, ())
             if n_slots == 2:
                 # k = 3 fast path (the dominant level under the default
                 # max_pattern_length): slot loop unrolled, extended
                 # tuples built positionally.
-                rows_of_0, rows_of_1 = slot_rows
-                column_0, column_1 = slot_columns
-                zone_0, zone_1 = slot_zones
+                (rows_of_0, column_0, before_0, after_0), (
+                    rows_of_1, column_1, before_1, after_1
+                ) = slot_records
                 event_0, event_1 = prev_events
                 for assignment in assignments:
                     index_0, index_1 = assignment
@@ -713,15 +738,17 @@ def array_extend_group_patterns(
                         row_0 = rows_of_0[index_0] = _verdict_row_array(
                             column_0, event_0, index_0, event, new_column,
                             epsilon, min_overlap, allowed_triples,
-                            zone_0[0], zone_0[1],
+                            before_0, after_0,
                         )
+                        built += 1
                     row_1 = rows_of_1[index_1]
                     if row_1 is None:
                         row_1 = rows_of_1[index_1] = _verdict_row_array(
                             column_1, event_1, index_1, event, new_column,
                             epsilon, min_overlap, allowed_triples,
-                            zone_1[0], zone_1[1],
+                            before_1, after_1,
                         )
+                        built += 1
                     head = row_0[1]
                     other = row_1[1]
                     lo = other if other < head else head
@@ -793,15 +820,15 @@ def array_extend_group_patterns(
                 hi = 0
                 for slot in range(n_slots):
                     index = assignment[slot]
-                    rows_of = slot_rows[slot]
+                    rows_of, existing_column, before, after = slot_records[slot]
                     row = rows_of[index]
                     if row is None:
-                        zone = slot_zones[slot]
                         row = rows_of[index] = _verdict_row_array(
-                            slot_columns[slot], prev_events[slot], index,
+                            existing_column, prev_events[slot], index,
                             event, new_column, epsilon, min_overlap,
-                            allowed_triples, zone[0], zone[1],
+                            allowed_triples, before, after,
                         )
+                        built += 1
                     rows.append(row)
                     head = row[1]
                     tail = row[2]
@@ -868,6 +895,8 @@ def array_extend_group_patterns(
                             + (new_index,)
                             + assignment[position:]
                         )
+    if metrics.metrics_enabled():
+        metrics.inc("kernel.extend.verdict_rows", built)
     pattern_support: dict[TemporalPattern, list[int]] = {}
     pattern_assignments: dict[TemporalPattern, dict[int, list[Assignment]]] = {}
     for key, store in accumulator.items():

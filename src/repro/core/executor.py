@@ -5,7 +5,7 @@ enumerate instance pairs, grow pattern assignments) is embarrassingly
 parallel: groups of the same level never interact, only the finished level
 feeds the next one.  :mod:`repro.core.stpm` therefore expresses each level
 as a list of *group tasks* -- pure, picklable ``(task) -> outcome``
-calls against a read-only :class:`~repro.core.stpm.LevelContext` -- and
+calls against a shared :class:`~repro.core.stpm.LevelContext` -- and
 hands the list to an executor.  Payloads crossing the pool boundary are
 deliberately compact: the broadcast context ships raw HLH tables (each
 worker rebuilds its own per-process instance columns and flyweight
@@ -27,9 +27,11 @@ instances:
   adaptively sized chunks;
 * :class:`ThreadExecutor` fans the tasks out over a reusable
   :class:`concurrent.futures.ThreadPoolExecutor`.  The context is shared
-  zero-copy (same object, read-only by contract), which makes threads the
-  cheapest backend for small-context levels and for task functions that
-  release the GIL; pure-Python group mining stays serialized by the GIL.
+  zero-copy (same object, read-only by contract except for the level's
+  verdict-row store, which tasks fill with ``dict.setdefault``), which
+  makes threads the cheapest backend for small-context levels and for
+  task functions that release the GIL; pure-Python group mining stays
+  serialized by the GIL.
 
 All backends preserve the submission order of the results, so a
 :class:`~repro.core.results.MiningResult` is identical -- same patterns,

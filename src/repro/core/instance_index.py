@@ -299,9 +299,18 @@ class LazyAssignments:
     # -- consumer-side sequence protocol --------------------------------
 
     def _materialize(self) -> list:
-        """Expand the blocks into the pair list, once."""
+        """Expand the blocks into the pair list, once.
+
+        Threads-executor tasks share one level's buckets and may race
+        here.  Each racer expands the same blocks into an equal list; a
+        racer that finds the blocks already dropped returns the list the
+        winner stored first.
+        """
+        blocks = self._blocks
+        if blocks is None:
+            return self._items
         items: list = []
-        for block in self._blocks:
+        for block in blocks:
             kind = block[0]
             if kind == _BLOCK_PAIRS:
                 items.extend(block[1])
@@ -438,6 +447,38 @@ def clear_intern_caches() -> None:
     """Drop the flyweight caches (test isolation / long-lived services)."""
     _TRIPLE_CACHE.clear()
     _PATTERN_CACHE.clear()
+
+
+# ---------------------------------------------------------------------------
+# Verdict-row store of the extension kernels
+# ---------------------------------------------------------------------------
+
+
+class VerdictStore(dict):
+    """The Iterative Check's verdict rows, shared across extension calls.
+
+    A verdict row relates one existing instance to a whole new-event
+    column.  It depends only on ``(existing event, instance index, new
+    event, granule)`` plus what every call sharing the store has in
+    common: the ``hlh1`` columns, the candidate triples, the check flag
+    and the relation config.  So one store serves every extension-kernel
+    call with those four equal -- the group tasks of one batch level
+    (:class:`~repro.core.stpm.LevelContext` owns one), or the extension
+    calls of one streaming advance -- and each row is built once there
+    instead of once per call.  The layout inside is private to each
+    kernel.
+
+    The caller owns the store.  Kernels add its nested containers with
+    ``dict.setdefault`` only, so threads sharing a store never replace a
+    container another thread is filling (two threads can at worst both
+    build one row, and the rows are equal).  It pickles empty: every
+    worker process fills its own.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return (VerdictStore, ())
 
 
 # ---------------------------------------------------------------------------

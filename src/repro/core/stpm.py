@@ -28,7 +28,7 @@ group intersection is a C-level ``&`` and every maxSeason gate a
 ``bit_count()``.  The per-group work of step 2.2 -- intersect supports,
 enumerate instance pairs, grow assignments -- is expressed as pure,
 picklable *group tasks* (:func:`mine_pair_task` / :func:`mine_extension_task`
-against a read-only :class:`LevelContext`) dispatched through a
+against a shared :class:`LevelContext`) dispatched through a
 :class:`~repro.core.executor.MiningExecutor`.  The serial executor
 reproduces the classical single-threaded miner; the parallel executor fans
 the tasks over a process pool.  Outcomes are consumed in task order, so
@@ -71,6 +71,7 @@ from repro.core.instance_index import (
     KERNEL_ARRAY,
     KERNEL_REFERENCE,
     KERNEL_SWEEP,
+    VerdictStore,
     default_kernel,
     intern_pair_pattern,
     intern_pattern,
@@ -137,10 +138,12 @@ def series_of(event: str) -> str:
 
 @dataclass(frozen=True)
 class LevelContext:
-    """Read-only state shared by every group task of one HLH level.
+    """State shared by every group task of one HLH level.
 
     Shipped once per worker process (pool initializer) rather than once
     per task; tasks themselves are tiny key tuples into these tables.
+    Tasks only read it, except for ``verdict_store``, the level's cache
+    of Iterative Check verdict rows, which the extension tasks fill.
     """
 
     params: MiningParams
@@ -153,6 +156,16 @@ class LevelContext:
     #: reference loops.  Part of the context so the choice reaches pool
     #: workers under any start method.
     kernel: str = KERNEL_ARRAY
+    #: The level's verdict rows, shared by all its extension tasks (see
+    #: :class:`~repro.core.instance_index.VerdictStore`): every task of
+    #: one level has the same ``hlh1``, candidate triples, check flag and
+    #: relation config.  Not an init field, so every context (also one
+    #: made by ``dataclasses.replace``) starts with a fresh store; it
+    #: pickles empty, so each pool worker fills its own, while
+    #: threads-executor workers share it.
+    verdict_store: VerdictStore = field(
+        default_factory=VerdictStore, init=False, repr=False, compare=False
+    )
 
 
 @dataclass(frozen=True)
@@ -433,6 +446,7 @@ def mine_extension_task(task: tuple[tuple[str, ...], str]) -> GroupOutcome:
         context.candidate_triples,
         context.params,
         context.apriori,
+        context.verdict_store,
     )
     if track:
         metrics.inc(
@@ -539,6 +553,7 @@ def extend_group_patterns(
     candidate_triples,
     params: MiningParams,
     check_candidates: bool,
+    verdict_store,
     parent_patterns=None,
     granule_filter=None,
 ) -> tuple[
@@ -566,10 +581,14 @@ def extend_group_patterns(
     new-event column (:func:`_verdict_row`: bulk Follows prefix/suffix
     via bisection, inline classification for the near window, Iterative
     Check folded in, triples flyweight-interned), cached per granule
-    under the index key ``(existing event, existing index)``.  The
-    innermost loop is then a list index per (assignment slot, new
-    instance); each distinct extended pattern becomes one interned
-    :class:`TemporalPattern` at the end.
+    under the index key ``(existing event, existing index)``.  The cache
+    is ``verdict_store[event]``: the caller-owned
+    :class:`~repro.core.instance_index.VerdictStore` shared by every call
+    with the same ``hlh1``, candidate triples, check flag and relation
+    config, so each row is built once per store.  The innermost loop is
+    then a list index per (assignment slot, new instance); each distinct
+    extended pattern becomes one interned :class:`TemporalPattern` at the
+    end.
     """
     relation = params.relation
     epsilon = relation.epsilon
@@ -582,8 +601,8 @@ def extend_group_patterns(
     accumulator: dict[tuple, dict[int, set[Assignment]]] = {}
     # Per-granule cache of verdict rows: each existing instance is swept
     # against the new-event column exactly once even though it appears
-    # in many parent assignments (of every parent pattern).
-    row_cache: dict[int, dict[tuple[str, int], list]] = {}
+    # in many parent assignments (of every parent pattern and call).
+    row_cache = verdict_store.setdefault(event, {})
     event_support = hlh1.support_of(event)
     for pattern_prev in parent_patterns:
         prev_events = pattern_prev.events
@@ -606,7 +625,7 @@ def extend_group_patterns(
                 continue
             cache = row_cache.get(granule)
             if cache is None:
-                cache = row_cache[granule] = {}
+                cache = row_cache.setdefault(granule, {})
             for assignment in previous.assignments_of(pattern_prev, granule):
                 rows = []
                 for slot in range(n_slots):

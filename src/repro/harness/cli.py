@@ -89,6 +89,7 @@ from repro.core.stpm import ESTPM
 from repro.core.supportset import SUPPORT_BACKENDS
 from repro.datasets.registry import DATASET_BUILDERS, PROFILES, load_dataset
 from repro.events.relations import RELATIONS
+from repro.exceptions import ConfigError, DatasetError
 from repro.harness.experiments import EXPERIMENTS, run_experiment
 from repro.harness.runner import engine_defaults, run_all
 from repro.io.results_json import load_results_archive, multigrain_to_json
@@ -391,9 +392,10 @@ def _executor_spec(args):
     ``--workers`` / ``--keep-pool`` / ``--max-retries`` / ``--task-timeout``
     turn the backend name into a configured instance, so an explicit
     invalid value (e.g. ``--workers 0``) reaches the executor constructor
-    and is rejected there, not silently reinterpreted.  With ``--keep-pool``
-    the instance runs one persistent, reused pool for the whole command
-    (closed by :func:`_close_executor` before the process exits).
+    and is rejected there (:func:`main` reports it and exits 2), not
+    silently reinterpreted.  With ``--keep-pool`` the instance runs one
+    persistent, reused pool for the whole command (closed by
+    :func:`_close_executor` before the process exits).
     """
     keep_pool = getattr(args, "keep_pool", False)
     retry = _retry_policy(args)
@@ -479,6 +481,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with _telemetry(args):
             return _dispatch(args)
+    except (ConfigError, DatasetError) as exc:
+        # A flag value argparse cannot vet (``--workers 0``,
+        # ``--min-season 0``, ...) or an unusable input: a usage error,
+        # reported like ``--multiples`` and ``--level`` are.
+        logger.error("%s", exc)
+        return 2
     except KeyboardInterrupt:
         # The per-command ``finally`` blocks (and executor_scope) have
         # already closed any CLI-built pools on the way out, and

@@ -51,7 +51,7 @@ from repro.core.results import (
     results_equivalent,
 )
 from repro.core.seasonality import SeasonView, is_candidate
-from repro.core.instance_index import default_kernel, validate_kernel
+from repro.core.instance_index import VerdictStore, default_kernel, validate_kernel
 from repro.obs import counters as metrics
 from repro.obs.trace import span
 from repro.core.stpm import ESTPM, kernel_functions
@@ -230,8 +230,11 @@ class IncrementalSTPM:
         changed, newly_candidate = self._update_events(new_rows, touched_events)
         if self.params.max_pattern_length >= 2:
             self._update_pairs(changed, newly_candidate, touched_patterns)
+            # HLH1 and the candidate triples are final for this advance
+            # from here on, so all its extension calls share one store.
+            verdict_store = VerdictStore()
             for k in range(3, self.params.max_pattern_length + 1):
-                self._update_extensions(k, changed, touched_patterns)
+                self._update_extensions(k, changed, touched_patterns, verdict_store)
         state.n_granules = new_n
 
         delta = self._build_delta(
@@ -368,7 +371,11 @@ class IncrementalSTPM:
     # ------------------------------------------------------------------
 
     def _update_extensions(
-        self, k: int, changed: set[str], touched: dict[TemporalPattern, _Snapshot]
+        self,
+        k: int,
+        changed: set[str],
+        touched: dict[TemporalPattern, _Snapshot],
+        verdict_store: VerdictStore,
     ) -> None:
         """Advance every candidate k-event group (step 2.2, k >= 3)."""
         state = self.state
@@ -391,7 +398,9 @@ class IncrementalSTPM:
                     gs = level[group] = GroupState(group)
                 elif self._extension_group_is_settled(k, gs, changed):
                     continue
-                self._advance_extension_group(k, gs, group_prev, event, touched)
+                self._advance_extension_group(
+                    k, gs, group_prev, event, touched, verdict_store
+                )
 
     def _extension_group_is_settled(
         self, k: int, gs: GroupState, changed: set[str]
@@ -426,6 +435,7 @@ class IncrementalSTPM:
         enum_parent: tuple[str, ...],
         enum_event: str,
         touched: dict[TemporalPattern, _Snapshot],
+        verdict_store: VerdictStore,
     ) -> None:
         """Bring one k-event group's pattern state up to the new horizon."""
         state = self.state
@@ -448,7 +458,7 @@ class IncrementalSTPM:
             gs.parent_group = enum_parent
             gs.extension_event = self._extension_event(gs.group, enum_parent)
             mirror.add_group(gs.group, state.support_set(bits))
-            self._rebuild_extension_group(k, gs, touched)
+            self._rebuild_extension_group(k, gs, touched, verdict_store)
             return
         if bits_changed:
             mirror.ehk[gs.group].support = state.support_set(bits)
@@ -456,7 +466,7 @@ class IncrementalSTPM:
         if parent_gs.revision != gs.parent_revision or state.triples_affect_group(gs):
             # Old granules may now admit new patterns/assignments: the
             # incremental premise broke, redo the group batch-style.
-            self._rebuild_extension_group(k, gs, touched)
+            self._rebuild_extension_group(k, gs, touched, verdict_store)
             return
         entry_prev = state.mirror(k - 1).ehk[gs.parent_group]
         fresh: list[TemporalPattern] = []
@@ -467,11 +477,14 @@ class IncrementalSTPM:
         if fresh:
             # Newly candidate parent patterns: their assignments cover
             # old granules too, so extend them over the full support.
-            self._extend_group(k, gs, entry_prev, fresh, None, touched)
+            self._extend_group(
+                k, gs, entry_prev, fresh, None, touched, verdict_store
+            )
             gs.incorporated.update(fresh)
         if tail and previously:
             self._extend_group(
-                k, gs, entry_prev, previously, bit_positions(tail), touched
+                k, gs, entry_prev, previously, bit_positions(tail), touched,
+                verdict_store,
             )
         gs.processed_upto = new_n
         gs.triples_revision = state.triples_revision
@@ -489,7 +502,11 @@ class IncrementalSTPM:
         raise MiningError(f"group {group} does not extend parent {parent}")
 
     def _rebuild_extension_group(
-        self, k: int, gs: GroupState, touched: dict[TemporalPattern, _Snapshot]
+        self,
+        k: int,
+        gs: GroupState,
+        touched: dict[TemporalPattern, _Snapshot],
+        verdict_store: VerdictStore,
     ) -> None:
         """Re-extend one group from scratch over its full support."""
         state = self.state
@@ -504,7 +521,10 @@ class IncrementalSTPM:
         gs.incorporated = set()
         parent_gs = state.level(k - 1)[gs.parent_group]
         entry_prev = state.mirror(k - 1).ehk[gs.parent_group]
-        self._extend_group(k, gs, entry_prev, list(entry_prev.patterns), None, touched)
+        self._extend_group(
+            k, gs, entry_prev, list(entry_prev.patterns), None, touched,
+            verdict_store,
+        )
         gs.incorporated = set(entry_prev.patterns)
         gs.parent_revision = parent_gs.revision
         gs.triples_revision = state.triples_revision
@@ -518,6 +538,7 @@ class IncrementalSTPM:
         parent_patterns: list[TemporalPattern],
         granule_filter: list[int] | None,
         touched: dict[TemporalPattern, _Snapshot],
+        verdict_store: VerdictStore,
     ) -> None:
         """Run the shared extension loop and merge its outcomes."""
         state = self.state
@@ -530,6 +551,7 @@ class IncrementalSTPM:
             state.candidate_triples,
             self.params,
             True,
+            verdict_store,
             parent_patterns=parent_patterns,
             granule_filter=granule_filter,
         )

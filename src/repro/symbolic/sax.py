@@ -114,6 +114,16 @@ def paa(values, frame: int):
     return means
 
 
+def _check_moments(series: TimeSeries, mean: float, std: float) -> None:
+    """Reject a series whose z-normalisation mean or standard deviation
+    is not finite (finite values too close to the float range)."""
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise SymbolizationError(
+            f"series {series.name!r}: the SAX z-normalisation mean or "
+            "standard deviation is not finite; rescale the values"
+        )
+
+
 @dataclass(frozen=True)
 class SaxMapper:
     """SAX mapping: z-normalize, (optionally) PAA, bin with normal breakpoints.
@@ -132,12 +142,17 @@ class SaxMapper:
         if np is None:
             return self._encode_scalar(series)
         values = series.as_array()
-        std = values.std()
+        # Finite values near the float range overflow the moments; the
+        # check below rejects them, so numpy's warnings are muted here.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = values.mean()
+            std = values.std()
+        _check_moments(series, float(mean), float(std))
         if std == 0.0:
             # A constant series z-normalizes to all-zeros: middle symbol.
             mid = self.alphabet.symbols[len(self.alphabet) // 2]
             return SymbolicSeries(series.name, (mid,) * len(series), self.alphabet)
-        normalized = (values - values.mean()) / std
+        normalized = (values - mean) / std
         frames = paa(normalized, self.frame)
         breakpoints = np.asarray(sax_breakpoints(len(self.alphabet)))
         bins = np.searchsorted(breakpoints, frames, side="right")
@@ -151,8 +166,12 @@ class SaxMapper:
         """Pure-Python twin of :meth:`encode` (``REPRO_COMPUTE=python``)."""
         values = series.values
         n = len(values)
-        mean = math.fsum(values) / n
-        std = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / n)
+        try:
+            mean = math.fsum(values) / n
+            std = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / n)
+        except OverflowError:
+            mean = std = math.inf
+        _check_moments(series, mean, std)
         if std == 0.0:
             mid = self.alphabet.symbols[len(self.alphabet) // 2]
             return SymbolicSeries(series.name, (mid,) * n, self.alphabet)

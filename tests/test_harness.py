@@ -123,6 +123,24 @@ class TestCli:
         )
         assert "frequent seasonal patterns" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--executor", "parallel", "--workers", "0"], "max_workers must be >= 1"),
+            (["--max-retries", "-1"], "max_attempts must be >= 1"),
+            (["--task-timeout", "-5"], "timeout_s must be > 0"),
+            (["--min-season", "0"], "min_season must be >= 1"),
+        ],
+        ids=["workers", "max-retries", "task-timeout", "min-season"],
+    )
+    def test_mine_rejects_bad_flag_values(self, capsys, flags, message):
+        argv = ["mine", "--dataset", "RE", "--profile", "tiny", *flags]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "ERROR" in err
+        assert "Traceback" not in err
+
     def test_mine_approximate(self, capsys):
         assert (
             cli_main(

@@ -5,7 +5,9 @@ The two guarantees worth their own suites:
 * **Parity.**  The ``mine.*`` / ``kernel.*`` counters are identical
   whether the mining work ran in-process, in a thread pool, or in a
   process pool -- worker-side counts ship back in the task envelope and
-  merge losslessly (tested on every seed dataset).
+  merge losslessly (tested on every seed dataset).  The exception is
+  ``kernel.extend.verdict_rows``, which counts work per verdict store
+  and so grows with the number of processes filling one.
 * **Zero cost when off.**  With telemetry disabled, the instrumented
   hot paths allocate nothing in the obs modules and ``span()`` returns
   one shared singleton.
@@ -295,8 +297,17 @@ class TestCrossProcessParity:
             }
 
         serial_counts = mining_only(serial_captured)
+        pooled_counts = mining_only(pooled_captured)
         assert serial_counts.get("mine.groups.pair", 0) > 0
-        assert serial_counts == mining_only(pooled_captured)
+        # Verdict rows are built once per verdict store, and the store is
+        # per level in one process: each pool worker fills its own, and
+        # two threads sharing one can both build a row.  So this one
+        # counter measures per-store work: a 2-worker run builds every
+        # row the serial run builds, and each at most twice.
+        serial_rows = serial_counts.pop("kernel.extend.verdict_rows", 0)
+        pooled_rows = pooled_counts.pop("kernel.extend.verdict_rows", 0)
+        assert serial_rows <= pooled_rows <= 2 * serial_rows
+        assert serial_counts == pooled_counts
 
     def test_executor_counters_record_dispatch(self):
         dataset = load_dataset("INF", "tiny")

@@ -1,5 +1,7 @@
 """Unit tests for the SAX mapper (Lin et al. [41])."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -83,3 +85,18 @@ class TestSaxMapper:
             TimeSeries.from_array("Y", 7.0 * values + 3.0)
         )
         assert base.symbols == scaled.symbols
+
+    @pytest.mark.parametrize(
+        "values",
+        [(1e200, 2e200, 3e200), (1e308, 1e308, 0.0)],
+        ids=["std-overflows", "mean-overflows"],
+    )
+    def test_overflowing_moments_rejected_by_both_twins(
+        self, compute_backend, values
+    ):
+        series = TimeSeries("X", values)
+        mapper = SaxMapper(Alphabet.levels(["L", "M", "H"]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SymbolizationError, match="series 'X'.*not finite"):
+                mapper.encode(series)
