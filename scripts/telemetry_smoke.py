@@ -105,7 +105,7 @@ def validate(trace_path: Path) -> int:
 
 
 def _mine_once() -> float:
-    """One dense EXT5-style mining run; returns its wall-clock seconds."""
+    """One E-STPM run on the tiny RE profile; returns its wall-clock seconds."""
     from repro.core.stpm import ESTPM
     from repro.datasets.registry import load_dataset
 

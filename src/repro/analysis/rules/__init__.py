@@ -20,7 +20,6 @@ from repro.analysis.rules.registry_conformance import (
     DunderAllResolves,
     FrontendKernelRegistry,
     ImportTargetResolves,
-    Step2KernelRegistry,
 )
 from repro.analysis.rules.thread_safety import UnguardedSharedMutation
 
@@ -32,7 +31,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     RegistryValueNotModuleLevel,
     UnguardedSharedMutation,
     DirectObsAccess,
-    Step2KernelRegistry,
     FrontendKernelRegistry,
     DunderAllResolves,
     ImportTargetResolves,

@@ -62,7 +62,6 @@ EXECUTOR_BOUNDARY_MODULES = (
 #: Module-scope registries whose values ship (or are dispatched) across
 #: process boundaries and therefore must hold module-level callables.
 CALLABLE_REGISTRIES = (
-    "_KERNEL_FUNCTIONS",
     "MINERS",
     "DATASET_BUILDERS",
     "EXPERIMENTS",

@@ -1,17 +1,13 @@
-"""RC -- kernel-registry and export-surface conformance (PRs 2/6/8).
+"""RC -- front-end registry and export-surface conformance (PRs 2/6/8).
 
-The mining pipeline dispatches by name twice: ``STEP2_KERNELS`` selects
-a ``(pair, extend)`` function pair out of ``_KERNEL_FUNCTIONS``, and
-``FRONTEND_KERNELS`` selects a DSEQ builder.  Both registries are only
-checked at call time, so a renamed kernel or a drifted signature
-surfaces as a runtime KeyError/TypeError deep inside a worker process.
-These rules move that failure to lint time, together with two export
-checks: every ``__all__`` name must resolve, and every
-``from repro.X import y`` against an indexed module must resolve
-(scripts and benchmarks have broken silently on exactly this before).
+The step-1 front end dispatches by name: ``FRONTEND_KERNELS`` selects a
+DSEQ builder.  The registry is only checked at call time, so a renamed
+builder surfaces as a runtime error deep inside a mining job.  These
+rules move that failure to lint time, together with two export checks:
+every ``__all__`` name must resolve, and every ``from repro.X import y``
+against an indexed module must resolve (scripts and benchmarks have
+broken silently on exactly this before).
 
-* ``RC001``: ``STEP2_KERNELS`` entry missing from ``_KERNEL_FUNCTIONS``
-  or kernel function signatures drifted apart.
 * ``RC002``: ``FRONTEND_KERNELS`` entry without a ``_build_<name>``
   builder in the front-end module.
 * ``RC003``: ``__all__`` name with no module binding behind it.
@@ -21,156 +17,13 @@ checks: every ``__all__`` name must resolve, and every
 
 from __future__ import annotations
 
-import ast
 from typing import Iterator
 
 from repro.analysis.findings import Finding
-from repro.analysis.index import ModuleIndex, RepoIndex
+from repro.analysis.index import RepoIndex
 from repro.analysis.rules.base import Rule
 
-_KERNEL_CONSTANTS_MODULE = "repro.core.instance_index"
-_KERNEL_TABLE_MODULE = "repro.core.stpm"
 _FRONTEND_MODULE = "repro.transform.sequence_db"
-
-
-def _resolve_constant(repo: RepoIndex, entry: ModuleIndex, node: ast.expr) -> object:
-    """Fold ``node`` to a literal, chasing one import hop for Names."""
-    if isinstance(node, ast.Constant):
-        return node.value
-    if isinstance(node, ast.Name):
-        if node.id in entry.constants:
-            return entry.constants[node.id]
-        for record in entry.imports:
-            if record.alias == node.id and record.name:
-                source = repo.get(record.module)
-                if source is not None:
-                    return source.constants.get(record.name)
-        return None
-    return None
-
-
-def _resolve_function(
-    repo: RepoIndex, entry: ModuleIndex, name: str
-) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
-    """The def behind ``name`` in ``entry``, chasing one import hop."""
-    node = entry.function_def(name)
-    if node is not None:
-        return node
-    for record in entry.imports:
-        if record.alias == name and record.name:
-            source = repo.get(record.module)
-            if source is not None:
-                return source.function_def(record.name)
-    return None
-
-
-def _arg_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> tuple[str, ...]:
-    args = node.args
-    return tuple(
-        a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
-    )
-
-
-class Step2KernelRegistry(Rule):
-    id = "RC001"
-    summary = (
-        "every STEP2_KERNELS name must map to a (pair, extend) entry in "
-        "_KERNEL_FUNCTIONS with position-wise identical signatures"
-    )
-
-    def check(self, repo: RepoIndex) -> Iterator[Finding]:
-        constants = repo.get(_KERNEL_CONSTANTS_MODULE)
-        table_entry = repo.get(_KERNEL_TABLE_MODULE)
-        if constants is None or table_entry is None:
-            return
-        declared = constants.constants.get("STEP2_KERNELS")
-        if not isinstance(declared, tuple):
-            yield self.finding(
-                constants,
-                1,
-                "STEP2_KERNELS",
-                "STEP2_KERNELS is not a foldable tuple of kernel names",
-            )
-            return
-        table_node = _find_dict_assign(table_entry, "_KERNEL_FUNCTIONS")
-        if table_node is None:
-            yield self.finding(
-                table_entry,
-                1,
-                "_KERNEL_FUNCTIONS",
-                "_KERNEL_FUNCTIONS dict literal not found in repro.core.stpm",
-            )
-            return
-        assign_line, table = table_node
-        registered: dict[object, list[str]] = {}
-        for key, value in zip(table.keys, table.values):
-            if key is None:
-                continue
-            kernel = _resolve_constant(repo, table_entry, key)
-            names = []
-            if isinstance(value, ast.Tuple):
-                names = [
-                    element.id
-                    for element in value.elts
-                    if isinstance(element, ast.Name)
-                ]
-            registered[kernel] = names
-        for kernel in declared:
-            if kernel not in registered:
-                yield self.finding(
-                    table_entry,
-                    assign_line,
-                    str(kernel),
-                    f"STEP2_KERNELS declares {kernel!r} but _KERNEL_FUNCTIONS "
-                    "has no entry for it",
-                )
-        for kernel, names in registered.items():
-            if kernel not in declared:
-                yield self.finding(
-                    table_entry,
-                    assign_line,
-                    str(kernel),
-                    f"_KERNEL_FUNCTIONS registers {kernel!r} which "
-                    "STEP2_KERNELS does not declare",
-                )
-        # Signature drift: each slot (pair / extend) must agree across kernels.
-        slot_labels = ("pair kernel", "extension kernel")
-        for slot, label in enumerate(slot_labels):
-            reference: tuple[str, ...] | None = None
-            reference_kernel: object = None
-            for kernel, names in sorted(registered.items(), key=lambda kv: str(kv[0])):
-                if slot >= len(names):
-                    yield self.finding(
-                        table_entry,
-                        assign_line,
-                        str(kernel),
-                        f"_KERNEL_FUNCTIONS[{kernel!r}] has no {label} "
-                        "(expected a (pair, extend) tuple of functions)",
-                    )
-                    continue
-                node = _resolve_function(repo, table_entry, names[slot])
-                if node is None:
-                    yield self.finding(
-                        table_entry,
-                        assign_line,
-                        names[slot],
-                        f"{label} {names[slot]!r} for kernel {kernel!r} does "
-                        "not resolve to a module-level function",
-                    )
-                    continue
-                signature = _arg_names(node)
-                if reference is None:
-                    reference, reference_kernel = signature, kernel
-                elif signature != reference:
-                    yield self.finding(
-                        table_entry,
-                        assign_line,
-                        names[slot],
-                        f"{label} signature drift: {kernel!r} takes "
-                        f"{list(signature)} but {reference_kernel!r} takes "
-                        f"{list(reference)}; kernels must be drop-in "
-                        "interchangeable",
-                    )
 
 
 class FrontendKernelRegistry(Rule):
@@ -257,18 +110,3 @@ class ImportTargetResolves(Rule):
                     f"{record.module} does not bind {record.name!r}; the "
                     "import will fail at runtime",
                 )
-
-
-def _find_dict_assign(
-    entry: ModuleIndex, name: str
-) -> tuple[int, ast.Dict] | None:
-    for node in entry.tree.body:
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if (
-                    isinstance(target, ast.Name)
-                    and target.id == name
-                    and isinstance(node.value, ast.Dict)
-                ):
-                    return node.lineno, node.value
-    return None

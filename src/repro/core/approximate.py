@@ -152,8 +152,8 @@ class ASTPM:
     screening runs on DSYB (one scan, as the paper notes) while the mining
     runs on DSEQ.  A pre-built DSEQ can be supplied to avoid re-transforming
     in benchmarks.  ``support_backend`` / ``executor`` / ``n_workers`` /
-    ``kernel`` / ``strict`` / ``checkpoint_path`` are forwarded to the
-    inner :class:`~repro.core.stpm.ESTPM` engine.
+    ``strict`` / ``checkpoint_path`` are forwarded to the inner
+    :class:`~repro.core.stpm.ESTPM` engine.
     """
 
     dsyb: SymbolicDatabase
@@ -165,7 +165,6 @@ class ASTPM:
     support_backend: str | None = None
     executor: "MiningExecutor | str | None" = None
     n_workers: int | None = None
-    kernel: str | None = None
     strict: bool = True
     checkpoint_path: str | None = None
 
@@ -207,7 +206,6 @@ class ASTPM:
                     event_filter=event_filter,
                     support_backend=self.support_backend,
                     executor=runner,
-                    kernel=self.kernel,
                     strict=self.strict,
                     checkpoint_path=self.checkpoint_path,
                 )

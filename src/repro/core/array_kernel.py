@@ -1,58 +1,43 @@
-"""Array-backed step-2.2 kernels v2 (the ``"array"`` kernel).
+"""The step-2.2 kernels: instance-pair enumeration and the Iterative Check.
 
-The PR 5 sweep join made pattern growth columnar, but its columns were
-pure-Python tuples walked by per-pair interpreted loops.  This module
-rebuilds the data plane on the contiguous ``array('q')`` buffers of
-:class:`~repro.core.instance_index.InstanceColumn`:
+Step 2.2 of E-STPM (paper Sec. IV-D) has two inner loops, one function
+each, shared by the batch miner's group tasks (:mod:`repro.core.stpm`)
+and the streaming miner (:mod:`repro.streaming.incremental`).  Both run
+on the per ``(event, granule)`` columns of
+:class:`~repro.core.instance_index.InstanceColumn`, whose start and end
+bounds are strictly ascending:
 
-* **Bulk-Follows boundary arithmetic.**  For one ``(event_a, event_b)``
-  column pair the epsilon-shifted bulk boundaries ``head[i]`` (every
-  ``b`` wholly before ``a_i``) and ``tail[i]`` (every ``b`` wholly after
-  ``a_i``) are computed for the *entire* column in one vectorized
-  ``searchsorted`` per side -- no per-instance bisect, no two-pointer
-  interpretation.
-* **Batched near-window classification.**  The candidate pairs between
-  the boundaries are classified in one call through
-  :func:`~repro.events.relations.relation_masks_of_bounds` (the
-  vectorized Table III core), and the verdicts land directly in the
-  encoded-assignment ``(earlier_index, later_index)`` format that
-  ``GH_k`` stores -- there is no per-pair Python dispatch in either the
-  bulk or the near regime.
-* **Verdict-row sweep for extension.**  :func:`array_extend_group_patterns`
-  builds each verdict row (bulk prefix/suffix fills bounded by two
-  bisects, plus a classified near window) once per caller-owned
-  :class:`~repro.core.instance_index.VerdictStore`: once per level in the
-  batch miner, once per advance in the streaming miner.  New over the
-  sweep kernel, it combines rows per assignment with O(1) *bulk-zone*
+* **Pair enumeration** (:func:`array_collect_pair_patterns`, k = 2).
+  For one ``(event_a, event_b)`` column pair an amortized two-pointer
+  walk finds, per ``a_i``, the epsilon-shifted bulk boundaries
+  ``head[i]`` (every ``b`` before it is wholly before ``a_i``) and
+  ``tail[i]`` (every ``b`` from it on is wholly after ``a_i``).  Both
+  bulk zones are unconditional Follows, stored implicitly as boundary
+  lists in :class:`~repro.core.instance_index.LazyAssignments`; only
+  the near window between them is classified pair by pair, inlining the
+  comparisons of :func:`~repro.events.relations.relation_of_bounds`.
+  Accepted pairs land in the encoded-assignment
+  ``(earlier_index, later_index)`` format that ``GH_k`` stores.
+* **Verdict-row extension** (:func:`array_extend_group_patterns`,
+  k >= 3).  Each verdict row (bulk prefix/suffix fills bounded by two
+  bisects, plus a classified near window) is built once per
+  caller-owned :class:`~repro.core.instance_index.VerdictStore`: once
+  per level in the batch miner, once per advance in the streaming
+  miner.  Rows are combined per assignment with O(1) *bulk-zone*
   handling: the index range where every slot verdict is a constant
   Follows is accepted (or rejected, when the Iterative Check already
-  killed the triple) without touching the per-index loop.  Extension columns are
-  short (1.4-12.9 instances on average on the benchmark workloads), so
-  the row boundaries come from bisection rather than numpy, whose four
-  ``frombuffer`` and two ``searchsorted`` calls per column pair cost more
-  than they saved.
+  killed the triple) without touching the per-index loop.
 * **Supports only at the last level.**  ``GH_k`` assignments exist only
   for level k + 1 to extend.  At ``k == max_pattern_length`` nothing
   reads them, so the extension kernel records just the granules each
   extended pattern occurs in -- no assignment tuples, no per-granule
   sets -- and returns an empty assignment table per pattern.
 
-Compute backend
----------------
-The pair kernel's vectorized paths run on numpy when
-:func:`repro.core.config.get_numpy` provides it; the pure-Python
-machine-word fallback (same boundaries via an amortized two-pointer,
-same batched semantics via C-level ``zip``/``range`` bulk generation) is
-always available and produces identical results.  Selection is
-process-wide (``REPRO_COMPUTE`` / ``set_compute_backend``); parity
-across backends is pinned by the hypothesis suites.  The extension
-kernel makes no numpy call, so it runs the same code under both
-backends.
-
-Both kernels accept and produce exactly the structures of their sweep
-counterparts in :mod:`repro.core.stpm`, so the batch miner, the
-streaming miner, and every executor backend can dispatch to either
-implementation interchangeably (``results_equivalent`` output).
+Neither kernel calls numpy, so the compute backend (``REPRO_COMPUTE``)
+does not reach step 2.2.  Columns are short on every shipped workload
+(1.4-1.7 instances on average on the paper's datasets, at most 18 in the
+dense ``perfbench`` workload), and per-column array set-up would cost
+more than the vectorized arithmetic saves.
 """
 
 from __future__ import annotations
@@ -60,7 +45,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import repeat
 
-from repro.core.config import get_numpy
 from repro.core.hlh import HLH1, Assignment, HLHk
 from repro.core.instance_index import (
     LazyAssignments,
@@ -69,20 +53,11 @@ from repro.core.instance_index import (
     intern_triple,
 )
 from repro.core.pattern import TemporalPattern, Triple, splice_triples
-from repro.events.relations import CONTAINS, FOLLOWS, OVERLAPS, relation_masks_of_bounds
+from repro.events.relations import CONTAINS, FOLLOWS, OVERLAPS
 from repro.obs import counters as metrics
 
-#: Verdict sentinel: "computed, and no (allowed) relation holds".  Local
-#: to this module; rows never leave the kernel, so the sweep kernel's
-#: sentinel and this one never meet.
+#: Verdict sentinel: "computed, and no (allowed) relation holds".
 _NO_RELATION = object()
-
-#: Below this instance-product size the per-granule numpy path costs
-#: more than it saves (fixed per-join array overhead vs an amortized
-#: two-pointer walk); the pure-Python fallback handles small columns.
-#: Crossover measured on the EXT5 dense regimes: columns shorter than
-#: ~64-80 instances run faster through the scalar path.
-_NUMPY_MIN_WORK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -101,14 +76,15 @@ def array_collect_pair_patterns(
 ) -> None:
     """Enumerate the related instance pairs of one event pair per granule.
 
-    Drop-in replacement for :func:`repro.core.stpm.collect_pair_patterns`
-    (same signature, same accumulation contract, equivalent output) built
-    on whole-column boundary arithmetic and batched classification; see
-    the module docstring for the mechanics.
+    The inner loop of step 2.2 at k = 2, shared by the batch miner (which
+    walks the full group support) and the streaming miner (which walks
+    only the tail granules of an advance).  ``granules`` must be
+    ascending; every related pair accumulates in place into the two
+    dictionaries, keyed by its interned pair pattern.  See the module
+    docstring for the mechanics.
     """
     epsilon = relation.epsilon
     min_overlap = relation.min_overlap
-    np = get_numpy()
     entries: dict[tuple[str, str, str], tuple[list, dict]] = {}
 
     def _bucket(key: tuple[str, str, str], granule: int) -> list:
@@ -136,168 +112,24 @@ def array_collect_pair_patterns(
         if n_a == 0:
             continue
         if same:
-            if np is not None and n_a * n_a >= _NUMPY_MIN_WORK:
-                _self_join_numpy(
-                    np, column_a, event_a, granule,
-                    epsilon, min_overlap, _bucket,
-                )
-            else:
-                _self_join_python(
-                    column_a, event_a, granule, epsilon, min_overlap, _bucket
-                )
+            _self_join(column_a, event_a, granule, epsilon, min_overlap, _bucket)
             continue
         column_b = hlh1.column_of(event_b, granule)
         n_b = len(column_b.starts_arr)
         if n_b == 0:
             continue
-        if np is not None and n_a * n_b >= _NUMPY_MIN_WORK:
-            _pair_join_numpy(
-                np, column_a, column_b, event_a, event_b, granule,
-                epsilon, min_overlap, _bucket,
-            )
-        else:
-            _pair_join_python(
-                column_a, column_b, event_a, event_b, granule,
-                epsilon, min_overlap, _bucket,
-            )
-
-
-def _expand_ranges(np, lo, hi):
-    """Flatten per-row index ranges ``[lo[i], hi[i])`` into parallel
-    ``(i, j)`` arrays, row-major -- the bulk pair generator.
-
-    ``lo`` / ``hi`` are equal-length integer arrays with ``hi >= lo``.
-    Returns ``None`` when every range is empty.
-    """
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        return None
-    i_rep = np.arange(len(counts)).repeat(counts)
-    run_starts = counts.cumsum() - counts
-    j_flat = np.arange(total) - (run_starts - lo).repeat(counts)
-    return i_rep, j_flat
-
-
-def _emit_classified(
-    np, i_rep, j_flat, a_first, masks, event_a, event_b, granule, bucket_of
-) -> None:
-    """Route one classified near-window batch into its pattern buckets.
-
-    ``a_first[p]`` says whether instance ``i`` of ``event_a`` is the
-    chronologically earlier element of pair ``p``; encoded assignments
-    are ``(earlier_index, later_index)``.
-    """
-    for rel, mask in masks:
-        for first_is_a in (True, False):
-            selected = mask & a_first if first_is_a else mask & ~a_first
-            index = np.nonzero(selected)[0]
-            if not len(index):
-                continue
-            ii = i_rep[index].tolist()
-            jj = j_flat[index].tolist()
-            if first_is_a:
-                key = (rel, event_a, event_b)
-                pairs = zip(ii, jj)
-            else:
-                key = (rel, event_b, event_a)
-                pairs = zip(jj, ii)
-            bucket_of(key, granule).extend(pairs)
-
-
-def _pair_join_numpy(
-    np, column_a, column_b, event_a, event_b, granule, epsilon, min_overlap, bucket_of
-) -> None:
-    """Vectorized distinct-event join of two columns at one granule."""
-    sa = np.frombuffer(column_a.starts_arr, dtype=np.int64)
-    ea = np.frombuffer(column_a.ends_arr, dtype=np.int64)
-    sb = np.frombuffer(column_b.starts_arr, dtype=np.int64)
-    eb = np.frombuffer(column_b.ends_arr, dtype=np.int64)
-    n_b = len(sb)
-    # Epsilon-shifted bulk-Follows boundaries for the whole column: b's
-    # with ends_b[j] + eps < start_i are wholly before a_i (pure b -> a
-    # Follows), b's with starts_b[j] >= end_i + eps + 1 wholly after
-    # (pure a -> b Follows).  Both zones stay *implicit*: the boundary
-    # lists go into the LazyAssignments blocks, no pair tuples built.
-    head = eb.searchsorted(sa - (epsilon + 1), side="right")
-    tail = np.maximum(sb.searchsorted(ea + (epsilon + 1), side="left"), head)
-    before_total = int(head.sum())
-    if before_total:
-        bucket_of((FOLLOWS, event_b, event_a), granule).add_bulk_before(
-            head.tolist(), before_total
-        )
-    after_total = len(sa) * n_b - int(tail.sum())
-    if after_total:
-        bucket_of((FOLLOWS, event_a, event_b), granule).add_bulk_after(
-            tail.tolist(), n_b, after_total
-        )
-    metrics.inc("kernel.pairs.bulk", before_total + after_total)
-    near = _expand_ranges(np, head, tail)
-    if near is None:
-        return
-    i_rep, j_flat = near
-    metrics.inc("kernel.pairs.near_classified", len(i_rep))
-    s_i, e_i = sa[i_rep], ea[i_rep]
-    s_j, e_j = sb[j_flat], eb[j_flat]
-    a_first = (s_i < s_j) | (
-        (s_i == s_j) & ((e_i > e_j) | ((e_i == e_j) & (event_a <= event_b)))
-    )
-    s_1 = np.where(a_first, s_i, s_j)
-    e_1 = np.where(a_first, e_i, e_j)
-    s_2 = np.where(a_first, s_j, s_i)
-    e_2 = np.where(a_first, e_j, e_i)
-    contains, follows, overlaps = relation_masks_of_bounds(
-        np, s_1, e_1, s_2, e_2, epsilon, min_overlap
-    )
-    _emit_classified(
-        np, i_rep, j_flat, a_first,
-        ((CONTAINS, contains), (FOLLOWS, follows), (OVERLAPS, overlaps)),
-        event_a, event_b, granule, bucket_of,
-    )
-
-
-def _self_join_numpy(
-    np, column, event, granule, epsilon, min_overlap, bucket_of
-) -> None:
-    """Vectorized same-event join (distinct ordered pairs ``i < j``)."""
-    starts = np.frombuffer(column.starts_arr, dtype=np.int64)
-    ends = np.frombuffer(column.ends_arr, dtype=np.int64)
-    n = len(starts)
-    index = np.arange(n)
-    # Same-event runs are disjoint, so i always precedes j > i; the only
-    # boundary is the bulk i -> j Follows tail.
-    tail = np.maximum(starts.searchsorted(ends + (epsilon + 1), side="left"), index + 1)
-    after_total = n * n - int(tail.sum())
-    if after_total:
-        bucket_of((FOLLOWS, event, event), granule).add_bulk_after(
-            tail.tolist(), n, after_total
-        )
-    metrics.inc("kernel.pairs.bulk", after_total)
-    near = _expand_ranges(np, index + 1, tail)
-    if near is None:
-        return
-    i_rep, j_flat = near
-    metrics.inc("kernel.pairs.near_classified", len(i_rep))
-    contains, follows, overlaps = relation_masks_of_bounds(
-        np, starts[i_rep], ends[i_rep], starts[j_flat], ends[j_flat],
-        epsilon, min_overlap,
-    )
-    for rel, mask in ((CONTAINS, contains), (FOLLOWS, follows), (OVERLAPS, overlaps)):
-        selected = np.nonzero(mask)[0]
-        if not len(selected):
-            continue
-        bucket_of((rel, event, event), granule).extend(
-            zip(i_rep[selected].tolist(), j_flat[selected].tolist())
+        _pair_join(
+            column_a, column_b, event_a, event_b, granule,
+            epsilon, min_overlap, _bucket,
         )
 
 
-def _pair_join_python(
+def _pair_join(
     column_a, column_b, event_a, event_b, granule, epsilon, min_overlap, bucket_of
 ) -> None:
-    """Pure-Python distinct-event join: amortized two-pointer boundaries
-    feeding the same lazy bulk-Follows blocks as the numpy path, with a
-    scalar classification loop over the near windows (the mandatory
-    fallback, equivalent accumulation)."""
+    """Distinct-event join of two columns at one granule: amortized
+    two-pointer boundaries feeding lazy bulk-Follows blocks, with a
+    scalar classification loop over the near windows."""
     starts_a, ends_a = column_a.starts, column_a.ends
     starts_b, ends_b = column_b.starts, column_b.ends
     n_a, n_b = len(starts_a), len(starts_b)
@@ -371,10 +203,12 @@ def _pair_join_python(
         )
 
 
-def _self_join_python(
-    column, event, granule, epsilon, min_overlap, bucket_of
-) -> None:
-    """Pure-Python same-event join (distinct ordered pairs ``i < j``)."""
+def _self_join(column, event, granule, epsilon, min_overlap, bucket_of) -> None:
+    """Same-event join of one column (distinct ordered pairs ``i < j``).
+
+    Same-event runs are disjoint, so instance ``i`` always precedes every
+    ``j > i``; the only boundary is the bulk ``i -> j`` Follows tail.
+    """
     starts, ends = column.starts, column.ends
     n = len(starts)
     buckets: dict[tuple[str, str, str], list] = {}
@@ -445,14 +279,13 @@ def _verdict_row_array(
     Returns ``(row, head, tail)``: ``row`` is the full verdict list
     indexed by new-instance position (entries are ``(existing_first,
     triple)`` or :data:`_NO_RELATION`); ``head`` / ``tail`` bound the
-    near window.  They come from two bisects, as in the sweep kernel's
-    :func:`~repro.core.stpm._verdict_row`: new instances before ``head``
-    end more than epsilon before the existing start, new instances from
-    ``tail`` on start more than epsilon after its end.  Both columns are
-    strictly ascending, so ``head <= tail``.  ``before`` / ``after`` are
-    the constant verdicts of those bulk zones, held in the caller's
-    verdict-store slot (they depend only on the event pair, not on the
-    instance).
+    near window.  They come from two bisects: new instances before
+    ``head`` end more than epsilon before the existing start, new
+    instances from ``tail`` on start more than epsilon after its end.
+    Both columns are strictly ascending, so ``head <= tail``.
+    ``before`` / ``after`` are the constant verdicts of those bulk
+    zones, held in the caller's verdict-store slot (they depend only on
+    the event pair, not on the instance).
     """
     new_starts = new_column.starts
     new_ends = new_column.ends
@@ -629,11 +462,22 @@ def array_extend_group_patterns(
 ]:
     """Extend every candidate pattern of one parent group with ``event``.
 
-    Drop-in replacement for
-    :func:`repro.core.stpm.extend_group_patterns` (same signature,
-    streaming hooks included, equivalent supports).  On top of the sweep
-    kernel's verdict-row caching it handles each assignment's bulk zones
-    in O(1): new-instance indices where every slot's verdict is the
+    This is the Iterative Check of Sec. IV-D 4.2.2: each new relation
+    triple between an existing event and the new event must already be
+    a candidate 2-event pattern, otherwise the extension is discarded.
+
+    ``parent_patterns`` restricts the extension to a subset of the parent
+    group's candidate patterns and ``granule_filter`` to a subset of the
+    granule positions -- the hooks the streaming miner uses to extend only
+    newly incorporated parent patterns / only the tail granules of an
+    advance.  The batch miner leaves both ``None`` (all patterns, all
+    granules).
+
+    Parent assignments arrive -- and extended assignments leave -- in the
+    compact column-index encoding of :mod:`repro.core.instance_index`:
+    ``assignment[i]`` indexes the instance of ``pattern.events[i]`` in
+    its ``(event, granule)`` column.  Each assignment's bulk zones cost
+    O(1): new-instance indices where every slot's verdict is the
     constant before/after Follows are accepted as one batch -- or
     rejected as one batch when the Iterative Check already discarded
     that Follows triple -- leaving the per-index loop only the combined

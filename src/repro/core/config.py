@@ -28,9 +28,10 @@ from repro.exceptions import ConfigError
 # Compute-backend selection (numpy-optional kernels)
 # ---------------------------------------------------------------------------
 
-#: Compute backends of the array kernels: ``auto`` uses numpy when it is
-#: importable, ``numpy`` requires it, ``python`` forces the pure-Python
-#: machine-word fallback (always available, always equivalent).
+#: Compute backends of the front end and the support-set kernels: ``auto``
+#: uses numpy when it is importable, ``numpy`` requires it, ``python``
+#: forces the pure-Python machine-word fallback (always available, always
+#: equivalent).  Step 2.2 makes no numpy call under any backend.
 COMPUTE_AUTO = "auto"
 COMPUTE_NUMPY = "numpy"
 COMPUTE_PYTHON = "python"
@@ -70,8 +71,8 @@ def set_compute_backend(backend: str | None) -> str | None:
     """Set the process-wide compute backend; returns the previous override.
 
     ``None`` clears the override (falling back to the environment /
-    ``auto``).  The selection only affects *speed*: every array kernel has
-    a pure-Python path producing identical results.
+    ``auto``).  The selection only affects *speed*: every vectorized path
+    has a pure-Python twin producing identical results.
     """
     global _COMPUTE_BACKEND, _NUMPY_MODULE
     previous = _COMPUTE_BACKEND

@@ -124,16 +124,12 @@ class HLH1:
 
 
 #: One realizing assignment of a pattern, chronologically ordered -- what
-#: GHk stores per granule.  Under the array kernel (the default) and the
-#: sweep kernel this is the *compact encoding*: a tuple of column indices
-#: parallel to the pattern's ``events`` (``assignment[i]`` indexes the
-#: instance of ``pattern.events[i]`` in its ``(event, granule)`` column --
-#: see :mod:`repro.core.instance_index`).  Under the reference kernel it
-#: is the classical tuple of :class:`EventInstance` objects.  A mining
-#: job runs entirely on one kernel, so the two encodings never mix within
-#: a structure; :meth:`HLHk.decoded_assignments_of` rematerializes
-#: instance tuples from the compact form.
-Assignment = tuple[EventInstance, ...] | tuple[int, ...]
+#: GHk stores per granule, in the *compact encoding*: a tuple of column
+#: indices parallel to the pattern's ``events`` (``assignment[i]`` indexes
+#: the instance of ``pattern.events[i]`` in its ``(event, granule)``
+#: column -- see :mod:`repro.core.instance_index`).
+#: :meth:`HLHk.decoded_assignments_of` rematerializes instance tuples.
+Assignment = tuple[int, ...]
 
 
 @dataclass
@@ -150,8 +146,8 @@ class HLHk:
 
     GHk exists only so that level k + 1 can extend its assignments.
     Nothing extends the last level (``k == max_pattern_length``), so
-    there the array extension kernel (k >= 3) and the streaming miner
-    record supports only, and every GHk entry is an empty per-granule
+    there the extension kernel (k >= 3) and the streaming miner record
+    supports only, and every GHk entry is an empty per-granule
     table.
     """
 
@@ -222,9 +218,8 @@ class HLHk:
     ) -> list[tuple[EventInstance, ...]]:
         """Realizing *instance tuples* of ``pattern`` at ``granule``.
 
-        Decodes the compact column-index assignments of the sweep
-        kernels through ``hlh1``'s instance columns -- the reporting /
-        inspection view of GHk.
+        Decodes the compact column-index assignments through ``hlh1``'s
+        instance columns -- the reporting / inspection view of GHk.
         """
         events = pattern.events
         return [

@@ -30,12 +30,10 @@ This module provides the columnar substitute:
   workers; :func:`decode_assignment` rematerializes the instance tuple
   wherever a human-facing view needs one.
 
-The sweep-join kernels themselves live in :mod:`repro.core.stpm`
-(:func:`~repro.core.stpm.collect_pair_patterns` /
-:func:`~repro.core.stpm.extend_group_patterns`) so the batch and
-streaming miners keep sharing one implementation; the pre-index
-reference kernels are preserved in :mod:`repro.core._kernel_reference`
-for parity tests and the EXT5 benchmark.
+The kernels themselves live in :mod:`repro.core.array_kernel`
+(:func:`~repro.core.array_kernel.array_collect_pair_patterns` /
+:func:`~repro.core.array_kernel.array_extend_group_patterns`), which the
+batch and streaming miners share.
 """
 
 from __future__ import annotations
@@ -46,52 +44,11 @@ from typing import Iterable, Sequence
 
 from repro.core.pattern import TemporalPattern, Triple
 from repro.events.event import EventInstance
-from repro.exceptions import ConfigError, MiningError
-
-#: Kernel names accepted wherever the step-2.2 implementation can be chosen.
-KERNEL_SWEEP = "sweep"
-KERNEL_REFERENCE = "reference"
-KERNEL_ARRAY = "array"
-STEP2_KERNELS = (KERNEL_ARRAY, KERNEL_SWEEP, KERNEL_REFERENCE)
+from repro.exceptions import MiningError
 
 #: A realizing assignment encoded as column indices parallel to the
 #: pattern's chronological ``events`` tuple.
 EncodedAssignment = tuple[int, ...]
-
-
-def validate_kernel(kernel: str) -> str:
-    """Return ``kernel`` if known, raise :class:`ConfigError` otherwise."""
-    if kernel not in STEP2_KERNELS:
-        raise ConfigError(
-            f"unknown step-2.2 kernel {kernel!r}; choose from {STEP2_KERNELS}"
-        )
-    return kernel
-
-
-#: Process-wide default step-2.2 kernel (see :func:`set_default_kernel`).
-#: ``array`` is the vectorized v2 engine (numpy when available, the
-#: pure-Python machine-word path otherwise -- see
-#: :func:`repro.core.config.get_numpy`); ``sweep`` is the PR 5 tuple
-#: sweep; ``reference`` the pre-index object-at-a-time loops.
-_DEFAULT_KERNEL = KERNEL_ARRAY
-
-
-def default_kernel() -> str:
-    """The process-wide default step-2.2 kernel."""
-    return _DEFAULT_KERNEL
-
-
-def set_default_kernel(kernel: str) -> str:
-    """Set the process-wide default step-2.2 kernel; returns the old one.
-
-    The harness uses this to flip whole experiment runs between kernels
-    (CLI ``--kernel``) without threading a parameter through every
-    experiment function.  All kernels produce equivalent results.
-    """
-    global _DEFAULT_KERNEL
-    previous = _DEFAULT_KERNEL
-    _DEFAULT_KERNEL = validate_kernel(kernel)
-    return previous
 
 
 def _sort_key(instance: EventInstance) -> tuple[int, int]:
@@ -107,17 +64,16 @@ class InstanceColumn:
     """Start-sorted compact instance table of one ``(event, granule)``.
 
     ``starts_arr`` and ``ends_arr`` are parallel ``array('q')`` buffers of
-    inclusive fine-granule bounds in chronological order -- contiguous
-    machine-word storage the vectorized array kernels wrap zero-copy
-    (``numpy.frombuffer``) and the pure-Python paths index directly.
-    ``instances`` holds the corresponding :class:`EventInstance` objects
-    for decoding.  The classic ``starts`` / ``ends`` *tuples* remain
-    available as lazy views for existing callers (the PR 5 sweep kernel,
-    tests, reporting) and are materialized at most once per column.
+    inclusive fine-granule bounds in chronological order -- compact
+    machine-word storage, built once per column.  ``instances`` holds the
+    corresponding :class:`EventInstance` objects for decoding.  The
+    ``starts`` / ``ends`` *tuples* are lazy views, materialized at most
+    once per column, that the kernels' inner loops and ``bisect`` calls
+    index.
 
     Instances of one event inside one granule are disjoint runs, so both
-    columns are strictly ascending -- the monotonicity the sweep-join
-    two-pointer walks and the bulk-Follows boundary arithmetic rely on.
+    columns are strictly ascending -- the monotonicity the kernels'
+    two-pointer walks and bulk-Follows boundaries rely on.
     """
 
     __slots__ = ("starts_arr", "ends_arr", "instances", "_starts", "_ends")
@@ -157,8 +113,8 @@ class InstanceColumn:
         After sorting, the ends column must be non-decreasing -- i.e. no
         instance may *nest* inside another.  The run grouping of
         Def. 3.10 guarantees this (same-event instances in a granule are
-        disjoint), and the sweep kernels' bulk-Follows bounds are only
-        sound under it, so a hand-built structure that violates it is
+        disjoint), and the kernels' bulk-Follows bounds are only sound
+        under it, so a hand-built structure that violates it is
         rejected loudly -- naming the offending instance -- instead of
         silently misclassifying relations.
         """
@@ -211,7 +167,7 @@ _BLOCK_AB = 2
 class LazyAssignments:
     """Encoded pair assignments with implicit bulk-Follows zones.
 
-    The step-2.2 pair kernels emit two kinds of accepted pairs: a *near
+    The step-2.2 pair kernel emits two kinds of accepted pairs: a *near
     window* that had to be classified pair by pair, and *bulk zones*
     where every pair is an unconditional Follows.  On dense granules the
     bulk zones are almost the whole instance product, and eagerly
@@ -224,9 +180,9 @@ class LazyAssignments:
     its per-instance boundary list (``O(n)`` integers for ``O(n^2)``
     pairs) and only expanded -- once, cached -- when somebody actually
     iterates the assignments (group extension, decoding, reporting,
-    parity tests).  It quacks like the ``list[tuple[int, int]]`` the
-    sweep kernel produces: iteration, ``len``, indexing, equality, and
-    pickling all see the expanded pairs; pickling ships the compact
+    parity tests).  It quacks like a ``list[tuple[int, int]]``:
+    iteration, ``len``, indexing, equality, and pickling all see the
+    expanded pairs; pickling ships the compact
     blocks when the sequence was never expanded, so pool workers hand
     dense ``GH_2`` tables back to the parent without serializing the
     product either.
@@ -450,7 +406,7 @@ def clear_intern_caches() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Verdict-row store of the extension kernels
+# Verdict-row store of the extension kernel
 # ---------------------------------------------------------------------------
 
 
@@ -465,8 +421,8 @@ class VerdictStore(dict):
     call with those four equal -- the group tasks of one batch level
     (:class:`~repro.core.stpm.LevelContext` owns one), or the extension
     calls of one streaming advance -- and each row is built once there
-    instead of once per call.  The layout inside is private to each
-    kernel.
+    instead of once per call.  The layout inside is private to the
+    extension kernel.
 
     The caller owns the store.  Kernels add its nested containers with
     ``dict.setdefault`` only, so threads sharing a store never replace a

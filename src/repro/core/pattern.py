@@ -136,27 +136,6 @@ def single_event_pattern(event: str) -> TemporalPattern:
     return TemporalPattern((event,), ())
 
 
-def oriented_triple(
-    x: EventInstance, y: EventInstance, relation: RelationConfig
-) -> tuple[bool, Triple] | None:
-    """Relation triple of an instance pair, with orientation.
-
-    Returns ``(x_first, triple)`` where ``x_first`` says whether ``x``
-    precedes ``y`` chronologically, or ``None`` when the pair has no
-    relation.  Used with a per-granule cache so each instance pair is
-    related exactly once per extension batch.
-    """
-    if x.sort_key() <= y.sort_key():
-        rel = relation_between(x, y, relation)
-        if rel is None:
-            return None
-        return True, Triple(rel, x.event, y.event)
-    rel = relation_between(y, x, relation)
-    if rel is None:
-        return None
-    return False, Triple(rel, y.event, x.event)
-
-
 def splice_triples(
     prev_triples: tuple[Triple, ...],
     partner_triples: list[Triple],

@@ -35,14 +35,13 @@ the tasks over a process pool.  Outcomes are consumed in task order, so
 the :class:`~repro.core.results.MiningResult` is identical across
 backends.
 
-The step-2.2 inner loops run on the columnar instance index
-(:mod:`repro.core.instance_index`): per ``(event, granule)`` start-sorted
-start/end columns, a two-pointer sweep join with bulk Follows tails for
-pair enumeration, index-keyed relation caches for the Iterative Check,
-flyweight-interned triples/patterns, and compact column-index assignment
-encodings in ``GH_k`` and in the pickled :class:`GroupOutcome` payloads.
-The pre-index loops survive as ``kernel="reference"``
-(:mod:`repro.core._kernel_reference`) for parity tests and benchmarks.
+The step-2.2 inner loops are the kernels of :mod:`repro.core.array_kernel`
+over the columnar instance index (:mod:`repro.core.instance_index`): per
+``(event, granule)`` start-sorted start/end columns, a two-pointer join
+with bulk Follows zones for pair enumeration, verdict rows shared per
+level for the Iterative Check, flyweight-interned triples/patterns, and
+compact column-index assignment encodings in ``GH_k`` and in the pickled
+:class:`GroupOutcome` payloads.
 
 The optional ``series_filter`` / ``pair_filter`` hooks implement A-STPM's
 search-space reduction (only mine events of correlated series and 2-event
@@ -52,14 +51,9 @@ groups of correlated series pairs); plain E-STPM leaves them ``None``.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
-from repro.core._kernel_reference import (
-    reference_collect_pair_patterns,
-    reference_extend_group_patterns,
-)
 from repro.core.array_kernel import (
     array_collect_pair_patterns,
     array_extend_group_patterns,
@@ -67,23 +61,8 @@ from repro.core.array_kernel import (
 from repro.core.config import MiningParams
 from repro.core.executor import MiningExecutor, executor_scope, get_task_context
 from repro.core.hlh import HLH1, Assignment, HLHk
-from repro.core.instance_index import (
-    KERNEL_ARRAY,
-    KERNEL_REFERENCE,
-    KERNEL_SWEEP,
-    VerdictStore,
-    default_kernel,
-    intern_pair_pattern,
-    intern_pattern,
-    intern_triple,
-    validate_kernel,
-)
-from repro.core.pattern import (
-    TemporalPattern,
-    Triple,
-    single_event_pattern,
-    splice_triples,
-)
+from repro.core.instance_index import VerdictStore
+from repro.core.pattern import TemporalPattern, Triple, single_event_pattern
 from repro.core.prune import PruningConfig
 from repro.core.results import MiningResult, MiningStats, SeasonalPattern
 from repro.core.seasonality import (
@@ -99,31 +78,11 @@ from repro.core.supportset import (
     make_support_set,
     validate_backend,
 )
-from repro.events.relations import CONTAINS, FOLLOWS, OVERLAPS
 from repro.exceptions import MiningError
 from repro.obs import counters as metrics
 from repro.obs.trace import span
 from repro.resilience.policy import FailedTask, task_key_of
 from repro.transform.sequence_db import TemporalSequenceDatabase
-
-#: Cache sentinel of the extension kernel's per-granule relation cache:
-#: "computed, and the pair has no relation" (``None`` means "not yet
-#: computed", so misses never collide with negative verdicts).
-_NO_RELATION = object()
-
-
-def kernel_functions(kernel: str):
-    """``(collect_pair_patterns, extend_group_patterns)`` of one kernel.
-
-    The registry behind every dispatch site -- group tasks, the
-    streaming miner, tests.  All kernels share one signature and produce
-    ``results_equivalent`` output; they differ only in data plane
-    (``array``: vectorized bulk boundaries + batched classification;
-    ``sweep``: the PR 5 tuple two-pointer; ``reference``: pre-index
-    object-at-a-time loops).
-    """
-    validate_kernel(kernel)
-    return _KERNEL_FUNCTIONS[kernel]
 
 
 def series_of(event: str) -> str:
@@ -151,11 +110,6 @@ class LevelContext:
     hlh1: HLH1
     previous: HLHk | None = None
     candidate_triples: frozenset[Triple] | None = None
-    #: Step-2.2 kernel the level's tasks run: the vectorized array
-    #: kernel (default), the PR 5 columnar sweep join, or the pre-index
-    #: reference loops.  Part of the context so the choice reaches pool
-    #: workers under any start method.
-    kernel: str = KERNEL_ARRAY
     #: The level's verdict rows, shared by all its extension tasks (see
     #: :class:`~repro.core.instance_index.VerdictStore`): every task of
     #: one level has the same ``hlh1``, candidate triples, check flag and
@@ -174,7 +128,7 @@ class GroupOutcome:
 
     ``support is None`` means the group failed the maxSeason candidate
     gate and contributes nothing to the level.  At the last level
-    (``k == max_pattern_length``, k >= 3) the array kernel returns
+    (``k == max_pattern_length``, k >= 3) the extension kernel returns
     supports only: every ``pattern_assignments`` entry is empty, since
     no later level reads it.
     """
@@ -183,199 +137,6 @@ class GroupOutcome:
     support: SupportSet | None
     pattern_support: dict[TemporalPattern, list[int]]
     pattern_assignments: dict[TemporalPattern, dict[int, list[Assignment]]]
-
-
-def collect_pair_patterns(
-    hlh1: HLH1,
-    event_a: str,
-    event_b: str,
-    granules,
-    relation,
-    pattern_support: dict[TemporalPattern, list[int]],
-    pattern_assignments: dict[TemporalPattern, dict[int, list[Assignment]]],
-) -> None:
-    """Enumerate the related instance pairs of one event pair per granule.
-
-    The per-granule inner loop of step 2.2 (k = 2), shared by the batch
-    miner (which walks the full group support) and the streaming miner
-    (which walks only the tail granules of an advance).  ``granules`` must
-    be ascending; results accumulate into the two dictionaries in place.
-
-    Sweep join
-    ----------
-    Instead of classifying the full instance product through
-    :func:`~repro.events.relations.relation_of_pair`, the kernel walks
-    the two start-sorted instance columns (:meth:`HLH1.column_of`) with
-    amortized two-pointer bounds per ``a``-instance:
-
-    * every ``b`` whose end lies at least ``epsilon + 1`` before
-      ``a.start`` is an unconditional ``b -> a`` Follows (no Contains
-      can fire), appended in bulk without classification;
-    * symmetrically, every ``b`` starting at least ``epsilon + 1`` after
-      ``a.end`` is an unconditional ``a -> b`` Follows -- with
-      ``epsilon = 0`` this tail is *every* Follows pair, so dense
-      granules skip per-pair branching almost entirely;
-    * only the remaining window is classified pair by pair, inlining the
-      comparisons of :func:`~repro.events.relations.relation_of_bounds`
-      on the raw start/end columns.
-
-    Accepted pairs are recorded against flyweight-interned patterns as
-    compact column-index assignments ``(earlier_index, later_index)``
-    (see :mod:`repro.core.instance_index`), in exactly the order the
-    reference product enumeration would emit them.
-    """
-    epsilon = relation.epsilon
-    min_overlap = relation.min_overlap
-    #: (relation, first, second) -> (support list, per-granule assignments)
-    entries: dict[tuple[str, str, str], tuple[list, dict]] = {}
-
-    def _bucket(key: tuple[str, str, str], granule: int) -> list:
-        """The assignment list of one pattern at one granule, marking the
-        granule in the pattern's support on first use."""
-        entry = entries.get(key)
-        if entry is None:
-            pattern = intern_pair_pattern(*key)
-            entry = entries[key] = (
-                pattern_support.setdefault(pattern, []),
-                pattern_assignments.setdefault(pattern, {}),
-            )
-        support_list, by_granule = entry
-        if not support_list or support_list[-1] != granule:
-            support_list.append(granule)
-        bucket = by_granule.get(granule)
-        if bucket is None:
-            bucket = by_granule[granule] = []
-        return bucket
-
-    same = event_a == event_b
-    follows_ab = (FOLLOWS, event_a, event_b)
-    follows_ba = (FOLLOWS, event_b, event_a)
-    # Telemetry: bulk vs near-window classification split.  One flag
-    # read per call; the per-``i`` accumulations below only run when
-    # metrics are enabled, keeping the disabled hot loop untouched.
-    track = metrics.metrics_enabled()
-    n_bulk = 0
-    n_near = 0
-    for granule in granules:
-        column_a = hlh1.column_of(event_a, granule)
-        n_a = len(column_a.starts)
-        if n_a == 0:
-            continue
-        starts_a = column_a.starts
-        ends_a = column_a.ends
-        buckets: dict[tuple[str, str, str], list] = {}
-
-        if same:
-            # Distinct-instance pairs of one column: instance i always
-            # precedes j > i chronologically (same-event runs are
-            # disjoint), so only the near window past each i needs
-            # classifying; the rest is a bulk Follows tail.
-            tail = 0
-            for i in range(n_a):
-                start_i = starts_a[i]
-                end_i = ends_a[i]
-                if tail <= i:
-                    tail = i + 1
-                threshold = end_i + epsilon + 1
-                while tail < n_a and starts_a[tail] < threshold:
-                    tail += 1
-                if track:
-                    n_near += tail - (i + 1)
-                    n_bulk += n_a - tail
-                for j in range(i + 1, tail):
-                    start_j = starts_a[j]
-                    end_j = ends_a[j]
-                    if start_i <= start_j and end_j <= end_i + epsilon:
-                        rel = CONTAINS
-                    elif start_j >= end_i + 1 - epsilon:
-                        rel = FOLLOWS
-                    elif (
-                        start_i < start_j
-                        and end_i + epsilon < end_j
-                        and end_i + 1 - start_j >= min_overlap - epsilon
-                    ):
-                        rel = OVERLAPS
-                    else:
-                        continue
-                    key = (rel, event_a, event_a)
-                    bucket = buckets.get(key)
-                    if bucket is None:
-                        bucket = buckets[key] = _bucket(key, granule)
-                    bucket.append((i, j))
-                if tail < n_a:
-                    bucket = buckets.get(follows_ab)
-                    if bucket is None:
-                        bucket = buckets[follows_ab] = _bucket(follows_ab, granule)
-                    bucket.extend([(i, j) for j in range(tail, n_a)])
-            continue
-
-        column_b = hlh1.column_of(event_b, granule)
-        n_b = len(column_b.starts)
-        if n_b == 0:
-            continue
-        starts_b = column_b.starts
-        ends_b = column_b.ends
-        head = 0
-        tail = 0
-        for i in range(n_a):
-            start_i = starts_a[i]
-            end_i = ends_a[i]
-            # b's wholly before a (bulk b -> a Follows): ends_b[j] + eps
-            # + 1 <= start_i.  Monotone in i since both sides ascend.
-            while head < n_b and ends_b[head] + epsilon < start_i:
-                head += 1
-            # b's wholly after a (bulk a -> b Follows).
-            threshold = end_i + epsilon + 1
-            if tail < head:
-                tail = head
-            while tail < n_b and starts_b[tail] < threshold:
-                tail += 1
-            if track:
-                n_near += tail - head
-                n_bulk += head + (n_b - tail)
-            if head:
-                bucket = buckets.get(follows_ba)
-                if bucket is None:
-                    bucket = buckets[follows_ba] = _bucket(follows_ba, granule)
-                bucket.extend([(j, i) for j in range(head)])
-            for j in range(head, tail):
-                start_j = starts_b[j]
-                end_j = ends_b[j]
-                if start_j != start_i:
-                    a_first = start_i < start_j
-                elif end_j != end_i:
-                    a_first = end_i > end_j  # longer-first on start ties
-                else:
-                    a_first = event_a <= event_b
-                if a_first:
-                    s_1, e_1, s_2, e_2 = start_i, end_i, start_j, end_j
-                else:
-                    s_1, e_1, s_2, e_2 = start_j, end_j, start_i, end_i
-                if s_1 <= s_2 and e_2 <= e_1 + epsilon:
-                    rel = CONTAINS
-                elif s_2 >= e_1 + 1 - epsilon:
-                    rel = FOLLOWS
-                elif (
-                    s_1 < s_2
-                    and e_1 + epsilon < e_2
-                    and e_1 + 1 - s_2 >= min_overlap - epsilon
-                ):
-                    rel = OVERLAPS
-                else:
-                    continue
-                key = (rel, event_a, event_b) if a_first else (rel, event_b, event_a)
-                bucket = buckets.get(key)
-                if bucket is None:
-                    bucket = buckets[key] = _bucket(key, granule)
-                bucket.append((i, j) if a_first else (j, i))
-            if tail < n_b:
-                bucket = buckets.get(follows_ab)
-                if bucket is None:
-                    bucket = buckets[follows_ab] = _bucket(follows_ab, granule)
-                bucket.extend([(i, j) for j in range(tail, n_b)])
-    if track and (n_bulk or n_near):
-        metrics.inc("kernel.pairs.bulk", n_bulk)
-        metrics.inc("kernel.pairs.near_classified", n_near)
 
 
 def mine_pair_task(task: tuple[str, str]) -> GroupOutcome:
@@ -399,8 +160,7 @@ def mine_pair_task(task: tuple[str, str]) -> GroupOutcome:
         return GroupOutcome((event_a, event_b), None, {}, {})
     pattern_support: dict[TemporalPattern, list[int]] = {}
     pattern_assignments: dict[TemporalPattern, dict[int, list[Assignment]]] = {}
-    collect = kernel_functions(context.kernel)[0]
-    collect(
+    array_collect_pair_patterns(
         hlh1, event_a, event_b, support, params.relation,
         pattern_support, pattern_assignments,
     )
@@ -437,8 +197,7 @@ def mine_extension_task(task: tuple[tuple[str, ...], str]) -> GroupOutcome:
     if context.apriori and not is_candidate(len(support), context.params):
         metrics.inc("mine.groups.gate_rejected")
         return GroupOutcome(group, None, {}, {})
-    extend = kernel_functions(context.kernel)[1]
-    pattern_support, pattern_assignments = extend(
+    pattern_support, pattern_assignments = array_extend_group_patterns(
         context.hlh1,
         context.previous,
         entry_prev,
@@ -458,255 +217,6 @@ def mine_extension_task(task: tuple[tuple[str, ...], str]) -> GroupOutcome:
             ),
         )
     return GroupOutcome(group, support, pattern_support, pattern_assignments)
-
-
-def _verdict_row(
-    hlh1: HLH1,
-    granule: int,
-    existing_event: str,
-    existing_index: int,
-    event: str,
-    new_column,
-    epsilon: int,
-    min_overlap: int,
-    allowed_triples,
-) -> list:
-    """Oriented relation verdicts of one existing instance against the
-    whole new-event column, as a list indexed by new-instance position.
-
-    Each entry is ``(existing_first, triple)`` or :data:`_NO_RELATION`
-    (no relation holds, the triple fails the Iterative Check when
-    ``allowed_triples`` is given, or the "pair" is the existing instance
-    itself).  The new column is start-sorted, so the row is mostly two
-    bulk Follows fills found by bisection; only the near window around
-    the existing instance's interval is classified element-wise.
-    """
-    new_starts = new_column.starts
-    new_ends = new_column.ends
-    n_new = len(new_starts)
-    existing_column = hlh1.column_of(existing_event, granule)
-    s_e = existing_column.starts[existing_index]
-    e_e = existing_column.ends[existing_index]
-    # New instances ending epsilon+1 before the existing start: pure
-    # new -> existing Follows (Contains cannot fire).
-    head = bisect_right(new_ends, s_e - epsilon - 1)
-    # New instances starting epsilon+1 after the existing end: pure
-    # existing -> new Follows.
-    tail = bisect_left(new_starts, e_e + epsilon + 1)
-    if tail < head:  # pragma: no cover - impossible on sorted columns
-        tail = head
-    before = (False, intern_triple(FOLLOWS, event, existing_event))
-    after = (True, intern_triple(FOLLOWS, existing_event, event))
-    if allowed_triples is not None:
-        if before[1] not in allowed_triples:
-            before = _NO_RELATION
-        if after[1] not in allowed_triples:
-            after = _NO_RELATION
-    row: list = [before] * head if head else []
-    for j in range(head, tail):
-        s_n = new_starts[j]
-        e_n = new_ends[j]
-        if s_e != s_n:
-            existing_first = s_e < s_n
-        elif e_e != e_n:
-            existing_first = e_e > e_n
-        else:
-            existing_first = existing_event <= event
-        if existing_first:
-            s_1, e_1, s_2, e_2 = s_e, e_e, s_n, e_n
-        else:
-            s_1, e_1, s_2, e_2 = s_n, e_n, s_e, e_e
-        if s_1 <= s_2 and e_2 <= e_1 + epsilon:
-            rel = CONTAINS
-        elif s_2 >= e_1 + 1 - epsilon:
-            rel = FOLLOWS
-        elif (
-            s_1 < s_2
-            and e_1 + epsilon < e_2
-            and e_1 + 1 - s_2 >= min_overlap - epsilon
-        ):
-            rel = OVERLAPS
-        else:
-            row.append(_NO_RELATION)
-            continue
-        if existing_first:
-            info = (True, intern_triple(rel, existing_event, event))
-        else:
-            info = (False, intern_triple(rel, event, existing_event))
-        if allowed_triples is not None and info[1] not in allowed_triples:
-            info = _NO_RELATION
-        row.append(info)
-    if tail < n_new:
-        row.extend([after] * (n_new - tail))
-    if existing_event == event and existing_index < n_new:
-        # The existing instance is itself a column entry of the new
-        # event: pairing it with itself never extends an assignment.
-        row[existing_index] = _NO_RELATION
-    return row
-
-
-def extend_group_patterns(
-    hlh1: HLH1,
-    previous: HLHk,
-    entry_prev,
-    event: str,
-    candidate_triples,
-    params: MiningParams,
-    check_candidates: bool,
-    verdict_store,
-    parent_patterns=None,
-    granule_filter=None,
-) -> tuple[
-    dict[TemporalPattern, list[int]],
-    dict[TemporalPattern, dict[int, list[Assignment]]],
-]:
-    """Extend every candidate pattern of one parent group with ``event``.
-
-    This is the Iterative Check of Sec. IV-D 4.2.2: each new relation
-    triple between an existing event and the new event must already be
-    a candidate 2-event pattern, otherwise the extension is discarded.
-
-    ``parent_patterns`` restricts the extension to a subset of the parent
-    group's candidate patterns and ``granule_filter`` to a subset of the
-    granule positions -- the hooks the streaming miner uses to extend only
-    newly incorporated parent patterns / only the tail granules of an
-    advance.  The batch miner leaves both ``None`` (all patterns, all
-    granules).
-
-    Parent assignments arrive -- and extended assignments leave -- in the
-    compact column-index encoding of :mod:`repro.core.instance_index`:
-    ``assignment[i]`` indexes the instance of ``pattern.events[i]`` in
-    its ``(event, granule)`` column.  For every distinct existing
-    instance the kernel precomputes one *verdict row* against the whole
-    new-event column (:func:`_verdict_row`: bulk Follows prefix/suffix
-    via bisection, inline classification for the near window, Iterative
-    Check folded in, triples flyweight-interned), cached per granule
-    under the index key ``(existing event, existing index)``.  The cache
-    is ``verdict_store[event]``: the caller-owned
-    :class:`~repro.core.instance_index.VerdictStore` shared by every call
-    with the same ``hlh1``, candidate triples, check flag and relation
-    config, so each row is built once per store.  The innermost loop is
-    then a list index per (assignment slot, new instance); each distinct
-    extended pattern becomes one interned :class:`TemporalPattern` at the
-    end.
-    """
-    relation = params.relation
-    epsilon = relation.epsilon
-    min_overlap = relation.min_overlap
-    allowed_triples = candidate_triples if check_candidates else None
-    if parent_patterns is None:
-        parent_patterns = entry_prev.patterns
-    # Keyed by (events, triples) plain tuples in the hot loop; converted
-    # to TemporalPattern objects once per unique pattern at the end.
-    accumulator: dict[tuple, dict[int, set[Assignment]]] = {}
-    # Per-granule cache of verdict rows: each existing instance is swept
-    # against the new-event column exactly once even though it appears
-    # in many parent assignments (of every parent pattern and call).
-    row_cache = verdict_store.setdefault(event, {})
-    event_support = hlh1.support_of(event)
-    for pattern_prev in parent_patterns:
-        prev_events = pattern_prev.events
-        prev_triples = pattern_prev.triples
-        k = len(prev_events) + 1
-        n_slots = k - 1
-        # Shape cache: an accepted extension's (events, triples) identity
-        # depends only on (position, partner triples), not on which
-        # assignment realized it -- so the tuple splices and the
-        # accumulator probe run once per distinct shape per parent
-        # pattern.  Entries are [per_granule dict, granule tag, bucket].
-        shape_cache: dict[tuple, list] = {}
-        common = previous.support_of(pattern_prev) & event_support
-        if granule_filter is not None:
-            common = common & granule_filter
-        for granule in common:
-            new_column = hlh1.column_of(event, granule)
-            n_new = len(new_column.starts)
-            if n_new == 0:
-                continue
-            cache = row_cache.get(granule)
-            if cache is None:
-                cache = row_cache.setdefault(granule, {})
-            for assignment in previous.assignments_of(pattern_prev, granule):
-                rows = []
-                for slot in range(n_slots):
-                    row_key = (prev_events[slot], assignment[slot])
-                    row = cache.get(row_key)
-                    if row is None:
-                        row = cache[row_key] = _verdict_row(
-                            hlh1,
-                            granule,
-                            row_key[0],
-                            row_key[1],
-                            event,
-                            new_column,
-                            epsilon,
-                            min_overlap,
-                            allowed_triples,
-                        )
-                    rows.append(row)
-                for new_index in range(n_new):
-                    position = 0
-                    partner: list[Triple] = []
-                    valid = True
-                    for slot in range(n_slots):
-                        info = rows[slot][new_index]
-                        if info is _NO_RELATION:
-                            valid = False
-                            break
-                        if info[0]:
-                            position += 1
-                        partner.append(info[1])
-                    if not valid:
-                        continue
-                    shape_key = (position, *partner)
-                    entry = shape_cache.get(shape_key)
-                    if entry is None:
-                        events = (
-                            prev_events[:position]
-                            + (event,)
-                            + prev_events[position:]
-                        )
-                        triples = splice_triples(prev_triples, partner, position, k)
-                        # The same assignment can be reached through two
-                        # parent patterns when the new pattern embeds the
-                        # parent group's events in more than one way, so
-                        # the per-granule store is shared per identity
-                        # and deduplicates as a set.
-                        per_granule = accumulator.setdefault((events, triples), {})
-                        entry = shape_cache[shape_key] = [per_granule, -1, None]
-                    if entry[1] != granule:
-                        per_granule = entry[0]
-                        bucket = per_granule.get(granule)
-                        if bucket is None:
-                            bucket = per_granule[granule] = set()
-                        entry[1] = granule
-                        entry[2] = bucket
-                    entry[2].add(
-                        assignment[:position]
-                        + (new_index,)
-                        + assignment[position:]
-                    )
-    pattern_support: dict[TemporalPattern, list[int]] = {}
-    pattern_assignments: dict[TemporalPattern, dict[int, list[Assignment]]] = {}
-    for (events, triples), per_granule in accumulator.items():
-        pattern = intern_pattern(events, triples)
-        pattern_support[pattern] = sorted(per_granule)
-        pattern_assignments[pattern] = {
-            granule: sorted(assignments)
-            for granule, assignments in per_granule.items()
-        }
-    return pattern_support, pattern_assignments
-
-
-#: Kernel name -> (pair kernel, extension kernel).  See :func:`kernel_functions`.
-_KERNEL_FUNCTIONS = {
-    KERNEL_ARRAY: (array_collect_pair_patterns, array_extend_group_patterns),
-    KERNEL_SWEEP: (collect_pair_patterns, extend_group_patterns),
-    KERNEL_REFERENCE: (
-        reference_collect_pair_patterns,
-        reference_extend_group_patterns,
-    ),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -746,15 +256,6 @@ class ESTPM:
         return identical results.
     n_workers:
         Worker processes when ``executor="parallel"`` (default: all cores).
-    kernel:
-        Step-2.2 kernel implementation: ``"array"`` (the vectorized
-        array engine -- numpy when available, pure-Python machine-word
-        fallback otherwise), ``"sweep"`` (the columnar tuple sweep
-        join), or ``"reference"`` (the pre-index object-at-a-time
-        loops, kept for parity testing and benchmarking).  ``None``
-        resolves to the process-wide default
-        (:func:`~repro.core.instance_index.default_kernel`, normally
-        ``"array"``).  All kernels produce equivalent results.
     strict:
         ``True`` (default): a group task that failed all its retry
         attempts aborts the run with :class:`MiningError` -- current
@@ -781,7 +282,6 @@ class ESTPM:
     support_backend: str | None = None
     executor: MiningExecutor | str | None = None
     n_workers: int | None = None
-    kernel: str | None = None
     strict: bool = True
     checkpoint_path: str | None = None
 
@@ -797,14 +297,13 @@ class ESTPM:
         """
         started = time.perf_counter()
         backend = validate_backend(self.support_backend or default_backend())
-        kernel = validate_kernel(self.kernel or default_kernel())
         stats = MiningStats(n_granules=len(self.dseq))
         patterns: list[SeasonalPattern] = []
         failures: list[FailedTask] = []
         checkpoint = self._open_checkpoint()
 
         with span(
-            "estpm/mine", granules=len(self.dseq), kernel=kernel, backend=backend
+            "estpm/mine", granules=len(self.dseq), backend=backend
         ) as mine_span, executor_scope(self.executor, self.n_workers) as runner:
             with span("estpm/step2.1") as step21:
                 hlh1 = self._mine_single_events(backend, patterns, stats)
@@ -816,7 +315,7 @@ class ESTPM:
             if self.params.max_pattern_length >= 2:
                 with span("estpm/step2.2/pairs", k=2) as step22:
                     hlh2 = self._mine_two_event_patterns(
-                        hlh1, runner, backend, kernel, patterns, stats,
+                        hlh1, runner, backend, patterns, stats,
                         checkpoint, failures,
                     )
                     step22.set(
@@ -830,7 +329,7 @@ class ESTPM:
                     with span("estpm/step2.2/extend", k=k) as extend_span:
                         current = self._mine_k_event_patterns(
                             hlh1, previous, candidate_triples, k, runner,
-                            backend, kernel, patterns, stats,
+                            backend, patterns, stats,
                             checkpoint, failures,
                         )
                         extend_span.set(
@@ -858,9 +357,9 @@ class ESTPM:
         """The job-progress checkpoint, or ``None`` when not configured.
 
         The fingerprint binds the checkpoint to this exact job: the
-        mining parameters and the dataset shape (kernel and backend are
-        deliberately excluded -- all kernels/backends produce equivalent
-        outcomes, so a resume may switch them).
+        mining parameters and the dataset shape.  The support backend is
+        deliberately left out: both backends produce equivalent outcomes,
+        so a resume may switch it.
         """
         if self.checkpoint_path is None:
             return None
@@ -1009,7 +508,6 @@ class ESTPM:
         hlh1: HLH1,
         runner: MiningExecutor,
         backend: str,
-        kernel: str,
         patterns: list[SeasonalPattern],
         stats: MiningStats,
         checkpoint=None,
@@ -1024,8 +522,7 @@ class ESTPM:
             stats.bump(stats.n_groups_generated, 2)
             tasks.append((event_a, event_b))
         context = LevelContext(
-            params=self.params, apriori=self.pruning.apriori, hlh1=hlh1,
-            kernel=kernel,
+            params=self.params, apriori=self.pruning.apriori, hlh1=hlh1
         )
         outcomes = self._dispatch(
             runner, mine_pair_task, tasks, context, "k2", checkpoint,
@@ -1054,7 +551,6 @@ class ESTPM:
         k: int,
         runner: MiningExecutor,
         backend: str,
-        kernel: str,
         patterns: list[SeasonalPattern],
         stats: MiningStats,
         checkpoint=None,
@@ -1083,7 +579,6 @@ class ESTPM:
             hlh1=hlh1,
             previous=previous,
             candidate_triples=candidate_triples,
-            kernel=kernel,
         )
         outcomes = self._dispatch(
             runner, mine_extension_task, tasks, context, f"k{k}", checkpoint,

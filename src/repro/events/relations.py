@@ -88,10 +88,10 @@ def relation_of_bounds(
 
     The scalar core of Table III, phrased directly on the inclusive
     ``[start, end]`` granule bounds (the half-open ``+1`` of the interval
-    arithmetic is folded into the comparisons).  The sweep-join kernels
-    of :mod:`repro.core.stpm` inline exactly these comparisons on their
-    instance columns; this function is the single place their semantics
-    are written down (and property-tested against
+    arithmetic is folded into the comparisons).  The step-2.2 kernels
+    of :mod:`repro.core.array_kernel` inline exactly these comparisons on
+    their instance columns; this function is the single place their
+    semantics are written down (and property-tested against
     :func:`relation_between`).
     """
     if start_i <= start_j and end_j <= end_i + epsilon:
@@ -107,31 +107,6 @@ def relation_of_bounds(
     ):
         return OVERLAPS
     return None
-
-
-def relation_masks_of_bounds(np, s1, e1, s2, e2, epsilon: int, min_overlap: int):
-    """Vectorized :func:`relation_of_bounds` over parallel bound arrays.
-
-    ``np`` is the numpy module (passed in so this module never imports
-    it); the four arguments are int64 arrays of *ordered* pair bounds.
-    Returns ``(contains, follows, overlaps)`` boolean masks -- mutually
-    exclusive by construction, evaluated in the same Contains -> Follows
-    -> Overlaps order as the scalar classifier, so
-    ``relation_of_bounds(s1[i], e1[i], s2[i], e2[i], ...)`` is Contains/
-    Follows/Overlaps/None exactly where the masks say.  This is the
-    batched near-window classification core of the array kernels
-    (:mod:`repro.core.array_kernel`).
-    """
-    contains = (s1 <= s2) & (e2 <= e1 + epsilon)
-    follows = ~contains & (s2 >= e1 + 1 - epsilon)
-    overlaps = (
-        ~contains
-        & ~follows
-        & (s1 < s2)
-        & (e1 + epsilon < e2)
-        & (e1 + 1 - s2 >= min_overlap - epsilon)
-    )
-    return contains, follows, overlaps
 
 
 def relation_between(

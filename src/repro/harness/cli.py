@@ -31,14 +31,10 @@ Engine selection
 Every mining subcommand accepts ``--executor serial|parallel|threads``
 (with ``--workers N`` for the pool size), ``--support-backend
 bitset|list`` for the physical support-set representation, and
-``--kernel array|sweep|reference`` for the step-2.2
-instance-enumeration kernel (``array`` = the vectorized bulk-boundary
-engine, the default; ``sweep`` = the columnar tuple sweep join;
-``reference`` = the object-at-a-time parity loops), and ``--frontend
-columnar|scalar`` for the step-1 DSEQ builder (``columnar`` = one-pass
-vectorized run detection that also primes the step-2.1 supports and
-instance columns, the default; ``scalar`` = the granule-by-granule
-parity reference).  ``--keep-pool`` keeps one persistent worker pool
+``--frontend columnar|scalar`` for the step-1 DSEQ builder
+(``columnar`` = one-pass vectorized run detection that also primes the
+step-2.1 supports and instance columns, the default; ``scalar`` = the
+granule-by-granule parity reference).  ``--keep-pool`` keeps one persistent worker pool
 alive for the whole command, so multi-level and multi-experiment runs
 reuse the same workers instead of spawning a pool per mining level.
 All combinations return identical pattern sets.
@@ -83,7 +79,6 @@ from repro.core.executor import (
     SerialExecutor,
     ThreadExecutor,
 )
-from repro.core.instance_index import STEP2_KERNELS
 from repro.core.query import PatternQuery
 from repro.core.stpm import ESTPM
 from repro.core.supportset import SUPPORT_BACKENDS
@@ -151,15 +146,6 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             choices=sorted(SUPPORT_BACKENDS),
             help="physical support-set representation",
-        )
-        command_parser.add_argument(
-            "--kernel",
-            default=None,
-            choices=sorted(STEP2_KERNELS),
-            help="step-2.2 instance-enumeration kernel: array (vectorized "
-            "bulk boundaries + batched classification, the default), sweep "
-            "(columnar tuple sweep join), or reference (object-at-a-time "
-            "parity loops); all kernels return identical pattern sets",
         )
         command_parser.add_argument(
             "--frontend",
@@ -324,11 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
     stream_parser.add_argument(
         "--support-backend", default=None, choices=sorted(SUPPORT_BACKENDS),
         help="physical support-set representation",
-    )
-    stream_parser.add_argument(
-        "--kernel", default=None, choices=sorted(STEP2_KERNELS),
-        help="step-2.2 instance-enumeration kernel (array/sweep/reference); "
-        "all kernels return identical pattern sets",
     )
     stream_parser.add_argument(
         "--frontend", default=None, choices=sorted(FRONTEND_KERNELS),
@@ -509,9 +490,7 @@ def _dispatch(args) -> int:
     if args.command == "run":
         spec = _executor_spec(args)
         try:
-            with engine_defaults(
-                spec, args.support_backend, args.kernel, args.frontend
-            ):
+            with engine_defaults(spec, args.support_backend, args.frontend):
                 for artifact_id in args.ids:
                     print(run_experiment(artifact_id, profile=args.profile).render())
                     print()
@@ -525,7 +504,6 @@ def _dispatch(args) -> int:
                 profile=args.profile,
                 executor=spec,
                 support_backend=args.support_backend,
-                kernel=args.kernel,
                 frontend=args.frontend,
                 measure_memory=not args.no_memory,
                 trace_path=args.trace,
@@ -545,7 +523,6 @@ def _dispatch(args) -> int:
             "support_backend": args.support_backend,
             "executor": spec,
             "n_workers": n_workers,
-            "kernel": args.kernel,
             "checkpoint_path": args.resume,
         }
         try:
@@ -601,7 +578,6 @@ def _run_multigrain(args) -> int:
         support_backend=args.support_backend,
         executor=spec,
         n_workers=n_workers,
-        kernel=args.kernel,
         checkpoint_path=args.resume,
     )
     try:
@@ -644,7 +620,6 @@ def _run_stream(args) -> int:
         initial_granules=args.initial_granules,
         support_backend=args.support_backend,
         reanchor_every=args.reanchor_every,
-        kernel=args.kernel,
         frontend=args.frontend,
     ):
         total_seconds += delta.seconds

@@ -22,7 +22,6 @@ from repro.core.config import MiningParams
 from repro.core.executor import MiningExecutor, resolve_executor, set_default_executor
 from repro.core.prune import ALL_VARIANTS
 from repro.core.results import MiningResult
-from repro.core.instance_index import set_default_kernel
 from repro.core.stpm import ESTPM
 from repro.core.supportset import set_default_backend
 from repro.datasets.dataset import Dataset
@@ -48,17 +47,15 @@ DEFAULTS = {"min_season": 6, "min_density_pct": 0.75, "max_period_pct": 0.4}
 def engine_defaults(
     executor: MiningExecutor | str | None = None,
     support_backend: str | None = None,
-    kernel: str | None = None,
     frontend: str | None = None,
 ):
     """Temporarily set the process-wide mining engine defaults.
 
     The experiment functions build their miners internally, so the harness
     selects the execution backend (``serial`` / ``parallel`` / ``threads``),
-    the support-set representation (``bitset`` / ``list``), the step-2.2
-    kernel (``array`` / ``sweep`` / ``reference``), and the step-1 front
-    end (``columnar`` / ``scalar``) through the process-wide defaults
-    rather than threading four extra parameters through every experiment
+    the support-set representation (``bitset`` / ``list``), and the step-1
+    front end (``columnar`` / ``scalar``) through the process-wide defaults
+    rather than threading three extra parameters through every experiment
     signature.  Restores the previous defaults on exit.
 
     An ``executor`` given by *name* is resolved here to a single instance
@@ -67,8 +64,7 @@ def engine_defaults(
     instance and closes it on exit.  An executor *instance* is installed
     as-is and left open -- the caller decides when its pool dies.
     """
-    previous_executor = previous_backend = None
-    previous_kernel = previous_frontend = None
+    previous_executor = previous_backend = previous_frontend = None
     owned: MiningExecutor | None = None
     try:
         if executor is not None:
@@ -77,8 +73,6 @@ def engine_defaults(
             previous_executor = set_default_executor(executor)
         if support_backend is not None:
             previous_backend = set_default_backend(support_backend)
-        if kernel is not None:
-            previous_kernel = set_default_kernel(kernel)
         if frontend is not None:
             previous_frontend = set_default_frontend(frontend)
         yield
@@ -87,8 +81,6 @@ def engine_defaults(
             set_default_executor(previous_executor)
         if previous_backend is not None:
             set_default_backend(previous_backend)
-        if previous_kernel is not None:
-            set_default_kernel(previous_kernel)
         if previous_frontend is not None:
             set_default_frontend(previous_frontend)
         if owned is not None:
@@ -722,13 +714,12 @@ def run_experiment(
     profile: str = "bench",
     executor: MiningExecutor | str | None = None,
     support_backend: str | None = None,
-    kernel: str | None = None,
     frontend: str | None = None,
     **overrides,
 ):
     """Run one experiment by its paper artifact id.
 
-    ``executor`` / ``support_backend`` / ``kernel`` / ``frontend`` select
+    ``executor`` / ``support_backend`` / ``frontend`` select
     the mining engine backends for this experiment via
     :func:`engine_defaults` (an executor resolved from a name is closed
     when the experiment finishes; an instance's pool is left alive for
@@ -739,12 +730,7 @@ def run_experiment(
         raise KeyError(
             f"unknown experiment {artifact_id!r}; choose from {sorted(EXPERIMENTS)}"
         )
-    if (
-        executor is None
-        and support_backend is None
-        and kernel is None
-        and frontend is None
-    ):
+    if executor is None and support_backend is None and frontend is None:
         return EXPERIMENTS[key](profile=profile, **overrides)
-    with engine_defaults(executor, support_backend, kernel, frontend):
+    with engine_defaults(executor, support_backend, frontend):
         return EXPERIMENTS[key](profile=profile, **overrides)

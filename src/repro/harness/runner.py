@@ -43,7 +43,6 @@ def run_all(
     stream: TextIO | None = None,
     executor: MiningExecutor | str | None = None,
     support_backend: str | None = None,
-    kernel: str | None = None,
     frontend: str | None = None,
     measure_memory: bool = True,
     trace_path: str | Path | None = None,
@@ -56,7 +55,7 @@ def run_all(
     ``measure_memory=False`` drops the memory column and runs untraced --
     tracemalloc slows allocation-heavy mining, so use that when the
     summary's wall-clock numbers themselves are the point of the run.
-    ``executor`` / ``support_backend`` / ``kernel`` / ``frontend`` select
+    ``executor`` / ``support_backend`` / ``frontend`` select
     the mining engine backends for the whole run (see
     :func:`engine_defaults`).
     ``trace_path`` enables telemetry for the run and writes the span tree
@@ -73,7 +72,7 @@ def run_all(
         reset_telemetry()
         enable_telemetry()
     try:
-        with engine_defaults(executor, support_backend, kernel, frontend):
+        with engine_defaults(executor, support_backend, frontend):
             for artifact_id in ids:
                 logger.info(
                     "experiment starting",

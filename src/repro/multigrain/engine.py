@@ -136,7 +136,6 @@ class HierarchicalContext:
     miner: str
     event_level: bool
     support_backend: str
-    kernel: str | None = None
 
 
 def mine_level_task(index: int) -> GranularityLevel:
@@ -166,7 +165,6 @@ def mine_level_task(index: int) -> GranularityLevel:
                 event_level=context.event_level,
                 support_backend=context.support_backend,
                 executor=SerialExecutor(),
-                kernel=context.kernel,
             ).mine()
         else:
             result = ESTPM(
@@ -175,7 +173,6 @@ def mine_level_task(index: int) -> GranularityLevel:
                 context.pruning,
                 support_backend=context.support_backend,
                 executor=SerialExecutor(),
-                kernel=context.kernel,
             ).mine()
     return GranularityLevel(
         ratio=job.ratio,
@@ -223,10 +220,9 @@ class HierarchicalMiner:
         measures the fold against).
     legacy_dist_floor:
         Restore the pre-1.3 flooring of the dist upper bound.
-    support_backend / executor / n_workers / kernel:
+    support_backend / executor / n_workers:
         Engine knobs; the executor dispatches *levels* (each level task
-        mines serially inside), and ``kernel`` picks the step-2.2 kernel
-        (``array`` / ``sweep`` / ``reference``) of every level's miner.
+        mines serially inside).
     strict:
         ``True`` (default): a level task that failed all its retry
         attempts aborts the run with :class:`MiningError`.  ``False``:
@@ -257,7 +253,6 @@ class HierarchicalMiner:
     support_backend: str | None = None
     executor: MiningExecutor | str | None = None
     n_workers: int | None = None
-    kernel: str | None = None
     strict: bool = True
     checkpoint_path: str | None = None
 
@@ -458,7 +453,6 @@ class HierarchicalMiner:
                 miner=self.miner,
                 event_level=self.event_level,
                 support_backend=backend,
-                kernel=self.kernel,
             )
             # Checkpoint keys are the level *ratios*: stable across
             # reruns, unlike task list positions, which renumber once

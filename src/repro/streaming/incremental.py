@@ -22,10 +22,8 @@ Parity guarantee
 ----------------
 Candidacy gates are monotone under appends and the per-granule
 enumeration is shared verbatim with the batch miner (the step-2.2
-kernel registry of :func:`~repro.core.stpm.kernel_functions`; the
-``kernel`` knob picks ``array`` / ``sweep`` / ``reference`` exactly as
-in batch -- the maintained assignments use the same compact
-column-index encoding), so after any prefix the
+kernels of :mod:`repro.core.array_kernel`; the maintained assignments
+use the same compact column-index encoding), so after any prefix the
 maintained state matches what batch E-STPM (full pruning, the default)
 builds on that prefix.  :meth:`IncrementalSTPM.result` therefore returns
 a :class:`~repro.core.results.MiningResult` equivalent to the batch
@@ -42,6 +40,10 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from typing import Iterable
 
+from repro.core.array_kernel import (
+    array_collect_pair_patterns,
+    array_extend_group_patterns,
+)
 from repro.core.config import MiningParams
 from repro.core.pattern import TemporalPattern, single_event_pattern
 from repro.core.results import (
@@ -51,10 +53,10 @@ from repro.core.results import (
     results_equivalent,
 )
 from repro.core.seasonality import SeasonView, is_candidate
-from repro.core.instance_index import VerdictStore, default_kernel, validate_kernel
+from repro.core.instance_index import VerdictStore
 from repro.obs import counters as metrics
 from repro.obs.trace import span
-from repro.core.stpm import ESTPM, kernel_functions
+from repro.core.stpm import ESTPM
 from repro.core.supportset import default_backend, validate_backend
 from repro.events.sequence import TemporalSequence
 from repro.exceptions import MiningError
@@ -138,10 +140,6 @@ class IncrementalSTPM:
         Physical support-set representation of the maintained state
         (``"bitset"`` / ``"list"``; ``None`` = process default).  Both
         backends produce identical results.
-    kernel:
-        Step-2.2 kernel driving the incremental instance enumeration
-        (``"array"`` / ``"sweep"`` / ``"reference"``; ``None`` = process
-        default).  All kernels produce identical results.
     reanchor_every:
         If set, every N-th advance re-mines the full prefix with batch
         E-STPM and raises :class:`MiningError` on any divergence -- the
@@ -156,12 +154,10 @@ class IncrementalSTPM:
     params: MiningParams
     support_backend: str | None = None
     reanchor_every: int | None = None
-    kernel: str | None = None
 
     def __post_init__(self) -> None:
         backend = validate_backend(self.support_backend or default_backend())
         self.support_backend = backend
-        self.kernel = validate_kernel(self.kernel or default_kernel())
         self.state = MinerState(params=self.params, backend=backend)
         self.n_advances = 0
 
@@ -172,7 +168,6 @@ class IncrementalSTPM:
         params: MiningParams,
         support_backend: str | None = None,
         reanchor_every: int | None = None,
-        kernel: str | None = None,
     ) -> "IncrementalSTPM":
         """A miner over a fresh, empty DSEQ with the given mapping ratio."""
         return cls(
@@ -180,7 +175,6 @@ class IncrementalSTPM:
             params,
             support_backend=support_backend,
             reanchor_every=reanchor_every,
-            kernel=kernel,
         )
 
     @property
@@ -359,8 +353,7 @@ class IncrementalSTPM:
         support_out: dict[TemporalPattern, list[int]] = {}
         assignments_out: dict[TemporalPattern, dict] = {}
         event_a, event_b = gs.group
-        collect = kernel_functions(self.kernel)[0]
-        collect(
+        array_collect_pair_patterns(
             self.state.hlh1, event_a, event_b, granules,
             self.params.relation, support_out, assignments_out,
         )
@@ -542,8 +535,7 @@ class IncrementalSTPM:
     ) -> None:
         """Run the shared extension loop and merge its outcomes."""
         state = self.state
-        extend = kernel_functions(self.kernel)[1]
-        support_out, assignments_out = extend(
+        support_out, assignments_out = array_extend_group_patterns(
             state.hlh1,
             state.mirror(k - 1),
             entry_prev,
@@ -579,7 +571,7 @@ class IncrementalSTPM:
         as per-granule sets (``dedup=True``) -- exactly the deduplication
         the batch accumulator performs within one group task.  Nothing
         extends the last level, so its patterns keep supports only,
-        merged as granule sets whatever the kernel returned.
+        merged as granule sets.
         """
         state = self.state
         params = self.params
@@ -748,8 +740,7 @@ class IncrementalSTPM:
         (which would be a bug -- this is the subsystem's hard guarantee).
         """
         batch = ESTPM(
-            self.dseq, self.params,
-            support_backend=self.support_backend, kernel=self.kernel,
+            self.dseq, self.params, support_backend=self.support_backend
         ).mine()
         streaming = self.result()
         if not results_equivalent(streaming, batch):

@@ -41,7 +41,6 @@ class _CoarseLevel:
         params: MiningParams,
         support_backend: str | None,
         reanchor_every: int | None,
-        kernel: str | None = None,
     ):
         self.ratio = ratio
         self.factor = factor
@@ -51,7 +50,6 @@ class _CoarseLevel:
             params,
             support_backend=support_backend,
             reanchor_every=reanchor_every,
-            kernel=kernel,
         )
 
     def advance(self, fine_dseq: TemporalSequenceDatabase) -> PatternDelta:
@@ -85,7 +83,7 @@ class MultiGrainStreamingService:
     symbolizer:
         Optional online symbolizer; required for :meth:`push` (raw
         points).  :meth:`push_symbols` works without one.
-    support_backend / reanchor_every / kernel:
+    support_backend / reanchor_every:
         Forwarded to every level's :class:`IncrementalSTPM`.
     """
 
@@ -96,7 +94,6 @@ class MultiGrainStreamingService:
         symbolizer: StreamingSymbolizer | None = None,
         support_backend: str | None = None,
         reanchor_every: int | None = None,
-        kernel: str | None = None,
     ):
         base = database.ratio
         if base not in params_by_ratio:
@@ -112,7 +109,6 @@ class MultiGrainStreamingService:
             params_by_ratio[base],
             support_backend=support_backend,
             reanchor_every=reanchor_every,
-            kernel=kernel,
         )
         self._coarse: dict[int, _CoarseLevel] = {}
         for ratio in sorted(params_by_ratio):
@@ -129,7 +125,6 @@ class MultiGrainStreamingService:
                 params=params_by_ratio[ratio],
                 support_backend=support_backend,
                 reanchor_every=reanchor_every,
-                kernel=kernel,
             )
         # Consume anything already materialized (warm starts).
         if len(database.dseq):

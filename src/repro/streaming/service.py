@@ -34,7 +34,7 @@ class StreamingMiningService:
     symbolizer:
         Optional online symbolizer; required for :meth:`push` (raw
         points).  :meth:`push_symbols` works without one.
-    support_backend / reanchor_every / kernel:
+    support_backend / reanchor_every:
         Forwarded to :class:`IncrementalSTPM`.
     checkpoint_path / checkpoint_every:
         Durable autosave: with both set, the service checkpoints itself
@@ -52,7 +52,6 @@ class StreamingMiningService:
         symbolizer: StreamingSymbolizer | None = None,
         support_backend: str | None = None,
         reanchor_every: int | None = None,
-        kernel: str | None = None,
         checkpoint_path: str | Path | None = None,
         checkpoint_every: int | None = None,
     ):
@@ -84,7 +83,6 @@ class StreamingMiningService:
             params,
             support_backend=support_backend,
             reanchor_every=reanchor_every,
-            kernel=kernel,
         )
         # Consume anything already materialized (warm starts / restores).
         if len(database.dseq):
@@ -173,7 +171,6 @@ def replay_dataset(
     initial_granules: int | None = None,
     support_backend: str | None = None,
     reanchor_every: int | None = None,
-    kernel: str | None = None,
     frontend: str | None = None,
 ) -> Iterator[tuple[StreamingMiningService, PatternDelta]]:
     """Replay a registered dataset's symbol stream through a live service.
@@ -207,7 +204,6 @@ def replay_dataset(
         params,
         support_backend=support_backend,
         reanchor_every=reanchor_every,
-        kernel=kernel,
     )
     streams = {series.name: series.symbols for series in dataset.dsyb}
     n_instants = dataset.dsyb.n_instants

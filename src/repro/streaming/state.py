@@ -5,9 +5,10 @@ scratch on every run.  The streaming miner instead *maintains* them: this
 module holds the mutable per-event / per-group / per-pattern records the
 incremental algorithm updates granule by granule, plus live
 :class:`~repro.core.hlh.HLH1` / :class:`~repro.core.hlh.HLHk` mirrors so
-the batch miner's inner loops (:func:`~repro.core.stpm.collect_pair_patterns`,
-:func:`~repro.core.stpm.extend_group_patterns`) run unchanged against the
-streamed state.
+the batch miner's inner loops
+(:func:`~repro.core.array_kernel.array_collect_pair_patterns`,
+:func:`~repro.core.array_kernel.array_extend_group_patterns`) run
+unchanged against the streamed state.
 
 Why appends are cheap
 ---------------------

@@ -24,7 +24,7 @@ Two registered builders produce the same DSEQ (see
 * ``scalar`` -- the original granule-by-granule
   :func:`granule_instances` loops, kept as the parity reference.
 
-The process-wide default is selected like the step-2.2 kernel
+A process-wide default selects the front end
 (:func:`default_frontend` / :func:`set_default_frontend`, CLI
 ``--frontend``).
 """
@@ -53,7 +53,7 @@ from repro.obs.trace import span
 from repro.symbolic.database import SymbolicDatabase
 
 #: Front-end builder names accepted wherever the step-1 construction can
-#: be chosen (mirrors the step-2.2 kernel registry).
+#: be chosen.
 FRONTEND_COLUMNAR = "columnar"
 FRONTEND_SCALAR = "scalar"
 FRONTEND_KERNELS = (FRONTEND_COLUMNAR, FRONTEND_SCALAR)
@@ -308,7 +308,7 @@ class TemporalSequenceDatabase:
         Per event the returned list is chronologically ordered and its
         runs are disjoint (Def. 3.10 run grouping), which is the
         invariant the columnar instance index's start-sorted tables and
-        the sweep-join kernels build on (see
+        the step-2.2 kernels build on (see
         :mod:`repro.core.instance_index`).
         """
         return self.sequence_at(position).instances_of(event)

@@ -1,35 +1,12 @@
-"""Fixture: registry drift (RC001), broken export (RC003), broken import (RC101)."""
+"""Fixture: broken export (RC003), broken import (RC101)."""
 
 from repro.core.instance_index import (
-    KERNEL_ARRAY,
-    KERNEL_GONE,  # RC101: instance_index does not bind this
-    KERNEL_SWEEP,
+    COLUMN_GONE,  # RC101: instance_index does not bind this
+    EMPTY_COLUMN,
 )
 
 __all__ = ["mine", "vanished"]  # RC003: 'vanished' is unbound
 
 
-def array_pair(hlh1, event_a, event_b):
-    return ()
-
-
-def array_extend(hlh1, previous, event):
-    return ()
-
-
-def sweep_pair(hlh1, event_a):  # RC001: pair-slot signature drift
-    return ()
-
-
-def sweep_extend(hlh1, previous, event):
-    return ()
-
-
 def mine():
-    return ()
-
-
-_KERNEL_FUNCTIONS = {
-    KERNEL_ARRAY: (array_pair, array_extend),
-    KERNEL_SWEEP: (sweep_pair, sweep_extend),
-}
+    return EMPTY_COLUMN

@@ -1,5 +1,3 @@
-"""Fixture: kernel-name constants (consistent tree)."""
+"""Fixture: the module the import rules resolve names against."""
 
-KERNEL_ARRAY = "array"
-KERNEL_SWEEP = "sweep"
-STEP2_KERNELS = (KERNEL_ARRAY, KERNEL_SWEEP)
+EMPTY_COLUMN = ()

@@ -1,31 +1,9 @@
-"""Fixture: conformant kernel registry and export surface (clean)."""
+"""Fixture: conformant export surface (clean)."""
 
-from repro.core.instance_index import KERNEL_ARRAY, KERNEL_SWEEP
+from repro.core.instance_index import EMPTY_COLUMN
 
 __all__ = ["mine"]
 
 
-def array_pair(hlh1, event_a, event_b):
-    return ()
-
-
-def array_extend(hlh1, previous, event):
-    return ()
-
-
-def sweep_pair(hlh1, event_a, event_b):
-    return ()
-
-
-def sweep_extend(hlh1, previous, event):
-    return ()
-
-
 def mine():
-    return ()
-
-
-_KERNEL_FUNCTIONS = {
-    KERNEL_ARRAY: (array_pair, array_extend),
-    KERNEL_SWEEP: (sweep_pair, sweep_extend),
-}
+    return EMPTY_COLUMN

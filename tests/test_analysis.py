@@ -98,15 +98,9 @@ class TestObsOverheadRule:
 
 
 class TestRegistryConformanceRules:
-    def test_bad_tree_fires_all_four_rules(self):
-        result = run_family("rc_bad", "RC001", "RC002", "RC003", "RC101")
-        assert rules_hit(result) == {"RC001", "RC002", "RC003", "RC101"}
-
-    def test_signature_drift_message_names_both_kernels(self):
-        result = run_family("rc_bad", "RC001")
-        (finding,) = result.findings
-        assert "drift" in finding.message
-        assert "'sweep'" in finding.message and "'array'" in finding.message
+    def test_bad_tree_fires_all_three_rules(self):
+        result = run_family("rc_bad", "RC002", "RC003", "RC101")
+        assert rules_hit(result) == {"RC002", "RC003", "RC101"}
 
     def test_missing_frontend_builder(self):
         result = run_family("rc_bad", "RC002")
@@ -117,10 +111,10 @@ class TestRegistryConformanceRules:
         result = run_family("rc_bad", "RC003", "RC101")
         by_rule = {f.rule: f for f in result.findings}
         assert "vanished" in by_rule["RC003"].message
-        assert "KERNEL_GONE" in by_rule["RC101"].message
+        assert "COLUMN_GONE" in by_rule["RC101"].message
 
     def test_good_tree_is_clean(self):
-        result = run_family("rc_good", "RC001", "RC002", "RC003", "RC101")
+        result = run_family("rc_good", "RC002", "RC003", "RC101")
         assert result.ok
 
 

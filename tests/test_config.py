@@ -81,7 +81,7 @@ class TestWithUpdates:
 
 
 class TestComputeBackend:
-    """The numpy-optional compute-backend switch of the array kernels."""
+    """The numpy-optional compute-backend switch of the vectorized paths."""
 
     def test_validate_rejects_unknown(self):
         from repro.core.config import validate_compute_backend

@@ -1,11 +1,11 @@
-"""Columnar instance index + sweep-join kernels: units and kernel parity.
+"""Columnar instance index + step-2.2 kernels: units and oracle parity.
 
-The headline guarantee of the columnar engine: a whole mining job run on
-the sweep kernels is ``results_equivalent`` to the same job on the
-pre-index reference kernels -- on every seed dataset, for both miners,
-under both executors.  Plus the unit surface: column construction and
-caching, flyweight interning, compact assignment decoding, and the
-``event_a == event_b`` self-pair paths.
+The headline guarantee of the columnar engine: a whole mining job is
+``results_equivalent`` to the brute-force :class:`NaiveSTPM` oracle on
+every seed dataset, for both miners, under both executors.  Plus the
+unit surface: column construction and caching, flyweight interning,
+compact assignment decoding, and the ``event_a == event_b`` self-pair
+paths.
 """
 
 import pickle
@@ -13,6 +13,7 @@ import pickle
 import pytest
 
 from repro import ESTPM, MiningParams, SymbolicDatabase, build_sequence_database
+from repro.baselines import NaiveSTPM
 from repro.core.approximate import ASTPM
 from repro.core.executor import ParallelExecutor
 from repro.core.hlh import HLH1
@@ -23,14 +24,14 @@ from repro.core.instance_index import (
     intern_pair_pattern,
     intern_pattern,
     intern_triple,
-    validate_kernel,
 )
 from repro.core.pattern import pattern_from_instances
 from repro.core.results import results_equivalent
+from repro.core.stpm import series_of
 from repro.datasets import load_dataset
 from repro.events.event import EventInstance
 from repro.events.relations import FOLLOWS
-from repro.exceptions import ConfigError, MiningError
+from repro.exceptions import MiningError
 from repro.streaming import IncrementalSTPM
 
 
@@ -155,15 +156,6 @@ class TestInterning:
         assert get_task_context() is None
         assert not instance_index._TRIPLE_CACHE
 
-    def test_validate_kernel(self):
-        assert validate_kernel("array") == "array"
-        assert validate_kernel("sweep") == "sweep"
-        assert validate_kernel("reference") == "reference"
-        with pytest.raises(ConfigError):
-            validate_kernel("vectorized")
-        with pytest.raises(ConfigError):
-            ESTPM(_dseq({"A": "0101"}, 2), _params(), kernel="nope").mine()
-
 
 #: Three interleaved series whose 4-event level is non-empty at ratio 3.
 THREE_SERIES = {
@@ -219,18 +211,18 @@ class TestSelfPairPaths:
     }
 
     def test_self_pair_patterns_match_reference(self):
+        """The reference is the brute-force NaiveSTPM oracle."""
         dseq = _dseq(self.ROWS, 6)
         params = _params(max_pattern_length=3)
-        sweep = ESTPM(dseq, params).mine()
-        reference = ESTPM(dseq, params, kernel="reference").mine()
-        assert results_equivalent(sweep, reference)
+        result = ESTPM(dseq, params).mine()
+        assert results_equivalent(result, NaiveSTPM(dseq, params).mine())
         self_pairs = [
-            sp for sp in sweep.patterns if sp.pattern.events == ("A:1", "A:1")
+            sp for sp in result.patterns if sp.pattern.events == ("A:1", "A:1")
         ]
         assert self_pairs, "workload must exercise the self-pair kernel path"
         repeated_triples = [
             sp
-            for sp in sweep.patterns
+            for sp in result.patterns
             if sp.size == 3 and sp.pattern.events.count("A:1") >= 2
         ]
         assert repeated_triples, (
@@ -281,65 +273,64 @@ class TestLastLevelStoresSupportsOnly:
         ESTPM(_dseq(THREE_SERIES, 3), _params(max_pattern_length=4)).mine()
         self._assert_last_level_empty(levels, 4)
 
-    @pytest.mark.parametrize("kernel", ["array", "sweep", "reference"])
-    def test_streaming_miner(self, kernel):
-        miner = IncrementalSTPM(
-            _dseq(THREE_SERIES, 3), _params(max_pattern_length=4), kernel=kernel
-        )
+    def test_streaming_miner(self):
+        miner = IncrementalSTPM(_dseq(THREE_SERIES, 3), _params(max_pattern_length=4))
         miner.advance()
         self._assert_last_level_empty(miner.state.hlhk, 4)
 
 
 class TestKernelParity:
-    """Array == sweep == reference on all seed datasets x miners x executors."""
+    """Whole jobs against the NaiveSTPM oracle on all seed datasets x
+    miners x executors."""
 
     @pytest.fixture(scope="class")
     def pool(self):
         with ParallelExecutor(max_workers=2) as executor:
             yield executor
 
-    @pytest.mark.parametrize("name", ["RE", "SC", "INF", "HFM"])
-    def test_estpm_parity(self, pool, name):
-        dataset = load_dataset(name, "tiny")
-        params = dataset.params(
-            max_period_pct=0.4, min_density_pct=0.75, min_season=4
-        )
-        dseq = dataset.dseq()
-        baseline = ESTPM(dseq, params, kernel="reference").mine()
-        assert baseline.patterns, f"parity run on {name} mined nothing"
-        for kernel, executor in (
-            ("array", "serial"),
-            ("array", pool),
-            ("sweep", "serial"),
-            ("sweep", pool),
-            ("reference", pool),
-        ):
-            result = ESTPM(dseq, params, kernel=kernel, executor=executor).mine()
-            assert results_equivalent(result, baseline), (name, kernel, executor)
+    @pytest.fixture(scope="class")
+    def jobs(self):
+        """``name -> (dataset, params, dseq, oracle result)``, each oracle
+        run once and shared by both miners' tests."""
+        cache = {}
+
+        def job(name):
+            if name not in cache:
+                dataset = load_dataset(name, "tiny")
+                params = dataset.params(
+                    max_period_pct=0.4, min_density_pct=0.75, min_season=4
+                )
+                dseq = dataset.dseq()
+                cache[name] = (dataset, params, dseq, NaiveSTPM(dseq, params).mine())
+            return cache[name]
+
+        return job
 
     @pytest.mark.parametrize("name", ["RE", "SC", "INF", "HFM"])
-    def test_astpm_parity(self, pool, name):
-        dataset = load_dataset(name, "tiny")
-        params = dataset.params(
-            max_period_pct=0.4, min_density_pct=0.75, min_season=4
-        )
-        dseq = dataset.dseq()
-        baseline = ASTPM(
-            dataset.dsyb, dataset.ratio, params, dseq=dseq, kernel="reference"
-        ).mine()
-        for kernel, executor in (
-            ("array", "serial"),
-            ("array", pool),
-            ("sweep", "serial"),
-            ("sweep", pool),
-            ("reference", pool),
-        ):
-            result = ASTPM(
-                dataset.dsyb,
-                dataset.ratio,
-                params,
-                dseq=dseq,
-                kernel=kernel,
-                executor=executor,
-            ).mine()
-            assert results_equivalent(result, baseline), (name, kernel, executor)
+    def test_estpm_parity(self, pool, jobs, name):
+        _, params, dseq, oracle = jobs(name)
+        assert oracle.patterns, f"parity run on {name} mined nothing"
+        for executor in ("serial", pool):
+            result = ESTPM(dseq, params, executor=executor).mine()
+            assert results_equivalent(result, oracle), (name, executor)
+
+    @pytest.mark.parametrize("name", ["RE", "SC", "INF", "HFM"])
+    def test_astpm_parity(self, pool, jobs, name):
+        """A-STPM is exact on the series its MI screening keeps."""
+        dataset, params, dseq, oracle = jobs(name)
+        for executor in ("serial", pool):
+            miner = ASTPM(
+                dataset.dsyb, dataset.ratio, params, dseq=dseq, executor=executor
+            )
+            kept = set(miner.screening().correlated_series)
+            expected = {
+                sp.pattern: sp.support
+                for sp in oracle.patterns
+                if all(series_of(event) in kept for event in sp.pattern.events)
+            }
+            result = miner.mine()
+            assert not result.failures
+            assert {sp.pattern: sp.support for sp in result.patterns} == expected, (
+                name,
+                executor,
+            )

@@ -4,12 +4,14 @@ The engine's hard guarantee: every level of a hierarchical run is
 equivalent (``results_equivalent``) to mining that level standalone with
 a fresh sequence mapping -- asserted here on all four seed datasets for
 both support backends, for E-STPM and A-STPM, for the fold and rebuild
-strategies, and for both executors.
+strategies, and for both executors -- and to the brute-force
+:class:`NaiveSTPM` oracle on that mapping.
 """
 
 import pytest
 
 from repro import ESTPM, PruningConfig, SymbolicDatabase
+from repro.baselines import NaiveSTPM
 from repro.core.approximate import ASTPM
 from repro.core.results import results_equivalent
 from repro.core.supportset import SUPPORT_BACKENDS
@@ -85,6 +87,17 @@ class TestLevelParity:
             assert results_equivalent(level.result, standalone), (
                 f"{name} level {level.ratio} ({backend}) diverged from "
                 "standalone mining"
+            )
+
+    @pytest.mark.parametrize("name", sorted(DATASET_SETTINGS))
+    def test_every_level_matches_naive_oracle(self, name):
+        dataset = load_dataset(name, "tiny")
+        for level in hierarchy_miner(dataset, "bitset").mine():
+            oracle = NaiveSTPM(
+                build_sequence_database(dataset.dsyb, level.ratio), level.params
+            ).mine()
+            assert results_equivalent(level.result, oracle), (
+                f"{name} level {level.ratio} diverged from NaiveSTPM"
             )
 
     def test_coarse_levels_are_fold_derived(self):

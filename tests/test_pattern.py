@@ -5,7 +5,6 @@ import pytest
 from repro import TemporalPattern, Triple
 from repro.core.pattern import (
     extend_pattern,
-    oriented_triple,
     pattern_from_instances,
     single_event_pattern,
     splice_triples,
@@ -116,18 +115,6 @@ class TestPatternFromInstances:
 
 
 class TestIncrementalExtension:
-    def test_oriented_triple_orientation(self):
-        early = EventInstance("A:1", 1, 2)
-        late = EventInstance("B:1", 5, 6)
-        assert oriented_triple(early, late, CONFIG) == (True, Triple(FOLLOWS, "A:1", "B:1"))
-        assert oriented_triple(late, early, CONFIG) == (False, Triple(FOLLOWS, "A:1", "B:1"))
-
-    def test_oriented_triple_none(self):
-        config = RelationConfig(min_overlap=5)
-        a = EventInstance("A:1", 1, 4)
-        b = EventInstance("B:1", 3, 9)
-        assert oriented_triple(a, b, config) is None
-
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_splice_matches_full_construction_k3(self, position):
         base = _instances(("A:1", 2, 4), ("B:1", 6, 9))

@@ -1,26 +1,37 @@
-"""Property tests: the sweep-join kernel equals the naive enumeration.
+"""Property tests: the step-2.2 kernels equal naive enumeration.
 
 On random instance sets and random ``epsilon`` / ``min_overlap``
 configurations (small coordinate ranges, so exact epsilon-boundary pairs
-are generated constantly), the columnar sweep join must reproduce the
-naive ``product`` + ``relation_of_pair`` enumeration exactly: same
-patterns (relation + orientation), same supports, same deduplicated
-assignments.  A second property runs whole random mining jobs through
-both kernels and compares the results, covering the extension kernel's
-Iterative Check against the pre-index loops.
+are generated constantly), the pair kernel
+(:func:`~repro.core.array_kernel.array_collect_pair_patterns`) must
+reproduce the naive ``product`` / ``combinations`` +
+``relation_of_pair`` enumeration exactly: same patterns (relation +
+orientation), same supports, same deduplicated assignments.  A second
+property runs whole random mining jobs against the brute-force
+:class:`~repro.baselines.naive.NaiveSTPM` oracle, covering the extension
+kernel's verdict rows and Iterative Check.
 """
+
+import random
+from itertools import combinations, product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ESTPM, MiningParams, SymbolicDatabase, build_sequence_database
-from repro.core._kernel_reference import reference_collect_pair_patterns
+from repro.baselines import NaiveSTPM
+from repro.core.array_kernel import array_collect_pair_patterns
 from repro.core.hlh import HLH1
 from repro.core.instance_index import decode_assignment
+from repro.core.pattern import TemporalPattern, Triple
 from repro.core.results import results_equivalent
-from repro.core.stpm import collect_pair_patterns
 from repro.events.event import EventInstance
-from repro.events.relations import RelationConfig, relation_between, relation_of_bounds
+from repro.events.relations import (
+    RelationConfig,
+    relation_between,
+    relation_of_bounds,
+    relation_of_pair,
+)
 
 
 @st.composite
@@ -47,25 +58,49 @@ def _hlh1_with(columns: dict[str, dict[int, list[EventInstance]]]) -> HLH1:
     return hlh1
 
 
-def _run_both(hlh1, event_a, event_b, granules, config):
-    sweep_support, sweep_assignments = {}, {}
-    collect_pair_patterns(
-        hlh1, event_a, event_b, granules, config, sweep_support, sweep_assignments
-    )
-    naive_support, naive_assignments = {}, {}
-    reference_collect_pair_patterns(
-        hlh1, event_a, event_b, granules, config, naive_support, naive_assignments
-    )
-    return (sweep_support, sweep_assignments), (naive_support, naive_assignments)
+def _naive_pairs(hlh1, event_a, event_b, granules, config):
+    """The oracle: classify the full instance product of every granule.
+
+    Returns ``(pattern -> support list, pattern -> granule -> sorted
+    instance pairs)``, each pair ordered ``(earlier, later)``.
+    """
+    support: dict[TemporalPattern, list[int]] = {}
+    assignments: dict[TemporalPattern, dict[int, list]] = {}
+    for granule in granules:
+        instances_a = hlh1.instances_of(event_a, granule)
+        if event_a == event_b:
+            pairs = combinations(instances_a, 2)
+        else:
+            pairs = product(instances_a, hlh1.instances_of(event_b, granule))
+        for a, b in pairs:
+            located = relation_of_pair(a, b, config)
+            if located is None:
+                continue
+            rel, earlier, later = located
+            pattern = TemporalPattern(
+                (earlier.event, later.event),
+                (Triple(rel, earlier.event, later.event),),
+            )
+            granules_of = support.setdefault(pattern, [])
+            if not granules_of or granules_of[-1] != granule:
+                granules_of.append(granule)
+            assignments.setdefault(pattern, {}).setdefault(granule, []).append(
+                (earlier, later)
+            )
+    return support, assignments
 
 
-def _assert_kernels_agree(hlh1, event_a, event_b, granules, config):
-    (sweep_support, sweep_assignments), (naive_support, naive_assignments) = _run_both(
+def _assert_kernel_matches_naive(hlh1, event_a, event_b, granules, config):
+    kernel_support, kernel_assignments = {}, {}
+    array_collect_pair_patterns(
+        hlh1, event_a, event_b, granules, config, kernel_support, kernel_assignments
+    )
+    naive_support, naive_assignments = _naive_pairs(
         hlh1, event_a, event_b, granules, config
     )
-    assert sweep_support == naive_support
-    assert set(sweep_assignments) == set(naive_assignments)
-    for pattern, by_granule in sweep_assignments.items():
+    assert kernel_support == naive_support
+    assert set(kernel_assignments) == set(naive_assignments)
+    for pattern, by_granule in kernel_assignments.items():
         naive_by_granule = naive_assignments[pattern]
         assert set(by_granule) == set(naive_by_granule)
         for granule, encoded_list in by_granule.items():
@@ -86,18 +121,50 @@ def _assert_kernels_agree(hlh1, event_a, event_b, granules, config):
     relation_configs,
 )
 @settings(max_examples=200, deadline=None)
-def test_sweep_join_equals_naive_product(a1, b1, a2, b2, config):
+def test_pair_join_equals_naive_product(a1, b1, a2, b2, config):
     hlh1 = _hlh1_with(
         {"A:1": {1: a1, 2: a2}, "B:1": {1: b1, 2: b2}}
     )
-    _assert_kernels_agree(hlh1, "A:1", "B:1", [1, 2], config)
+    _assert_kernel_matches_naive(hlh1, "A:1", "B:1", [1, 2], config)
 
 
 @given(instance_runs("A:1"), instance_runs("A:1"), relation_configs)
 @settings(max_examples=150, deadline=None)
-def test_sweep_self_join_equals_naive_combinations(a1, a2, config):
+def test_self_join_equals_naive_combinations(a1, a2, config):
     hlh1 = _hlh1_with({"A:1": {1: a1, 2: a2}})
-    _assert_kernels_agree(hlh1, "A:1", "A:1", [1, 2], config)
+    _assert_kernel_matches_naive(hlh1, "A:1", "A:1", [1, 2], config)
+
+
+def _long_column(event: str, seed: int, n_instances: int = 80) -> list[EventInstance]:
+    """``n_instances`` disjoint ascending runs, drawn like :func:`instance_runs`."""
+    rng = random.Random(seed)
+    instances = []
+    position = rng.randint(1, 4)
+    while len(instances) < n_instances:
+        end = position + rng.randint(0, 3)
+        instances.append(EventInstance(event, position, end))
+        position = end + 1 + rng.randint(1, 4)
+    return instances
+
+
+def test_joins_on_columns_longer_than_64_instances():
+    """80 instances per column, over four times the longest column of any
+    shipped workload (18): bulk zones dominate, and the near windows
+    still hold every relation."""
+    hlh1 = _hlh1_with(
+        {
+            "A:1": {1: _long_column("A:1", 1), 2: _long_column("A:1", 2)},
+            "B:1": {1: _long_column("B:1", 3), 2: _long_column("B:1", 4)},
+        }
+    )
+    assert all(
+        len(hlh1.column_of(event, granule)) > 64
+        for event in ("A:1", "B:1")
+        for granule in (1, 2)
+    )
+    for config in (RelationConfig(), RelationConfig(epsilon=2, min_overlap=3)):
+        _assert_kernel_matches_naive(hlh1, "A:1", "B:1", [1, 2], config)
+        _assert_kernel_matches_naive(hlh1, "A:1", "A:1", [1, 2], config)
 
 
 @given(
@@ -139,7 +206,7 @@ def mining_inputs(draw):
         dist_interval=(draw(st.integers(0, 2)), draw(st.integers(3, 10))),
         min_season=1,
         relation=draw(relation_configs),
-        max_pattern_length=3,
+        max_pattern_length=draw(st.sampled_from([3, 4])),
     )
     dseq = build_sequence_database(
         SymbolicDatabase.from_rows(rows), draw(st.sampled_from([2, 3]))
@@ -149,10 +216,11 @@ def mining_inputs(draw):
 
 @given(mining_inputs())
 @settings(max_examples=40, deadline=None)
-def test_whole_jobs_agree_across_kernels(inputs):
-    """End-to-end kernel parity under random epsilon/min_overlap configs
-    (exercises the extension kernel's verdict rows + Iterative Check)."""
+def test_whole_jobs_agree_with_naive_oracle(inputs):
+    """End-to-end parity with the brute-force miner under random
+    epsilon/min_overlap configs (exercises the extension kernel's verdict
+    rows + Iterative Check)."""
     dseq, params = inputs
-    sweep = ESTPM(dseq, params).mine()
-    reference = ESTPM(dseq, params, kernel="reference").mine()
-    assert results_equivalent(sweep, reference)
+    assert results_equivalent(
+        ESTPM(dseq, params).mine(), NaiveSTPM(dseq, params).mine()
+    )

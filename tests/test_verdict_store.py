@@ -1,4 +1,4 @@
-"""The verdict store shared by the step-2.2 extension kernels.
+"""The verdict store shared across step-2.2 extension-kernel calls.
 
 A verdict row depends only on (existing event, instance index, new event,
 granule) and on what every call sharing one store has in common, so
@@ -26,7 +26,7 @@ import repro.streaming.incremental as incremental
 from repro.core.executor import SerialExecutor, ThreadExecutor
 from repro.core.instance_index import VerdictStore
 from repro.core.results import results_equivalent
-from repro.core.stpm import ESTPM, LevelContext, kernel_functions, mine_extension_task
+from repro.core.stpm import ESTPM, LevelContext, mine_extension_task
 from repro.datasets import load_dataset
 from repro.datasets.registry import DATASET_BUILDERS
 from repro.obs.counters import capture
@@ -114,50 +114,44 @@ class TestBatchLevelSharing:
 
 
 class TestStreamingAdvanceSharing:
-    @pytest.mark.parametrize("kernel", ["array", "sweep"])
-    def test_each_call_matches_a_fresh_store(self, small_inf, monkeypatch, kernel):
+    def test_each_call_matches_a_fresh_store(self, small_inf, monkeypatch):
         dseq, params = small_inf
         params = dataclasses.replace(params, max_pattern_length=4)
         calls = []
+        extend = incremental.array_extend_group_patterns
 
-        def checked_kernels(name):
-            collect, extend = kernel_functions(name)
-
-            def checked_extend(*args, parent_patterns, granule_filter):
-                *head, store = args
-                with capture() as shared:
-                    outcome = extend(
-                        *head, store,
-                        parent_patterns=parent_patterns, granule_filter=granule_filter,
-                    )
-                with capture() as fresh:
-                    alone = extend(
-                        *head, VerdictStore(),
-                        parent_patterns=parent_patterns, granule_filter=granule_filter,
-                    )
-                assert outcome == alone
-                calls.append(
-                    (
-                        granule_filter is not None,
-                        shared.counters.get(ROWS, 0),
-                        fresh.counters.get(ROWS, 0),
-                    )
+        def checked_extend(*args, parent_patterns, granule_filter):
+            *head, store = args
+            with capture() as shared:
+                outcome = extend(
+                    *head, store,
+                    parent_patterns=parent_patterns, granule_filter=granule_filter,
                 )
-                return outcome
+            with capture() as fresh:
+                alone = extend(
+                    *head, VerdictStore(),
+                    parent_patterns=parent_patterns, granule_filter=granule_filter,
+                )
+            assert outcome == alone
+            calls.append(
+                (
+                    granule_filter is not None,
+                    shared.counters.get(ROWS, 0),
+                    fresh.counters.get(ROWS, 0),
+                )
+            )
+            return outcome
 
-            return collect, checked_extend
-
-        monkeypatch.setattr(incremental, "kernel_functions", checked_kernels)
-        miner = IncrementalSTPM.empty(dseq.ratio, params, kernel=kernel)
+        monkeypatch.setattr(incremental, "array_extend_group_patterns", checked_extend)
+        miner = IncrementalSTPM.empty(dseq.ratio, params)
         for start in range(0, len(dseq), 4):
             miner.advance(dseq.rows[start : start + 4])
         assert miner.state.mirror(4).phk, "the stream must reach k = 4"
         assert any(filtered for filtered, _, _ in calls)
         assert any(not filtered for filtered, _, _ in calls)
-        if kernel == "array":
-            shared_rows = sum(rows for _, rows, _ in calls)
-            fresh_rows = sum(rows for _, _, rows in calls)
-            assert 0 < shared_rows < fresh_rows
+        shared_rows = sum(rows for _, rows, _ in calls)
+        fresh_rows = sum(rows for _, _, rows in calls)
+        assert 0 < shared_rows < fresh_rows
 
 
 class TestThreadsStress:
