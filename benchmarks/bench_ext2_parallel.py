@@ -1,12 +1,7 @@
-"""Bench EXT2 (extension): bitset support engine + parallel executor.
+"""Bench EXT2 (extension): the parallel executor.
 
-Three measurements:
+Two measurements:
 
-* **Intersection throughput** (Fig. 11/12 workloads) -- pairwise
-  support-set intersections over every event support of the workload,
-  bitset (big-int ``&``) vs the classical sorted-list two-pointer merge.
-  Expected shape: the bitset representation wins by an order of magnitude
-  (the merge is Python-level work, the ``&`` is one C call).
 * **Serial vs parallel wall-clock** (Fig. 11/12 workloads) -- full E-STPM
   runs through the :class:`SerialExecutor` and the process-pool
   :class:`ParallelExecutor`, asserting the two mining results are
@@ -24,7 +19,7 @@ Three measurements:
   context copy-on-write, which is why ``reuse_pool`` auto-selects per
   start method.  The reused pool must win by >= 1.3x (asserted; CI runs
   this as part of the bench smoke), with identical mining results across
-  serial / per-level / reused / threads backends.
+  serial / per-level / reused executors.
 """
 
 import time
@@ -32,15 +27,13 @@ import time
 import pytest
 from _shared import record_benchmark_json, run_once
 
-from repro.core.executor import ParallelExecutor, SerialExecutor, ThreadExecutor
+from repro.core.executor import ParallelExecutor, SerialExecutor
 from repro.core.results import results_equivalent
 from repro.core.stpm import ESTPM
-from repro.core.supportset import make_support_set
 from repro.datasets.registry import DATASET_BUILDERS, PROFILES
 from repro.multigrain import HierarchicalMiner
 
 FRACTIONS = (0.5, 1.0)
-INTERSECTION_ROUNDS = 40
 
 
 def _scaling_dataset(name: str, fraction: float):
@@ -48,60 +41,6 @@ def _scaling_dataset(name: str, fraction: float):
     return DATASET_BUILDERS[name](
         n_sequences=max(int(base_sequences * fraction), 8), n_series=n_series
     )
-
-
-def _intersection_throughput(supports) -> float:
-    """Pairwise intersections per second over one support-set list."""
-    started = time.perf_counter()
-    n_ops = 0
-    for _ in range(INTERSECTION_ROUNDS):
-        for left in supports:
-            for right in supports:
-                len(left & right)
-                n_ops += 1
-    return n_ops / (time.perf_counter() - started)
-
-
-@pytest.mark.parametrize("name", ["RE", "INF"])
-def test_bitset_vs_list_intersection_throughput(benchmark, record_artifact, name):
-    dataset = _scaling_dataset(name, 1.0)
-    event_supports = dataset.dseq().event_support("list")
-    positions = [support.positions() for support in event_supports.values()]
-    as_lists = [make_support_set(p, "list") for p in positions]
-    as_bitsets = [make_support_set(p, "bitset") for p in positions]
-
-    def measure():
-        return (
-            _intersection_throughput(as_lists),
-            _intersection_throughput(as_bitsets),
-        )
-
-    list_ops, bitset_ops = run_once(benchmark, measure)
-    speedup = bitset_ops / list_ops
-    record_artifact(
-        f"EXT2-intersect-{name}",
-        "\n".join(
-            [
-                f"EXT2 -- support intersection throughput on {name} "
-                f"(Fig. 11/12 workload, {len(positions)} event supports)",
-                f"  sorted-list merge : {list_ops:12.0f} ops/s",
-                f"  big-int bitset    : {bitset_ops:12.0f} ops/s",
-                f"  bitset speedup    : {speedup:12.1f}x",
-            ]
-        ),
-    )
-    record_benchmark_json(
-        "EXT2",
-        {
-            "name": f"intersect-{name}",
-            "workload": {"dataset": name, "n_supports": len(positions),
-                         "rounds": INTERSECTION_ROUNDS},
-            "list_ops_per_s": list_ops,
-            "bitset_ops_per_s": bitset_ops,
-            "speedup": speedup,
-        },
-    )
-    assert bitset_ops > list_ops, "bitset intersection should beat the list merge"
 
 
 @pytest.mark.parametrize("name", ["RE", "INF"])
@@ -224,15 +163,10 @@ def test_pool_reuse_multi_level(benchmark, record_artifact):
         ) as reused:
             pooled = _mine_multi_level(datasets, reused)
         timings["reused pool"] = time.perf_counter() - started
+        return timings, serial, spawned, pooled
 
-        started = time.perf_counter()
-        with ThreadExecutor(max_workers=2, min_tasks=1) as threads:
-            threaded = _mine_multi_level(datasets, threads)
-        timings["threads"] = time.perf_counter() - started
-        return timings, serial, spawned, pooled, threaded
-
-    timings, serial, spawned, pooled, threaded = run_once(benchmark, measure)
-    for variant in (spawned, pooled, threaded):
+    timings, serial, spawned, pooled = run_once(benchmark, measure)
+    for variant in (spawned, pooled):
         assert len(variant) == len(serial)
         for left, right in zip(serial, variant):
             assert results_equivalent(left, right), (
@@ -248,7 +182,6 @@ def test_pool_reuse_multi_level(benchmark, record_artifact):
         f"  serial               {timings['serial']:13.2f}",
         f"  per-level pools      {timings['per-level pools']:13.2f}",
         f"  reused pool          {timings['reused pool']:13.2f}",
-        f"  threads (reused)     {timings['threads']:13.2f}",
         f"  pool-reuse speedup   {speedup:12.2f}x  (floor {_REUSE_SPEEDUP_FLOOR}x)",
         "  (spawn start method: every per-level pool boots fresh "
         "interpreters, the portable cost the persistent runtime removes; "

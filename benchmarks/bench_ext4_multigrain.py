@@ -2,9 +2,8 @@
 
 The hierarchical miner's value proposition: mining a granularity
 hierarchy should not pay the sequence-mapping setup once per level.  The
-pre-1.3 ``MultiGranularityMiner`` rebuilt DSEQ from the raw symbol
-stream and re-scanned every event's support at every level; the
-``fold`` strategy builds the finest level once and *derives* each
+``rebuild`` strategy re-maps DSEQ from the raw symbol stream and
+re-scans every event's support at every level; the ``fold`` strategy builds the finest level once and *derives* each
 coarser level -- event supports by big-int bit-folds, candidacy gates
 from the folded supports before any row exists, and granule rows only
 where a candidate event needs them.

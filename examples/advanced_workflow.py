@@ -3,7 +3,7 @@
 Demonstrates the library features beyond the core miner:
 
 1. mine the same symbolic database at several granularities
-   (:class:`repro.MultiGranularityMiner` -- the paper's contribution (1));
+   (:class:`repro.HierarchicalMiner` -- the paper's contribution (1));
 2. navigate a large result with :class:`repro.PatternQuery` and the
    sub-/super-pattern containment search;
 3. archive results as JSON and reload them;
@@ -15,7 +15,7 @@ Run: ``python examples/advanced_workflow.py``
 
 from repro import (
     ASTPM,
-    MultiGranularityMiner,
+    HierarchicalMiner,
     PatternQuery,
     superpatterns_of,
     validate_result,
@@ -29,7 +29,7 @@ def main() -> None:
     dataset = load_dataset("INF", profile="bench")
 
     # 1. Multi-granularity: weekly (ratio 7) and biweekly (ratio 14).
-    miner = MultiGranularityMiner(
+    miner = HierarchicalMiner(
         dataset.dsyb,
         ratios=[7, 14],
         max_period_pct=0.4,
@@ -37,7 +37,7 @@ def main() -> None:
         dist_interval=(70, 350),  # fine (daily) granules
         min_season=4,
     )
-    levels = miner.mine_all()
+    levels = miner.mine().levels
     for level in levels:
         print(
             f"ratio {level.ratio:2d}: {level.n_sequences} sequences, "

@@ -5,7 +5,7 @@ the telemetry layer enabled, then prints three views of the same run:
 
 1. the nested span tree (symbolization -> sequence mapping -> step 2.1
    -> step 2.2 pair + extension kernels), each phase with its wall-clock
-   and its attributes (group counts, pattern counts, support backend);
+   and its attributes (group counts, pattern counts, granule counts);
 2. the flat per-phase summary with *self* time (time in the phase minus
    its children), which answers "which phase itself is hot";
 3. the mining counters (candidate groups, support intersections,

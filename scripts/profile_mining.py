@@ -76,16 +76,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--executor",
         default=None,
-        choices=(None, "serial", "parallel", "threads"),
+        choices=(None, "serial", "parallel"),
         help="mining executor backend (default: engine default; note that "
         "work dispatched to pool workers is invisible to the parent's "
         "profile -- use serial to see the kernels)",
-    )
-    parser.add_argument(
-        "--support-backend",
-        default=None,
-        choices=(None, "bitset", "list"),
-        help="support-set representation (default: engine default)",
     )
     parser.add_argument(
         "--output",
@@ -128,12 +122,7 @@ def main(argv: list[str] | None = None) -> int:
 
     profiler = cProfile.Profile()
     profiler.enable()
-    run_experiment(
-        args.artifact_id,
-        profile=args.profile,
-        executor=args.executor,
-        support_backend=args.support_backend,
-    )
+    run_experiment(args.artifact_id, profile=args.profile, executor=args.executor)
     profiler.disable()
 
     if args.trace is not None:

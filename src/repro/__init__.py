@@ -32,12 +32,10 @@ from repro.core.executor import (
     MiningExecutor,
     ParallelExecutor,
     SerialExecutor,
-    ThreadExecutor,
     executor_scope,
     resolve_executor,
     set_default_executor,
 )
-from repro.core.multigranularity import GranularityLevelResult, MultiGranularityMiner
 from repro.multigrain import (
     GranularityLevel,
     HierarchicalMiner,
@@ -48,10 +46,8 @@ from repro.multigrain import (
 )
 from repro.core.supportset import (
     BitsetSupportSet,
-    ListSupportSet,
     SupportSet,
     make_support_set,
-    set_default_backend,
 )
 from repro.core.query import PatternQuery, subpatterns_of, superpatterns_of
 from repro.core.validation import validate_result, validate_seasonal_pattern
@@ -104,7 +100,7 @@ from repro.resilience import (
 )
 from repro.transform import TemporalSequenceDatabase, build_sequence_database
 
-__version__ = "1.13.0"
+__version__ = "1.14.0"
 
 __all__ = [
     # granularity
@@ -141,8 +137,6 @@ __all__ = [
     "screen_correlated_series",
     "screen_events",
     "CorrelationReport",
-    "MultiGranularityMiner",
-    "GranularityLevelResult",
     # multigrain engine
     "HierarchicalMiner",
     "GranularityLevel",
@@ -165,9 +159,7 @@ __all__ = [
     # support-set engine
     "SupportSet",
     "BitsetSupportSet",
-    "ListSupportSet",
     "make_support_set",
-    "set_default_backend",
     # resilience
     "RetryPolicy",
     "FailedTask",
@@ -178,7 +170,6 @@ __all__ = [
     "MiningExecutor",
     "SerialExecutor",
     "ParallelExecutor",
-    "ThreadExecutor",
     "executor_scope",
     "resolve_executor",
     "set_default_executor",

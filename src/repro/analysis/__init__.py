@@ -6,10 +6,8 @@ runtime contracts into checked invariants:
 * **CT** compute-twin -- numpy only via :func:`repro.core.config.get_numpy`;
 * **EP** executor picklability -- module-level task callables, boundary
   classes exclude per-process caches from their pickled state;
-* **TS** thread safety -- shared module state is locked or thread-local;
 * **OB** zero-overhead telemetry -- hot paths use the guarded helpers;
-* **RC** registry conformance -- the front-end registry and export
-  surfaces resolve.
+* **RC** registry conformance -- the export surfaces resolve.
 
 Run it with ``python -m repro.analysis`` or ``freqstpfts lint``.
 Findings are filtered by ``# repro: ignore[RULE]`` comments and the

@@ -2,8 +2,8 @@
 
 Each analyzed file is parsed exactly once into a :class:`ModuleIndex`:
 the AST itself plus the pre-extracted facts most rules need (imports
-with their scopes, module-level bindings, literal constants, function
-definitions with nesting depth, ``__all__``, suppression comments).
+with their scopes, module-level bindings, function definitions with
+nesting depth, ``__all__``, suppression comments).
 Rules then run as read-only passes over the :class:`RepoIndex`, so the
 whole tree analyzes in one parse + N cheap walks instead of N parses.
 
@@ -73,11 +73,6 @@ class ModuleIndex:
         self.imports: list[ImportRecord] = []
         #: Module-scope name -> kind ("import" / "def" / "class" / "assign").
         self.bindings: dict[str, str] = {}
-        #: Module-scope constant foldings: name -> literal (str/int/tuple of those).
-        self.constants: dict[str, object] = {}
-        #: Module-scope assignments whose value is a mutable container
-        #: literal/constructor: name -> (line, col).
-        self.mutable_globals: dict[str, tuple[int, int]] = {}
         #: All function defs (any depth), in source order.
         self.functions: list[FunctionRecord] = []
         #: Module-scope class defs by name.
@@ -128,11 +123,6 @@ class ModuleIndex:
                 continue
             name = target.id
             self.bindings.setdefault(name, "assign")
-            if value is None:
-                continue
-            literal = _fold_literal(value, self.constants)
-            if literal is not _UNFOLDABLE:
-                self.constants[name] = literal
             if name == "__all__" and isinstance(value, (ast.List, ast.Tuple)):
                 names = [
                     element.value
@@ -140,8 +130,6 @@ class ModuleIndex:
                     if isinstance(element, ast.Constant) and isinstance(element.value, str)
                 ]
                 self.dunder_all = names
-            if _is_mutable_container(value):
-                self.mutable_globals[name] = (node.lineno, node.col_offset)
 
     def _collect_imports(self) -> None:
         for node in ast.walk(self.tree):
@@ -191,44 +179,6 @@ class ModuleIndex:
             for record in self.imports
             if record.name == name and record.module == module
         }
-
-    def function_def(self, name: str) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
-        """The module-level function definition bound to ``name``."""
-        for record in self.functions:
-            if record.depth == 0 and not record.owner_class and record.node.name == name:
-                return record.node
-        return None
-
-
-_UNFOLDABLE = object()
-
-
-def _fold_literal(node: ast.expr, constants: dict[str, object]) -> object:
-    """Fold simple constant expressions (strings, ints, tuples, and
-    references to already-folded module constants)."""
-    if isinstance(node, ast.Constant):
-        return node.value
-    if isinstance(node, ast.Name):
-        return constants.get(node.id, _UNFOLDABLE)
-    if isinstance(node, (ast.Tuple, ast.List)):
-        folded = []
-        for element in node.elts:
-            value = _fold_literal(element, constants)
-            if value is _UNFOLDABLE:
-                return _UNFOLDABLE
-            folded.append(value)
-        return tuple(folded)
-    return _UNFOLDABLE
-
-
-def _is_mutable_container(node: ast.expr) -> bool:
-    if isinstance(node, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)):
-        return True
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in ("dict", "list", "set")
-    )
 
 
 def _sub_bodies(node: ast.If | ast.Try) -> Iterator[list[ast.stmt]]:

@@ -18,10 +18,8 @@ from repro.analysis.rules.picklability import (
 )
 from repro.analysis.rules.registry_conformance import (
     DunderAllResolves,
-    FrontendKernelRegistry,
     ImportTargetResolves,
 )
-from repro.analysis.rules.thread_safety import UnguardedSharedMutation
 
 ALL_RULES: tuple[type[Rule], ...] = (
     ModuleScopeNumpyImport,
@@ -29,9 +27,7 @@ ALL_RULES: tuple[type[Rule], ...] = (
     NonPicklableTaskCallable,
     BoundaryClassShipsCaches,
     RegistryValueNotModuleLevel,
-    UnguardedSharedMutation,
     DirectObsAccess,
-    FrontendKernelRegistry,
     DunderAllResolves,
     ImportTargetResolves,
 )

@@ -12,7 +12,6 @@ exercise rules against fixture trees with the same scoping.
 
 from __future__ import annotations
 
-import ast
 from typing import Iterator
 
 from repro.analysis.findings import Finding
@@ -27,20 +26,6 @@ OBS_HOT_PACKAGES = (
     "repro.streaming",
     "repro.transform",
     "repro.multigrain",
-)
-
-#: Packages reachable from ``ThreadExecutor`` task paths: module-level
-#: mutable state here must be ``threading.local``, lock-guarded, or
-#: explicitly suppressed/baselined with a justification.
-THREAD_SHARED_PACKAGES = (
-    "repro.core",
-    "repro.events",
-    "repro.transform",
-    "repro.streaming",
-    "repro.symbolic",
-    "repro.multigrain",
-    "repro.obs",
-    "repro.metrics",
 )
 
 #: Modules whose classes cross the executor boundary inside
@@ -108,50 +93,3 @@ def in_packages(module: str, packages: tuple[str, ...]) -> bool:
         module == package or module.startswith(package + ".")
         for package in packages
     )
-
-
-def build_parent_map(tree: ast.AST) -> dict[ast.AST, ast.AST]:
-    """Child -> parent links for ancestor queries (built per rule pass)."""
-    parents: dict[ast.AST, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-    return parents
-
-
-def _expr_mentions_lock(node: ast.expr) -> bool:
-    for part in ast.walk(node):
-        if isinstance(part, ast.Name) and "lock" in part.id.lower():
-            return True
-        if isinstance(part, ast.Attribute) and "lock" in part.attr.lower():
-            return True
-    return False
-
-
-def guarded_by_lock(node: ast.AST, parents: dict[ast.AST, ast.AST]) -> bool:
-    """True when an ancestor ``with`` statement holds something lock-like.
-
-    The heuristic is purely lexical (a context-manager expression whose
-    name mentions ``lock``), which matches the repo convention of
-    ``with _LOCK:`` around shared-state mutation.
-    """
-    current = parents.get(node)
-    while current is not None:
-        if isinstance(current, (ast.With, ast.AsyncWith)):
-            for item in current.items:
-                if _expr_mentions_lock(item.context_expr):
-                    return True
-        current = parents.get(current)
-    return False
-
-
-def enclosing_function(
-    node: ast.AST, parents: dict[ast.AST, ast.AST]
-) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
-    """The innermost function definition containing ``node``."""
-    current = parents.get(node)
-    while current is not None:
-        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return current
-        current = parents.get(current)
-    return None

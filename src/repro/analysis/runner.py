@@ -25,9 +25,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=(
             "Static contract analyzer for the freqstpfts tree: enforces the "
-            "compute-twin (CT), executor-picklability (EP), thread-safety "
-            "(TS), zero-overhead-telemetry (OB), and registry-conformance "
-            "(RC) invariants documented in DESIGN.md ('Static contracts')."
+            "compute-twin (CT), executor-picklability (EP), "
+            "zero-overhead-telemetry (OB), and registry-conformance (RC) "
+            "invariants documented in DESIGN.md ('Static contracts')."
         ),
     )
     parser.add_argument(

@@ -4,14 +4,14 @@ Grammar (whitespace-tolerant, rule lists comma-separated):
 
 * ``# repro: ignore[CT001]`` -- suppress the listed rules on this line;
 * ``# repro: ignore`` -- suppress every rule on this line;
-* ``# repro: ignore-file[TS001]`` -- suppress the listed rules in the
+* ``# repro: ignore-file[EP001]`` -- suppress the listed rules in the
   whole file (``ignore-file`` without brackets suppresses everything --
   reserve it for generated code).
 
 Trailing prose after the bracket is encouraged: a suppression without a
 reason is a review smell, e.g.::
 
-    _CACHE[key] = value  # repro: ignore[TS001] -- benign last-write-wins race
+    import numpy as np  # repro: ignore[CT002] -- benchmark-only helper
 
 Suppressions are matched against the *line of the flagged AST node*, so
 they belong on the offending line itself.

@@ -10,10 +10,10 @@ Public entry points:
   (Alg. 2).
 * :class:`~repro.core.results.MiningResult` -- patterns plus statistics.
 * :class:`~repro.core.supportset.SupportSet` -- the support-set algebra
-  (bitset / sorted-list representations).
-* :class:`~repro.core.executor.MiningExecutor` -- serial / process-pool /
-  thread-pool execution backends for the per-group mining work, with
-  reusable worker pools (see :func:`~repro.core.executor.executor_scope`).
+  (one big-int bitset representation).
+* :class:`~repro.core.executor.MiningExecutor` -- serial / process-pool
+  execution backends for the per-group mining work, with reusable worker
+  pools (see :func:`~repro.core.executor.executor_scope`).
 """
 
 from repro.core.config import MiningParams
@@ -22,7 +22,6 @@ from repro.core.executor import (
     MiningExecutor,
     ParallelExecutor,
     SerialExecutor,
-    ThreadExecutor,
     executor_scope,
     resolve_executor,
     set_default_executor,
@@ -34,10 +33,8 @@ from repro.core.seasonality import SeasonView, compute_seasons, max_season
 from repro.core.stpm import ESTPM
 from repro.core.supportset import (
     BitsetSupportSet,
-    ListSupportSet,
     SupportSet,
     make_support_set,
-    set_default_backend,
 )
 
 __all__ = [
@@ -54,13 +51,10 @@ __all__ = [
     "max_season",
     "SupportSet",
     "BitsetSupportSet",
-    "ListSupportSet",
     "make_support_set",
-    "set_default_backend",
     "MiningExecutor",
     "SerialExecutor",
     "ParallelExecutor",
-    "ThreadExecutor",
     "executor_scope",
     "resolve_executor",
     "set_default_executor",

@@ -151,8 +151,8 @@ class ASTPM:
     Accepts the symbolic database plus the sequence-mapping ratio so the MI
     screening runs on DSYB (one scan, as the paper notes) while the mining
     runs on DSEQ.  A pre-built DSEQ can be supplied to avoid re-transforming
-    in benchmarks.  ``support_backend`` / ``executor`` / ``n_workers`` /
-    ``strict`` / ``checkpoint_path`` are forwarded to the inner
+    in benchmarks.  ``executor`` / ``n_workers`` / ``strict`` /
+    ``checkpoint_path`` are forwarded to the inner
     :class:`~repro.core.stpm.ESTPM` engine.
     """
 
@@ -162,7 +162,6 @@ class ASTPM:
     pruning: PruningConfig = field(default_factory=PruningConfig.all)
     dseq: TemporalSequenceDatabase | None = None
     event_level: bool = False
-    support_backend: str | None = None
     executor: "MiningExecutor | str | None" = None
     n_workers: int | None = None
     strict: bool = True
@@ -204,7 +203,6 @@ class ASTPM:
                     self.pruning,
                     series_filter=set(report.correlated_series),
                     event_filter=event_filter,
-                    support_backend=self.support_backend,
                     executor=runner,
                     strict=self.strict,
                     checkpoint_path=self.checkpoint_path,

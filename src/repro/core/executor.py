@@ -24,16 +24,9 @@ instances:
   (or the context manager / interpreter-exit safety net) releases it.
   Each call broadcasts its level context to the workers first (pickled
   once in the parent, unpickled once per worker), then ships the tasks in
-  adaptively sized chunks;
-* :class:`ThreadExecutor` fans the tasks out over a reusable
-  :class:`concurrent.futures.ThreadPoolExecutor`.  The context is shared
-  zero-copy (same object, read-only by contract except for the level's
-  verdict-row store, which tasks fill with ``dict.setdefault``), which
-  makes threads the cheapest backend for small-context levels and for
-  task functions that release the GIL; pure-Python group mining stays
-  serialized by the GIL.
+  adaptively sized chunks.
 
-All backends preserve the submission order of the results, so a
+Both backends preserve the submission order of the results, so a
 :class:`~repro.core.results.MiningResult` is identical -- same patterns,
 same supports, same season views, same ordering -- whichever backend ran
 the level (asserted by the parity tests).
@@ -98,7 +91,6 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from contextlib import contextmanager
@@ -122,13 +114,12 @@ logger = get_logger(__name__)
 #: Executor names accepted wherever a backend can be chosen.
 EXECUTOR_SERIAL = "serial"
 EXECUTOR_PARALLEL = "parallel"
-EXECUTOR_THREADS = "threads"
-EXECUTOR_BACKENDS = (EXECUTOR_SERIAL, EXECUTOR_PARALLEL, EXECUTOR_THREADS)
+EXECUTOR_BACKENDS = (EXECUTOR_SERIAL, EXECUTOR_PARALLEL)
 
 #: The per-thread task context (the read-only level state tasks read).
-#: Thread-local so the threads backend can run tasks -- including tasks
-#: that nest a serial miner, like the hierarchical level tasks -- in many
-#: worker threads without trampling each other's context.
+#: Thread-local so concurrent callers in one process -- each running its
+#: own miner, possibly nesting a serial miner like the hierarchical level
+#: tasks do -- never trample each other's context.
 _TLS = threading.local()
 
 #: Seconds a worker waits for the rest of the pool during a context
@@ -168,7 +159,7 @@ class MiningExecutor:
     them in :meth:`close` (a no-op for poolless backends).
     """
 
-    #: Name of the backend ("serial" / "parallel" / "threads").
+    #: Name of the backend ("serial" / "parallel").
     name = "abstract"
 
     def map_tasks(
@@ -286,35 +277,6 @@ def _receive_context(blob: bytes) -> bool:
 def _release_pool(pool) -> None:
     """Finalizer payload: shut a pool down without blocking GC/exit."""
     pool.shutdown(wait=False, cancel_futures=True)
-
-
-# ---------------------------------------------------------------------------
-# Cross-process metric shipping
-# ---------------------------------------------------------------------------
-
-
-def _call_with_metrics(fn: Callable[[Any], Any], task: Any) -> tuple[Any, dict]:
-    """Worker-side task wrapper: run one task under a fresh metric
-    capture and ship ``(outcome, metric snapshot)`` back to the parent.
-
-    Module-level (and wrapped via :func:`functools.partial`) so the
-    envelope pickles under every start method.  :func:`~repro.obs.counters.capture`
-    force-enables metrics in the worker, so spawn-started workers --
-    which do not inherit the parent's enabled flag -- still count.
-    """
-    with metrics.capture() as registry:
-        outcome = fn(task)
-    return outcome, registry.snapshot()
-
-
-def _merge_enveloped(results: list[tuple[Any, dict]]) -> list[Any]:
-    """Unwrap enveloped outcomes in order, merging each worker snapshot
-    into the parent's (caller-thread) registry."""
-    outcomes = []
-    for outcome, snapshot in results:
-        metrics.merge(snapshot)
-        outcomes.append(outcome)
-    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -807,121 +769,6 @@ class ParallelExecutor(MiningExecutor):
             _set_task_context(previous)
 
 
-class ThreadExecutor(MiningExecutor):
-    """Thread-pool execution with a reusable pool and zero-copy contexts.
-
-    The worker threads share the caller's address space, so the level
-    context is installed by reference -- no pickling, no broadcast --
-    which makes this the cheapest backend for small-context levels.  The
-    context is installed into each worker thread's *thread-local* slot
-    around every task, so tasks that nest a serial miner (the
-    hierarchical level tasks) stay isolated from their neighbors.  Note
-    that pure-Python group mining is still serialized by the GIL; the
-    backend pays off when tasks release it or when avoiding process
-    spawn/IPC is the point.
-
-    Parameters
-    ----------
-    max_workers:
-        Worker threads (default: ``os.cpu_count()``).
-    min_tasks:
-        Levels with fewer tasks than this run serially in-process.
-    retry:
-        Task retry/quarantine policy (threads share the process, so the
-        pool-break and timeout knobs do not apply).
-    """
-
-    name = EXECUTOR_THREADS
-
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        min_tasks: int = 2,
-        retry: RetryPolicy | None = None,
-    ):
-        if max_workers is not None and max_workers < 1:
-            raise ConfigError(f"max_workers must be >= 1, got {max_workers}")
-        if min_tasks < 1:
-            raise ConfigError(
-                f"min_tasks must be >= 1, got {min_tasks} (1 disables the "
-                "serial fallback for small levels)"
-            )
-        self.max_workers = max_workers or os.cpu_count() or 1
-        self.min_tasks = min_tasks
-        self.retry = retry or DEFAULT_RETRY_POLICY
-        self._pool: ThreadPoolExecutor | None = None
-        self._finalizer = None
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.max_workers, thread_name_prefix="repro-mine"
-            )
-            self._finalizer = weakref.finalize(self, _release_pool, self._pool)
-            metrics.inc("executor.pool_spawns")
-            logger.info(
-                "thread pool spawned", extra={"workers": self.max_workers}
-            )
-        else:
-            metrics.inc("executor.pool_reuses")
-        return self._pool
-
-    def close(self) -> None:
-        """Shut the thread pool down (idempotent; respawns lazily)."""
-        if self._pool is not None:
-            pool, self._pool = self._pool, None
-            if self._finalizer is not None:
-                self._finalizer.detach()
-                self._finalizer = None
-            pool.shutdown(wait=True, cancel_futures=True)
-            metrics.inc("executor.pool_closes")
-            logger.info("thread pool closed", extra={"workers": self.max_workers})
-
-    def map_tasks(
-        self, fn: Callable[[Any], Any], tasks: Sequence[Any], context: Any
-    ) -> Iterable[Any]:
-        """Fan the tasks out over worker threads, preserving order."""
-        n_tasks = len(tasks)
-        if n_tasks < self.min_tasks or self.max_workers == 1:
-            metrics.inc("executor.serial_fallbacks")
-            return SerialExecutor(retry=self.retry).map_tasks(fn, tasks, context)
-        pool = self._ensure_pool()
-        # Worker threads record into their own thread-local registries,
-        # so metric shipping works exactly like the process pool's: each
-        # task runs under a capture and the caller thread merges the
-        # snapshots in task order.
-        track = metrics.metrics_enabled()
-        if track:
-            metrics.inc("executor.map_calls")
-            metrics.inc("executor.tasks_dispatched", n_tasks)
-        logger.debug(
-            "dispatching tasks",
-            extra={
-                "backend": self.name,
-                "tasks": n_tasks,
-                "workers": self.max_workers,
-            },
-        )
-
-        policy = self.retry
-
-        def run(spec: tuple[int, Any]) -> Any:
-            index, task = spec
-            previous = get_task_context()
-            _set_task_context(context)
-            try:
-                if track:
-                    with metrics.capture() as registry:
-                        payload = _attempt_task(fn, task, index, 0, policy)
-                    return payload, registry.snapshot()
-                return _attempt_task(fn, task, index, 0, policy)
-            finally:
-                _set_task_context(previous)
-
-        results = list(pool.map(run, enumerate(tasks)))
-        return _merge_enveloped(results) if track else results
-
-
 #: Process-wide default backend (see :func:`set_default_executor`).
 _DEFAULT_EXECUTOR: MiningExecutor | str = EXECUTOR_SERIAL
 
@@ -956,8 +803,6 @@ def resolve_executor(
         return SerialExecutor()
     if spec == EXECUTOR_PARALLEL:
         return ParallelExecutor(max_workers=n_workers)
-    if spec == EXECUTOR_THREADS:
-        return ThreadExecutor(max_workers=n_workers)
     raise ConfigError(
         f"unknown executor {spec!r}; choose from {EXECUTOR_BACKENDS}"
     )
@@ -1007,12 +852,11 @@ def default_executor() -> MiningExecutor | str:
 def set_default_executor(spec: MiningExecutor | str) -> MiningExecutor | str:
     """Set the process-wide default executor; returns the previous spec.
 
-    Like :func:`repro.core.supportset.set_default_backend`, this lets the
-    harness flip whole experiment runs between backends without threading
-    a parameter through every experiment function.  Installing an executor
-    *instance* shares its (persistent) pool across every job that resolves
-    the default -- the harness's pool-reuse mode; the caller keeps
-    ownership and closes it when the run ends.
+    This lets the harness flip whole experiment runs between backends
+    without threading a parameter through every experiment function.
+    Installing an executor *instance* shares its (persistent) pool across
+    every job that resolves the default -- the harness's pool-reuse mode;
+    the caller keeps ownership and closes it when the run ends.
     """
     global _DEFAULT_EXECUTOR
     previous = _DEFAULT_EXECUTOR

@@ -355,9 +355,9 @@ def _rebuild_lazy_assignments(blocks, items, length) -> LazyAssignments:
 #: all referenced by its HLH structures anyway); for paths with no job
 #: scope -- the long-lived streaming miner -- :data:`_INTERN_CACHE_LIMIT`
 #: hard-bounds each cache, resetting it when the distinct-identity
-#: population outgrows the limit.  Under the threads executor concurrent
-#: misses may race benignly: both threads build equal objects and the
-#: last insert wins.
+#: population outgrows the limit.  Concurrent misses from threads of one
+#: process race benignly: both threads build equal objects and the last
+#: insert wins.
 _TRIPLE_CACHE: dict[tuple[str, str, str], Triple] = {}
 _PATTERN_CACHE: dict[tuple[tuple[str, ...], tuple[Triple, ...]], TemporalPattern] = {}
 

@@ -23,9 +23,8 @@ Pruning is controlled by :class:`~repro.core.prune.PruningConfig`:
 Engine architecture
 -------------------
 Support sets live behind :class:`~repro.core.supportset.SupportSet`
-(big-int bitsets by default, classical sorted lists for parity), so every
-group intersection is a C-level ``&`` and every maxSeason gate a
-``bit_count()``.  The per-group work of step 2.2 -- intersect supports,
+(big-int bitsets), so every group intersection is a C-level ``&`` and
+every maxSeason gate a ``bit_count()``.  The per-group work of step 2.2 -- intersect supports,
 enumerate instance pairs, grow assignments -- is expressed as pure,
 picklable *group tasks* (:func:`mine_pair_task` / :func:`mine_extension_task`
 against a shared :class:`LevelContext`) dispatched through a
@@ -71,13 +70,7 @@ from repro.core.seasonality import (
     is_candidate,
     is_frequent_seasonal,
 )
-from repro.core.supportset import (
-    SupportLike,
-    SupportSet,
-    default_backend,
-    make_support_set,
-    validate_backend,
-)
+from repro.core.supportset import SupportLike, SupportSet, make_support_set
 from repro.exceptions import MiningError
 from repro.obs import counters as metrics
 from repro.obs.trace import span
@@ -115,8 +108,7 @@ class LevelContext:
     #: one level has the same ``hlh1``, candidate triples, check flag and
     #: relation config.  Not an init field, so every context (also one
     #: made by ``dataclasses.replace``) starts with a fresh store; it
-    #: pickles empty, so each pool worker fills its own, while
-    #: threads-executor workers share it.
+    #: pickles empty, so each pool worker fills its own.
     verdict_store: VerdictStore = field(
         default_factory=VerdictStore, init=False, repr=False, compare=False
     )
@@ -245,10 +237,6 @@ class ESTPM:
     event_filter:
         If set, only these event keys are mined (the event-level pruning
         extension of A-STPM).
-    support_backend:
-        Physical support-set representation: ``"bitset"`` (big-int bitsets,
-        the default) or ``"list"`` (classical sorted lists).  ``None``
-        resolves to the process-wide default.
     executor:
         Execution backend for the per-group work: ``"serial"``,
         ``"parallel"``, a :class:`~repro.core.executor.MiningExecutor`
@@ -279,7 +267,6 @@ class ESTPM:
     series_filter: set[str] | None = None
     pair_filter: set[frozenset[str]] | None = None
     event_filter: set[str] | None = None
-    support_backend: str | None = None
     executor: MiningExecutor | str | None = None
     n_workers: int | None = None
     strict: bool = True
@@ -296,17 +283,16 @@ class ESTPM:
         caller's next job (see :func:`~repro.core.executor.executor_scope`).
         """
         started = time.perf_counter()
-        backend = validate_backend(self.support_backend or default_backend())
         stats = MiningStats(n_granules=len(self.dseq))
         patterns: list[SeasonalPattern] = []
         failures: list[FailedTask] = []
         checkpoint = self._open_checkpoint()
 
         with span(
-            "estpm/mine", granules=len(self.dseq), backend=backend
+            "estpm/mine", granules=len(self.dseq)
         ) as mine_span, executor_scope(self.executor, self.n_workers) as runner:
             with span("estpm/step2.1") as step21:
-                hlh1 = self._mine_single_events(backend, patterns, stats)
+                hlh1 = self._mine_single_events(patterns, stats)
                 step21.set(
                     candidates=len(hlh1),
                     frequent=stats.n_frequent.get(1, 0),
@@ -315,8 +301,7 @@ class ESTPM:
             if self.params.max_pattern_length >= 2:
                 with span("estpm/step2.2/pairs", k=2) as step22:
                     hlh2 = self._mine_two_event_patterns(
-                        hlh1, runner, backend, patterns, stats,
-                        checkpoint, failures,
+                        hlh1, runner, patterns, stats, checkpoint, failures,
                     )
                     step22.set(
                         groups=len(hlh2.groups), patterns=len(hlh2.phk)
@@ -329,8 +314,7 @@ class ESTPM:
                     with span("estpm/step2.2/extend", k=k) as extend_span:
                         current = self._mine_k_event_patterns(
                             hlh1, previous, candidate_triples, k, runner,
-                            backend, patterns, stats,
-                            checkpoint, failures,
+                            patterns, stats, checkpoint, failures,
                         )
                         extend_span.set(
                             groups=len(current.groups),
@@ -357,9 +341,9 @@ class ESTPM:
         """The job-progress checkpoint, or ``None`` when not configured.
 
         The fingerprint binds the checkpoint to this exact job: the
-        mining parameters and the dataset shape.  The support backend is
-        deliberately left out: both backends produce equivalent outcomes,
-        so a resume may switch it.
+        mining parameters and the dataset shape.  The executor is
+        deliberately left out: every executor produces identical
+        outcomes, so a resume may switch it.
         """
         if self.checkpoint_path is None:
             return None
@@ -429,7 +413,7 @@ class ESTPM:
     # ------------------------------------------------------------------
 
     def _mine_single_events(
-        self, backend: str, patterns: list[SeasonalPattern], stats: MiningStats
+        self, patterns: list[SeasonalPattern], stats: MiningStats
     ) -> HLH1:
         hlh1 = HLH1()
         params = self.params
@@ -438,7 +422,7 @@ class ESTPM:
         # multigrain event-seasonality workload) never reads them.
         need_instances = params.max_pattern_length >= 2
         with span("estpm/step2.1/hlh1_scan") as scan_span:
-            event_supports = sorted(self.dseq.event_support(backend).items())
+            event_supports = sorted(self.dseq.event_support().items())
             scan_span.set(events=len(event_supports))
         candidates: list[tuple[str, SupportLike]] = []
         for event, support in event_supports:
@@ -468,7 +452,7 @@ class ESTPM:
             if need_instances:
                 # The columnar front end already holds per-granule instance
                 # tables; hand them straight to HLH1 instead of re-walking
-                # the rows (scalar-built databases fall back to row walks).
+                # the rows (databases without them fall back to row walks).
                 columns = self.dseq.prebuilt_columns(event)
                 if columns is not None:
                     instances_by_granule = {
@@ -507,7 +491,6 @@ class ESTPM:
         self,
         hlh1: HLH1,
         runner: MiningExecutor,
-        backend: str,
         patterns: list[SeasonalPattern],
         stats: MiningStats,
         checkpoint=None,
@@ -534,7 +517,7 @@ class ESTPM:
             hlh2.add_group(outcome.group, outcome.support)
             stats.bump(stats.n_candidate_groups, 2)
             self._register_patterns(
-                hlh2, backend, outcome.pattern_support,
+                hlh2, outcome.pattern_support,
                 outcome.pattern_assignments, patterns, stats,
             )
         return hlh2
@@ -550,7 +533,6 @@ class ESTPM:
         candidate_triples: frozenset[Triple],
         k: int,
         runner: MiningExecutor,
-        backend: str,
         patterns: list[SeasonalPattern],
         stats: MiningStats,
         checkpoint=None,
@@ -590,7 +572,7 @@ class ESTPM:
             hlhk.add_group(outcome.group, outcome.support)
             stats.bump(stats.n_candidate_groups, k)
             self._register_patterns(
-                hlhk, backend, outcome.pattern_support,
+                hlhk, outcome.pattern_support,
                 outcome.pattern_assignments, patterns, stats,
             )
         return hlhk
@@ -602,7 +584,6 @@ class ESTPM:
     def _register_patterns(
         self,
         hlhk: HLHk,
-        backend: str,
         pattern_support: dict[TemporalPattern, list[int]],
         pattern_assignments: dict[TemporalPattern, dict[int, list[Assignment]]],
         patterns: list[SeasonalPattern],
@@ -616,7 +597,7 @@ class ESTPM:
             metrics.inc("mine.patterns.candidates")
             hlhk.add_pattern(
                 pattern,
-                make_support_set(support, backend),
+                make_support_set(support),
                 pattern_assignments[pattern],
             )
             stats.bump(stats.n_candidate_patterns, hlhk.k)

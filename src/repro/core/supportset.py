@@ -1,4 +1,4 @@
-"""Support-set engine: one algebra, two physical representations.
+"""Support-set engine: the algebra over one big-int bitset.
 
 A support set (paper Def. 3.12) is the increasing set of granule positions
 where an event, group, or pattern occurs.  The miners only ever need three
@@ -10,32 +10,19 @@ operations on it:
 * **ascending iteration** -- only when seasons are materialized or the
   group's granules are walked for instance enumeration.
 
-:class:`SupportSet` abstracts those behind one interface with two backends:
-
-* :class:`BitsetSupportSet` packs the positions into one Python big int
-  (bit ``p`` set <=> granule ``p`` is in the set), so intersection is a
-  single C-level ``&`` and cardinality a single ``int.bit_count()`` --
-  the hot-path representation;
-* :class:`ListSupportSet` keeps the classical sorted ``tuple[int]`` with a
-  two-pointer merge, retained behind the same interface as the parity /
-  fallback path.
-
-Both compare equal to plain position lists/tuples so existing callers and
-tests that treat support sets as sorted lists keep working unchanged.
+:class:`SupportSet` names that interface and :class:`BitsetSupportSet`
+implements it: the positions are packed into one Python big int (bit
+``p`` set <=> granule ``p`` is in the set), so intersection is a single
+C-level ``&`` and cardinality a single ``int.bit_count()``.  Support sets
+compare equal to plain position lists/tuples, so callers and tests can
+treat them as sorted lists.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence, Union
 
-from repro.core.config import get_numpy
-from repro.core.support import intersect_sorted
 from repro.exceptions import ConfigError
-
-#: Backend names accepted everywhere a representation can be chosen.
-BACKEND_BITSET = "bitset"
-BACKEND_LIST = "list"
-SUPPORT_BACKENDS = (BACKEND_BITSET, BACKEND_LIST)
 
 #: Anything the algebra accepts where a support set is expected.
 SupportLike = Union["SupportSet", Sequence[int]]
@@ -49,10 +36,6 @@ _SMALL_BITS = 4096
 #: chunk is ``factor`` times wider); multiples of 8 keep every chunk
 #: byte-aligned for any factor.
 _COARSEN_CHUNK = 512
-
-#: Minimum position-list length before :func:`coarsen_positions` switches
-#: to the vectorized stride-merge.
-_NUMPY_MIN_POSITIONS = 1024
 
 
 def bit_positions(bits: int) -> list[int]:
@@ -146,56 +129,16 @@ def coarsen_bits(bits: int, factor: int, n_granules: int | None = None) -> int:
     return folded
 
 
-def coarsen_positions(
-    positions: Iterable[int], factor: int, n_granules: int | None = None
-) -> list[int]:
-    """Stride-merge ascending 1-based positions onto a coarser scale.
-
-    The sorted-list counterpart of :func:`coarsen_bits`: fine position
-    ``p`` maps to coarse position ``(p - 1) // factor + 1``; duplicates
-    collapse (the input is ascending, so one comparison per position).
-    Long inputs stride-merge vectorized when numpy is enabled (see
-    :func:`repro.core.config.get_numpy`); the scalar loop is the always
-    available fallback and the semantics reference.
-    """
-    if factor < 1:
-        raise ConfigError(f"coarsening factor must be >= 1, got {factor}")
-    if not isinstance(positions, (list, tuple)):
-        positions = list(positions)
-    if len(positions) >= _NUMPY_MIN_POSITIONS:
-        np = get_numpy()
-        if np is not None:
-            coarse = (np.asarray(positions, dtype=np.int64) - 1) // factor + 1
-            keep = np.empty(len(coarse), dtype=bool)
-            keep[0] = True
-            np.not_equal(coarse[1:], coarse[:-1], out=keep[1:])
-            folded_arr = coarse[keep]
-            if n_granules is not None:
-                folded_arr = folded_arr[folded_arr <= n_granules]
-            return folded_arr.tolist()
-    folded: list[int] = []
-    for position in positions:
-        coarse = (position - 1) // factor + 1
-        if n_granules is not None and coarse > n_granules:
-            break
-        if not folded or folded[-1] != coarse:
-            folded.append(coarse)
-    return folded
-
-
 class SupportSet:
-    """Common interface of both support-set representations.
+    """Interface of a support set, and the annotation type for one.
 
     Instances behave like immutable sorted sequences of granule positions:
     they are sized, iterable (ascending), indexable, and compare equal to
-    plain lists/tuples with the same positions.  Subclasses implement the
-    physical storage and the intersection.
+    plain lists/tuples with the same positions.  :class:`BitsetSupportSet`
+    implements the physical storage and the intersection.
     """
 
     __slots__ = ()
-
-    #: Name of the physical representation ("bitset" / "list").
-    backend = "abstract"
 
     def positions(self) -> tuple[int, ...]:
         """The positions as an ascending tuple (materializing if needed)."""
@@ -265,8 +208,6 @@ class BitsetSupportSet(SupportSet):
 
     __slots__ = ("bits", "_cached")
 
-    backend = BACKEND_BITSET
-
     def __init__(self, bits: int = 0):
         if bits < 0:
             raise ConfigError("support bitset cannot be negative")
@@ -302,56 +243,6 @@ class BitsetSupportSet(SupportSet):
 
     def __reduce__(self):
         return (BitsetSupportSet, (self.bits,))
-
-
-class ListSupportSet(SupportSet):
-    """Support set stored as the classical ascending position tuple."""
-
-    __slots__ = ("_positions",)
-
-    backend = BACKEND_LIST
-
-    def __init__(self, positions: Iterable[int] = ()):
-        self._positions = tuple(positions)
-
-    @classmethod
-    def from_positions(cls, positions: Iterable[int]) -> "ListSupportSet":
-        """Wrap an iterable of positions, normalizing to ascending unique.
-
-        The miners always hand in ascending runs (the common case costs
-        one linear scan); arbitrary iterables are sorted and deduplicated
-        so both backends represent the same logical set.
-        """
-        ordered = tuple(positions)
-        if any(a >= b for a, b in zip(ordered, ordered[1:])):
-            ordered = tuple(sorted(set(ordered)))
-        return cls(ordered)
-
-    def positions(self) -> tuple[int, ...]:
-        return self._positions
-
-    def intersect(self, other: SupportLike) -> "ListSupportSet":
-        return ListSupportSet(
-            intersect_sorted(list(self._positions), list(as_positions(other)))
-        )
-
-    def coarsen(self, factor: int, n_granules: int | None = None) -> "ListSupportSet":
-        return ListSupportSet(coarsen_positions(self._positions, factor, n_granules))
-
-    def __len__(self) -> int:
-        return len(self._positions)
-
-    def __reduce__(self):
-        return (ListSupportSet, (self._positions,))
-
-
-_BACKEND_CLASSES = {
-    BACKEND_BITSET: BitsetSupportSet,
-    BACKEND_LIST: ListSupportSet,
-}
-
-#: Process-wide default representation (see :func:`set_default_backend`).
-_DEFAULT_BACKEND = BACKEND_BITSET
 
 
 def _pack_bits(positions: Iterable[int]) -> int:
@@ -397,43 +288,6 @@ def as_support_list(support: SupportLike) -> list[int]:
     return list(as_positions(support))
 
 
-def validate_backend(backend: str) -> str:
-    """Return ``backend`` if known, raise :class:`ConfigError` otherwise."""
-    if backend not in _BACKEND_CLASSES:
-        raise ConfigError(
-            f"unknown support backend {backend!r}; choose from {SUPPORT_BACKENDS}"
-        )
-    return backend
-
-
-def make_support_set(positions: Iterable[int], backend: str | None = None) -> SupportSet:
-    """Build a support set in the requested (or default) representation."""
-    backend = validate_backend(backend or _DEFAULT_BACKEND)
-    return _BACKEND_CLASSES[backend].from_positions(positions)
-
-
-def coerce_support_set(support: SupportLike, backend: str | None = None) -> SupportSet:
-    """Return ``support`` unchanged when already in the right representation,
-    otherwise re-pack it into the requested (or default) backend."""
-    backend = validate_backend(backend or _DEFAULT_BACKEND)
-    if isinstance(support, SupportSet) and support.backend == backend:
-        return support
-    return make_support_set(as_positions(support), backend)
-
-
-def default_backend() -> str:
-    """The process-wide default support representation."""
-    return _DEFAULT_BACKEND
-
-
-def set_default_backend(backend: str) -> str:
-    """Set the process-wide default representation; returns the old one.
-
-    The harness uses this to flip whole experiment runs between the bitset
-    and the sorted-list engine without threading a parameter through every
-    experiment function.
-    """
-    global _DEFAULT_BACKEND
-    previous = _DEFAULT_BACKEND
-    _DEFAULT_BACKEND = validate_backend(backend)
-    return previous
+def make_support_set(positions: Iterable[int]) -> SupportSet:
+    """Build a support set from an iterable of non-negative positions."""
+    return BitsetSupportSet.from_positions(positions)

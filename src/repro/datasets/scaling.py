@@ -12,18 +12,12 @@ The paper scales each real dataset to 1,000x more sequences and up to
 
 Front-end scale workloads
 -------------------------
-The front-end kernels (symbolize -> DSEQ -> step 2.1) are benchmarked on
-workloads this module generates directly:
-
-* :func:`frontend_workload` -- a materialized raw dataset with seasonal
-  structure, the EXT6 ladder input (symbolization is part of the timed
-  pipeline, so raw values are needed);
-* :func:`iter_symbol_blocks` -- a bounded-memory generator of symbol
-  blocks for granule counts up to 10^6 and beyond: only one block is
-  ever held, so a million-granule stream ingests in a few tens of MB
-  regardless of total length.  Deterministic for a given
-  ``(seed, block_granules)`` pair -- each block is seeded independently,
-  so block N can be regenerated without replaying blocks 0..N-1.
+:func:`iter_symbol_blocks` is a bounded-memory generator of symbol blocks
+for granule counts up to 10^6 and beyond: only one block is ever held,
+so a million-granule stream ingests in a few tens of MB regardless of
+total length.  Deterministic for a given ``(seed, block_granules)`` pair
+-- each block is seeded independently, so block N can be regenerated
+without replaying blocks 0..N-1.
 """
 
 from __future__ import annotations
@@ -47,54 +41,6 @@ def scale_alphabet(alphabet_size: int) -> Alphabet:
     if alphabet_size < 2:
         raise DatasetError(f"alphabet_size must be >= 2, got {alphabet_size}")
     return Alphabet.levels([f"L{i:02d}" for i in range(alphabet_size)])
-
-
-def frontend_workload(
-    n_granules: int = 1500,
-    n_series: int = 8,
-    alphabet_size: int = 5,
-    ratio: int = 4,
-    seed: int = 404,
-    noise: float = 0.25,
-) -> Dataset:
-    """A dense raw dataset exercising the whole front end (EXT6 input).
-
-    Every series is a seasonal sine (period staggered per series so their
-    symbol runs interleave) plus noise, quantile-symbolized into a
-    ``alphabet_size``-wide alphabet.  The seasonal carrier guarantees
-    step 2.1 sees genuinely periodic supports, not noise that the
-    maxSeason gate immediately discards.  ``noise`` controls run length:
-    the default churns symbols every instant or two (an instance-heavy
-    stream), while small values (~0.05) leave smooth multi-instant runs
-    (a symbol-heavy stream whose cost is dominated by per-instant work).
-    """
-    if n_granules < 4:
-        raise DatasetError(f"n_granules must be >= 4, got {n_granules}")
-    if n_series < 1:
-        raise DatasetError(f"n_series must be >= 1, got {n_series}")
-    n_instants = n_granules * ratio
-    rng = np.random.default_rng(seed)
-    t = np.arange(n_instants, dtype=float)
-    raw: dict[str, np.ndarray] = {}
-    levels: dict[str, Alphabet] = {}
-    alphabet = scale_alphabet(alphabet_size)
-    for index in range(n_series):
-        period = ratio * (8 + 3 * (index % 7))
-        signal = np.sin(2.0 * np.pi * t / period) * (1.0 + 0.1 * index)
-        name = f"S{index:03d}"
-        raw[name] = signal + rng.normal(0.0, noise, size=n_instants)
-        levels[name] = alphabet
-    return symbolize(
-        name=f"frontend-g{n_granules}-s{n_series}-a{alphabet_size}",
-        raw=raw,
-        levels=levels,
-        ratio=ratio,
-        dist_interval=(1, max(2, n_granules // 50)),
-        description=(
-            f"front-end scale workload: {n_series} seasonal series, "
-            f"{n_granules} granules, {alphabet_size}-symbol alphabet"
-        ),
-    )
 
 
 def iter_symbol_blocks(

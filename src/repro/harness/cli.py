@@ -21,23 +21,18 @@ Subcommands
     (``--level`` selects one level of a multigrain archive).
 ``lint``
     Run the static contract analyzer (compute-twin, picklability,
-    thread-safety, zero-overhead telemetry, registry conformance) over
-    the tree; same engine as ``python -m repro.analysis``, see
-    DESIGN.md ("Static contracts") for the rule catalog, suppression
-    comments, and the baseline workflow.
+    zero-overhead telemetry, registry conformance) over the tree; same
+    engine as ``python -m repro.analysis``, see DESIGN.md ("Static
+    contracts") for the rule catalog, suppression comments, and the
+    baseline workflow.
 
 Engine selection
 ----------------
-Every mining subcommand accepts ``--executor serial|parallel|threads``
-(with ``--workers N`` for the pool size), ``--support-backend
-bitset|list`` for the physical support-set representation, and
-``--frontend columnar|scalar`` for the step-1 DSEQ builder
-(``columnar`` = one-pass vectorized run detection that also primes the
-step-2.1 supports and instance columns, the default; ``scalar`` = the
-granule-by-granule parity reference).  ``--keep-pool`` keeps one persistent worker pool
-alive for the whole command, so multi-level and multi-experiment runs
-reuse the same workers instead of spawning a pool per mining level.
-All combinations return identical pattern sets.
+Every mining subcommand accepts ``--executor serial|parallel`` (with
+``--workers N`` for the pool size).  ``--keep-pool`` keeps one
+persistent worker pool alive for the whole command, so multi-level and
+multi-experiment runs reuse the same workers instead of spawning a pool
+per mining level.  Both executors return identical pattern sets.
 
 Resilience
 ----------
@@ -73,15 +68,12 @@ from repro.core.approximate import ASTPM
 from repro.core.executor import (
     EXECUTOR_BACKENDS,
     EXECUTOR_PARALLEL,
-    EXECUTOR_THREADS,
     MiningExecutor,
     ParallelExecutor,
     SerialExecutor,
-    ThreadExecutor,
 )
 from repro.core.query import PatternQuery
 from repro.core.stpm import ESTPM
-from repro.core.supportset import SUPPORT_BACKENDS
 from repro.datasets.registry import DATASET_BUILDERS, PROFILES, load_dataset
 from repro.events.relations import RELATIONS
 from repro.exceptions import ConfigError, DatasetError
@@ -105,7 +97,6 @@ from repro.obs import (
 )
 from repro.obs.logging import LEVELS, configure_logging, get_logger
 from repro.resilience import DEFAULT_RETRY_POLICY, RetryPolicy
-from repro.transform.sequence_db import FRONTEND_KERNELS
 
 logger = get_logger(__name__)
 
@@ -124,14 +115,13 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             choices=sorted(EXECUTOR_BACKENDS),
             help="execution backend for the per-group mining work: serial "
-            "(in-process), parallel (process pool), or threads (thread "
-            "pool, zero-copy contexts for small levels)",
+            "(in-process) or parallel (process pool)",
         )
         command_parser.add_argument(
             "--workers",
             type=int,
             default=None,
-            help="worker processes/threads for --executor parallel|threads "
+            help="worker processes for --executor parallel "
             "(default: all cores)",
         )
         command_parser.add_argument(
@@ -140,21 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="keep one persistent worker pool alive for the whole "
             "command (reused across mining levels, hierarchy jobs, and "
             "experiments instead of spawning a pool per level)",
-        )
-        command_parser.add_argument(
-            "--support-backend",
-            default=None,
-            choices=sorted(SUPPORT_BACKENDS),
-            help="physical support-set representation",
-        )
-        command_parser.add_argument(
-            "--frontend",
-            default=None,
-            choices=sorted(FRONTEND_KERNELS),
-            help="step-1 DSEQ builder: columnar (one-pass vectorized run "
-            "detection that also primes step-2.1 supports and instance "
-            "columns, the default) or scalar (granule-by-granule parity "
-            "reference); both produce identical rows and pattern sets",
         )
         command_parser.add_argument(
             "--max-retries",
@@ -307,16 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write a stream checkpoint JSON at the end",
     )
     stream_parser.add_argument("--limit", type=int, default=10, help="patterns to print")
-    stream_parser.add_argument(
-        "--support-backend", default=None, choices=sorted(SUPPORT_BACKENDS),
-        help="physical support-set representation",
-    )
-    stream_parser.add_argument(
-        "--frontend", default=None, choices=sorted(FRONTEND_KERNELS),
-        help="granule materialization front end: columnar (one region "
-        "pass per push) or scalar (granule-by-granule reference); both "
-        "append identical rows",
-    )
     add_telemetry_arguments(stream_parser)
 
     query_parser = sub.add_parser(
@@ -387,15 +352,8 @@ def _executor_spec(args):
             reuse_pool=True if keep_pool else None,
             retry=retry,
         )
-    if args.executor == EXECUTOR_THREADS and configured:
-        # A ThreadExecutor instance is inherently a kept pool: the scope
-        # machinery closes name-resolved backends per job but leaves
-        # instances open for the whole command.
-        return ThreadExecutor(max_workers=args.workers, retry=retry)
     if keep_pool:
-        logger.warning(
-            "--keep-pool has no effect without --executor parallel|threads"
-        )
+        logger.warning("--keep-pool has no effect without --executor parallel")
     if retry is not None:
         # Serial (or default) backend with an explicit retry policy: the
         # in-process retry/quarantine machinery still applies.
@@ -490,7 +448,7 @@ def _dispatch(args) -> int:
     if args.command == "run":
         spec = _executor_spec(args)
         try:
-            with engine_defaults(spec, args.support_backend, args.frontend):
+            with engine_defaults(spec):
                 for artifact_id in args.ids:
                     print(run_experiment(artifact_id, profile=args.profile).render())
                     print()
@@ -503,8 +461,6 @@ def _dispatch(args) -> int:
             run_all(
                 profile=args.profile,
                 executor=spec,
-                support_backend=args.support_backend,
-                frontend=args.frontend,
                 measure_memory=not args.no_memory,
                 trace_path=args.trace,
             )
@@ -520,21 +476,17 @@ def _dispatch(args) -> int:
         )
         spec, n_workers = _engine_settings(args)
         engine = {
-            "support_backend": args.support_backend,
             "executor": spec,
             "n_workers": n_workers,
             "checkpoint_path": args.resume,
         }
         try:
-            # The front end acts at dseq-build time, so it is installed as
-            # the process default around the dataset.dseq() call.
-            with engine_defaults(frontend=args.frontend):
-                if args.approximate:
-                    result = ASTPM(
-                        dataset.dsyb, dataset.ratio, params, dseq=dataset.dseq(), **engine
-                    ).mine()
-                else:
-                    result = ESTPM(dataset.dseq(), params, **engine).mine()
+            if args.approximate:
+                result = ASTPM(
+                    dataset.dsyb, dataset.ratio, params, dseq=dataset.dseq(), **engine
+                ).mine()
+            else:
+                result = ESTPM(dataset.dseq(), params, **engine).mine()
         finally:
             _close_executor(spec)
         print(
@@ -575,14 +527,12 @@ def _run_multigrain(args) -> int:
         min_season=args.min_season,
         miner=MINER_APPROXIMATE if args.approximate else MINER_EXACT,
         strategy=args.strategy,
-        support_backend=args.support_backend,
         executor=spec,
         n_workers=n_workers,
         checkpoint_path=args.resume,
     )
     try:
-        with engine_defaults(frontend=args.frontend):
-            result = miner.mine()
+        result = miner.mine()
     finally:
         _close_executor(spec)
     print(
@@ -618,9 +568,7 @@ def _run_stream(args) -> int:
         params,
         batch_granules=args.batch_granules,
         initial_granules=args.initial_granules,
-        support_backend=args.support_backend,
         reanchor_every=args.reanchor_every,
-        frontend=args.frontend,
     ):
         total_seconds += delta.seconds
         print(f"  {delta.describe()}")

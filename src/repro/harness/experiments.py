@@ -23,12 +23,10 @@ from repro.core.executor import MiningExecutor, resolve_executor, set_default_ex
 from repro.core.prune import ALL_VARIANTS
 from repro.core.results import MiningResult
 from repro.core.stpm import ESTPM
-from repro.core.supportset import set_default_backend
 from repro.datasets.dataset import Dataset
 from repro.datasets.registry import DATASET_BUILDERS, PROFILES, load_dataset
 from repro.datasets.scaling import scale_series
 from repro.events.relations import RelationConfig
-from repro.transform.sequence_db import set_default_frontend
 from repro.harness.calendar_map import describe_seasonal_occurrence
 from repro.harness.figures import Figure
 from repro.harness.tables import Table
@@ -44,19 +42,13 @@ DEFAULTS = {"min_season": 6, "min_density_pct": 0.75, "max_period_pct": 0.4}
 
 
 @contextmanager
-def engine_defaults(
-    executor: MiningExecutor | str | None = None,
-    support_backend: str | None = None,
-    frontend: str | None = None,
-):
-    """Temporarily set the process-wide mining engine defaults.
+def engine_defaults(executor: MiningExecutor | str | None = None):
+    """Temporarily set the process-wide default executor.
 
     The experiment functions build their miners internally, so the harness
-    selects the execution backend (``serial`` / ``parallel`` / ``threads``),
-    the support-set representation (``bitset`` / ``list``), and the step-1
-    front end (``columnar`` / ``scalar``) through the process-wide defaults
-    rather than threading three extra parameters through every experiment
-    signature.  Restores the previous defaults on exit.
+    selects the execution backend (``serial`` / ``parallel``) through the
+    process-wide default rather than threading an extra parameter through
+    every experiment signature.  Restores the previous default on exit.
 
     An ``executor`` given by *name* is resolved here to a single instance
     installed for the whole scope, so a pool-backed backend reuses one
@@ -64,25 +56,17 @@ def engine_defaults(
     instance and closes it on exit.  An executor *instance* is installed
     as-is and left open -- the caller decides when its pool dies.
     """
-    previous_executor = previous_backend = previous_frontend = None
+    previous_executor = None
     owned: MiningExecutor | None = None
     try:
         if executor is not None:
             if not isinstance(executor, MiningExecutor):
                 executor = owned = resolve_executor(executor)
             previous_executor = set_default_executor(executor)
-        if support_backend is not None:
-            previous_backend = set_default_backend(support_backend)
-        if frontend is not None:
-            previous_frontend = set_default_frontend(frontend)
         yield
     finally:
         if previous_executor is not None:
             set_default_executor(previous_executor)
-        if previous_backend is not None:
-            set_default_backend(previous_backend)
-        if previous_frontend is not None:
-            set_default_frontend(previous_frontend)
         if owned is not None:
             owned.close()
 
@@ -713,14 +697,11 @@ def run_experiment(
     artifact_id: str,
     profile: str = "bench",
     executor: MiningExecutor | str | None = None,
-    support_backend: str | None = None,
-    frontend: str | None = None,
     **overrides,
 ):
     """Run one experiment by its paper artifact id.
 
-    ``executor`` / ``support_backend`` / ``frontend`` select
-    the mining engine backends for this experiment via
+    ``executor`` selects the execution backend for this experiment via
     :func:`engine_defaults` (an executor resolved from a name is closed
     when the experiment finishes; an instance's pool is left alive for
     the caller's next experiment).
@@ -730,7 +711,7 @@ def run_experiment(
         raise KeyError(
             f"unknown experiment {artifact_id!r}; choose from {sorted(EXPERIMENTS)}"
         )
-    if executor is None and support_backend is None and frontend is None:
+    if executor is None:
         return EXPERIMENTS[key](profile=profile, **overrides)
-    with engine_defaults(executor, support_backend, frontend):
+    with engine_defaults(executor):
         return EXPERIMENTS[key](profile=profile, **overrides)

@@ -53,6 +53,20 @@ logger = get_logger(__name__)
 
 FORMAT_VERSION = 1
 
+#: What a damaged or foreign outcome blob raises on decode: bad base64
+#: (``binascii.Error``, a ``ValueError``), a truncated or corrupt pickle
+#: stream, or a pickle naming a class or module this build does not have.
+_UNDECODABLE = (
+    pickle.UnpicklingError,
+    EOFError,
+    AttributeError,
+    ImportError,
+    IndexError,
+    KeyError,
+    TypeError,
+    ValueError,
+)
+
 #: Records buffered between automatic flushes.  Small enough that a
 #: crash loses little progress, large enough that checkpointing a
 #: many-task level is not one rewrite per task.
@@ -112,7 +126,15 @@ class JobCheckpoint:
                 "--resume at this job's own checkpoint (or a fresh path)."
             )
         for key, blob in data.get("outcomes", {}).items():
-            self._outcomes[key] = pickle.loads(base64.b64decode(blob))
+            try:
+                self._outcomes[key] = pickle.loads(base64.b64decode(blob))
+            except _UNDECODABLE as exc:
+                raise ConfigError(
+                    f"job checkpoint {self.path} holds an undecodable outcome "
+                    f"for task {key!r} ({type(exc).__name__}: {exc}); it is "
+                    "damaged or was written by an incompatible version. "
+                    "Delete the file, or point --resume at a fresh path."
+                ) from exc
         logger.info(
             "job checkpoint loaded",
             extra={"path": str(self.path), "completed": len(self._outcomes)},

@@ -113,7 +113,6 @@ def save_stream_checkpoint(service, path: str | Path | None = None) -> str:
     payload = {
         "format_version": STREAM_FORMAT_VERSION,
         "params": _params_to_dict(miner.params),
-        "support_backend": miner.support_backend,
         "reanchor_every": miner.reanchor_every,
         "ratio": database.ratio,
         "alphabets": {
@@ -134,6 +133,9 @@ def load_stream_checkpoint(source: str | Path):
 
     ``source`` is a path or the JSON text itself.  Raises
     :class:`ReproError` for malformed payloads or unknown versions.
+    Checkpoints written before 1.14 also name the support-set
+    representation the stream ran on; that choice no longer exists, so
+    the key is ignored whatever its value.
     """
     from repro.streaming.ingest import StreamingDatabase
     from repro.streaming.service import StreamingMiningService
@@ -155,7 +157,6 @@ def load_stream_checkpoint(source: str | Path):
             database,
             _params_from_dict(payload["params"]),
             symbolizer=symbolizer,
-            support_backend=payload.get("support_backend"),
             reanchor_every=payload.get("reanchor_every"),
         )
         service.push_symbols(symbol_history)

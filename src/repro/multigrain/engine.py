@@ -22,8 +22,7 @@ job instead of N independent ones:
 
 Each level's :class:`~repro.core.results.MiningResult` is equivalent to
 mining that level standalone (same patterns, same supports / near sets /
-seasons) -- the parity tests assert this on all seed datasets for both
-support backends.
+seasons) -- the parity tests assert this on all seed datasets.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from repro.core.executor import (
 )
 from repro.core.prune import PruningConfig
 from repro.core.stpm import ESTPM
-from repro.core.supportset import default_backend, validate_backend
 from repro.exceptions import ConfigError, MiningError
 from repro.granularity.hierarchy import GranularityHierarchy
 from repro.multigrain.result import GranularityLevel, MultiGranularityResult
@@ -76,7 +74,6 @@ def resolve_level_params(
     dist_interval: tuple[int, int],
     min_season: int,
     max_pattern_length: int = 3,
-    legacy_dist_floor: bool = False,
 ) -> MiningParams:
     """Resolve the shared hierarchy configuration against one level.
 
@@ -84,15 +81,11 @@ def resolve_level_params(
     it to its own granule unit.  The lower bound floors (a season gap that
     was legal at the fine level must stay legal) and the upper bound
     *ceils*: a fine-level distance of ``d`` spans up to ``ceil(d/ratio)``
-    coarse granules, so flooring it -- the pre-1.3 behavior, kept behind
-    ``legacy_dist_floor`` for parity testing -- silently rejected season
+    coarse granules, so flooring it would silently reject season
     distances that were valid at the fine level.
     """
     dist_min = dist_interval[0] // ratio
-    if legacy_dist_floor:
-        dist_max = dist_interval[1] // ratio
-    else:
-        dist_max = math.ceil(dist_interval[1] / ratio)
+    dist_max = math.ceil(dist_interval[1] / ratio)
     return MiningParams.from_percentages(
         n_granules=n_sequences,
         max_period_pct=max_period_pct,
@@ -135,7 +128,6 @@ class HierarchicalContext:
     pruning: PruningConfig
     miner: str
     event_level: bool
-    support_backend: str
 
 
 def mine_level_task(index: int) -> GranularityLevel:
@@ -147,7 +139,7 @@ def mine_level_task(index: int) -> GranularityLevel:
     context: HierarchicalContext = get_task_context()
     job = context.jobs[index]
     started = time.perf_counter()
-    # The span records in-process (serial/threads backends); with process
+    # The span records in-process (serial backend); with process
     # workers it stays in the worker while the level *counters* still
     # ship back through the executor's metric envelope.
     with span("multigrain/level", ratio=job.ratio, miner=context.miner):
@@ -163,16 +155,11 @@ def mine_level_task(index: int) -> GranularityLevel:
                 pruning=context.pruning,
                 dseq=dseq,
                 event_level=context.event_level,
-                support_backend=context.support_backend,
                 executor=SerialExecutor(),
             ).mine()
         else:
             result = ESTPM(
-                dseq,
-                job.params,
-                context.pruning,
-                support_backend=context.support_backend,
-                executor=SerialExecutor(),
+                dseq, job.params, context.pruning, executor=SerialExecutor()
             ).mine()
     return GranularityLevel(
         ratio=job.ratio,
@@ -218,9 +205,7 @@ class HierarchicalMiner:
         ``"fold"`` (derive coarse levels, the default) or ``"rebuild"``
         (re-map every level from DSYB -- the baseline the EXT4 benchmark
         measures the fold against).
-    legacy_dist_floor:
-        Restore the pre-1.3 flooring of the dist upper bound.
-    support_backend / executor / n_workers:
+    executor / n_workers:
         Engine knobs; the executor dispatches *levels* (each level task
         mines serially inside).
     strict:
@@ -249,8 +234,6 @@ class HierarchicalMiner:
     miner: str = MINER_EXACT
     strategy: str = STRATEGY_FOLD
     event_level: bool = False
-    legacy_dist_floor: bool = False
-    support_backend: str | None = None
     executor: MiningExecutor | str | None = None
     n_workers: int | None = None
     strict: bool = True
@@ -299,7 +282,6 @@ class HierarchicalMiner:
             dist_interval=self.dist_interval,
             min_season=self.min_season,
             max_pattern_length=self.max_pattern_length,
-            legacy_dist_floor=self.legacy_dist_floor,
         )
 
     def _validated_levels(self) -> list[tuple[int, int]]:
@@ -315,7 +297,7 @@ class HierarchicalMiner:
             levels.append((ratio, n_sequences))
         return levels
 
-    def _build_jobs(self, backend: str) -> list[LevelJob]:
+    def _build_jobs(self) -> list[LevelJob]:
         """Plan one job per level (deriving DSEQs under the fold strategy)."""
         levels = self._validated_levels()
         jobs: list[LevelJob] = []
@@ -334,7 +316,7 @@ class HierarchicalMiner:
 
         base_ratio, base_n = levels[0]
         base_dseq = build_sequence_database(self.dsyb, base_ratio)
-        base_supports = base_dseq.event_support(backend)
+        base_supports = base_dseq.event_support()
         jobs.append(
             LevelJob(
                 ratio=base_ratio,
@@ -375,7 +357,7 @@ class HierarchicalMiner:
             else:
                 granules = None
             dseq = base_dseq.coarsen(factor, granules=granules)
-            dseq.prime_event_support(screening.supports, backend)
+            dseq.prime_event_support(screening.supports)
             jobs.append(
                 LevelJob(
                     ratio=ratio,
@@ -438,21 +420,19 @@ class HierarchicalMiner:
         on.  A level task that fails all its retry attempts is
         quarantined (strict runs raise; see ``strict``).
         """
-        backend = validate_backend(self.support_backend or default_backend())
         checkpoint = self._open_checkpoint()
         failures: list = []
         with span(
             "multigrain/mine", miner=self.miner, levels=len(self.ratios)
         ) as mine_span:
             with span("multigrain/build_jobs"):
-                jobs = self._build_jobs(backend)
+                jobs = self._build_jobs()
             context = HierarchicalContext(
                 jobs=tuple(jobs),
                 dsyb=self.dsyb,
                 pruning=self.pruning,
                 miner=self.miner,
                 event_level=self.event_level,
-                support_backend=backend,
             )
             # Checkpoint keys are the level *ratios*: stable across
             # reruns, unlike task list positions, which renumber once

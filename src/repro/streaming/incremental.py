@@ -57,7 +57,7 @@ from repro.core.instance_index import VerdictStore
 from repro.obs import counters as metrics
 from repro.obs.trace import span
 from repro.core.stpm import ESTPM
-from repro.core.supportset import default_backend, validate_backend
+from repro.core.supportset import BitsetSupportSet
 from repro.events.sequence import TemporalSequence
 from repro.exceptions import MiningError
 from repro.streaming.state import (
@@ -136,10 +136,6 @@ class IncrementalSTPM:
         consumed by the next :meth:`advance` call.
     params:
         The seasonal thresholds; identical semantics to batch E-STPM.
-    support_backend:
-        Physical support-set representation of the maintained state
-        (``"bitset"`` / ``"list"``; ``None`` = process default).  Both
-        backends produce identical results.
     reanchor_every:
         If set, every N-th advance re-mines the full prefix with batch
         E-STPM and raises :class:`MiningError` on any divergence -- the
@@ -152,13 +148,10 @@ class IncrementalSTPM:
 
     dseq: TemporalSequenceDatabase
     params: MiningParams
-    support_backend: str | None = None
     reanchor_every: int | None = None
 
     def __post_init__(self) -> None:
-        backend = validate_backend(self.support_backend or default_backend())
-        self.support_backend = backend
-        self.state = MinerState(params=self.params, backend=backend)
+        self.state = MinerState(params=self.params)
         self.n_advances = 0
 
     @classmethod
@@ -166,14 +159,12 @@ class IncrementalSTPM:
         cls,
         ratio: int,
         params: MiningParams,
-        support_backend: str | None = None,
         reanchor_every: int | None = None,
     ) -> "IncrementalSTPM":
         """A miner over a fresh, empty DSEQ with the given mapping ratio."""
         return cls(
             TemporalSequenceDatabase(rows=[], ratio=ratio),
             params,
-            support_backend=support_backend,
             reanchor_every=reanchor_every,
         )
 
@@ -267,7 +258,7 @@ class IncrementalSTPM:
         for event in sorted(changed):
             es = state.events[event]
             if es.candidate:
-                state.hlh1.eh[event] = state.support_set(es.bits)
+                state.hlh1.eh[event] = BitsetSupportSet(es.bits)
                 touched.setdefault(event, self._snapshot_view(es.view))
             elif is_candidate(es.bits.bit_count(), params):
                 es.candidate = True
@@ -276,7 +267,7 @@ class IncrementalSTPM:
                     position: self.dseq.instances_at(position, event)
                     for position in bit_positions(es.bits)
                 }
-                state.hlh1.add_event(event, state.support_set(es.bits), instances)
+                state.hlh1.add_event(event, BitsetSupportSet(es.bits), instances)
                 touched.setdefault(event, self._snapshot_view(es.view))
         return changed, newly_candidate
 
@@ -327,7 +318,7 @@ class IncrementalSTPM:
                 tail = bits & ~mask_upto(gs.processed_upto)
                 if tail:
                     gs.bits = bits
-                    mirror.ehk[group].support = state.support_set(bits)
+                    mirror.ehk[group].support = BitsetSupportSet(bits)
                     self._collect_pairs(gs, bit_positions(tail), touched)
                 gs.processed_upto = new_n
                 continue
@@ -339,7 +330,7 @@ class IncrementalSTPM:
             if not is_candidate(gs.bits.bit_count(), params):
                 continue
             gs.candidate = True
-            mirror.add_group(group, state.support_set(gs.bits))
+            mirror.add_group(group, BitsetSupportSet(gs.bits))
             self._collect_pairs(gs, bit_positions(gs.bits), touched)
             gs.processed_upto = new_n
 
@@ -450,11 +441,11 @@ class IncrementalSTPM:
             gs.candidate = True
             gs.parent_group = enum_parent
             gs.extension_event = self._extension_event(gs.group, enum_parent)
-            mirror.add_group(gs.group, state.support_set(bits))
+            mirror.add_group(gs.group, BitsetSupportSet(bits))
             self._rebuild_extension_group(k, gs, touched, verdict_store)
             return
         if bits_changed:
-            mirror.ehk[gs.group].support = state.support_set(bits)
+            mirror.ehk[gs.group].support = BitsetSupportSet(bits)
         parent_gs = state.level(k - 1)[gs.parent_group]
         if parent_gs.revision != gs.parent_revision or state.triples_affect_group(gs):
             # Old granules may now admit new patterns/assignments: the
@@ -608,13 +599,13 @@ class IncrementalSTPM:
                 if is_candidate(len(ps.support), params):
                     ps.candidate = True
                     mirror.add_pattern(
-                        pattern, state.support_set(ps.bits), ps.assignments
+                        pattern, BitsetSupportSet(ps.bits), ps.assignments
                     )
                     if k == 2:
                         state.register_triple(pattern.triples[0])
                     touched.setdefault(pattern, self._snapshot_view(ps.view))
             else:
-                mirror.phk[pattern] = state.support_set(ps.bits)
+                mirror.phk[pattern] = BitsetSupportSet(ps.bits)
                 touched.setdefault(pattern, self._snapshot_view(ps.view))
 
     def _snapshot_view(self, view: SeasonView | None) -> _Snapshot:
@@ -739,9 +730,7 @@ class IncrementalSTPM:
         symmetric difference summary when the incremental state diverged
         (which would be a bug -- this is the subsystem's hard guarantee).
         """
-        batch = ESTPM(
-            self.dseq, self.params, support_backend=self.support_backend
-        ).mine()
+        batch = ESTPM(self.dseq, self.params).mine()
         streaming = self.result()
         if not results_equivalent(streaming, batch):
             batch_map = batch.seasonal_map()

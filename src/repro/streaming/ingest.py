@@ -35,14 +35,7 @@ from repro.symbolic.mapping import (
     quantile_breakpoints,
 )
 from repro.symbolic.series import TimeSeries, first_non_finite
-from repro.transform.sequence_db import (
-    FRONTEND_COLUMNAR,
-    TemporalSequenceDatabase,
-    build_region_rows,
-    default_frontend,
-    granule_instances,
-    validate_frontend,
-)
+from repro.transform.sequence_db import TemporalSequenceDatabase, build_region_rows
 
 MODE_FROZEN = "frozen"
 MODE_ROLLING = "rolling"
@@ -261,26 +254,18 @@ class StreamingDatabase:
 
     Symbols are buffered per series; whenever every series has ``ratio``
     unconsumed symbols, one :class:`~repro.events.sequence.TemporalSequence`
-    is materialized and appended to the live database.  Series may be
-    pushed raggedly (different lengths per call); granules form at the
-    pace of the slowest series, exactly preserving the lockstep alignment
-    Def. 3.6 requires of a symbolic database.
+    is materialized and appended to the live database -- all of a push's
+    complete granules in one columnar region pass per series, giving the
+    rows :func:`~repro.transform.sequence_db.build_sequence_database`
+    builds.  Series may be pushed raggedly (different lengths per call);
+    granules form at the pace of the slowest series, exactly preserving
+    the lockstep alignment Def. 3.6 requires of a symbolic database.
     """
 
-    def __init__(
-        self,
-        ratio: int,
-        alphabets: dict[str, Alphabet] | None = None,
-        frontend: str | None = None,
-    ):
+    def __init__(self, ratio: int, alphabets: dict[str, Alphabet] | None = None):
         if ratio < 1:
             raise SymbolizationError(f"sequence mapping ratio must be >= 1, got {ratio}")
         self.ratio = ratio
-        #: Which row builder materializes complete granules: ``None``
-        #: follows the process-wide default front end; ``"columnar"``
-        #: builds all complete granules of a push in one region pass,
-        #: ``"scalar"`` keeps the granule-by-granule reference loop.
-        self.frontend = None if frontend is None else validate_frontend(frontend)
         self.alphabets: dict[str, Alphabet] = dict(alphabets or {})
         #: Full symbol history per series, in arrival order.
         self.symbols: dict[str, list[str]] = {
@@ -292,20 +277,14 @@ class StreamingDatabase:
         )
 
     @classmethod
-    def from_symbolic(
-        cls, dsyb: SymbolicDatabase, ratio: int, frontend: str | None = None
-    ) -> "StreamingDatabase":
+    def from_symbolic(cls, dsyb: SymbolicDatabase, ratio: int) -> "StreamingDatabase":
         """Seed a streaming database from an existing DSYB.
 
         All of the DSYB's symbols are appended immediately, so the
         resulting DSEQ rows equal ``build_sequence_database(dsyb, ratio)``
         (a trailing partial block stays buffered instead of dropped).
         """
-        database = cls(
-            ratio,
-            {series.name: series.alphabet for series in dsyb},
-            frontend=frontend,
-        )
+        database = cls(ratio, {series.name: series.alphabet for series in dsyb})
         database.append_symbols({series.name: series.symbols for series in dsyb})
         return database
 
@@ -410,39 +389,20 @@ class StreamingDatabase:
     def _materialize(self) -> list[TemporalSequence]:
         """Turn every complete ``ratio``-block into appended granules.
 
-        The columnar front end builds all of a push's complete granules
-        with one region pass per series
-        (:func:`~repro.transform.sequence_db.build_region_rows`); the
-        scalar front end keeps the original granule-by-granule loop.
-        Both append identical rows.
+        All of a push's complete granules are built with one region pass
+        per series (:func:`~repro.transform.sequence_db.build_region_rows`).
         """
         n_new = self.pending_instants() // self.ratio
         if n_new <= 0:
             return []
-        frontend = self.frontend or default_frontend()
-        if frontend == FRONTEND_COLUMNAR:
-            new_rows = build_region_rows(
-                self.symbols,
-                self._consumed,
-                n_new,
-                self.ratio,
-                self._consumed // self.ratio + 1,
-            )
-            for row in new_rows:
-                self.dseq.append_row(row)
-            self._consumed += n_new * self.ratio
-            return new_rows
-        new_rows = []
-        while self.pending_instants() >= self.ratio:
-            position = self._consumed // self.ratio + 1
-            sequence = TemporalSequence(position=position)
-            for name, buffer in self.symbols.items():
-                block = tuple(buffer[self._consumed : self._consumed + self.ratio])
-                sequence.instances.extend(
-                    granule_instances(name, block, self._consumed)
-                )
-            row = sequence.finalize()
+        new_rows = build_region_rows(
+            self.symbols,
+            self._consumed,
+            n_new,
+            self.ratio,
+            self._consumed // self.ratio + 1,
+        )
+        for row in new_rows:
             self.dseq.append_row(row)
-            new_rows.append(row)
-            self._consumed += self.ratio
+        self._consumed += n_new * self.ratio
         return new_rows

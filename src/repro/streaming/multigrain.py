@@ -39,17 +39,13 @@ class _CoarseLevel:
         ratio: int,
         factor: int,
         params: MiningParams,
-        support_backend: str | None,
         reanchor_every: int | None,
     ):
         self.ratio = ratio
         self.factor = factor
         self.dseq = TemporalSequenceDatabase(rows=[], ratio=ratio)
         self.miner = IncrementalSTPM(
-            self.dseq,
-            params,
-            support_backend=support_backend,
-            reanchor_every=reanchor_every,
+            self.dseq, params, reanchor_every=reanchor_every
         )
 
     def advance(self, fine_dseq: TemporalSequenceDatabase) -> PatternDelta:
@@ -83,7 +79,7 @@ class MultiGrainStreamingService:
     symbolizer:
         Optional online symbolizer; required for :meth:`push` (raw
         points).  :meth:`push_symbols` works without one.
-    support_backend / reanchor_every:
+    reanchor_every:
         Forwarded to every level's :class:`IncrementalSTPM`.
     """
 
@@ -92,7 +88,6 @@ class MultiGrainStreamingService:
         database: StreamingDatabase,
         params_by_ratio: dict[int, MiningParams],
         symbolizer: StreamingSymbolizer | None = None,
-        support_backend: str | None = None,
         reanchor_every: int | None = None,
     ):
         base = database.ratio
@@ -105,10 +100,7 @@ class MultiGrainStreamingService:
         self.symbolizer = symbolizer
         self.base_ratio = base
         self.base_miner = IncrementalSTPM(
-            database.dseq,
-            params_by_ratio[base],
-            support_backend=support_backend,
-            reanchor_every=reanchor_every,
+            database.dseq, params_by_ratio[base], reanchor_every=reanchor_every
         )
         self._coarse: dict[int, _CoarseLevel] = {}
         for ratio in sorted(params_by_ratio):
@@ -123,7 +115,6 @@ class MultiGrainStreamingService:
                 ratio=ratio,
                 factor=ratio // base,
                 params=params_by_ratio[ratio],
-                support_backend=support_backend,
                 reanchor_every=reanchor_every,
             )
         # Consume anything already materialized (warm starts).

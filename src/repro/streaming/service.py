@@ -34,7 +34,7 @@ class StreamingMiningService:
     symbolizer:
         Optional online symbolizer; required for :meth:`push` (raw
         points).  :meth:`push_symbols` works without one.
-    support_backend / reanchor_every:
+    reanchor_every:
         Forwarded to :class:`IncrementalSTPM`.
     checkpoint_path / checkpoint_every:
         Durable autosave: with both set, the service checkpoints itself
@@ -50,7 +50,6 @@ class StreamingMiningService:
         database: StreamingDatabase,
         params: MiningParams,
         symbolizer: StreamingSymbolizer | None = None,
-        support_backend: str | None = None,
         reanchor_every: int | None = None,
         checkpoint_path: str | Path | None = None,
         checkpoint_every: int | None = None,
@@ -79,10 +78,7 @@ class StreamingMiningService:
             # does not carry are irrelevant and skipped.
             database.register_alphabets(symbolizer.alphabets, ignore_unknown=True)
         self.miner = IncrementalSTPM(
-            database.dseq,
-            params,
-            support_backend=support_backend,
-            reanchor_every=reanchor_every,
+            database.dseq, params, reanchor_every=reanchor_every
         )
         # Consume anything already materialized (warm starts / restores).
         if len(database.dseq):
@@ -169,9 +165,7 @@ def replay_dataset(
     params: MiningParams,
     batch_granules: int = 1,
     initial_granules: int | None = None,
-    support_backend: str | None = None,
     reanchor_every: int | None = None,
-    frontend: str | None = None,
 ) -> Iterator[tuple[StreamingMiningService, PatternDelta]]:
     """Replay a registered dataset's symbol stream through a live service.
 
@@ -195,15 +189,10 @@ def replay_dataset(
     elif initial_granules < 1:
         raise MiningError(f"initial_granules must be >= 1, got {initial_granules}")
     database = StreamingDatabase(
-        dataset.ratio,
-        {series.name: series.alphabet for series in dataset.dsyb},
-        frontend=frontend,
+        dataset.ratio, {series.name: series.alphabet for series in dataset.dsyb}
     )
     service = StreamingMiningService(
-        database,
-        params,
-        support_backend=support_backend,
-        reanchor_every=reanchor_every,
+        database, params, reanchor_every=reanchor_every
     )
     streams = {series.name: series.symbols for series in dataset.dsyb}
     n_instants = dataset.dsyb.n_instants

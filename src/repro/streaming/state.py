@@ -37,7 +37,7 @@ from repro.core.config import MiningParams
 from repro.core.hlh import HLH1, Assignment, HLHk
 from repro.core.pattern import TemporalPattern, Triple
 from repro.core.seasonality import SeasonView, compute_seasons
-from repro.core.supportset import bit_positions, make_support_set
+from repro.core.supportset import bit_positions
 
 __all__ = [
     "EventState",
@@ -70,8 +70,8 @@ class PatternState:
     """Streaming record of one candidate pattern (the PHk/GHk rows).
 
     ``support`` / ``assignments`` grow in place, with ``bits`` as the
-    equivalent bitmask (kept so the PHk mirror refresh is O(1) on the
-    bitset backend instead of re-packing the whole support per advance).
+    equivalent bitmask (kept so the PHk mirror refresh is O(1) instead
+    of re-packing the whole support per advance).
     ``assignments`` holds the kernels' compact column-index encoding
     (see :mod:`repro.core.instance_index`) -- the shared inner loops
     produce and consume it, and the HLH mirrors store the same lists.
@@ -127,7 +127,6 @@ class MinerState:
     """
 
     params: MiningParams
-    backend: str
     n_granules: int = 0
     events: dict[str, EventState] = field(default_factory=dict)
     levels: dict[int, dict[tuple[str, ...], GroupState]] = field(default_factory=dict)
@@ -147,14 +146,6 @@ class MinerState:
         if mirror is None:
             mirror = self.hlhk[k] = HLHk(k=k)
         return mirror
-
-    def support_set(self, bits: int):
-        """Wrap a support bitmask in the configured physical backend."""
-        if self.backend == "bitset":
-            from repro.core.supportset import BitsetSupportSet
-
-            return BitsetSupportSet(bits)
-        return make_support_set(bit_positions(bits), self.backend)
 
     def register_triple(self, triple: Triple) -> None:
         """Record a newly candidate 2-event pattern's relation triple.

@@ -8,11 +8,9 @@ sequence mapping ``g: XS ->m H`` (paper Defs. 3.9-3.11, Table IV).
 from repro.transform.sequence_db import (
     TemporalSequenceDatabase,
     build_sequence_database,
-    granule_instances,
 )
 
 __all__ = [
     "TemporalSequenceDatabase",
     "build_sequence_database",
-    "granule_instances",
 ]

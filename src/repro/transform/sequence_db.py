@@ -10,23 +10,14 @@ IV, where C's ON-run over G19..G24 appears as ``(C:1,[G19,G21])`` in H7 and
 Instance intervals keep *global* fine-granule positions so that all
 relation arithmetic is uniform across granules.
 
-Front-end builders
+Columnar front end
 ------------------
-Two registered builders produce the same DSEQ (see
-:func:`build_sequence_database`):
-
-* ``columnar`` (the default) -- one pass over each series' symbol stream:
-  run boundaries are found for the whole stream at once (vectorized when
-  numpy is enabled, a single scalar sweep otherwise) and every run feeds
-  the granule row, the per-event support positions, and the per
-  ``(event, granule)`` :class:`~repro.core.instance_index.InstanceColumn`
-  simultaneously -- so step 2.1 never re-scans the rows;
-* ``scalar`` -- the original granule-by-granule
-  :func:`granule_instances` loops, kept as the parity reference.
-
-A process-wide default selects the front end
-(:func:`default_frontend` / :func:`set_default_frontend`, CLI
-``--frontend``).
+:func:`build_sequence_database` makes one pass over each series' symbol
+stream: run boundaries are found for the whole stream at once (vectorized
+when numpy is enabled, a single scalar sweep otherwise) and every run
+feeds the granule row, the per-event support positions, and the per
+``(event, granule)`` :class:`~repro.core.instance_index.InstanceColumn`
+simultaneously -- so step 2.1 never re-scans the rows.
 """
 
 from __future__ import annotations
@@ -39,12 +30,7 @@ from typing import Iterable, Sequence
 
 from repro.core.config import get_numpy
 from repro.core.instance_index import InstanceColumn
-from repro.core.supportset import (
-    SupportSet,
-    default_backend,
-    make_support_set,
-    validate_backend,
-)
+from repro.core.supportset import SupportSet, make_support_set
 from repro.events.event import EventInstance
 from repro.events.sequence import TemporalSequence
 from repro.exceptions import TransformError
@@ -52,46 +38,10 @@ from repro.obs import counters as metrics
 from repro.obs.trace import span
 from repro.symbolic.database import SymbolicDatabase
 
-#: Front-end builder names accepted wherever the step-1 construction can
-#: be chosen.
-FRONTEND_COLUMNAR = "columnar"
-FRONTEND_SCALAR = "scalar"
-FRONTEND_KERNELS = (FRONTEND_COLUMNAR, FRONTEND_SCALAR)
-
-#: Process-wide default front end (see :func:`set_default_frontend`).
-_DEFAULT_FRONTEND = FRONTEND_COLUMNAR
-
 #: Symbol-stream length at or above which the columnar run detection
 #: switches to numpy (below it, the array round trip costs more than the
 #: scalar sweep saves).
 _NUMPY_MIN_SYMBOLS = 192
-
-
-def validate_frontend(frontend: str) -> str:
-    """Return ``frontend`` if known, raise :class:`TransformError` otherwise."""
-    if frontend not in FRONTEND_KERNELS:
-        raise TransformError(
-            f"unknown front end {frontend!r}; choose from {FRONTEND_KERNELS}"
-        )
-    return frontend
-
-
-def default_frontend() -> str:
-    """The process-wide default front-end builder."""
-    return _DEFAULT_FRONTEND
-
-
-def set_default_frontend(frontend: str) -> str:
-    """Set the process-wide default front end; returns the old one.
-
-    The harness uses this to flip whole runs between the columnar and
-    the scalar builder (CLI ``--frontend``) without threading a parameter
-    through every call site.  Both front ends produce identical DSEQ rows.
-    """
-    global _DEFAULT_FRONTEND
-    previous = _DEFAULT_FRONTEND
-    _DEFAULT_FRONTEND = validate_frontend(frontend)
-    return previous
 
 
 class _LazyRows:
@@ -169,12 +119,12 @@ class TemporalSequenceDatabase:
     rows: list[TemporalSequence]
     ratio: int
     source_names: list[str] = field(default_factory=list)
-    _support_cache: dict[str, dict[str, SupportSet]] = field(
-        default_factory=dict, repr=False, compare=False
+    _support_cache: dict[str, SupportSet] | None = field(
+        default=None, repr=False, compare=False
     )
     #: Per-event ascending support positions, primed by the columnar
-    #: front end (``None`` on scalar-built databases -- supports are then
-    #: recomputed by scanning the rows).
+    #: front end (``None`` on databases assembled from rows -- supports
+    #: are then recomputed by scanning the rows).
     _event_positions: dict[str, list[int]] | None = field(
         default=None, repr=False, compare=False
     )
@@ -222,18 +172,14 @@ class TemporalSequenceDatabase:
             )
         return self.rows[position - 1]
 
-    def event_support(self, backend: str | None = None) -> dict[str, SupportSet]:
+    def event_support(self) -> dict[str, SupportSet]:
         """Support set per event, as :class:`SupportSet` objects.
 
         This is the ``SUP_E`` of Def. 3.12 for every event, computed with a
-        single scan of DSEQ (as Alg. 1 step 2.1 requires) and cached per
-        representation.  ``backend`` picks the physical representation
-        (``"bitset"`` / ``"list"``; default: the process-wide default).
-        The returned sets compare equal to plain sorted position lists, so
-        list-based callers keep working unchanged.
+        single scan of DSEQ (as Alg. 1 step 2.1 requires) and cached.  The
+        returned sets compare equal to plain sorted position lists.
         """
-        backend = validate_backend(backend or default_backend())
-        cached = self._support_cache.get(backend)
+        cached = self._support_cache
         if cached is None:
             positions: dict[str, list[int]] | dict[str, Sequence[int]]
             if self._event_positions is not None:
@@ -244,10 +190,10 @@ class TemporalSequenceDatabase:
                     for event in row.events():
                         positions.setdefault(event, []).append(row.position)
             cached = {
-                event: make_support_set(granules, backend)
+                event: make_support_set(granules)
                 for event, granules in positions.items()
             }
-            self._support_cache[backend] = cached
+            self._support_cache = cached
         return cached
 
     def prebuilt_columns(self, event: str) -> dict[int, InstanceColumn] | None:
@@ -325,9 +271,9 @@ class TemporalSequenceDatabase:
         """Append one granule row (streaming ingestion, Def. 3.10 online).
 
         ``sequence`` must be finalized and carry the next 1-based position.
-        The per-representation support caches are dropped: batch callers
-        re-scan lazily, while the streaming miner maintains its own
-        incrementally extended supports.
+        The support cache is dropped: batch callers re-scan lazily, while
+        the streaming miner maintains its own incrementally extended
+        supports.
         """
         if sequence.position != len(self.rows) + 1:
             raise TransformError(
@@ -335,7 +281,7 @@ class TemporalSequenceDatabase:
                 f"expected {len(self.rows) + 1}"
             )
         self.rows.append(sequence)
-        self._support_cache.clear()
+        self._support_cache = None
         # The primed columnar state describes the pre-append rows only;
         # streaming appends invalidate it (the streaming miner keeps its
         # own incrementally extended supports and columns).
@@ -359,10 +305,8 @@ class TemporalSequenceDatabase:
             source_names=list(self.source_names),
         )
 
-    def prime_event_support(
-        self, supports: dict[str, SupportSet], backend: str | None = None
-    ) -> None:
-        """Install precomputed per-event supports for ``backend``.
+    def prime_event_support(self, supports: dict[str, SupportSet]) -> None:
+        """Install precomputed per-event supports.
 
         The hierarchical miner derives a coarse level's event supports by
         folding the finer level's (:meth:`SupportSet.coarsen`) instead of
@@ -372,8 +316,7 @@ class TemporalSequenceDatabase:
         event supports the fold is exact (see
         :meth:`repro.core.supportset.SupportSet.coarsen`).
         """
-        backend = validate_backend(backend or default_backend())
-        self._support_cache[backend] = dict(supports)
+        self._support_cache = dict(supports)
 
     def coarsen(
         self, factor: int, granules: Iterable[int] | None = None
@@ -503,44 +446,6 @@ def merge_sequences(
     return merged.finalize()
 
 
-def granule_instances(
-    name: str, block: tuple[str, ...], offset: int
-) -> list[EventInstance]:
-    """Event instances of one series' symbol block (Def. 3.10 run grouping).
-
-    ``block`` holds the consecutive symbols of one coarse granule;
-    ``offset`` is the 0-based global position of its first symbol, so the
-    returned intervals use global 1-based fine-granule positions.  Shared
-    by the batch sequence mapping and the streaming ingestion layer.
-    """
-    instances: list[EventInstance] = []
-    run_symbol = block[0]
-    run_start = offset + 1
-    for index in range(1, len(block)):
-        if block[index] != run_symbol:
-            instances.append(
-                EventInstance(f"{name}:{run_symbol}", run_start, offset + index)
-            )
-            run_symbol = block[index]
-            run_start = offset + index + 1
-    instances.append(
-        EventInstance(f"{name}:{run_symbol}", run_start, offset + len(block))
-    )
-    return instances
-
-
-def _granule_instances(
-    name: str, symbols: tuple[str, ...], granule_index: int, ratio: int
-) -> list[EventInstance]:
-    """Event instances of one series inside one coarse granule.
-
-    ``granule_index`` is 0-based; returned intervals use global 1-based
-    fine-granule positions.
-    """
-    start = granule_index * ratio
-    return granule_instances(name, symbols[start : start + ratio], start)
-
-
 def series_runs(symbols: Sequence[str], total: int, ratio: int, offset: int = 0):
     """Yield the ``(start0, end0)`` runs of ``symbols[offset:offset+total]``.
 
@@ -595,8 +500,7 @@ def build_region_rows(
     ``offset .. offset + n_granules*ratio - 1`` of every series buffer
     (``offset`` must be a multiple of ``ratio``), with 1-based positions
     starting at ``first_position``.  The streaming ingestion layer's
-    columnar counterpart of the per-granule :func:`granule_instances`
-    loop: one run detection per series for the whole region.
+    row builder: one run detection per series for the whole region.
     """
     total = n_granules * ratio
     row_instances: list[list[EventInstance]] = [[] for _ in range(n_granules)]
@@ -854,28 +758,7 @@ def _build_columnar(
     )
 
 
-def _build_scalar(
-    dsyb: SymbolicDatabase, ratio: int, n_granules: int
-) -> TemporalSequenceDatabase:
-    """The original granule-by-granule construction (parity reference)."""
-    rows: list[TemporalSequence] = []
-    for granule_index in range(n_granules):
-        sequence = TemporalSequence(position=granule_index + 1)
-        for symbolic in dsyb:
-            sequence.instances.extend(
-                _granule_instances(
-                    symbolic.name, symbolic.symbols, granule_index, ratio
-                )
-            )
-        rows.append(sequence.finalize())
-    return TemporalSequenceDatabase(
-        rows=rows, ratio=ratio, source_names=dsyb.names
-    )
-
-
-def build_sequence_database(
-    dsyb: SymbolicDatabase, ratio: int, frontend: str | None = None
-) -> TemporalSequenceDatabase:
+def build_sequence_database(dsyb: SymbolicDatabase, ratio: int) -> TemporalSequenceDatabase:
     """Apply the sequence mapping ``g: XS ->m H`` to every series of DSYB.
 
     Parameters
@@ -886,12 +769,10 @@ def build_sequence_database(
         The m of the mapping (how many fine granules form one coarse
         granule).  A trailing block of fewer than ``ratio`` symbols is
         dropped, consistent with Def. 3.3's complete-partition requirement.
-    frontend:
-        Which registered builder runs: ``"columnar"`` (one pass, primes
-        per-event supports and instance columns) or ``"scalar"`` (the
-        granule-by-granule parity reference).  ``None`` resolves to the
-        process-wide default (:func:`default_frontend`).  Both produce
-        identical rows.
+
+    The build is columnar (see the module docstring): one pass per series
+    primes the per-event supports and instance columns along with the
+    rows.
     """
     if ratio < 1:
         raise TransformError(f"sequence mapping ratio must be >= 1, got {ratio}")
@@ -902,10 +783,5 @@ def build_sequence_database(
         raise TransformError(
             f"ratio {ratio} exceeds the {dsyb.n_instants} instants of DSYB"
         )
-    frontend = validate_frontend(frontend or default_frontend())
-    with span(
-        "transform/build_dseq", ratio=ratio, granules=n_granules, frontend=frontend
-    ):
-        if frontend == FRONTEND_COLUMNAR:
-            return _build_columnar(dsyb, ratio, n_granules)
-        return _build_scalar(dsyb, ratio, n_granules)
+    with span("transform/build_dseq", ratio=ratio, granules=n_granules):
+        return _build_columnar(dsyb, ratio, n_granules)

@@ -2,8 +2,8 @@
 
 The headline guarantee: a :class:`MiningResult` is *identical* -- same
 patterns, same supports, same season views, same order, same counters --
-whichever executor and support representation ran the mining.  The parity
-tests assert it on the paper's running example and on every seed dataset.
+whichever executor ran the mining.  The parity tests assert it on the
+paper's running example and on every seed dataset.
 
 The lifecycle guarantee of the persistent runtime: one pool serves many
 ``map_tasks`` calls and many jobs (same worker processes throughout),
@@ -18,7 +18,6 @@ import pytest
 from repro.core.executor import (
     ParallelExecutor,
     SerialExecutor,
-    ThreadExecutor,
     default_executor,
     executor_scope,
     get_task_context,
@@ -46,11 +45,6 @@ def _read_context(task):
 def _worker_pid(task):
     """The PID of the worker that ran the task (pool-identity probe)."""
     return os.getpid()
-
-
-def _context_identity(task):
-    """id() of the installed context (zero-copy probe, threads only)."""
-    return id(get_task_context())
 
 
 def _result_key(result):
@@ -123,12 +117,6 @@ class TestExecutors:
         with pytest.raises(ConfigError):
             ParallelExecutor(start_method="gpu")
 
-    def test_threads_rejects_bad_settings(self):
-        with pytest.raises(ConfigError):
-            ThreadExecutor(max_workers=0)
-        with pytest.raises(ConfigError):
-            ThreadExecutor(min_tasks=0)
-
     def test_chunk_heuristic(self):
         executor = ParallelExecutor(max_workers=2)
         assert executor._chunk(8) == 1
@@ -142,9 +130,7 @@ class TestExecutors:
     def test_resolve_specs(self):
         assert isinstance(resolve_executor("serial"), SerialExecutor)
         assert isinstance(resolve_executor("parallel"), ParallelExecutor)
-        assert isinstance(resolve_executor("threads"), ThreadExecutor)
         assert resolve_executor("parallel", n_workers=3).max_workers == 3
-        assert resolve_executor("threads", n_workers=3).max_workers == 3
         instance = SerialExecutor()
         assert resolve_executor(instance) is instance
         with pytest.raises(ConfigError):
@@ -221,33 +207,20 @@ class TestExecutorLifecycle:
             futures = [pool.submit(_read_context, 0) for _ in range(2)]
             assert all(f.result()[0] is None for f in futures)
 
-    def test_threads_pool_reused_and_context_zero_copy(self):
-        sentinel = {"level": "ctx"}
-        with ThreadExecutor(max_workers=2, min_tasks=1) as executor:
-            identities = set(
-                executor.map_tasks(_context_identity, range(8), sentinel)
-            )
-            assert identities == {id(sentinel)}  # shared by reference
-            pool = executor._pool
-            assert pool is not None
-            executor.map_tasks(_double, range(4), None)
-            assert executor._pool is pool
-        assert executor._pool is None
-        assert get_task_context() is None
-
-    def test_executor_scope_owns_name_resolved_backends(self):
-        with executor_scope("threads", n_workers=2) as runner:
-            assert isinstance(runner, ThreadExecutor)
-            assert list(runner.map_tasks(_double, [1, 2, 3], None)) == [2, 4, 6]
-            assert runner._pool is not None
-        assert runner._pool is None  # the scope owned and closed it
+    def test_executor_scope_owns_name_resolved_backends(self, monkeypatch):
+        closed = []
+        monkeypatch.setattr(ParallelExecutor, "close", lambda self: closed.append(self))
+        with executor_scope("parallel", n_workers=2) as runner:
+            assert isinstance(runner, ParallelExecutor)
+            assert runner.max_workers == 2
+        assert closed == [runner]  # the scope owned and closed it
 
     def test_executor_scope_leaves_instances_open(self):
-        executor = ThreadExecutor(max_workers=2, min_tasks=1)
+        executor = ParallelExecutor(max_workers=2, min_tasks=1, reuse_pool=True)
         try:
             with executor_scope(executor) as runner:
                 assert runner is executor
-                runner.map_tasks(_double, [1, 2], None)
+                assert list(runner.map_tasks(_double, [1, 2], None)) == [2, 4]
             assert executor._pool is not None  # caller owns the pool
         finally:
             executor.close()
@@ -255,17 +228,13 @@ class TestExecutorLifecycle:
     def test_engine_defaults_owns_named_executor(self, monkeypatch):
         from repro.harness.runner import engine_defaults
 
-        # A name resolved on a single-core host would pin max_workers=1
-        # and never spawn a pool; pretend we have two cores so the
-        # ownership (spawn here, close on scope exit) is observable.
-        monkeypatch.setattr("repro.core.executor.os.cpu_count", lambda: 2)
-        with engine_defaults(executor="threads"):
+        closed = []
+        monkeypatch.setattr(ParallelExecutor, "close", lambda self: closed.append(self))
+        with engine_defaults(executor="parallel"):
             installed = default_executor()
-            assert isinstance(installed, ThreadExecutor)
-            list(installed.map_tasks(_double, [1, 2, 3], None))
-            assert installed._pool is not None
+            assert isinstance(installed, ParallelExecutor)
         assert default_executor() == "serial"
-        assert installed._pool is None  # harness closed the run's pool
+        assert closed == [installed]  # harness closed the run's executor
 
 
 class TestPoolReuseParity:
@@ -328,12 +297,6 @@ class TestMiningParity:
         assert baseline.patterns, f"parity run on {name} mined nothing"
         parallel = ESTPM(dseq, params, executor="parallel").mine()
         assert _result_key(baseline) == _result_key(parallel)
-        threaded = ESTPM(
-            dseq, params, executor=ThreadExecutor(max_workers=2, min_tasks=1)
-        ).mine()
-        assert _result_key(baseline) == _result_key(threaded)
-        list_backend = ESTPM(dseq, params, support_backend="list").mine()
-        assert _result_key(baseline) == _result_key(list_backend)
 
     def test_astpm_forwards_engine_knobs(self, tiny_inf):
         params = tiny_inf.params(
@@ -348,7 +311,6 @@ class TestMiningParity:
             params,
             dseq=tiny_inf.dseq(),
             executor="parallel",
-            support_backend="list",
         ).mine()
         assert [(sp.pattern, sp.seasons) for sp in serial.patterns] == [
             (sp.pattern, sp.seasons) for sp in parallel.patterns

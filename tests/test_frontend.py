@@ -1,10 +1,11 @@
-"""Front-end builder registry + columnar/scalar parity (Defs. 3.9-3.11).
+"""Columnar front end vs the granule-by-granule oracle (Defs. 3.9-3.11).
 
 The columnar front end (one pass per series, primed supports, lazy rows
 and instance columns) must be observably identical to the scalar
-granule-by-granule reference on every surface mining touches: rows,
-per-event supports, prebuilt columns, streaming materialization, and the
-final mining results -- under both compute backends.
+granule-by-granule test oracle (``dseq_oracle``) on every surface mining
+touches: rows, per-event supports, prebuilt columns, streaming
+materialization, and the final mining results -- under both compute
+backends.
 """
 
 from __future__ import annotations
@@ -12,13 +13,14 @@ from __future__ import annotations
 import pickle
 
 import pytest
+from dseq_oracle import oracle_dseq
 
 from repro import ESTPM, SymbolicDatabase, build_sequence_database
 from repro.core.config import get_numpy, set_compute_backend
 from repro.core.results import results_equivalent
 from repro.datasets import load_dataset
 from repro.events import EventInstance
-from repro.exceptions import SymbolizationError, TransformError
+from repro.exceptions import SymbolizationError
 from repro.obs import counters
 from repro.obs.trace import (
     disable_tracing,
@@ -29,13 +31,6 @@ from repro.obs.trace import (
 from repro.streaming import StreamingDatabase
 from repro.symbolic.alphabet import Alphabet
 from repro.symbolic.series import SymbolicSeries
-from repro.transform.sequence_db import (
-    FRONTEND_COLUMNAR,
-    FRONTEND_KERNELS,
-    FRONTEND_SCALAR,
-    default_frontend,
-    set_default_frontend,
-)
 
 
 def _support_positions(dseq):
@@ -45,40 +40,10 @@ def _support_positions(dseq):
     }
 
 
-class TestFrontendRegistry:
-    def test_known_frontends(self):
-        assert FRONTEND_COLUMNAR in FRONTEND_KERNELS
-        assert FRONTEND_SCALAR in FRONTEND_KERNELS
-
-    def test_unknown_frontend_rejected(self, paper_dsyb):
-        with pytest.raises(TransformError, match="unknown front end"):
-            build_sequence_database(paper_dsyb, ratio=3, frontend="simd")
-
-    def test_default_round_trip(self):
-        previous = set_default_frontend(FRONTEND_SCALAR)
-        try:
-            assert default_frontend() == FRONTEND_SCALAR
-        finally:
-            set_default_frontend(previous)
-        assert default_frontend() == previous
-
-    def test_set_default_rejects_unknown(self):
-        with pytest.raises(TransformError):
-            set_default_frontend("granular")
-
-    def test_default_governs_builds(self, paper_dsyb):
-        previous = set_default_frontend(FRONTEND_SCALAR)
-        try:
-            dseq = build_sequence_database(paper_dsyb, ratio=3)
-            assert dseq.prebuilt_columns("C:1") is None
-        finally:
-            set_default_frontend(previous)
-
-
 class TestColumnarScalarParity:
     def test_paper_rows_identical(self, paper_dsyb, compute_backend):
-        columnar = build_sequence_database(paper_dsyb, 3, frontend="columnar")
-        scalar = build_sequence_database(paper_dsyb, 3, frontend="scalar")
+        columnar = build_sequence_database(paper_dsyb, 3)
+        scalar = oracle_dseq(paper_dsyb, 3)
         assert len(columnar) == len(scalar)
         for left, right in zip(columnar.rows, scalar.rows):
             assert left.position == right.position
@@ -88,43 +53,31 @@ class TestColumnarScalarParity:
                 assert left.instances_of(event) == right.instances_of(event)
 
     def test_paper_supports_identical(self, paper_dsyb, compute_backend):
-        columnar = build_sequence_database(paper_dsyb, 3, frontend="columnar")
-        scalar = build_sequence_database(paper_dsyb, 3, frontend="scalar")
+        columnar = build_sequence_database(paper_dsyb, 3)
+        scalar = oracle_dseq(paper_dsyb, 3)
         assert _support_positions(columnar) == _support_positions(scalar)
 
     @pytest.mark.parametrize("name", ["RE", "INF"])
     def test_seed_dataset_rows_identical(self, name, compute_backend):
         dataset = load_dataset(name, "tiny")
-        columnar = build_sequence_database(
-            dataset.dsyb, dataset.ratio, frontend="columnar"
-        )
-        scalar = build_sequence_database(
-            dataset.dsyb, dataset.ratio, frontend="scalar"
-        )
+        columnar = build_sequence_database(dataset.dsyb, dataset.ratio)
+        scalar = oracle_dseq(dataset.dsyb, dataset.ratio)
         assert list(columnar.rows) == list(scalar.rows)
         assert _support_positions(columnar) == _support_positions(scalar)
 
     def test_mining_parity(self, paper_dsyb, paper_params, compute_backend):
-        columnar = build_sequence_database(paper_dsyb, 3, frontend="columnar")
-        scalar = build_sequence_database(paper_dsyb, 3, frontend="scalar")
+        columnar = build_sequence_database(paper_dsyb, 3)
+        scalar = oracle_dseq(paper_dsyb, 3)
         reference = ESTPM(scalar, paper_params).mine()
         mined = ESTPM(columnar, paper_params).mine()
         assert results_equivalent(mined, reference)
 
-    @pytest.mark.parametrize("executor", ["serial", "threads"])
-    @pytest.mark.parametrize("support_backend", ["bitset", "list"])
-    def test_mining_parity_across_engines(
-        self, paper_dsyb, paper_params, executor, support_backend
-    ):
-        columnar = build_sequence_database(paper_dsyb, 3, frontend="columnar")
-        scalar = build_sequence_database(paper_dsyb, 3, frontend="scalar")
+    @pytest.mark.parametrize("executor", ["serial", "parallel"])
+    def test_mining_parity_across_engines(self, paper_dsyb, paper_params, executor):
+        columnar = build_sequence_database(paper_dsyb, 3)
+        scalar = oracle_dseq(paper_dsyb, 3)
         reference = ESTPM(scalar, paper_params).mine()
-        mined = ESTPM(
-            columnar,
-            paper_params,
-            executor=executor,
-            support_backend=support_backend,
-        ).mine()
+        mined = ESTPM(columnar, paper_params, executor=executor).mine()
         assert results_equivalent(mined, reference)
 
 
@@ -141,22 +94,18 @@ def long_dsyb(paper_dsyb):
 
 
 class TestPrebuiltColumns:
-    def test_scalar_build_has_none(self, long_dsyb):
-        scalar = build_sequence_database(long_dsyb, 3, frontend="scalar")
-        assert scalar.prebuilt_columns("C:1") is None
-
     def test_short_streams_have_none(self, paper_dsyb):
         # Below _NUMPY_MIN_SYMBOLS the columnar builder stays scalar and
         # primes supports only.
-        columnar = build_sequence_database(paper_dsyb, 3, frontend="columnar")
+        columnar = build_sequence_database(paper_dsyb, 3)
         assert columnar.prebuilt_columns("C:1") is None
-        scalar = build_sequence_database(paper_dsyb, 3, frontend="scalar")
+        scalar = oracle_dseq(paper_dsyb, 3)
         assert _support_positions(columnar) == _support_positions(scalar)
 
     @pytest.mark.skipif(get_numpy() is None, reason="needs the numpy backend")
     def test_columns_match_row_walks(self, long_dsyb):
-        columnar = build_sequence_database(long_dsyb, 3, frontend="columnar")
-        scalar = build_sequence_database(long_dsyb, 3, frontend="scalar")
+        columnar = build_sequence_database(long_dsyb, 3)
+        scalar = oracle_dseq(long_dsyb, 3)
         for event, support in scalar.event_support().items():
             columns = columnar.prebuilt_columns(event)
             assert columns is not None
@@ -169,7 +118,7 @@ class TestPrebuiltColumns:
 
     @pytest.mark.skipif(get_numpy() is None, reason="needs the numpy backend")
     def test_columns_cached_per_event(self, long_dsyb):
-        columnar = build_sequence_database(long_dsyb, 3, frontend="columnar")
+        columnar = build_sequence_database(long_dsyb, 3)
         first = columnar.prebuilt_columns("C:1")
         assert first is not None
         assert columnar.prebuilt_columns("C:1") is first
@@ -177,14 +126,14 @@ class TestPrebuiltColumns:
     def test_pure_columnar_has_none(self, long_dsyb):
         set_compute_backend("python")
         try:
-            columnar = build_sequence_database(long_dsyb, 3, frontend="columnar")
+            columnar = build_sequence_database(long_dsyb, 3)
             assert columnar.prebuilt_columns("C:1") is None
         finally:
             set_compute_backend(None)
 
     @pytest.mark.skipif(get_numpy() is None, reason="needs the numpy backend")
     def test_append_invalidates(self, long_dsyb):
-        columnar = build_sequence_database(long_dsyb, 3, frontend="columnar")
+        columnar = build_sequence_database(long_dsyb, 3)
         assert columnar.prebuilt_columns("C:1") is not None
         from repro.events.sequence import TemporalSequence
 
@@ -198,27 +147,27 @@ class TestLazyRows:
     """The columnar builders defer row materialization behind a thunk."""
 
     def test_len_before_materialization(self, paper_dsyb, compute_backend):
-        columnar = build_sequence_database(paper_dsyb, 3, frontend="columnar")
+        columnar = build_sequence_database(paper_dsyb, 3)
         assert len(columnar) == 14  # no row access yet
 
     def test_supports_without_rows(self, paper_dsyb, compute_backend):
         # event_support must come from the primed positions, not a row
         # scan: compute it first, then check rows match the reference.
-        columnar = build_sequence_database(paper_dsyb, 3, frontend="columnar")
+        columnar = build_sequence_database(paper_dsyb, 3)
         supports = _support_positions(columnar)
-        scalar = build_sequence_database(paper_dsyb, 3, frontend="scalar")
+        scalar = oracle_dseq(paper_dsyb, 3)
         assert supports == _support_positions(scalar)
         assert list(columnar.rows) == list(scalar.rows)
 
     def test_rows_materialize_on_index(self, paper_dsyb, compute_backend):
-        columnar = build_sequence_database(paper_dsyb, 3, frontend="columnar")
+        columnar = build_sequence_database(paper_dsyb, 3)
         row = columnar.sequence_at(7)
         assert row.instances_of("C:1") == [EventInstance("C:1", 19, 21)]
 
     def test_append_after_lazy_build(self, paper_dsyb, compute_backend):
         from repro.events.sequence import TemporalSequence
 
-        columnar = build_sequence_database(paper_dsyb, 3, frontend="columnar")
+        columnar = build_sequence_database(paper_dsyb, 3)
         columnar.append_row(TemporalSequence(position=15).finalize())
         assert len(columnar) == 15
         assert columnar.sequence_at(7).instances_of("C:1") == [
@@ -226,20 +175,20 @@ class TestLazyRows:
         ]
 
     def test_rows_equality_between_builds(self, paper_dsyb, compute_backend):
-        one = build_sequence_database(paper_dsyb, 3, frontend="columnar")
-        two = build_sequence_database(paper_dsyb, 3, frontend="scalar")
+        one = build_sequence_database(paper_dsyb, 3)
+        two = oracle_dseq(paper_dsyb, 3)
         assert one.rows == two.rows
 
     def test_pickle_degrades_to_plain_rows(self, paper_dsyb, compute_backend):
-        columnar = build_sequence_database(paper_dsyb, 3, frontend="columnar")
+        columnar = build_sequence_database(paper_dsyb, 3)
         restored = pickle.loads(pickle.dumps(columnar.rows))
         assert isinstance(restored, list)
-        scalar = build_sequence_database(paper_dsyb, 3, frontend="scalar")
+        scalar = oracle_dseq(paper_dsyb, 3)
         assert restored == list(scalar.rows)
 
     def test_prefix_and_coarsen_still_work(self, paper_dsyb, compute_backend):
-        columnar = build_sequence_database(paper_dsyb, 3, frontend="columnar")
-        scalar = build_sequence_database(paper_dsyb, 3, frontend="scalar")
+        columnar = build_sequence_database(paper_dsyb, 3)
+        scalar = oracle_dseq(paper_dsyb, 3)
         assert list(columnar.prefix(5).rows) == list(scalar.prefix(5).rows)
         assert list(columnar.coarsen(2).rows) == list(scalar.coarsen(2).rows)
 
@@ -279,50 +228,42 @@ class TestFromCodes:
 
 class TestStreamingFrontends:
     def test_streamed_rows_match_batch(self, paper_dsyb, compute_backend):
-        batch = build_sequence_database(paper_dsyb, 3, frontend="scalar")
-        for frontend in FRONTEND_KERNELS:
-            streamed = StreamingDatabase.from_symbolic(
-                paper_dsyb, 3, frontend=frontend
-            )
-            assert list(streamed.dseq.rows) == list(batch.rows)
+        batch = oracle_dseq(paper_dsyb, 3)
+        streamed = StreamingDatabase.from_symbolic(paper_dsyb, 3)
+        assert list(streamed.dseq.rows) == list(batch.rows)
 
     def test_ragged_pushes_match(self, paper_dsyb, compute_backend):
-        reference = build_sequence_database(paper_dsyb, 3, frontend="scalar")
+        reference = oracle_dseq(paper_dsyb, 3)
         streams = {s.name: s.symbols for s in paper_dsyb}
-        for frontend in FRONTEND_KERNELS:
-            database = StreamingDatabase(
-                3, {s.name: s.alphabet for s in paper_dsyb}, frontend=frontend
-            )
-            cut = 0
-            for step in (5, 1, 11, 8, 17):
-                database.append_symbols(
-                    {name: sym[cut : cut + step] for name, sym in streams.items()}
-                )
-                cut += step
+        database = StreamingDatabase(3, {s.name: s.alphabet for s in paper_dsyb})
+        cut = 0
+        for step in (5, 1, 11, 8, 17):
             database.append_symbols(
-                {name: sym[cut:] for name, sym in streams.items()}
+                {name: sym[cut : cut + step] for name, sym in streams.items()}
             )
-            assert list(database.dseq.rows) == list(reference.rows)
+            cut += step
+        database.append_symbols({name: sym[cut:] for name, sym in streams.items()})
+        assert list(database.dseq.rows) == list(reference.rows)
 
 
 class TestInstrumentation:
-    def test_build_span_carries_frontend(self, paper_dsyb):
+    def test_build_span_carries_ratio_and_granules(self, paper_dsyb):
         reset_trace()
         enable_tracing()
         try:
-            build_sequence_database(paper_dsyb, 3, frontend="columnar")
+            build_sequence_database(paper_dsyb, 3)
             roots = trace_tree()
         finally:
             disable_tracing()
             reset_trace()
         builds = [root for root in roots if root["name"] == "transform/build_dseq"]
-        assert builds and builds[0]["attrs"]["frontend"] == "columnar"
+        assert builds and builds[0]["attrs"] == {"ratio": 3, "granules": 14}
 
     def test_columnar_counters(self, paper_dsyb):
         counters.reset()
         counters.enable_metrics()
         try:
-            build_sequence_database(paper_dsyb, 3, frontend="columnar")
+            build_sequence_database(paper_dsyb, 3)
             recorded = counters.summary()["counters"]
         finally:
             counters.disable_metrics()

@@ -141,6 +141,12 @@ class TestCli:
         assert "ERROR" in err
         assert "Traceback" not in err
 
+    def test_threads_executor_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["mine", "--dataset", "RE", "--profile", "tiny", "--executor", "threads"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'threads'" in capsys.readouterr().err
+
     def test_mine_approximate(self, capsys):
         assert (
             cli_main(

@@ -2,9 +2,9 @@
 
 The engine's hard guarantee: every level of a hierarchical run is
 equivalent (``results_equivalent``) to mining that level standalone with
-a fresh sequence mapping -- asserted here on all four seed datasets for
-both support backends, for E-STPM and A-STPM, for the fold and rebuild
-strategies, and for both executors -- and to the brute-force
+a fresh sequence mapping -- asserted here on all four seed datasets,
+for E-STPM and A-STPM, for the fold and rebuild strategies, and for
+both executors -- and to the brute-force
 :class:`NaiveSTPM` oracle on that mapping.
 """
 
@@ -14,7 +14,6 @@ from repro import ESTPM, PruningConfig, SymbolicDatabase
 from repro.baselines import NaiveSTPM
 from repro.core.approximate import ASTPM
 from repro.core.results import results_equivalent
-from repro.core.supportset import SUPPORT_BACKENDS
 from repro.datasets import load_dataset
 from repro.exceptions import ConfigError, TransformError
 from repro.granularity import GranularityHierarchy, TimeDomain
@@ -31,7 +30,7 @@ DATASET_SETTINGS = {
 }
 
 
-def hierarchy_miner(dataset, backend, **overrides):
+def hierarchy_miner(dataset, **overrides):
     """A three-level miner over a dataset's native/2x/4x granularities."""
     settings = {**DATASET_SETTINGS[dataset.name], **overrides}
     return HierarchicalMiner(
@@ -43,7 +42,6 @@ def hierarchy_miner(dataset, backend, **overrides):
             dataset.dist_interval[1] * dataset.ratio,
         ),
         max_pattern_length=2,
-        support_backend=backend,
         **settings,
     )
 
@@ -70,29 +68,25 @@ def sparse_prunable_dsyb():
 
 
 class TestLevelParity:
-    @pytest.mark.parametrize("backend", SUPPORT_BACKENDS)
     @pytest.mark.parametrize("name", sorted(DATASET_SETTINGS))
-    def test_every_level_matches_standalone_mining(self, name, backend):
+    def test_every_level_matches_standalone_mining(self, name):
         dataset = load_dataset(name, "tiny")
-        hierarchical = hierarchy_miner(dataset, backend).mine()
+        hierarchical = hierarchy_miner(dataset).mine()
         assert hierarchical.ratios == [
             dataset.ratio, dataset.ratio * 2, dataset.ratio * 4,
         ]
         for level in hierarchical:
             standalone = ESTPM(
-                build_sequence_database(dataset.dsyb, level.ratio),
-                level.params,
-                support_backend=backend,
+                build_sequence_database(dataset.dsyb, level.ratio), level.params
             ).mine()
             assert results_equivalent(level.result, standalone), (
-                f"{name} level {level.ratio} ({backend}) diverged from "
-                "standalone mining"
+                f"{name} level {level.ratio} diverged from standalone mining"
             )
 
     @pytest.mark.parametrize("name", sorted(DATASET_SETTINGS))
     def test_every_level_matches_naive_oracle(self, name):
         dataset = load_dataset(name, "tiny")
-        for level in hierarchy_miner(dataset, "bitset").mine():
+        for level in hierarchy_miner(dataset).mine():
             oracle = NaiveSTPM(
                 build_sequence_database(dataset.dsyb, level.ratio), level.params
             ).mine()
@@ -102,32 +96,24 @@ class TestLevelParity:
 
     def test_coarse_levels_are_fold_derived(self):
         dataset = load_dataset("INF", "tiny")
-        hierarchical = hierarchy_miner(dataset, "bitset").mine()
+        hierarchical = hierarchy_miner(dataset).mine()
         assert hierarchical.finest.derived_from is None
         assert all(
             level.derived_from == dataset.ratio
             for level in hierarchical.levels[1:]
         )
 
-    @pytest.mark.parametrize("backend", SUPPORT_BACKENDS)
-    def test_astpm_levels_match_standalone_astpm(self, backend):
+    def test_astpm_levels_match_standalone_astpm(self):
         dataset = load_dataset("INF", "tiny")
-        hierarchical = hierarchy_miner(
-            dataset, backend, miner="approximate"
-        ).mine()
+        hierarchical = hierarchy_miner(dataset, miner="approximate").mine()
         for level in hierarchical:
-            standalone = ASTPM(
-                dataset.dsyb,
-                level.ratio,
-                level.params,
-                support_backend=backend,
-            ).mine()
+            standalone = ASTPM(dataset.dsyb, level.ratio, level.params).mine()
             assert results_equivalent(level.result, standalone)
 
     def test_rebuild_strategy_matches_fold(self):
         dataset = load_dataset("HFM", "tiny")
-        fold = hierarchy_miner(dataset, "bitset").mine()
-        rebuild = hierarchy_miner(dataset, "bitset", strategy="rebuild").mine()
+        fold = hierarchy_miner(dataset).mine()
+        rebuild = hierarchy_miner(dataset, strategy="rebuild").mine()
         assert fold.ratios == rebuild.ratios
         for fold_level, rebuild_level in zip(fold, rebuild):
             assert results_equivalent(fold_level.result, rebuild_level.result)

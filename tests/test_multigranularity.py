@@ -1,18 +1,19 @@
 """Unit tests for multi-granularity mining (paper contribution (1)).
 
-Since 1.3 :class:`MultiGranularityMiner` is a deprecation shim over
-:class:`repro.multigrain.HierarchicalMiner`; these tests pin the legacy
-surface (construction contract, per-level params, result shape) plus the
-``dist_interval`` ceil bugfix and its ``legacy_dist_floor`` escape hatch.
+These pin the per-level surface of :class:`repro.HierarchicalMiner`
+(construction contract, per-level params, result shape) plus the
+``dist_interval`` rounding of :func:`repro.resolve_level_params`: the
+upper bound ceils, so no season distance legal at the fine level is lost
+at a coarse one.
 """
 
-import warnings
+from dataclasses import replace
 
 import pytest
 
-from repro import ESTPM, HierarchicalMiner, MultiGranularityMiner, SymbolicDatabase
-from repro.core.results import results_equivalent
+from repro import ESTPM, HierarchicalMiner, SymbolicDatabase, resolve_level_params
 from repro.exceptions import ConfigError
+from repro.transform import build_sequence_database
 
 
 @pytest.fixture(scope="module")
@@ -23,22 +24,34 @@ def dsyb():
     )
 
 
+def level_params(ratio, dist_interval, n_sequences=60):
+    """The hierarchy defaults resolved against one level."""
+    return resolve_level_params(
+        ratio=ratio,
+        n_sequences=n_sequences,
+        max_period_pct=0.4,
+        min_density_pct=0.5,
+        dist_interval=dist_interval,
+        min_season=2,
+    )
+
+
 class TestLevelMining:
     def test_levels_are_mined_finest_first(self, dsyb):
-        miner = MultiGranularityMiner(
+        miner = HierarchicalMiner(
             dsyb, ratios=[6, 3], dist_interval=(0, 120), min_season=2
         )
-        levels = miner.mine_all()
+        levels = miner.mine().levels
         assert [level.ratio for level in levels] == [3, 6]
         assert levels[0].n_sequences == 60
         assert levels[1].n_sequences == 30
 
     def test_params_resolved_per_level(self, dsyb):
-        miner = MultiGranularityMiner(
+        miner = HierarchicalMiner(
             dsyb, ratios=[3, 6], max_period_pct=5.0, min_density_pct=5.0,
             dist_interval=(6, 60), min_season=2,
         )
-        levels = miner.mine_all()
+        levels = miner.mine().levels
         by_ratio = {level.ratio: level.params for level in levels}
         assert by_ratio[3].max_period == 3  # ceil(60 * 5%)
         assert by_ratio[6].max_period == 2  # ceil(30 * 5%)
@@ -46,104 +59,56 @@ class TestLevelMining:
         assert by_ratio[6].dist_interval == (1, 10)
 
     def test_each_level_matches_direct_mining(self, dsyb):
-        miner = MultiGranularityMiner(
+        miner = HierarchicalMiner(
             dsyb, ratios=[3], dist_interval=(0, 120), min_season=2
         )
-        level = miner.mine_all()[0]
-        from repro.transform import build_sequence_database
-
+        level = miner.mine().levels[0]
         direct = ESTPM(build_sequence_database(dsyb, 3), level.params).mine()
         assert level.result.pattern_keys() == direct.pattern_keys()
 
     def test_coarser_levels_find_patterns_too(self, dsyb):
-        miner = MultiGranularityMiner(
+        miner = HierarchicalMiner(
             dsyb, ratios=[3, 6, 12], dist_interval=(0, 600), min_season=1
         )
-        levels = miner.mine_all()
+        levels = miner.mine().levels
         assert all(len(level.result) > 0 for level in levels)
 
 
 class TestDistIntervalRounding:
-    def test_upper_bound_is_ceiled(self, dsyb):
-        # Regression: the old params_for floored both ends, so a season
-        # distance of 10 fine granules (= 3.33 coarse at ratio 3) was
-        # silently rejected at the coarse level even though it was valid
-        # at the fine one.  The upper bound now rounds up.
-        miner = MultiGranularityMiner(dsyb, ratios=[3], dist_interval=(0, 10))
-        params = miner.params_for(3, 60)
-        assert params.dist_interval == (0, 4)
+    def test_upper_bound_is_ceiled(self):
+        # A season distance of 10 fine granules (= 3.33 coarse at ratio
+        # 3) is valid at the fine level, so the coarse upper bound
+        # rounds up instead of silently rejecting it.
+        assert level_params(3, (0, 10)).dist_interval == (0, 4)
 
-    def test_lower_bound_still_floors(self, dsyb):
-        params = MultiGranularityMiner(
-            dsyb, ratios=[3], dist_interval=(7, 10)
-        ).params_for(3, 60)
-        assert params.dist_interval == (2, 4)
+    def test_lower_bound_still_floors(self):
+        assert level_params(3, (7, 10)).dist_interval == (2, 4)
 
-    def test_legacy_flag_restores_the_floor(self, dsyb):
-        legacy = MultiGranularityMiner(
-            dsyb, ratios=[3], dist_interval=(0, 10), legacy_dist_floor=True
-        ).params_for(3, 60)
-        assert legacy.dist_interval == (0, 3)
-
-    def test_exact_divisions_are_unchanged(self, dsyb):
-        params = MultiGranularityMiner(
-            dsyb, ratios=[3], dist_interval=(6, 60)
-        ).params_for(3, 60)
-        assert params.dist_interval == (2, 20)
+    def test_exact_divisions_are_unchanged(self):
+        assert level_params(3, (6, 60)).dist_interval == (2, 20)
 
     def test_ceil_never_loses_coarse_patterns(self, dsyb):
         # The ceiled interval is a superset of the floored one, so every
-        # pattern found under the legacy thresholds survives the fix.
-        fixed = MultiGranularityMiner(
-            dsyb, ratios=[6], dist_interval=(0, 45), min_season=2
-        )
-        legacy = MultiGranularityMiner(
-            dsyb, ratios=[6], dist_interval=(0, 45), min_season=2,
-            legacy_dist_floor=True,
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            fixed_level = fixed.mine_all()[0]
-            legacy_level = legacy.mine_all()[0]
-        assert legacy_level.result.pattern_keys() <= fixed_level.result.pattern_keys()
-
-
-class TestDeprecationShim:
-    def test_mine_all_warns_once_per_call(self, dsyb):
-        miner = MultiGranularityMiner(
-            dsyb, ratios=[3], dist_interval=(0, 120), min_season=2
-        )
-        with pytest.warns(DeprecationWarning, match="HierarchicalMiner"):
-            miner.mine_all()
-
-    def test_shim_matches_the_hierarchical_engine(self, dsyb):
-        shim = MultiGranularityMiner(
-            dsyb, ratios=[3, 6], dist_interval=(0, 120), min_season=2
-        )
-        engine = HierarchicalMiner(
-            dsyb, ratios=[3, 6], dist_interval=(0, 120), min_season=2
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy_levels = shim.mine_all()
-        hierarchical = engine.mine()
-        assert [level.ratio for level in legacy_levels] == hierarchical.ratios
-        for legacy_level, level in zip(legacy_levels, hierarchical.levels):
-            assert legacy_level.params == level.params
-            assert legacy_level.n_sequences == level.n_sequences
-            assert results_equivalent(legacy_level.result, level.result)
+        # pattern a floored upper bound finds survives the ceil.
+        dseq = build_sequence_database(dsyb, 6)
+        ceiled = level_params(6, (0, 45), n_sequences=len(dseq))
+        floored = replace(ceiled, dist_interval=(0, 45 // 6))
+        assert ceiled.dist_interval == (0, 8)
+        fixed = ESTPM(dseq, ceiled).mine()
+        legacy = ESTPM(dseq, floored).mine()
+        assert legacy.pattern_keys() <= fixed.pattern_keys()
 
 
 class TestValidation:
     def test_empty_ratios_rejected(self, dsyb):
         with pytest.raises(ConfigError):
-            MultiGranularityMiner(dsyb, ratios=[])
+            HierarchicalMiner(dsyb, ratios=[])
 
     def test_duplicate_ratios_rejected(self, dsyb):
         with pytest.raises(ConfigError):
-            MultiGranularityMiner(dsyb, ratios=[3, 3])
+            HierarchicalMiner(dsyb, ratios=[3, 3])
 
     def test_too_coarse_ratio_rejected(self, dsyb):
-        miner = MultiGranularityMiner(dsyb, ratios=[100], min_season=1)
+        miner = HierarchicalMiner(dsyb, ratios=[100], min_season=1)
         with pytest.raises(ConfigError):
-            miner.mine_all()
+            miner.mine()

@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 import repro.obs
-from repro.core.executor import ParallelExecutor, ThreadExecutor
+from repro.core.executor import ParallelExecutor
 from repro.core.results import results_equivalent
 from repro.core.stpm import ESTPM
 from repro.datasets import load_dataset
@@ -272,8 +272,7 @@ class TestCrossProcessParity:
     """Worker-side counters shipped through the envelope match serial."""
 
     @pytest.mark.parametrize("name", ["RE", "SC", "INF", "HFM"])
-    @pytest.mark.parametrize("backend", ["parallel", "threads"])
-    def test_seed_dataset_counter_parity(self, name, backend):
+    def test_seed_dataset_counter_parity(self, name):
         dataset = load_dataset(name, "tiny")
         params = dataset.params(
             max_period_pct=0.4, min_density_pct=0.75, min_season=4
@@ -281,10 +280,7 @@ class TestCrossProcessParity:
         dseq = dataset.dseq()
         with capture() as serial_captured:
             serial = ESTPM(dseq, params).mine()
-        if backend == "parallel":
-            executor = ParallelExecutor(max_workers=2, min_tasks=1)
-        else:
-            executor = ThreadExecutor(max_workers=2, min_tasks=1)
+        executor = ParallelExecutor(max_workers=2, min_tasks=1)
         with capture() as pooled_captured, executor:
             pooled = ESTPM(dseq, params, executor=executor).mine()
         assert results_equivalent(serial, pooled)
@@ -300,10 +296,9 @@ class TestCrossProcessParity:
         pooled_counts = mining_only(pooled_captured)
         assert serial_counts.get("mine.groups.pair", 0) > 0
         # Verdict rows are built once per verdict store, and the store is
-        # per level in one process: each pool worker fills its own, and
-        # two threads sharing one can both build a row.  So this one
-        # counter measures per-store work: a 2-worker run builds every
-        # row the serial run builds, and each at most twice.
+        # per level in one process: each pool worker fills its own.  So
+        # this one counter measures per-store work: a 2-worker run builds
+        # every row the serial run builds, and each at most twice.
         serial_rows = serial_counts.pop("kernel.extend.verdict_rows", 0)
         pooled_rows = pooled_counts.pop("kernel.extend.verdict_rows", 0)
         assert serial_rows <= pooled_rows <= 2 * serial_rows
@@ -318,8 +313,8 @@ class TestCrossProcessParity:
         with capture() as serial_captured:
             ESTPM(dseq, params).mine()
         assert "executor.map_calls" not in serial_captured.counters
-        with capture() as captured, ThreadExecutor(
-            max_workers=2, min_tasks=1
+        with capture() as captured, ParallelExecutor(
+            max_workers=2, min_tasks=1, reuse_pool=True
         ) as executor:
             ESTPM(dseq, params, executor=executor).mine()
         assert captured.counters["executor.map_calls"] > 0

@@ -1,13 +1,15 @@
 """Property-based parity of the vectorized front end.
 
-Random symbol streams, raw series, and support sets must be handled
-identically by the columnar and scalar front ends under both compute
-backends: same DSEQ rows and supports, byte-identical symbolization,
-the same batched season counts, and equivalent step-2.1 results.
+Random symbol streams, raw series, and support sets must be handled by
+the columnar front end exactly as by the granule-by-granule scalar test
+oracle (``dseq_oracle``), under both compute backends: same DSEQ rows
+and supports, byte-identical symbolization, the same batched season
+counts, and equivalent step-2.1 results.
 """
 
 from __future__ import annotations
 
+from dseq_oracle import oracle_dseq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +23,7 @@ from repro import (
 from repro.core.config import set_compute_backend
 from repro.core.results import results_equivalent
 from repro.core.seasonality import count_seasons, count_seasons_batch
+from repro.streaming import StreamingDatabase
 from repro.symbolic.mapping import QuantileMapper, ThresholdMapper
 from repro.symbolic.sax import SaxMapper
 from repro.symbolic.series import TimeSeries
@@ -95,17 +98,42 @@ def test_columnar_matches_scalar_on_both_backends(db_and_ratio):
 
     def check():
         nonlocal reference
-        columnar = _rows_and_supports(
-            build_sequence_database(dsyb, ratio, frontend="columnar")
-        )
-        scalar = _rows_and_supports(
-            build_sequence_database(dsyb, ratio, frontend="scalar")
-        )
+        columnar = _rows_and_supports(build_sequence_database(dsyb, ratio))
+        scalar = _rows_and_supports(oracle_dseq(dsyb, ratio))
         assert columnar == scalar
         if reference is None:
             reference = scalar
         else:
             assert scalar == reference  # backends agree with each other
+
+    _each_backend(check)
+
+
+@given(databases(), st.integers(1, 3), st.lists(st.integers(1, 40), max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_derived_rows_match_oracle_on_both_backends(db_and_ratio, factor, pushes):
+    """``prefix``, ``coarsen`` and ragged streaming appends all land on
+    the oracle's rows."""
+    dsyb, ratio = db_and_ratio
+    reference = oracle_dseq(dsyb, ratio)
+    streams = {series.name: series.symbols for series in dsyb}
+
+    def check():
+        dseq = build_sequence_database(dsyb, ratio)
+        half = len(dseq) // 2
+        assert list(dseq.prefix(half).rows) == list(reference.prefix(half).rows)
+        if len(dseq) >= factor:
+            coarse = oracle_dseq(dsyb, ratio * factor)
+            assert list(dseq.coarsen(factor).rows) == list(coarse.rows)
+        database = StreamingDatabase(ratio, {series.name: series.alphabet for series in dsyb})
+        cut = 0
+        for step in pushes:
+            database.append_symbols(
+                {name: symbols[cut : cut + step] for name, symbols in streams.items()}
+            )
+            cut += step
+        database.append_symbols({name: symbols[cut:] for name, symbols in streams.items()})
+        assert list(database.dseq.rows) == list(reference.rows)
 
     _each_backend(check)
 
@@ -193,8 +221,7 @@ def test_step21_results_equivalent_across_frontends(db_and_ratio):
     results = []
 
     def check():
-        for frontend in ("columnar", "scalar"):
-            dseq = build_sequence_database(dsyb, ratio, frontend=frontend)
+        for dseq in (build_sequence_database(dsyb, ratio), oracle_dseq(dsyb, ratio)):
             results.append(ESTPM(dseq, params).mine())
 
     _each_backend(check)

@@ -1,19 +1,22 @@
 """Property-based tests for the coarsening fold (the multigrain hot path).
 
 The soundness of the whole fold-derived engine rests on two equalities,
-asserted here for random databases, ratios, and both support backends:
+asserted here for random databases and ratios:
 
 * ``SupportSet.coarsen(factor)`` on a fine event support equals the
   support recomputed by scanning a freshly rebuilt coarse DSEQ;
 * ``TemporalSequenceDatabase.coarsen(factor)`` produces exactly the rows
   ``build_sequence_database`` would produce at the coarse ratio.
+
+The fold itself is checked against the plain scalar fold of a sorted
+position list, ``p -> (p - 1) // factor + 1``.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Alphabet, SymbolicDatabase, build_sequence_database
-from repro.core.supportset import SUPPORT_BACKENDS, make_support_set
+from repro.core.supportset import make_support_set
 
 MAX_LENGTH = 48
 
@@ -44,18 +47,15 @@ def test_folded_supports_equal_rebuilt_coarse_supports(case):
     fine = build_sequence_database(dsyb, base_ratio)
     coarse = build_sequence_database(dsyb, base_ratio * factor)
     n_coarse = len(coarse)
-    for backend in SUPPORT_BACKENDS:
-        fine_supports = fine.event_support(backend)
-        recomputed = coarse.event_support(backend)
-        folded = {
-            event: support.coarsen(factor, n_coarse)
-            for event, support in fine_supports.items()
-        }
-        folded = {event: support for event, support in folded.items() if support}
-        assert set(folded) == set(recomputed)
-        for event, support in folded.items():
-            assert support.backend == backend
-            assert support == recomputed[event]
+    recomputed = coarse.event_support()
+    folded = {
+        event: support.coarsen(factor, n_coarse)
+        for event, support in fine.event_support().items()
+    }
+    folded = {event: support for event, support in folded.items() if support}
+    assert set(folded) == set(recomputed)
+    for event, support in folded.items():
+        assert support == recomputed[event]
 
 
 @given(fold_cases())
@@ -78,14 +78,10 @@ def test_coarsened_rows_equal_rebuilt_rows(case):
     st.integers(1, 7),
 )
 @settings(max_examples=120, deadline=None)
-def test_both_backends_fold_identically(positions, factor):
+def test_fold_matches_the_scalar_fold(positions, factor):
     ordered = sorted(positions)
     expected = sorted({(p - 1) // factor + 1 for p in ordered})
-    for backend in SUPPORT_BACKENDS:
-        folded = make_support_set(ordered, backend).coarsen(factor)
-        assert list(folded) == expected
+    assert list(make_support_set(ordered).coarsen(factor)) == expected
     limit = max(expected, default=0) // 2
     capped = [p for p in expected if p <= limit]
-    for backend in SUPPORT_BACKENDS:
-        folded = make_support_set(ordered, backend).coarsen(factor, limit)
-        assert list(folded) == capped
+    assert list(make_support_set(ordered).coarsen(factor, limit)) == capped

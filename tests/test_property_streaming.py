@@ -43,23 +43,22 @@ def streaming_inputs(draw):
         min_season=draw(st.integers(1, 2)),
         max_pattern_length=draw(st.integers(1, 3)),
     )
-    backend = draw(st.sampled_from(["bitset", "list"]))
-    return rows, ratio, params, backend
+    return rows, ratio, params
 
 
 @settings(max_examples=30, deadline=None)
 @given(streaming_inputs())
 def test_streaming_equals_batch_at_every_prefix(case):
-    rows, ratio, params, backend = case
+    rows, ratio, params = case
     from repro.symbolic import Alphabet
 
     observed = sorted({symbol for row in rows.values() for symbol in row})
     dsyb = SymbolicDatabase.from_rows(rows, Alphabet(tuple(observed)))
     dseq = build_sequence_database(dsyb, ratio)
-    miner = IncrementalSTPM.empty(ratio, params, support_backend=backend)
+    miner = IncrementalSTPM.empty(ratio, params)
     for position, row in enumerate(dseq.rows, start=1):
         miner.advance([row])
-        batch = ESTPM(dseq.prefix(position), params, support_backend=backend).mine()
+        batch = ESTPM(dseq.prefix(position), params).mine()
         assert results_equivalent(miner.result(), batch), (
-            f"prefix {position} diverged (backend={backend}, ratio={ratio})"
+            f"prefix {position} diverged (ratio={ratio})"
         )

@@ -13,6 +13,7 @@ property test.
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import pickle
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.executor import ParallelExecutor, SerialExecutor, ThreadExecutor
+from repro.core.executor import ParallelExecutor, SerialExecutor
 from repro.core.results import results_equivalent
 from repro.core.stpm import ESTPM
 from repro.exceptions import ConfigError, FaultInjected, MiningError
@@ -266,7 +267,6 @@ class TestAtomicWrites:
 def _executors():
     return [
         ("serial", lambda: SerialExecutor(retry=FAST_RETRY)),
-        ("threads", lambda: ThreadExecutor(max_workers=2, retry=FAST_RETRY)),
         ("parallel", lambda: ParallelExecutor(max_workers=2, retry=FAST_RETRY)),
     ]
 
@@ -585,6 +585,42 @@ class TestJobCheckpoint:
             JobCheckpoint(path, {})
 
 
+    @staticmethod
+    def _replace_outcome(path, blob):
+        """Overwrite the checkpoint's only outcome blob; returns its key."""
+        data = json.loads(path.read_text())
+        (key,) = data["outcomes"]
+        data["outcomes"][key] = blob
+        path.write_text(json.dumps(data))
+        return key
+
+    def _assert_undecodable(self, tmp_path, blob):
+        path = tmp_path / "job.json"
+        ckpt = JobCheckpoint(path, {"job": "test"})
+        ckpt.record("k2:('a','b')", {"support": [1, 2]})
+        ckpt.flush()
+        key = self._replace_outcome(path, blob)
+        with pytest.raises(ConfigError) as excinfo:
+            JobCheckpoint(path, {"job": "test"})
+        message = str(excinfo.value)
+        assert str(path) in message
+        assert repr(key) in message
+        assert "fresh path" in message
+
+    def test_truncated_outcome_rejected(self, tmp_path):
+        whole = base64.b64encode(pickle.dumps({"support": [1, 2]})).decode("ascii")
+        self._assert_undecodable(tmp_path, whole[: len(whole) // 2 // 4 * 4])
+
+    def test_outcome_naming_a_missing_class_rejected(self, tmp_path):
+        # What a checkpoint pickled by an older build holds once one of
+        # its classes is gone: a global this build cannot resolve.
+        missing = b"crepro.core.supportset\n_RemovedSupportSet\n."
+        self._assert_undecodable(tmp_path, base64.b64encode(missing).decode("ascii"))
+
+    def test_bad_base64_outcome_rejected(self, tmp_path):
+        self._assert_undecodable(tmp_path, "not*base64")
+
+
 class TestStreamingAutosave:
     def _service(self, tmp_path, **kwargs):
         from repro import (
@@ -641,6 +677,27 @@ class TestCLIInterrupt:
         # The partial trace still lands on disk on the way out.
         assert trace_path.exists()
         assert "counters" in json.loads(trace_path.read_text())
+
+
+def test_undecodable_resume_checkpoint_is_a_usage_error(tmp_path, capsys):
+    from repro.harness import cli
+
+    path = tmp_path / "resume.json"
+    argv = [
+        "mine", "--dataset", "RE", "--profile", "tiny", "--min-season", "4",
+        "--resume", str(path),
+    ]
+    assert cli.main(argv) == 0
+    data = json.loads(path.read_text())
+    key = next(iter(data["outcomes"]))
+    data["outcomes"][key] = data["outcomes"][key][:8]
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = [line for line in err.splitlines() if "ERROR" in line]
+    assert str(path) in line
 
 
 def test_resilience_modules_registered_for_ep_checks():

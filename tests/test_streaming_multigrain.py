@@ -4,7 +4,6 @@ import pytest
 
 from repro import ESTPM, MiningParams, SymbolicDatabase
 from repro.core.results import results_equivalent
-from repro.core.supportset import SUPPORT_BACKENDS
 from repro.exceptions import MiningError
 from repro.streaming import MultiGrainStreamingService, StreamingDatabase
 from repro.transform import build_sequence_database
@@ -24,11 +23,9 @@ PARAMS_BY_RATIO = {
 }
 
 
-def fresh_service(dsyb, backend=None):
+def fresh_service(dsyb):
     database = StreamingDatabase(3, {s.name: s.alphabet for s in dsyb})
-    return MultiGrainStreamingService(
-        database, dict(PARAMS_BY_RATIO), support_backend=backend
-    )
+    return MultiGrainStreamingService(database, dict(PARAMS_BY_RATIO))
 
 
 def stream_blocks(dsyb, block=24):
@@ -41,18 +38,15 @@ def stream_blocks(dsyb, block=24):
 
 
 class TestMultiGrainStreaming:
-    @pytest.mark.parametrize("backend", SUPPORT_BACKENDS)
-    def test_every_level_matches_batch_mining(self, motif_dsyb, backend):
-        service = fresh_service(motif_dsyb, backend)
+    def test_every_level_matches_batch_mining(self, motif_dsyb):
+        service = fresh_service(motif_dsyb)
         for block in stream_blocks(motif_dsyb):
             deltas = service.push_symbols(block)
             assert sorted(deltas) == [3, 6, 12]
         assert [service.n_granules(r) for r in service.ratios] == [60, 30, 15]
         for ratio in service.ratios:
             batch = ESTPM(
-                build_sequence_database(motif_dsyb, ratio),
-                PARAMS_BY_RATIO[ratio],
-                support_backend=backend,
+                build_sequence_database(motif_dsyb, ratio), PARAMS_BY_RATIO[ratio]
             ).mine()
             assert results_equivalent(service.result(ratio), batch)
 

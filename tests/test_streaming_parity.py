@@ -3,8 +3,8 @@
 Feeding any prefix of a granule stream through :class:`IncrementalSTPM`
 must produce a mining result equivalent to running batch E-STPM on that
 prefix -- same frequent patterns, same supports, near support sets, and
-seasons -- for every seed dataset profile, both support backends, and
-both single-granule and multi-granule batches.  On the paper example and
+seasons -- for every seed dataset profile, and both single-granule and
+multi-granule batches.  On the paper example and
 one seed stream every sampled prefix is also checked against the
 brute-force :class:`NaiveSTPM` oracle.
 """
@@ -17,12 +17,10 @@ from repro.core.results import results_equivalent
 from repro.datasets.registry import DATASET_BUILDERS
 
 
-def _assert_prefix_parity(
-    dseq, params, backend, batch_granules, check_every=1, oracle=False
-):
+def _assert_prefix_parity(dseq, params, batch_granules, check_every=1, oracle=False):
     """Stream ``dseq`` in batches, asserting parity at sampled prefixes
     (with batch E-STPM, and with NaiveSTPM too when ``oracle`` is set)."""
-    miner = IncrementalSTPM.empty(dseq.ratio, params, support_backend=backend)
+    miner = IncrementalSTPM.empty(dseq.ratio, params)
     position = 0
     n_batches = 0
     checked = 0
@@ -33,13 +31,11 @@ def _assert_prefix_parity(
         assert delta.n_granules == position
         n_batches += 1
         if n_batches % check_every == 0 or position == len(dseq):
-            batch = ESTPM(
-                dseq.prefix(position), params, support_backend=backend
-            ).mine()
+            batch = ESTPM(dseq.prefix(position), params).mine()
             streaming = miner.result()
             assert results_equivalent(streaming, batch), (
                 f"prefix {position}: streaming diverged from batch "
-                f"(backend={backend}, batch_granules={batch_granules})"
+                f"(batch_granules={batch_granules})"
             )
             if oracle:
                 naive = NaiveSTPM(dseq.prefix(position), params).mine()
@@ -52,19 +48,16 @@ def _assert_prefix_parity(
 
 
 class TestPaperExampleParity:
-    """Every prefix of the paper's running example, both backends."""
+    """Every prefix of the paper's running example."""
 
-    @pytest.mark.parametrize("backend", ["bitset", "list"])
     @pytest.mark.parametrize("batch_granules", [1, 3])
-    def test_every_prefix(self, paper_dseq, paper_params, backend, batch_granules):
-        miner = _assert_prefix_parity(
-            paper_dseq, paper_params, backend, batch_granules
-        )
+    def test_every_prefix(self, paper_dseq, paper_params, batch_granules):
+        miner = _assert_prefix_parity(paper_dseq, paper_params, batch_granules)
         assert len(miner.result()) == 25  # the golden pattern count
 
 
 class TestSeedDatasetParity:
-    """All four seed dataset profiles, both backends, batches of 1 and k."""
+    """All four seed dataset profiles, batches of 1 and k."""
 
     @pytest.fixture(scope="class")
     def streams(self):
@@ -78,18 +71,18 @@ class TestSeedDatasetParity:
     @pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
     def test_granule_by_granule(self, streams, name):
         dseq, params = streams[name]
-        miner = _assert_prefix_parity(dseq, params, "bitset", 1, check_every=8)
+        miner = _assert_prefix_parity(dseq, params, 1, check_every=8)
         assert len(miner.result()) > 0, "parity must be checked on real patterns"
 
     @pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
     def test_multi_granule_batches(self, streams, name):
         dseq, params = streams[name]
-        _assert_prefix_parity(dseq, params, "list", 9, check_every=2)
+        _assert_prefix_parity(dseq, params, 9, check_every=2)
 
     def test_deeper_patterns(self, streams):
         dseq, params = streams["INF"]
         deeper = params.with_updates(max_pattern_length=4)
-        _assert_prefix_parity(dseq, deeper, "bitset", 7, check_every=3)
+        _assert_prefix_parity(dseq, deeper, 7, check_every=3)
 
 
 class TestKernelParity:
@@ -97,13 +90,11 @@ class TestKernelParity:
     oracle at every sampled prefix."""
 
     def test_paper_example(self, paper_dseq, paper_params):
-        miner = _assert_prefix_parity(
-            paper_dseq, paper_params, "bitset", 3, oracle=True
-        )
+        miner = _assert_prefix_parity(paper_dseq, paper_params, 3, oracle=True)
         assert len(miner.result()) == 25
 
     def test_seed_dataset_array_kernel(self):
         dataset = DATASET_BUILDERS["INF"](n_sequences=44, n_series=4)
         params = dataset.params(min_season=2, min_density_pct=0.6)
-        miner = _assert_prefix_parity(dataset.dseq(), params, "bitset", 9, oracle=True)
+        miner = _assert_prefix_parity(dataset.dseq(), params, 9, oracle=True)
         assert len(miner.result()) > 0, "parity must be checked on real patterns"

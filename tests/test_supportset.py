@@ -1,12 +1,11 @@
 """Property and unit tests for the SupportSet engine.
 
-The bitset representation must be observationally equivalent to the
-classical sorted-list algebra on every operation the miners use:
-intersection, cardinality, ascending iteration, membership, equality.
-The machine-word kernels (``bit_positions`` / ``coarsen_bits`` /
-``_pack_bits`` and the vectorized ``coarsen_positions``) must match
-their scalar reference semantics on masks straddling the small/large
-cutovers and on every compute backend.
+The bitset representation must be observationally equivalent to plain
+sorted-list algebra on every operation the miners use: intersection
+(against ``sorted(set(a) & set(b))``), cardinality, ascending iteration,
+membership, equality.  The machine-word kernels (``bit_positions`` /
+``coarsen_bits`` / ``_pack_bits``) must match their scalar reference
+semantics on masks straddling the small/large cutovers.
 """
 
 import pickle
@@ -15,29 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import set_compute_backend
-from repro.core.support import intersect_sorted
 from repro.core.supportset import (
     _COARSEN_CHUNK,
-    _NUMPY_MIN_POSITIONS,
     _SMALL_BITS,
-    BACKEND_BITSET,
-    BACKEND_LIST,
-    SUPPORT_BACKENDS,
     BitsetSupportSet,
-    ListSupportSet,
     SupportSet,
     _pack_bits,
     as_positions,
     as_support_list,
     bit_positions,
     coarsen_bits,
-    coarsen_positions,
-    coerce_support_set,
-    default_backend,
     make_support_set,
-    set_default_backend,
-    validate_backend,
 )
 from repro.exceptions import ConfigError
 
@@ -49,113 +36,77 @@ positions_lists = st.lists(
 @given(positions_lists)
 @settings(max_examples=100, deadline=None)
 def test_roundtrip_equivalence(positions):
-    for backend in SUPPORT_BACKENDS:
-        support = make_support_set(positions, backend)
-        assert support.backend == backend
-        assert list(support) == positions
-        assert support.positions() == tuple(positions)
-        assert len(support) == len(positions)
-        assert bool(support) == bool(positions)
-        assert support == positions
-        assert as_support_list(support) == positions
+    support = make_support_set(positions)
+    assert list(support) == positions
+    assert support.positions() == tuple(positions)
+    assert len(support) == len(positions)
+    assert bool(support) == bool(positions)
+    assert support == positions
+    assert as_support_list(support) == positions
 
 
 @given(positions_lists, positions_lists)
 @settings(max_examples=100, deadline=None)
 def test_intersection_matches_list_algebra(left, right):
-    expected = intersect_sorted(left, right)
-    bitset = make_support_set(left, BACKEND_BITSET) & make_support_set(
-        right, BACKEND_BITSET
-    )
-    listset = make_support_set(left, BACKEND_LIST) & make_support_set(
-        right, BACKEND_LIST
-    )
-    assert list(bitset) == expected
-    assert list(listset) == expected
-    assert len(bitset) == len(expected)
-    assert len(listset) == len(expected)
-    # The two representations agree with each other too.
-    assert bitset == listset
-
-
-@given(positions_lists, positions_lists)
-@settings(max_examples=50, deadline=None)
-def test_cross_backend_intersection(left, right):
-    expected = intersect_sorted(left, right)
-    bitset_left = make_support_set(left, BACKEND_BITSET)
-    list_right = make_support_set(right, BACKEND_LIST)
-    assert list(bitset_left & list_right) == expected
-    assert list(list_right & bitset_left) == expected
-    # Intersecting with a plain list works as well.
-    assert list(bitset_left & right) == expected
+    expected = sorted(set(left) & set(right))
+    both = make_support_set(left) & make_support_set(right)
+    assert list(both) == expected
+    assert len(both) == len(expected)
+    # Intersecting with a plain sequence works as well.
+    assert list(make_support_set(left) & right) == expected
+    assert list(make_support_set(left) & tuple(right)) == expected
 
 
 @given(positions_lists, st.integers(min_value=0, max_value=401))
 @settings(max_examples=100, deadline=None)
 def test_membership_matches(positions, probe):
-    for backend in SUPPORT_BACKENDS:
-        support = make_support_set(positions, backend)
-        assert (probe in support) == (probe in positions)
+    assert (probe in make_support_set(positions)) == (probe in positions)
 
 
 @given(positions_lists)
 @settings(max_examples=50, deadline=None)
 def test_indexing_and_slicing(positions):
-    for backend in SUPPORT_BACKENDS:
-        support = make_support_set(positions, backend)
-        if positions:
-            assert support[0] == positions[0]
-            assert support[-1] == positions[-1]
-        assert support[1:] == positions[1:]
-        assert support[:3] == positions[:3]
+    support = make_support_set(positions)
+    if positions:
+        assert support[0] == positions[0]
+        assert support[-1] == positions[-1]
+    assert support[1:] == positions[1:]
+    assert support[:3] == positions[:3]
 
 
 @given(positions_lists)
 @settings(max_examples=50, deadline=None)
 def test_pickle_roundtrip(positions):
-    for backend in SUPPORT_BACKENDS:
-        support = make_support_set(positions, backend)
-        clone = pickle.loads(pickle.dumps(support))
-        assert clone == support
-        assert clone.backend == backend
+    support = make_support_set(positions)
+    clone = pickle.loads(pickle.dumps(support))
+    assert clone == support
+    assert type(clone) is BitsetSupportSet
 
 
 class TestUnits:
     def test_bitset_stores_big_int(self):
-        support = make_support_set([1, 3, 5], BACKEND_BITSET)
+        support = make_support_set([1, 3, 5])
         assert isinstance(support, BitsetSupportSet)
         assert support.bits == 0b101010
         assert len(support) == 3
 
-    def test_list_backend_type(self):
-        support = make_support_set([1, 3], BACKEND_LIST)
-        assert isinstance(support, ListSupportSet)
-
-    def test_backends_agree_on_unsorted_duplicated_input(self):
+    def test_unsorted_duplicated_input_is_normalized(self):
         raw = [9, 3, 5, 3, 9]
-        as_list = make_support_set(raw, BACKEND_LIST)
-        as_bitset = make_support_set(raw, BACKEND_BITSET)
-        assert list(as_list) == [3, 5, 9]
-        assert as_list == as_bitset
+        assert list(make_support_set(raw)) == sorted(set(raw))
 
     def test_equality_against_lists_and_tuples(self):
-        support = make_support_set([2, 4], BACKEND_BITSET)
+        support = make_support_set([2, 4])
         assert support == [2, 4]
         assert support == (2, 4)
         assert [2, 4] == support  # reflected comparison
         assert support != [2, 5]
         assert support != "24"
 
-    def test_hash_consistent_across_backends(self):
-        a = make_support_set([1, 9], BACKEND_BITSET)
-        b = make_support_set([1, 9], BACKEND_LIST)
-        assert hash(a) == hash(b)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigError):
-            make_support_set([1], "roaring")
-        with pytest.raises(ConfigError):
-            validate_backend("nope")
+    def test_hash_consistent_with_equality(self):
+        a = make_support_set([1, 9])
+        b = make_support_set((9, 1))
+        assert a == b
+        assert hash(a) == hash(b) == hash((1, 9))
 
     def test_negative_bits_rejected(self):
         with pytest.raises(ConfigError):
@@ -165,23 +116,6 @@ class TestUnits:
         raw = [1, 2, 3]
         assert as_positions(raw) is raw
         assert as_positions(make_support_set(raw)) == (1, 2, 3)
-
-    def test_coerce_preserves_matching_backend(self):
-        support = make_support_set([1, 2], BACKEND_BITSET)
-        assert coerce_support_set(support, BACKEND_BITSET) is support
-        converted = coerce_support_set(support, BACKEND_LIST)
-        assert isinstance(converted, ListSupportSet)
-        assert converted == support
-
-    def test_default_backend_switch(self):
-        assert default_backend() == BACKEND_BITSET
-        previous = set_default_backend(BACKEND_LIST)
-        try:
-            assert previous == BACKEND_BITSET
-            assert isinstance(make_support_set([1]), ListSupportSet)
-        finally:
-            set_default_backend(previous)
-        assert default_backend() == BACKEND_BITSET
 
     def test_abstract_interface_guards(self):
         base = SupportSet()
@@ -196,8 +130,7 @@ class TestUnits:
 # ---------------------------------------------------------------------------
 
 #: Position lists that straddle the small/large cutovers of the chunked
-#: kernels: masks shorter and longer than ``_SMALL_BITS`` bits, position
-#: lists shorter and longer than ``_NUMPY_MIN_POSITIONS``, and chunk
+#: kernels: masks shorter and longer than ``_SMALL_BITS`` bits, and chunk
 #: boundaries of ``_COARSEN_CHUNK`` coarse granules.
 kernel_positions = st.lists(
     st.one_of(
@@ -240,37 +173,11 @@ def test_coarsen_bits_matches_scalar_semantics(positions, factor, n_granules):
 
 
 @given(kernel_positions, coarsen_factors, granule_caps)
-@settings(max_examples=150, deadline=None)
-def test_coarsen_positions_matches_scalar_semantics(positions, factor, n_granules):
-    expected = _reference_coarse(positions, factor, n_granules)
-    assert coarsen_positions(positions, factor, n_granules) == expected
-    # Non-list iterables are accepted too.
-    assert coarsen_positions(iter(positions), factor, n_granules) == expected
-
-
-@given(kernel_positions, coarsen_factors, granule_caps)
 @settings(max_examples=100, deadline=None)
-def test_supportset_coarsen_agrees_across_backends(positions, factor, n_granules):
+def test_supportset_coarsen_matches_scalar_fold(positions, factor, n_granules):
     expected = _reference_coarse(positions, factor, n_granules)
-    for backend in SUPPORT_BACKENDS:
-        folded = make_support_set(positions, backend).coarsen(factor, n_granules)
-        assert folded.backend == backend
-        assert list(folded) == expected
-
-
-@pytest.mark.parametrize("backend", ["python", "auto"])
-def test_long_coarsen_positions_on_both_compute_backends(backend):
-    """The numpy stride-merge (when enabled) and the scalar loop agree on
-    inputs past the ``_NUMPY_MIN_POSITIONS`` vectorization threshold."""
-    positions = [3 * i + 1 for i in range(2 * _NUMPY_MIN_POSITIONS)]
-    expected = _reference_coarse(positions, 5, None)
-    capped = _reference_coarse(positions, 5, 100)
-    previous = set_compute_backend(backend)
-    try:
-        assert coarsen_positions(positions, 5, None) == expected
-        assert coarsen_positions(positions, 5, 100) == capped
-    finally:
-        set_compute_backend(previous)
+    folded = make_support_set(positions).coarsen(factor, n_granules)
+    assert list(folded) == expected
 
 
 def test_large_mask_kernels_cross_chunk_boundaries():
@@ -299,4 +206,4 @@ def test_coarsen_rejects_bad_factor():
     with pytest.raises(ConfigError):
         coarsen_bits(0b10, 0)
     with pytest.raises(ConfigError):
-        coarsen_positions([1], -1)
+        make_support_set([1]).coarsen(-1)

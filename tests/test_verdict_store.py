@@ -10,24 +10,18 @@ sharing a store across calls must change nothing but the work done:
 * the same holds for each of the streaming miner's extension calls,
   which pass ``parent_patterns`` and ``granule_filter``;
 * a :class:`~repro.core.stpm.LevelContext` pickles with an empty store,
-  so each pool worker fills its own;
-* threads sharing one level's store (and the level's lazily expanded
-  pair buckets) mine the serial result without a failed task attempt.
+  so each pool worker fills its own.
 """
 
 import dataclasses
 import pickle
-import sys
-import threading
 
 import pytest
 
 import repro.streaming.incremental as incremental
-from repro.core.executor import SerialExecutor, ThreadExecutor
+from repro.core.executor import SerialExecutor
 from repro.core.instance_index import VerdictStore
-from repro.core.results import results_equivalent
 from repro.core.stpm import ESTPM, LevelContext, mine_extension_task
-from repro.datasets import load_dataset
 from repro.datasets.registry import DATASET_BUILDERS
 from repro.obs.counters import capture
 from repro.streaming import IncrementalSTPM
@@ -152,41 +146,3 @@ class TestStreamingAdvanceSharing:
         shared_rows = sum(rows for _, rows, _ in calls)
         fresh_rows = sum(rows for _, _, rows in calls)
         assert 0 < shared_rows < fresh_rows
-
-
-class TestThreadsStress:
-    def test_four_threads_share_a_level_store(self):
-        """More worker threads than cores, switching as often as the
-        interpreter allows, filling one store per level."""
-        dataset = load_dataset("RE", "tiny")
-        params = dataset.params(max_period_pct=0.4, min_density_pct=0.75, min_season=4)
-        dseq = dataset.dseq()
-        with capture() as serial_counters:
-            serial = ESTPM(dseq, params).mine()
-        outcome = {}
-
-        def mine_threaded():
-            with capture() as counters, ThreadExecutor(
-                max_workers=4, min_tasks=1
-            ) as executor:
-                outcome["result"] = ESTPM(dseq, params, executor=executor).mine()
-            outcome["counters"] = counters.counters
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            runner = threading.Thread(target=mine_threaded)
-            runner.start()
-            runner.join(timeout=300)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not runner.is_alive(), "threaded mining did not finish in time"
-        assert results_equivalent(outcome["result"], serial)
-        threaded = outcome["counters"]
-        # A task that trips over shared state fails and is retried, which
-        # the result alone would hide.
-        assert threaded.get("executor.retries", 0) == 0
-        # Each thread builds a row at most once: setdefault never lets a
-        # thread orphan a record another thread is filling.
-        serial_rows = serial_counters.counters[ROWS]
-        assert serial_rows <= threaded[ROWS] <= 4 * serial_rows
