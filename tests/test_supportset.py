@@ -52,9 +52,20 @@ def test_intersection_matches_list_algebra(left, right):
     both = make_support_set(left) & make_support_set(right)
     assert list(both) == expected
     assert len(both) == len(expected)
-    # Intersecting with a plain sequence works as well.
-    assert list(make_support_set(left) & right) == expected
-    assert list(make_support_set(left) & tuple(right)) == expected
+
+
+@given(positions_lists, positions_lists)
+@settings(max_examples=50, deadline=None)
+def test_cross_backend_intersection(left, right):
+    # A support set intersects with a plain position sequence as well as
+    # with another support set, and the result is always a bitset.
+    expected = sorted(set(left) & set(right))
+    support = make_support_set(left)
+    for other in (right, tuple(right), make_support_set(right)):
+        both = support & other
+        assert type(both) is BitsetSupportSet
+        assert list(both) == expected
+        assert support.intersect(other) == both
 
 
 @given(positions_lists, st.integers(min_value=0, max_value=401))
