@@ -14,7 +14,8 @@ multigrain workload where the per-level setup dominates, on a
 long-horizon scaled RE/INF dataset over a six-level hierarchy.  Pattern
 mining at k >= 2 runs identical group enumeration under both strategies
 (the parity tests pin byte-equal results), so its cost is
-strategy-independent; EXT2/EXT3 cover that regime.
+strategy-independent; the ``perfbench`` workloads ``estpm-re`` and
+``estpm-dense`` and the EXT3 streaming suite cover that regime.
 
 Expected shape: fold-derived multi-level mining is at least 2x faster
 than the per-level-rebuild baseline on a >= 3-level hierarchy, with

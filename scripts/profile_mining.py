@@ -8,7 +8,7 @@ Examples
 --------
     python scripts/profile_mining.py F7
     python scripts/profile_mining.py T9 --profile tiny -n 40
-    python scripts/profile_mining.py F11 --sort tottime --executor serial
+    python scripts/profile_mining.py F11 --sort tottime
     python scripts/profile_mining.py F7 --trace /tmp/f7.json
     python scripts/profile_mining.py --phases /tmp/f7.json
 """
@@ -74,14 +74,6 @@ def main(argv: list[str] | None = None) -> int:
         help="pstats sort key (default: cumulative)",
     )
     parser.add_argument(
-        "--executor",
-        default=None,
-        choices=(None, "serial", "parallel"),
-        help="mining executor backend (default: engine default; note that "
-        "work dispatched to pool workers is invisible to the parent's "
-        "profile -- use serial to see the kernels)",
-    )
-    parser.add_argument(
         "--output",
         type=Path,
         default=None,
@@ -122,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
 
     profiler = cProfile.Profile()
     profiler.enable()
-    run_experiment(args.artifact_id, profile=args.profile, executor=args.executor)
+    run_experiment(args.artifact_id, profile=args.profile)
     profiler.disable()
 
     if args.trace is not None:

@@ -28,14 +28,6 @@ from repro.core.approximate import (
     screen_events,
 )
 from repro.core.config import MiningParams
-from repro.core.executor import (
-    MiningExecutor,
-    ParallelExecutor,
-    SerialExecutor,
-    executor_scope,
-    resolve_executor,
-    set_default_executor,
-)
 from repro.multigrain import (
     GranularityLevel,
     HierarchicalMiner,
@@ -100,7 +92,7 @@ from repro.resilience import (
 )
 from repro.transform import TemporalSequenceDatabase, build_sequence_database
 
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
 __all__ = [
     # granularity
@@ -166,13 +158,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "install_fault_plan",
-    # execution backends
-    "MiningExecutor",
-    "SerialExecutor",
-    "ParallelExecutor",
-    "executor_scope",
-    "resolve_executor",
-    "set_default_executor",
     # streaming
     "IncrementalSTPM",
     "PatternDelta",

@@ -4,8 +4,8 @@ A stdlib-only, AST-based lint engine that turns the repo's documented
 runtime contracts into checked invariants:
 
 * **CT** compute-twin -- numpy only via :func:`repro.core.config.get_numpy`;
-* **EP** executor picklability -- module-level task callables, boundary
-  classes exclude per-process caches from their pickled state;
+* **EP** checkpoint picklability -- classes pickled into job checkpoints
+  exclude per-process caches, registry values are module-level callables;
 * **OB** zero-overhead telemetry -- hot paths use the guarded helpers;
 * **RC** registry conformance -- the export surfaces resolve.
 

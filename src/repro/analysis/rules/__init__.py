@@ -13,7 +13,6 @@ from repro.analysis.rules.compute_twin import (
 from repro.analysis.rules.obs_overhead import DirectObsAccess
 from repro.analysis.rules.picklability import (
     BoundaryClassShipsCaches,
-    NonPicklableTaskCallable,
     RegistryValueNotModuleLevel,
 )
 from repro.analysis.rules.registry_conformance import (
@@ -24,7 +23,6 @@ from repro.analysis.rules.registry_conformance import (
 ALL_RULES: tuple[type[Rule], ...] = (
     ModuleScopeNumpyImport,
     FunctionScopeNumpyImport,
-    NonPicklableTaskCallable,
     BoundaryClassShipsCaches,
     RegistryValueNotModuleLevel,
     DirectObsAccess,

@@ -28,9 +28,9 @@ OBS_HOT_PACKAGES = (
     "repro.multigrain",
 )
 
-#: Modules whose classes cross the executor boundary inside
-#: ``LevelContext`` / ``HierarchicalContext`` / ``GroupOutcome`` payloads.
-EXECUTOR_BOUNDARY_MODULES = (
+#: Modules whose classes are pickled into job checkpoints inside
+#: ``GroupOutcome`` / ``GranularityLevel`` outcomes and quarantine records.
+PICKLE_BOUNDARY_MODULES = (
     "repro.core.stpm",
     "repro.core.hlh",
     "repro.core.supportset",
@@ -44,8 +44,8 @@ EXECUTOR_BOUNDARY_MODULES = (
     "repro.resilience.faults",
 )
 
-#: Module-scope registries whose values ship (or are dispatched) across
-#: process boundaries and therefore must hold module-level callables.
+#: Module-scope dispatch registries, whose values must be module-level
+#: callables (resolvable by qualified name).
 CALLABLE_REGISTRIES = (
     "MINERS",
     "DATASET_BUILDERS",
@@ -53,7 +53,7 @@ CALLABLE_REGISTRIES = (
 )
 
 #: Attribute-name heuristic of "per-process cache state" on classes that
-#: cross the executor boundary (EP002).
+#: are pickled into job checkpoints (EP002).
 CACHE_ATTR_MARKERS = ("cache", "cached", "column", "memo", "intern")
 
 

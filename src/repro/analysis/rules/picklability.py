@@ -1,14 +1,13 @@
-"""EP -- the executor-boundary picklability contract (PRs 1/4/5).
+"""EP -- the picklability contract of job checkpoints.
 
-Group tasks and their contexts cross process boundaries: every callable
-handed to ``map_tasks`` (or stored in a dispatch registry) must resolve
-by qualified name in the worker (module-level, not a lambda / closure /
-bound method), and the classes shipped inside ``LevelContext`` /
-``HierarchicalContext`` / ``GroupOutcome`` must exclude per-process
-caches from their pickled state (``HLH1.__getstate__`` is the model:
-workers rebuild their own instance columns from the broadcast tables).
+A job checkpoint pickles the outcome of every completed group task and
+hierarchy level (``GroupOutcome``, ``GranularityLevel``) and a resumed
+run unpickles them, possibly in a later build.  So the classes those
+outcomes reach must exclude per-process caches from their pickled state
+(``HLH1.__getstate__`` is the model: the columns are rebuilt on first
+touch), and the callables the dispatch registries hold must resolve by
+qualified name (module-level, not a lambda / closure / bound method).
 
-* ``EP001``: non-module-level callable passed to ``map_tasks``.
 * ``EP002``: boundary class with cache-like attributes but no
   ``__getstate__`` / ``__reduce__`` to exclude them.
 * ``EP003``: dispatch-registry value that is not a module-level callable.
@@ -24,7 +23,7 @@ from repro.analysis.index import ModuleIndex, RepoIndex
 from repro.analysis.rules.base import (
     CACHE_ATTR_MARKERS,
     CALLABLE_REGISTRIES,
-    EXECUTOR_BOUNDARY_MODULES,
+    PICKLE_BOUNDARY_MODULES,
     Rule,
 )
 
@@ -38,7 +37,7 @@ def _nested_def_names(entry: ModuleIndex) -> set[str]:
 def _describe_callable_problem(
     entry: ModuleIndex, node: ast.expr, nested: set[str]
 ) -> str | None:
-    """Why ``node`` cannot be shipped to a worker process (None = fine)."""
+    """Why ``node`` does not pickle by qualified name (None = fine)."""
     if isinstance(node, ast.Lambda):
         return "a lambda does not pickle; define a module-level function"
     if isinstance(node, ast.Attribute):
@@ -48,8 +47,7 @@ def _describe_callable_problem(
             return None  # module_alias.function -- resolvable by name
         return (
             "a bound method / instance attribute does not pickle by "
-            "qualified name; pass a module-level function taking the "
-            "instance state via the task context"
+            "qualified name; use a module-level function"
         )
     if isinstance(node, ast.Name):
         if node.id in entry.bindings:
@@ -67,39 +65,6 @@ def _describe_callable_problem(
             return _describe_callable_problem(entry, node.args[0], nested)
         return None  # arbitrary factory -- not statically decidable
     return None
-
-
-class NonPicklableTaskCallable(Rule):
-    id = "EP001"
-    summary = (
-        "callable passed to map_tasks must be a module-level function "
-        "(no lambdas, closures, or bound methods)"
-    )
-
-    def check(self, repo: RepoIndex) -> Iterator[Finding]:
-        for entry in repo:
-            nested = _nested_def_names(entry)
-            for node in ast.walk(entry.tree):
-                if not isinstance(node, ast.Call) or not node.args:
-                    continue
-                func = node.func
-                is_map_tasks = (
-                    isinstance(func, ast.Attribute) and func.attr == "map_tasks"
-                ) or (isinstance(func, ast.Name) and func.id == "map_tasks")
-                if not is_map_tasks:
-                    continue
-                target = node.args[0]
-                # Executor internals forward their own `fn` parameter; a
-                # Name bound to a parameter resolves to "fine" below.
-                problem = _describe_callable_problem(entry, target, nested)
-                if problem is not None:
-                    symbol = getattr(target, "id", None) or "<callable>"
-                    yield self.finding(
-                        entry,
-                        target,
-                        symbol,
-                        f"task callable handed to map_tasks: {problem}",
-                    )
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -173,12 +138,12 @@ def _suspicious_attributes(node: ast.ClassDef) -> list[tuple[str, int]]:
 class BoundaryClassShipsCaches(Rule):
     id = "EP002"
     summary = (
-        "executor-boundary class holds per-process cache attributes but "
-        "defines no __getstate__/__reduce__ to exclude them from pickling"
+        "class pickled into job checkpoints holds per-process cache "
+        "attributes but defines no __getstate__/__reduce__ to exclude them"
     )
 
     def check(self, repo: RepoIndex) -> Iterator[Finding]:
-        for module in EXECUTOR_BOUNDARY_MODULES:
+        for module in PICKLE_BOUNDARY_MODULES:
             entry = repo.get(module)
             if entry is None:
                 continue
@@ -201,10 +166,10 @@ class BoundaryClassShipsCaches(Rule):
                 entry,
                 node,
                 class_name,
-                f"class {class_name} crosses the executor boundary with "
+                f"class {class_name} is pickled into job checkpoints with "
                 f"cache-like attributes ({names}) and default pickling; "
-                "add __getstate__/__setstate__ (or __reduce__) so workers "
-                "rebuild per-process state instead of shipping it "
+                "add __getstate__/__setstate__ (or __reduce__) so the "
+                "per-process state is rebuilt instead of stored "
                 "(see HLH1.__getstate__)",
             )
 
@@ -213,7 +178,7 @@ class RegistryValueNotModuleLevel(Rule):
     id = "EP003"
     summary = (
         "dispatch-registry value must be a module-level callable "
-        "(registries feed cross-process dispatch)"
+        "(resolvable, and so picklable, by qualified name)"
     )
 
     def check(self, repo: RepoIndex) -> Iterator[Finding]:

@@ -25,7 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=(
             "Static contract analyzer for the freqstpfts tree: enforces the "
-            "compute-twin (CT), executor-picklability (EP), "
+            "compute-twin (CT), checkpoint-picklability (EP), "
             "zero-overhead-telemetry (OB), and registry-conformance (RC) "
             "invariants documented in DESIGN.md ('Static contracts')."
         ),

@@ -4,7 +4,7 @@ Grammar (whitespace-tolerant, rule lists comma-separated):
 
 * ``# repro: ignore[CT001]`` -- suppress the listed rules on this line;
 * ``# repro: ignore`` -- suppress every rule on this line;
-* ``# repro: ignore-file[EP001]`` -- suppress the listed rules in the
+* ``# repro: ignore-file[EP002]`` -- suppress the listed rules in the
   whole file (``ignore-file`` without brackets suppresses everything --
   reserve it for generated code).
 

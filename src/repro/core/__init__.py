@@ -11,21 +11,10 @@ Public entry points:
 * :class:`~repro.core.results.MiningResult` -- patterns plus statistics.
 * :class:`~repro.core.supportset.SupportSet` -- the support-set algebra
   (one big-int bitset representation).
-* :class:`~repro.core.executor.MiningExecutor` -- serial / process-pool
-  execution backends for the per-group mining work, with reusable worker
-  pools (see :func:`~repro.core.executor.executor_scope`).
 """
 
 from repro.core.config import MiningParams
 from repro.core.approximate import ASTPM
-from repro.core.executor import (
-    MiningExecutor,
-    ParallelExecutor,
-    SerialExecutor,
-    executor_scope,
-    resolve_executor,
-    set_default_executor,
-)
 from repro.core.pattern import TemporalPattern, Triple
 from repro.core.prune import PruningConfig
 from repro.core.results import MiningResult, SeasonalPattern
@@ -52,10 +41,4 @@ __all__ = [
     "SupportSet",
     "BitsetSupportSet",
     "make_support_set",
-    "MiningExecutor",
-    "SerialExecutor",
-    "ParallelExecutor",
-    "executor_scope",
-    "resolve_executor",
-    "set_default_executor",
 ]

@@ -8,9 +8,10 @@ A-STPM prunes *unpromising time series* before mining:
    the filter only removes pairs that fail the bound both ways).
 2. Pairs with ``minNMI >= mu`` are *correlated*; their series join ``XC``.
 3. Frequent seasonal single events are mined only from the series of
-   ``XC``; 2-event groups spanning two different series are mined only
-   for correlated pairs; levels k >= 3 run the exact STPM machinery on the
-   surviving HLH structures.
+   ``XC``; every 2-event group over the events of ``XC`` is then mined
+   (Alg. 2 line 7 iterates pairs *of XC*, not the correlated pairs), and
+   levels k >= 3 run the exact STPM machinery on the surviving HLH
+   structures.
 
 The result is a (typically large) subset of E-STPM's patterns, obtained
 considerably faster -- the trade-off quantified by the paper's Tables
@@ -25,7 +26,6 @@ from itertools import combinations
 
 from repro.core.bounds import mu_threshold, series_pair_mu
 from repro.core.config import MiningParams
-from repro.core.executor import MiningExecutor, executor_scope
 from repro.core.mi import normalized_mutual_information
 from repro.core.prune import PruningConfig
 from repro.core.results import MiningResult
@@ -33,6 +33,7 @@ from repro.core.stpm import ESTPM
 from repro.exceptions import MiningError
 from repro.obs import counters as metrics
 from repro.obs.trace import span
+from repro.resilience.policy import RetryPolicy
 from repro.symbolic.database import SymbolicDatabase
 from repro.transform.sequence_db import TemporalSequenceDatabase, build_sequence_database
 
@@ -151,9 +152,8 @@ class ASTPM:
     Accepts the symbolic database plus the sequence-mapping ratio so the MI
     screening runs on DSYB (one scan, as the paper notes) while the mining
     runs on DSEQ.  A pre-built DSEQ can be supplied to avoid re-transforming
-    in benchmarks.  ``executor`` / ``n_workers`` / ``strict`` /
-    ``checkpoint_path`` are forwarded to the inner
-    :class:`~repro.core.stpm.ESTPM` engine.
+    in benchmarks.  ``retry`` / ``strict`` / ``checkpoint_path`` are
+    forwarded to the inner :class:`~repro.core.stpm.ESTPM` engine.
     """
 
     dsyb: SymbolicDatabase
@@ -162,8 +162,7 @@ class ASTPM:
     pruning: PruningConfig = field(default_factory=PruningConfig.all)
     dseq: TemporalSequenceDatabase | None = None
     event_level: bool = False
-    executor: "MiningExecutor | str | None" = None
-    n_workers: int | None = None
+    retry: RetryPolicy | None = None
     strict: bool = True
     checkpoint_path: str | None = None
 
@@ -192,22 +191,17 @@ class ASTPM:
             metrics.inc("astpm.series_pruned", report.n_pruned_series)
             # Alg. 2 line 7 iterates pairs *of XC*: once a series survives
             # the MI screening it participates in every 2-event group with
-            # other survivors, so only the series filter applies here.  The
-            # executor is resolved once and handed to the inner engine as
-            # an instance, so a pool-backed backend spawns (and, for name
-            # specs, closes) exactly one pool per A-STPM job.
-            with executor_scope(self.executor, self.n_workers) as runner:
-                miner = ESTPM(
-                    dseq,
-                    self.params,
-                    self.pruning,
-                    series_filter=set(report.correlated_series),
-                    event_filter=event_filter,
-                    executor=runner,
-                    strict=self.strict,
-                    checkpoint_path=self.checkpoint_path,
-                )
-                result = miner.mine()
+            # other survivors, so only the series filter applies here.
+            result = ESTPM(
+                dseq,
+                self.params,
+                self.pruning,
+                series_filter=set(report.correlated_series),
+                event_filter=event_filter,
+                retry=self.retry,
+                strict=self.strict,
+                checkpoint_path=self.checkpoint_path,
+            ).mine()
             result.stats.mi_seconds = report.mi_seconds
             result.stats.n_series_pruned = report.n_pruned_series
         return result

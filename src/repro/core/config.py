@@ -37,8 +37,8 @@ COMPUTE_NUMPY = "numpy"
 COMPUTE_PYTHON = "python"
 COMPUTE_BACKENDS = (COMPUTE_AUTO, COMPUTE_NUMPY, COMPUTE_PYTHON)
 
-#: Environment override so spawned pool workers (and CI fallback legs)
-#: inherit the selection without any in-process plumbing.
+#: Environment override so subprocesses (and CI fallback legs) inherit
+#: the selection without any in-process plumbing.
 COMPUTE_ENV_VAR = "REPRO_COMPUTE"
 
 _COMPUTE_BACKEND: str | None = None

@@ -45,8 +45,8 @@ class HLH1:
     gh: dict[str, dict[int, list[EventInstance]]] = field(default_factory=dict)
     _candidates: list[str] | None = field(default=None, repr=False, compare=False)
     #: Lazily built columnar instance tables per (event, granule) -- the
-    #: step-2.2 kernels' view of GH.  Never pickled: worker processes
-    #: rebuild their own columns from the broadcast ``gh`` tables.
+    #: step-2.2 kernels' view of GH.  Never pickled: an unpickled copy
+    #: rebuilds its columns from the ``gh`` tables.
     _columns: dict[str, dict[int, InstanceColumn]] = field(
         default_factory=dict, repr=False, compare=False
     )

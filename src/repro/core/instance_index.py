@@ -14,8 +14,8 @@ This module provides the columnar substitute:
   (by ``(start, -end)``), plus the instance objects themselves for
   decoding.  Built once per mining job per process and cached on
   :class:`~repro.core.hlh.HLH1` (see :meth:`HLH1.column_of`); the cache
-  never crosses the executor boundary -- worker processes rebuild their
-  own columns lazily from the broadcast ``GH`` tables.
+  is never pickled -- an unpickled ``HLH1`` rebuilds its columns lazily
+  from its ``GH`` tables.
 * **Flyweight interning** for :class:`~repro.core.pattern.Triple` and
   :class:`~repro.core.pattern.TemporalPattern`: the kernels produce one
   object per *distinct* pattern per process instead of one per accepted
@@ -26,8 +26,8 @@ This module provides the columnar substitute:
   chronologically ordered ``events`` -- ``encoded[i]`` indexes the
   instance of ``pattern.events[i]`` in its granule column.  Index tuples
   are what ``GH_k`` stores and what the pickled
-  :class:`~repro.core.stpm.GroupOutcome` payloads ship back from pool
-  workers; :func:`decode_assignment` rematerializes the instance tuple
+  :class:`~repro.core.stpm.GroupOutcome` payloads of a job checkpoint
+  hold; :func:`decode_assignment` rematerializes the instance tuple
   wherever a human-facing view needs one.
 
 The kernels themselves live in :mod:`repro.core.array_kernel`
@@ -182,10 +182,10 @@ class LazyAssignments:
     iterates the assignments (group extension, decoding, reporting,
     parity tests).  It quacks like a ``list[tuple[int, int]]``:
     iteration, ``len``, indexing, equality, and pickling all see the
-    expanded pairs; pickling ships the compact
-    blocks when the sequence was never expanded, so pool workers hand
-    dense ``GH_2`` tables back to the parent without serializing the
-    product either.
+    expanded pairs; pickling stores the compact
+    blocks when the sequence was never expanded, so a job checkpoint
+    records dense ``GH_2`` tables without serializing the product
+    either.
     """
 
     __slots__ = ("_blocks", "_items", "_length")
@@ -257,8 +257,7 @@ class LazyAssignments:
     def _materialize(self) -> list:
         """Expand the blocks into the pair list, once.
 
-        Threads-executor tasks share one level's buckets and may race
-        here.  Each racer expands the same blocks into an equal list; a
+        Threads that share one level's buckets may race here.  Each racer expands the same blocks into an equal list; a
         racer that finds the blocks already dropped returns the list the
         winner stored first.
         """
@@ -326,7 +325,7 @@ class LazyAssignments:
         return f"LazyAssignments({self._items!r})"
 
     def __reduce__(self):
-        # Ship compact blocks while unexpanded (pool workers return
+        # Store compact blocks while unexpanded (job checkpoints record
         # dense GH2 tables without serializing the instance product);
         # an expanded sequence pickles its plain item list.
         if self._items is None:
@@ -351,8 +350,8 @@ def _rebuild_lazy_assignments(blocks, items, length) -> LazyAssignments:
 #: value objects compared by value everywhere, so the interning is a
 #: best-effort optimization: sharing across jobs is safe, and losing an
 #: entry merely re-constructs an equal object.  Batch jobs drop the
-#: caches at ``executor_scope`` exit (a live job's interned objects are
-#: all referenced by its HLH structures anyway); for paths with no job
+#: caches when their miner's ``mine()`` returns (a live job's interned
+#: objects are all referenced by its HLH structures anyway); for paths with no job
 #: scope -- the long-lived streaming miner -- :data:`_INTERN_CACHE_LIMIT`
 #: hard-bounds each cache, resetting it when the distinct-identity
 #: population outgrows the limit.  Concurrent misses from threads of one
@@ -427,8 +426,7 @@ class VerdictStore(dict):
     The caller owns the store.  Kernels add its nested containers with
     ``dict.setdefault`` only, so threads sharing a store never replace a
     container another thread is filling (two threads can at worst both
-    build one row, and the rows are equal).  It pickles empty: every
-    worker process fills its own.
+    build one row, and the rows are equal).  It pickles empty.
     """
 
     __slots__ = ()

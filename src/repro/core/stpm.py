@@ -25,14 +25,14 @@ Engine architecture
 Support sets live behind :class:`~repro.core.supportset.SupportSet`
 (big-int bitsets), so every group intersection is a C-level ``&`` and
 every maxSeason gate a ``bit_count()``.  The per-group work of step 2.2 -- intersect supports,
-enumerate instance pairs, grow assignments -- is expressed as pure,
-picklable *group tasks* (:func:`mine_pair_task` / :func:`mine_extension_task`
-against a shared :class:`LevelContext`) dispatched through a
-:class:`~repro.core.executor.MiningExecutor`.  The serial executor
-reproduces the classical single-threaded miner; the parallel executor fans
-the tasks over a process pool.  Outcomes are consumed in task order, so
-the :class:`~repro.core.results.MiningResult` is identical across
-backends.
+enumerate instance pairs, grow assignments -- is expressed as *group
+tasks* (:func:`mine_pair_task` / :func:`mine_extension_task`, each taking
+its level's shared :class:`LevelContext`).  :meth:`ESTPM._dispatch` runs
+them in-process one at a time through
+:func:`~repro.resilience.policy.run_task` (retry and quarantine) and
+registers each outcome before the next task runs, so a level never holds
+more than one group's outcome at once.  The outcomes are what a job
+checkpoint records and a resumed run replays.
 
 The step-2.2 inner loops are the kernels of :mod:`repro.core.array_kernel`
 over the columnar instance index (:mod:`repro.core.instance_index`): per
@@ -42,9 +42,10 @@ level for the Iterative Check, flyweight-interned triples/patterns, and
 compact column-index assignment encodings in ``GH_k`` and in the pickled
 :class:`GroupOutcome` payloads.
 
-The optional ``series_filter`` / ``pair_filter`` hooks implement A-STPM's
-search-space reduction (only mine events of correlated series and 2-event
-groups of correlated series pairs); plain E-STPM leaves them ``None``.
+The optional ``series_filter`` / ``event_filter`` hooks implement A-STPM's
+search-space reduction (only mine events of correlated series, or only
+the events its event-level screening keeps); plain E-STPM leaves them
+``None``.
 """
 
 from __future__ import annotations
@@ -58,9 +59,8 @@ from repro.core.array_kernel import (
     array_extend_group_patterns,
 )
 from repro.core.config import MiningParams
-from repro.core.executor import MiningExecutor, executor_scope, get_task_context
 from repro.core.hlh import HLH1, Assignment, HLHk
-from repro.core.instance_index import VerdictStore
+from repro.core.instance_index import VerdictStore, clear_intern_caches
 from repro.core.pattern import TemporalPattern, Triple, single_event_pattern
 from repro.core.prune import PruningConfig
 from repro.core.results import MiningResult, MiningStats, SeasonalPattern
@@ -74,7 +74,7 @@ from repro.core.supportset import SupportLike, SupportSet, make_support_set
 from repro.exceptions import MiningError
 from repro.obs import counters as metrics
 from repro.obs.trace import span
-from repro.resilience.policy import FailedTask, task_key_of
+from repro.resilience.policy import FailedTask, RetryPolicy, run_task, task_key_of
 from repro.transform.sequence_db import TemporalSequenceDatabase
 
 
@@ -84,7 +84,7 @@ def series_of(event: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Group tasks: the pure, picklable per-group unit of work
+# Group tasks: the pure per-group unit of work
 # ---------------------------------------------------------------------------
 
 
@@ -92,10 +92,10 @@ def series_of(event: str) -> str:
 class LevelContext:
     """State shared by every group task of one HLH level.
 
-    Shipped once per worker process (pool initializer) rather than once
-    per task; tasks themselves are tiny key tuples into these tables.
-    Tasks only read it, except for ``verdict_store``, the level's cache
-    of Iterative Check verdict rows, which the extension tasks fill.
+    Built once per level and passed to every task of that level; tasks
+    themselves are tiny key tuples into these tables.  Tasks only read
+    it, except for ``verdict_store``, the level's cache of Iterative
+    Check verdict rows, which the extension tasks fill.
     """
 
     params: MiningParams
@@ -108,7 +108,7 @@ class LevelContext:
     #: one level has the same ``hlh1``, candidate triples, check flag and
     #: relation config.  Not an init field, so every context (also one
     #: made by ``dataclasses.replace``) starts with a fresh store; it
-    #: pickles empty, so each pool worker fills its own.
+    #: pickles empty.
     verdict_store: VerdictStore = field(
         default_factory=VerdictStore, init=False, repr=False, compare=False
     )
@@ -131,14 +131,13 @@ class GroupOutcome:
     pattern_assignments: dict[TemporalPattern, dict[int, list[Assignment]]]
 
 
-def mine_pair_task(task: tuple[str, str]) -> GroupOutcome:
+def mine_pair_task(task: tuple[str, str], context: LevelContext) -> GroupOutcome:
     """Mine one candidate 2-event group (step 2.2, k = 2).
 
-    Pure function of ``task`` and the installed :class:`LevelContext`:
+    Pure function of ``task`` and its level's :class:`LevelContext`:
     intersects the two event supports, applies the candidate gate, and
     enumerates every related instance pair per common granule.
     """
-    context: LevelContext = get_task_context()
     event_a, event_b = task
     hlh1 = context.hlh1
     params = context.params
@@ -170,14 +169,16 @@ def mine_pair_task(task: tuple[str, str]) -> GroupOutcome:
     return GroupOutcome((event_a, event_b), support, pattern_support, pattern_assignments)
 
 
-def mine_extension_task(task: tuple[tuple[str, ...], str]) -> GroupOutcome:
+def mine_extension_task(
+    task: tuple[tuple[str, ...], str], context: LevelContext
+) -> GroupOutcome:
     """Mine one candidate k-event group (step 2.2, k >= 3).
 
-    Pure function of ``task`` and the installed :class:`LevelContext`:
+    Pure function of ``task`` and its level's :class:`LevelContext`
+    (except for the verdict rows it adds to the level's store):
     intersects the parent group's support with the new event's, applies
     the candidate gate, and extends the parent's pattern assignments.
     """
-    context: LevelContext = get_task_context()
     group_prev, event = task
     entry_prev = context.previous.ehk[group_prev]
     group = tuple(sorted(group_prev + (event,)))
@@ -230,20 +231,14 @@ class ESTPM:
         Which pruning techniques to apply (default: both).
     series_filter:
         If set, only events of these series are mined (A-STPM hook).
-    pair_filter:
-        If set, a 2-event group across two *different* series is only mined
-        when the (unordered) series pair is in this set (A-STPM hook);
-        same-series groups are always mined.
     event_filter:
         If set, only these event keys are mined (the event-level pruning
         extension of A-STPM).
-    executor:
-        Execution backend for the per-group work: ``"serial"``,
-        ``"parallel"``, a :class:`~repro.core.executor.MiningExecutor`
-        instance, or ``None`` for the process-wide default.  All backends
-        return identical results.
-    n_workers:
-        Worker processes when ``executor="parallel"`` (default: all cores).
+    retry:
+        The :class:`~repro.resilience.policy.RetryPolicy` each group task
+        runs under: a task that raises is retried with deterministic
+        backoff and quarantined once it has failed ``max_attempts``
+        times (``None``: the default policy, 3 attempts).
     strict:
         ``True`` (default): a group task that failed all its retry
         attempts aborts the run with :class:`MiningError` -- current
@@ -256,19 +251,17 @@ class ESTPM:
         this file (atomic, versioned; see
         :class:`~repro.io.job_checkpoint.JobCheckpoint`) and a rerun
         pointed at the same path resumes, skipping the finished groups
-        (``freqstpfts run --resume``).  The checkpoint is fingerprinted
-        against the job's parameters and dataset shape, so it cannot be
-        replayed into a different job.
+        (``freqstpfts mine --resume``).  The checkpoint is fingerprinted
+        against the job's parameters, pruning and dataset shape, so it
+        cannot be replayed into a different job.
     """
 
     dseq: TemporalSequenceDatabase
     params: MiningParams
     pruning: PruningConfig = field(default_factory=PruningConfig.all)
     series_filter: set[str] | None = None
-    pair_filter: set[frozenset[str]] | None = None
     event_filter: set[str] | None = None
-    executor: MiningExecutor | str | None = None
-    n_workers: int | None = None
+    retry: RetryPolicy | None = None
     strict: bool = True
     checkpoint_path: str | None = None
 
@@ -276,21 +269,25 @@ class ESTPM:
         """Run the full mining process and return all frequent seasonal
         patterns of length 1..max_pattern_length.
 
-        One executor serves every HLH level of the job: with a pool-backed
-        backend the workers spawned for level 2 are reused by levels 3..k.
-        A backend resolved here from a *name* is closed when the job
-        finishes; a caller-provided instance keeps its pool alive for the
-        caller's next job (see :func:`~repro.core.executor.executor_scope`).
+        The job ends by clearing this process's flyweight pattern/triple
+        caches (:func:`~repro.core.instance_index.clear_intern_caches`):
+        every interned object a live job uses is referenced by its HLH
+        structures and results anyway, so the caches would only pin the
+        patterns of finished jobs in a process that runs many.
         """
+        try:
+            return self._mine()
+        finally:
+            clear_intern_caches()
+
+    def _mine(self) -> MiningResult:
         started = time.perf_counter()
         stats = MiningStats(n_granules=len(self.dseq))
         patterns: list[SeasonalPattern] = []
         failures: list[FailedTask] = []
         checkpoint = self._open_checkpoint()
 
-        with span(
-            "estpm/mine", granules=len(self.dseq)
-        ) as mine_span, executor_scope(self.executor, self.n_workers) as runner:
+        with span("estpm/mine", granules=len(self.dseq)) as mine_span:
             with span("estpm/step2.1") as step21:
                 hlh1 = self._mine_single_events(patterns, stats)
                 step21.set(
@@ -301,7 +298,7 @@ class ESTPM:
             if self.params.max_pattern_length >= 2:
                 with span("estpm/step2.2/pairs", k=2) as step22:
                     hlh2 = self._mine_two_event_patterns(
-                        hlh1, runner, patterns, stats, checkpoint, failures,
+                        hlh1, patterns, stats, checkpoint, failures,
                     )
                     step22.set(
                         groups=len(hlh2.groups), patterns=len(hlh2.phk)
@@ -313,7 +310,7 @@ class ESTPM:
                 while k <= self.params.max_pattern_length and previous.phk:
                     with span("estpm/step2.2/extend", k=k) as extend_span:
                         current = self._mine_k_event_patterns(
-                            hlh1, previous, candidate_triples, k, runner,
+                            hlh1, previous, candidate_triples, k,
                             patterns, stats, checkpoint, failures,
                         )
                         extend_span.set(
@@ -341,9 +338,11 @@ class ESTPM:
         """The job-progress checkpoint, or ``None`` when not configured.
 
         The fingerprint binds the checkpoint to this exact job: the
-        mining parameters and the dataset shape.  The executor is
-        deliberately left out: every executor produces identical
-        outcomes, so a resume may switch it.
+        mining parameters, the pruning variant (a gate-rejected group
+        records no support, and ``apriori=False`` also turns off the
+        Iterative Check, so the recorded outcomes differ per variant) and
+        the dataset shape.  The retry policy is left out: it changes
+        which tasks fail, never what a completed task recorded.
         """
         if self.checkpoint_path is None:
             return None
@@ -356,13 +355,13 @@ class ESTPM:
             {
                 "job": "estpm",
                 "params": repr(self.params),
+                "pruning": self.pruning.label,
                 "granules": len(self.dseq),
             },
         )
 
     def _dispatch(
         self,
-        runner: MiningExecutor,
         fn,
         tasks: list,
         context: "LevelContext",
@@ -370,42 +369,36 @@ class ESTPM:
         checkpoint,
         failures: list[FailedTask],
     ):
-        """Run a level's tasks, yielding outcomes in task order.
+        """Run a level's tasks lazily, yielding outcomes in task order.
 
-        Wraps ``runner.map_tasks`` with the two resilience concerns the
+        Each task runs only when the caller asks for the next outcome,
+        so every outcome is registered (and freed) before the next group
+        is mined.  Around :func:`~repro.resilience.policy.run_task`
+        (retry and quarantine) this adds the two resilience concerns the
         miner owns: *resume* (tasks whose key is already in the job
         checkpoint are skipped -- their recorded outcome is yielded in
         place, counted in ``resume.tasks_skipped``) and *quarantine*
         (a :class:`FailedTask` outcome is collected into ``failures``
         instead of being yielded, leaving that group's patterns out of
-        the result).  Completed outcomes are checkpointed as they
-        stream back, so progress is durable every ``flush_every`` tasks.
+        the result).  Completed outcomes are checkpointed as they are
+        produced, so progress is durable every ``flush_every`` tasks.
         """
         keys = [f"{prefix}:{task_key_of(task)}" for task in tasks]
-        if checkpoint is None:
-            pending = list(range(len(tasks)))
-        else:
-            pending = [i for i, key in enumerate(keys) if key not in checkpoint]
-            skipped = len(tasks) - len(pending)
-            if skipped:
-                metrics.inc("resume.tasks_skipped", skipped)
-        if pending:
-            fresh = iter(
-                runner.map_tasks(fn, [tasks[i] for i in pending], context)
-            )
-        else:
-            fresh = iter(())
-        pending_set = set(pending)
-        for index in range(len(tasks)):
-            if index not in pending_set:
-                yield checkpoint.get(keys[index])
+        done = set() if checkpoint is None else {key for key in keys if key in checkpoint}
+        if done:
+            metrics.inc("resume.tasks_skipped", len(done))
+        index = 0
+        for task, key in zip(tasks, keys):
+            if key in done:
+                yield checkpoint.get(key)
                 continue
-            outcome = next(fresh)
+            outcome = run_task(fn, task, context, index, self.retry)
+            index += 1
             if isinstance(outcome, FailedTask):
                 failures.append(outcome)
                 continue
             if checkpoint is not None:
-                checkpoint.record(keys[index], outcome)
+                checkpoint.record(key, outcome)
             yield outcome
 
     # ------------------------------------------------------------------
@@ -479,18 +472,9 @@ class ESTPM:
     # Step 2.2, k = 2
     # ------------------------------------------------------------------
 
-    def _pair_allowed(self, event_a: str, event_b: str) -> bool:
-        if self.pair_filter is None:
-            return True
-        series_a, series_b = series_of(event_a), series_of(event_b)
-        if series_a == series_b:
-            return True
-        return frozenset((series_a, series_b)) in self.pair_filter
-
     def _mine_two_event_patterns(
         self,
         hlh1: HLH1,
-        runner: MiningExecutor,
         patterns: list[SeasonalPattern],
         stats: MiningStats,
         checkpoint=None,
@@ -500,15 +484,13 @@ class ESTPM:
         f1 = sorted(hlh1.candidates)
         tasks: list[tuple[str, str]] = []
         for event_a, event_b in combinations_with_replacement(f1, 2):
-            if not self._pair_allowed(event_a, event_b):
-                continue
             stats.bump(stats.n_groups_generated, 2)
             tasks.append((event_a, event_b))
         context = LevelContext(
             params=self.params, apriori=self.pruning.apriori, hlh1=hlh1
         )
         outcomes = self._dispatch(
-            runner, mine_pair_task, tasks, context, "k2", checkpoint,
+            mine_pair_task, tasks, context, "k2", checkpoint,
             failures if failures is not None else [],
         )
         for outcome in outcomes:
@@ -532,7 +514,6 @@ class ESTPM:
         previous: HLHk,
         candidate_triples: frozenset[Triple],
         k: int,
-        runner: MiningExecutor,
         patterns: list[SeasonalPattern],
         stats: MiningStats,
         checkpoint=None,
@@ -563,7 +544,7 @@ class ESTPM:
             candidate_triples=candidate_triples,
         )
         outcomes = self._dispatch(
-            runner, mine_extension_task, tasks, context, f"k{k}", checkpoint,
+            mine_extension_task, tasks, context, f"k{k}", checkpoint,
             failures if failures is not None else [],
         )
         for outcome in outcomes:

@@ -26,26 +26,17 @@ Subcommands
     contracts") for the rule catalog, suppression comments, and the
     baseline workflow.
 
-Engine selection
-----------------
-Every mining subcommand accepts ``--executor serial|parallel`` (with
-``--workers N`` for the pool size).  ``--keep-pool`` keeps one
-persistent worker pool alive for the whole command, so multi-level and
-multi-experiment runs reuse the same workers instead of spawning a pool
-per mining level.  Both executors return identical pattern sets.
-
 Resilience
 ----------
-``--max-retries N`` / ``--task-timeout SECONDS`` configure the executor
-retry policy: transient task failures retry with deterministic
-exponential backoff, tasks that exhaust their attempts are quarantined
-into the result's ``failures`` (and re-raised, strict mode being the
-engine default), and a stalled parallel pool is recycled after the
-timeout.  ``mine`` and ``multigrain`` take ``--resume PATH``, a
-job-progress checkpoint written atomically as groups/levels complete;
-re-running the same command with the same PATH skips the completed
-work.  Ctrl-C closes open pools, still writes ``--trace``, and exits
-with status 130.
+Mining runs in-process, one task at a time.  ``mine`` and ``multigrain``
+take ``--max-retries N``, the attempts each mining task gets: transient
+task failures retry with deterministic exponential backoff, and tasks
+that exhaust their attempts are quarantined into the result's
+``failures`` (and re-raised, strict mode being the engine default).
+They also take ``--resume PATH``, a job-progress checkpoint written
+atomically as groups/levels complete; re-running the same command with
+the same PATH skips the completed work.  Ctrl-C still writes
+``--trace`` and exits with status 130.
 
 Telemetry
 ---------
@@ -65,20 +56,13 @@ import sys
 from contextlib import contextmanager
 
 from repro.core.approximate import ASTPM
-from repro.core.executor import (
-    EXECUTOR_BACKENDS,
-    EXECUTOR_PARALLEL,
-    MiningExecutor,
-    ParallelExecutor,
-    SerialExecutor,
-)
 from repro.core.query import PatternQuery
 from repro.core.stpm import ESTPM
 from repro.datasets.registry import DATASET_BUILDERS, PROFILES, load_dataset
 from repro.events.relations import RELATIONS
 from repro.exceptions import ConfigError, DatasetError
 from repro.harness.experiments import EXPERIMENTS, run_experiment
-from repro.harness.runner import engine_defaults, run_all
+from repro.harness.runner import run_all
 from repro.io.results_json import load_results_archive, multigrain_to_json
 from repro.multigrain import (
     MINER_APPROXIMATE,
@@ -109,28 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_engine_arguments(command_parser: argparse.ArgumentParser) -> None:
-        command_parser.add_argument(
-            "--executor",
-            default=None,
-            choices=sorted(EXECUTOR_BACKENDS),
-            help="execution backend for the per-group mining work: serial "
-            "(in-process) or parallel (process pool)",
-        )
-        command_parser.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            help="worker processes for --executor parallel "
-            "(default: all cores)",
-        )
-        command_parser.add_argument(
-            "--keep-pool",
-            action="store_true",
-            help="keep one persistent worker pool alive for the whole "
-            "command (reused across mining levels, hierarchy jobs, and "
-            "experiments instead of spawning a pool per level)",
-        )
+    def add_retry_argument(command_parser: argparse.ArgumentParser) -> None:
         command_parser.add_argument(
             "--max-retries",
             type=int,
@@ -140,15 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "the result's failures list (default: "
             f"{DEFAULT_RETRY_POLICY.max_attempts}; transient task errors "
             "are retried with deterministic exponential backoff)",
-        )
-        command_parser.add_argument(
-            "--task-timeout",
-            type=float,
-            default=None,
-            metavar="SECONDS",
-            help="per-task progress budget for --executor parallel: when no "
-            "task completes within this window the pool is recycled and the "
-            "stalled tasks are retried (default: no timeout)",
         )
 
     def add_telemetry_arguments(command_parser: argparse.ArgumentParser) -> None:
@@ -178,7 +132,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser = sub.add_parser("run", help="run specific experiments")
     run_parser.add_argument("ids", nargs="+", help="experiment ids, e.g. T9 F7")
     run_parser.add_argument("--profile", default="bench", choices=sorted(PROFILES))
-    add_engine_arguments(run_parser)
     add_telemetry_arguments(run_parser)
 
     all_parser = sub.add_parser("all", help="run every experiment")
@@ -189,7 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="skip the peak-memory column (runs untraced; tracemalloc "
         "slows mining, so use this when wall-clock numbers matter)",
     )
-    add_engine_arguments(all_parser)
     add_telemetry_arguments(all_parser)
 
     mine_parser = sub.add_parser("mine", help="one-off mining run")
@@ -206,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "recorded here (written atomically) and skipped when the same "
         "command is re-run with the same PATH after a crash",
     )
-    add_engine_arguments(mine_parser)
+    add_retry_argument(mine_parser)
     add_telemetry_arguments(mine_parser)
 
     multigrain_parser = sub.add_parser(
@@ -248,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "recorded here (written atomically) and skipped when the same "
         "command is re-run with the same PATH after a crash",
     )
-    add_engine_arguments(multigrain_parser)
+    add_retry_argument(multigrain_parser)
     add_telemetry_arguments(multigrain_parser)
 
     stream_parser = sub.add_parser(
@@ -319,61 +271,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _retry_policy(args) -> RetryPolicy | None:
-    """A :class:`RetryPolicy` when any retry flag was given, else ``None``."""
-    max_retries = getattr(args, "max_retries", None)
-    task_timeout = getattr(args, "task_timeout", None)
-    if max_retries is None and task_timeout is None:
-        return None
-    kwargs = {}
-    if max_retries is not None:
-        kwargs["max_attempts"] = max_retries
-    if task_timeout is not None:
-        kwargs["timeout_s"] = task_timeout
-    return RetryPolicy(**kwargs)
+    """The :class:`RetryPolicy` of ``--max-retries``, else ``None``.
 
-
-def _executor_spec(args):
-    """The executor spec of parsed engine flags.
-
-    ``--workers`` / ``--keep-pool`` / ``--max-retries`` / ``--task-timeout``
-    turn the backend name into a configured instance, so an explicit
-    invalid value (e.g. ``--workers 0``) reaches the executor constructor
-    and is rejected there (:func:`main` reports it and exits 2), not
-    silently reinterpreted.  With ``--keep-pool`` the instance runs one
-    persistent, reused pool for the whole command (closed by
-    :func:`_close_executor` before the process exits).
+    An invalid value (e.g. ``--max-retries 0``) reaches the policy
+    constructor and is rejected there (:func:`main` reports it and
+    exits 2), not silently reinterpreted.
     """
-    keep_pool = getattr(args, "keep_pool", False)
-    retry = _retry_policy(args)
-    configured = args.workers is not None or keep_pool or retry is not None
-    if args.executor == EXECUTOR_PARALLEL and configured:
-        return ParallelExecutor(
-            max_workers=args.workers,
-            reuse_pool=True if keep_pool else None,
-            retry=retry,
-        )
-    if keep_pool:
-        logger.warning("--keep-pool has no effect without --executor parallel")
-    if retry is not None:
-        # Serial (or default) backend with an explicit retry policy: the
-        # in-process retry/quarantine machinery still applies.
-        return SerialExecutor(retry=retry)
-    return args.executor
-
-
-def _engine_settings(args):
-    """``(executor_spec, n_workers)`` with the worker count folded into
-    the spec whenever an instance was built (an instance plus a separate
-    ``n_workers`` is a conflict the engine rejects)."""
-    spec = _executor_spec(args)
-    n_workers = None if isinstance(spec, MiningExecutor) else args.workers
-    return spec, n_workers
-
-
-def _close_executor(spec) -> None:
-    """Release the pool of a CLI-built executor instance (no-op for names)."""
-    if isinstance(spec, MiningExecutor):
-        spec.close()
+    if args.max_retries is None:
+        return None
+    return RetryPolicy(max_attempts=args.max_retries)
 
 
 @contextmanager
@@ -421,14 +327,12 @@ def main(argv: list[str] | None = None) -> int:
         with _telemetry(args):
             return _dispatch(args)
     except (ConfigError, DatasetError) as exc:
-        # A flag value argparse cannot vet (``--workers 0``,
+        # A flag value argparse cannot vet (``--max-retries 0``,
         # ``--min-season 0``, ...) or an unusable input: a usage error,
         # reported like ``--multiples`` and ``--level`` are.
         logger.error("%s", exc)
         return 2
     except KeyboardInterrupt:
-        # The per-command ``finally`` blocks (and executor_scope) have
-        # already closed any CLI-built pools on the way out, and
         # _telemetry's finally has written the partial --trace file; all
         # that is left is the conventional SIGINT exit status.
         logger.warning("interrupted")
@@ -446,26 +350,16 @@ def _dispatch(args) -> int:
         print("Profiles:", ", ".join(sorted(PROFILES)))
         return 0
     if args.command == "run":
-        spec = _executor_spec(args)
-        try:
-            with engine_defaults(spec):
-                for artifact_id in args.ids:
-                    print(run_experiment(artifact_id, profile=args.profile).render())
-                    print()
-        finally:
-            _close_executor(spec)
+        for artifact_id in args.ids:
+            print(run_experiment(artifact_id, profile=args.profile).render())
+            print()
         return 0
     if args.command == "all":
-        spec = _executor_spec(args)
-        try:
-            run_all(
-                profile=args.profile,
-                executor=spec,
-                measure_memory=not args.no_memory,
-                trace_path=args.trace,
-            )
-        finally:
-            _close_executor(spec)
+        run_all(
+            profile=args.profile,
+            measure_memory=not args.no_memory,
+            trace_path=args.trace,
+        )
         return 0
     if args.command == "mine":
         dataset = load_dataset(args.dataset, args.profile)
@@ -474,21 +368,13 @@ def _dispatch(args) -> int:
             min_density_pct=args.min_density_pct,
             min_season=args.min_season,
         )
-        spec, n_workers = _engine_settings(args)
-        engine = {
-            "executor": spec,
-            "n_workers": n_workers,
-            "checkpoint_path": args.resume,
-        }
-        try:
-            if args.approximate:
-                result = ASTPM(
-                    dataset.dsyb, dataset.ratio, params, dseq=dataset.dseq(), **engine
-                ).mine()
-            else:
-                result = ESTPM(dataset.dseq(), params, **engine).mine()
-        finally:
-            _close_executor(spec)
+        engine = {"retry": _retry_policy(args), "checkpoint_path": args.resume}
+        if args.approximate:
+            result = ASTPM(
+                dataset.dsyb, dataset.ratio, params, dseq=dataset.dseq(), **engine
+            ).mine()
+        else:
+            result = ESTPM(dataset.dseq(), params, **engine).mine()
         print(
             f"{len(result)} frequent seasonal patterns on {args.dataset} "
             f"({args.profile}) in {result.stats.mining_seconds:.2f}s"
@@ -517,7 +403,6 @@ def _run_multigrain(args) -> int:
         dataset.dist_interval[0] * dataset.ratio,
         dataset.dist_interval[1] * dataset.ratio,
     )
-    spec, n_workers = _engine_settings(args)
     miner = HierarchicalMiner(
         dataset.dsyb,
         ratios=ratios,
@@ -527,14 +412,10 @@ def _run_multigrain(args) -> int:
         min_season=args.min_season,
         miner=MINER_APPROXIMATE if args.approximate else MINER_EXACT,
         strategy=args.strategy,
-        executor=spec,
-        n_workers=n_workers,
+        retry=_retry_policy(args),
         checkpoint_path=args.resume,
     )
-    try:
-        result = miner.mine()
-    finally:
-        _close_executor(spec)
+    result = miner.mine()
     print(
         f"hierarchical {'A-STPM' if args.approximate else 'E-STPM'} on "
         f"{args.dataset} ({args.profile}): {len(result)} levels in "

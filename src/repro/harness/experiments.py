@@ -8,18 +8,16 @@ seconds on a laptop; the paper's full grids can be requested through the
 keyword overrides.
 
 The *shape* each experiment must reproduce (vs the paper) is documented in
-DESIGN.md section 10 and checked into EXPERIMENTS.md.
+DESIGN.md section 9 and checked into EXPERIMENTS.md.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Callable
 
 from repro.baselines.apsgrowth import APSGrowth
 from repro.core.approximate import ASTPM
 from repro.core.config import MiningParams
-from repro.core.executor import MiningExecutor, resolve_executor, set_default_executor
 from repro.core.prune import ALL_VARIANTS
 from repro.core.results import MiningResult
 from repro.core.stpm import ESTPM
@@ -39,36 +37,6 @@ MIN_SEASONS = (4, 6, 8)  # paper: 4, 8, 12, 16, 20
 MIN_DENSITY_PCTS = (0.5, 0.75, 1.0)  # paper: 0.5 .. 1.5
 MAX_PERIOD_PCTS = (0.2, 0.4, 0.6)  # paper: 0.2 .. 1.0
 DEFAULTS = {"min_season": 6, "min_density_pct": 0.75, "max_period_pct": 0.4}
-
-
-@contextmanager
-def engine_defaults(executor: MiningExecutor | str | None = None):
-    """Temporarily set the process-wide default executor.
-
-    The experiment functions build their miners internally, so the harness
-    selects the execution backend (``serial`` / ``parallel``) through the
-    process-wide default rather than threading an extra parameter through
-    every experiment signature.  Restores the previous default on exit.
-
-    An ``executor`` given by *name* is resolved here to a single instance
-    installed for the whole scope, so a pool-backed backend reuses one
-    worker pool across every experiment of the run; the scope owns that
-    instance and closes it on exit.  An executor *instance* is installed
-    as-is and left open -- the caller decides when its pool dies.
-    """
-    previous_executor = None
-    owned: MiningExecutor | None = None
-    try:
-        if executor is not None:
-            if not isinstance(executor, MiningExecutor):
-                executor = owned = resolve_executor(executor)
-            previous_executor = set_default_executor(executor)
-        yield
-    finally:
-        if previous_executor is not None:
-            set_default_executor(previous_executor)
-        if owned is not None:
-            owned.close()
 
 
 def _params(dataset: Dataset, **overrides) -> MiningParams:
@@ -693,25 +661,11 @@ EXPERIMENTS: dict[str, Callable] = {
 }
 
 
-def run_experiment(
-    artifact_id: str,
-    profile: str = "bench",
-    executor: MiningExecutor | str | None = None,
-    **overrides,
-):
-    """Run one experiment by its paper artifact id.
-
-    ``executor`` selects the execution backend for this experiment via
-    :func:`engine_defaults` (an executor resolved from a name is closed
-    when the experiment finishes; an instance's pool is left alive for
-    the caller's next experiment).
-    """
+def run_experiment(artifact_id: str, profile: str = "bench", **overrides):
+    """Run one experiment by its paper artifact id."""
     key = artifact_id.upper()
     if key not in EXPERIMENTS:
         raise KeyError(
             f"unknown experiment {artifact_id!r}; choose from {sorted(EXPERIMENTS)}"
         )
-    if executor is None:
-        return EXPERIMENTS[key](profile=profile, **overrides)
-    with engine_defaults(executor):
-        return EXPERIMENTS[key](profile=profile, **overrides)
+    return EXPERIMENTS[key](profile=profile, **overrides)

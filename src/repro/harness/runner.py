@@ -15,12 +15,7 @@ import time
 from pathlib import Path
 from typing import Iterable, TextIO
 
-from repro.core.executor import MiningExecutor
-from repro.harness.experiments import (
-    EXPERIMENTS,
-    engine_defaults,
-    run_experiment,
-)
+from repro.harness.experiments import EXPERIMENTS, run_experiment
 from repro.harness.tables import Table
 from repro.metrics.memory import measure_peak_memory
 from repro.obs import (
@@ -32,7 +27,7 @@ from repro.obs import (
 )
 from repro.obs.logging import get_logger
 
-__all__ = ["engine_defaults", "run_all"]
+__all__ = ["run_all"]
 
 logger = get_logger(__name__)
 
@@ -41,7 +36,6 @@ def run_all(
     artifact_ids: Iterable[str] | None = None,
     profile: str = "bench",
     stream: TextIO | None = None,
-    executor: MiningExecutor | str | None = None,
     measure_memory: bool = True,
     trace_path: str | Path | None = None,
 ) -> dict[str, str]:
@@ -53,8 +47,6 @@ def run_all(
     ``measure_memory=False`` drops the memory column and runs untraced --
     tracemalloc slows allocation-heavy mining, so use that when the
     summary's wall-clock numbers themselves are the point of the run.
-    ``executor`` selects the execution backend for the whole run (see
-    :func:`engine_defaults`).
     ``trace_path`` enables telemetry for the run and writes the span tree
     plus counter summary there when the run finishes (even on error).
     """
@@ -69,38 +61,37 @@ def run_all(
         reset_telemetry()
         enable_telemetry()
     try:
-        with engine_defaults(executor):
-            for artifact_id in ids:
-                logger.info(
-                    "experiment starting",
-                    extra={"experiment": artifact_id, "profile": profile},
+        for artifact_id in ids:
+            logger.info(
+                "experiment starting",
+                extra={"experiment": artifact_id, "profile": profile},
+            )
+            started = time.perf_counter()
+            if measure_memory:
+                result, peak_bytes = measure_peak_memory(
+                    # B023 does not apply: the lambda is invoked synchronously
+                    # inside this iteration, before artifact_id rebinds.
+                    lambda: run_experiment(artifact_id, profile=profile)  # noqa: B023
                 )
-                started = time.perf_counter()
-                if measure_memory:
-                    result, peak_bytes = measure_peak_memory(
-                        # B023 does not apply: the lambda is invoked synchronously
-                        # inside this iteration, before artifact_id rebinds.
-                        lambda: run_experiment(artifact_id, profile=profile)  # noqa: B023
-                    )
-                else:
-                    result = run_experiment(artifact_id, profile=profile)
-                elapsed = time.perf_counter() - started
-                logger.info(
-                    "experiment finished",
-                    extra={
-                        "experiment": artifact_id,
-                        "seconds": round(elapsed, 3),
-                    },
-                )
-                rendered = result.render()
-                outputs[artifact_id] = rendered
-                row: list = [artifact_id, elapsed]
-                if measure_memory:
-                    row.append(peak_bytes / 1024 / 1024)
-                summary.add_row(*row)
-                print(f"\n### {artifact_id} (completed in {elapsed:.1f}s)\n", file=stream)
-                print(rendered, file=stream)
-                stream.flush()
+            else:
+                result = run_experiment(artifact_id, profile=profile)
+            elapsed = time.perf_counter() - started
+            logger.info(
+                "experiment finished",
+                extra={
+                    "experiment": artifact_id,
+                    "seconds": round(elapsed, 3),
+                },
+            )
+            rendered = result.render()
+            outputs[artifact_id] = rendered
+            row: list = [artifact_id, elapsed]
+            if measure_memory:
+                row.append(peak_bytes / 1024 / 1024)
+            summary.add_row(*row)
+            print(f"\n### {artifact_id} (completed in {elapsed:.1f}s)\n", file=stream)
+            print(rendered, file=stream)
+            stream.flush()
         print(f"\n{summary.render()}", file=stream)
         stream.flush()
     finally:

@@ -12,8 +12,8 @@ hierarchical job:
   and the cross-level candidacy screening built on them;
 * :mod:`repro.multigrain.engine` -- :class:`HierarchicalMiner`, which
   builds the finest level once, derives every coarser level's supports
-  and granule rows from it, and dispatches the levels as independent
-  tasks through the pluggable executors;
+  and granule rows from it, and mines the levels as independent level
+  tasks;
 * :mod:`repro.multigrain.result` -- :class:`MultiGranularityResult`,
   aligning the frequent patterns across levels ("which patterns persist
   from hourly to daily?").

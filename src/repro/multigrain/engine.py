@@ -16,9 +16,9 @@ job instead of N independent ones:
    evaluates each coarse level's candidate gate on the folded supports
    first, so rows are derived only for the granules some candidate event
    actually supports;
-4. the levels are dispatched as independent tasks through the pluggable
-   :class:`~repro.core.executor.MiningExecutor` backends and mined with
-   E-STPM or A-STPM.
+4. the levels run one after another as independent level tasks
+   (:func:`mine_level_task`, through the same retry and resume machinery
+   as E-STPM's group tasks) and are mined with E-STPM or A-STPM.
 
 Each level's :class:`~repro.core.results.MiningResult` is equivalent to
 mining that level standalone (same patterns, same supports / near sets /
@@ -33,21 +33,16 @@ from dataclasses import dataclass, field
 
 from repro.core.approximate import ASTPM
 from repro.core.config import MiningParams
-from repro.core.executor import (
-    MiningExecutor,
-    SerialExecutor,
-    executor_scope,
-    get_task_context,
-)
+from repro.core.instance_index import clear_intern_caches
 from repro.core.prune import PruningConfig
 from repro.core.stpm import ESTPM
 from repro.exceptions import ConfigError, MiningError
 from repro.granularity.hierarchy import GranularityHierarchy
 from repro.multigrain.result import GranularityLevel, MultiGranularityResult
-from repro.resilience.policy import FailedTask
 from repro.multigrain.screening import screen_level
 from repro.obs import counters as metrics
 from repro.obs.trace import span
+from repro.resilience.policy import FailedTask, RetryPolicy, run_task
 from repro.symbolic.database import SymbolicDatabase
 from repro.transform.sequence_db import (
     TemporalSequenceDatabase,
@@ -97,7 +92,7 @@ def resolve_level_params(
 
 
 # ---------------------------------------------------------------------------
-# Level tasks: the pure, picklable per-level unit of work
+# Level tasks: the pure per-level unit of work
 # ---------------------------------------------------------------------------
 
 
@@ -130,18 +125,11 @@ class HierarchicalContext:
     event_level: bool
 
 
-def mine_level_task(index: int) -> GranularityLevel:
-    """Mine one hierarchy level (pure function of the installed context).
-
-    The inner miner always runs serially: the hierarchy's own executor
-    already owns the parallelism, and one level is a single task.
-    """
-    context: HierarchicalContext = get_task_context()
+def mine_level_task(index: int, context: HierarchicalContext) -> GranularityLevel:
+    """Mine one hierarchy level (pure function of ``index`` and the
+    hierarchy's shared context)."""
     job = context.jobs[index]
     started = time.perf_counter()
-    # The span records in-process (serial backend); with process
-    # workers it stays in the worker while the level *counters* still
-    # ship back through the executor's metric envelope.
     with span("multigrain/level", ratio=job.ratio, miner=context.miner):
         metrics.inc("multigrain.levels_mined")
         dseq = job.dseq
@@ -155,12 +143,9 @@ def mine_level_task(index: int) -> GranularityLevel:
                 pruning=context.pruning,
                 dseq=dseq,
                 event_level=context.event_level,
-                executor=SerialExecutor(),
             ).mine()
         else:
-            result = ESTPM(
-                dseq, job.params, context.pruning, executor=SerialExecutor()
-            ).mine()
+            result = ESTPM(dseq, job.params, context.pruning).mine()
     return GranularityLevel(
         ratio=job.ratio,
         n_sequences=job.n_sequences,
@@ -205,9 +190,10 @@ class HierarchicalMiner:
         ``"fold"`` (derive coarse levels, the default) or ``"rebuild"``
         (re-map every level from DSYB -- the baseline the EXT4 benchmark
         measures the fold against).
-    executor / n_workers:
-        Engine knobs; the executor dispatches *levels* (each level task
-        mines serially inside).
+    retry:
+        The :class:`~repro.resilience.policy.RetryPolicy` each level task
+        runs under (``None``: the default policy); the miners inside a
+        level keep the default policy for their group tasks.
     strict:
         ``True`` (default): a level task that failed all its retry
         attempts aborts the run with :class:`MiningError`.  ``False``:
@@ -219,7 +205,9 @@ class HierarchicalMiner:
         file (atomic, versioned, keyed by the level's *ratio* -- stable
         across reruns) and a rerun pointed at the same path resumes,
         re-mining only the unfinished levels (``freqstpfts multigrain
-        --resume``).
+        --resume``).  The checkpoint is fingerprinted against the
+        hierarchy's thresholds, miner, strategy and pruning, so it cannot
+        be replayed into a different job.
     """
 
     dsyb: SymbolicDatabase
@@ -234,8 +222,7 @@ class HierarchicalMiner:
     miner: str = MINER_EXACT
     strategy: str = STRATEGY_FOLD
     event_level: bool = False
-    executor: MiningExecutor | str | None = None
-    n_workers: int | None = None
+    retry: RetryPolicy | None = None
     strict: bool = True
     checkpoint_path: str | None = None
 
@@ -379,8 +366,10 @@ class HierarchicalMiner:
         """The per-level job checkpoint, or ``None`` when not configured.
 
         The fingerprint binds the checkpoint to the full hierarchy
-        configuration and the symbolic database's extent, so a resume
-        cannot silently mix levels mined under different thresholds.
+        configuration -- thresholds, miner, strategy and pruning variant
+        (pruning changes the candidate counts each level records) -- and
+        the symbolic database's extent, so a resume cannot silently mix
+        levels mined under different settings.
         """
         if self.checkpoint_path is None:
             return None
@@ -401,6 +390,7 @@ class HierarchicalMiner:
                 "min_season": self.min_season,
                 "max_pattern_length": self.max_pattern_length,
                 "event_level": self.event_level,
+                "pruning": self.pruning.label,
                 "n_instants": self.dsyb.n_instants,
             },
         )
@@ -408,18 +398,23 @@ class HierarchicalMiner:
     def mine(self) -> MultiGranularityResult:
         """Mine every level and align the results across the hierarchy.
 
-        The executor dispatches the level tasks of this hierarchy; a
-        pool-backed *instance* passed by the caller keeps its workers
-        alive across consecutive hierarchies (pool reuse), while a backend
-        resolved from a name lives exactly as long as this job.
-
-        With ``checkpoint_path`` set, levels already present in the
+        The level tasks run in-process, one after another, and each
+        level is recorded before the next one is mined.  With
+        ``checkpoint_path`` set, levels already present in the
         checkpoint are not re-mined (their recorded outcome is used,
         counted in ``resume.tasks_skipped``) and every freshly completed
         level is recorded, so a killed run resumes at the level it died
         on.  A level task that fails all its retry attempts is
-        quarantined (strict runs raise; see ``strict``).
+        quarantined (strict runs raise; see ``strict``).  Like
+        :meth:`ESTPM.mine <repro.core.stpm.ESTPM.mine>`, the job ends by
+        clearing the process's flyweight pattern/triple caches.
         """
+        try:
+            return self._mine()
+        finally:
+            clear_intern_caches()
+
+    def _mine(self) -> MultiGranularityResult:
         checkpoint = self._open_checkpoint()
         failures: list = []
         with span(
@@ -453,18 +448,16 @@ class HierarchicalMiner:
                 for index in range(len(jobs))
                 if index not in set(pending)
             ]
-            if pending:
-                with executor_scope(self.executor, self.n_workers) as runner:
-                    for index, outcome in zip(
-                        pending,
-                        runner.map_tasks(mine_level_task, pending, context),
-                    ):
-                        if isinstance(outcome, FailedTask):
-                            failures.append(outcome)
-                            continue
-                        levels.append(outcome)
-                        if checkpoint is not None:
-                            checkpoint.record(keys[index], outcome)
+            for position, index in enumerate(pending):
+                outcome = run_task(
+                    mine_level_task, index, context, position, self.retry
+                )
+                if isinstance(outcome, FailedTask):
+                    failures.append(outcome)
+                    continue
+                levels.append(outcome)
+                if checkpoint is not None:
+                    checkpoint.record(keys[index], outcome)
             if checkpoint is not None:
                 checkpoint.flush()
             mine_span.set(

@@ -6,8 +6,7 @@ Three pieces, all stdlib-only and all zero-overhead when disabled:
   optional traced-memory peaks, exported as a JSON trace tree plus a
   flat per-phase summary.
 * :mod:`repro.obs.counters` -- process-local counters/gauges/histograms
-  with picklable, mergeable snapshots so pool workers ship their counts
-  back to the parent.
+  with picklable, mergeable snapshots.
 * :mod:`repro.obs.logging` -- stdlib logging under the ``repro.*``
   hierarchy with key=value or JSON-lines formatting on stderr.
 
@@ -24,7 +23,6 @@ from repro.obs.counters import (
     disable_metrics,
     enable_metrics,
     inc,
-    merge,
     metrics_enabled,
     observe,
     registry,
@@ -58,7 +56,6 @@ __all__ = [
     "disable_metrics",
     "enable_metrics",
     "inc",
-    "merge",
     "metrics_enabled",
     "observe",
     "registry",

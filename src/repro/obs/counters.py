@@ -1,21 +1,21 @@
 """Process-local counters, gauges, and histograms for the mining runtime.
 
 The registry answers "how many pairs, how many intersections, how many
-pool respawns" without cProfile.  Three design rules keep it honest:
+retries" without cProfile.  Three design rules keep it honest:
 
 * **Zero overhead when disabled.**  ``inc``/``observe``/``set_gauge``
   check a module-level boolean first and return immediately -- no
   attribute lookups, no allocations -- so the step-2.2 hot loops cost
   nothing when telemetry is off.
 * **Picklable, mergeable snapshots.**  A snapshot is a plain dict of
-  plain dicts, so :class:`~repro.core.executor.ParallelExecutor` workers
-  can ship their per-task metric snapshots back inside the task result
-  and the parent merges them into one job view (counters add, gauges
-  last-write-wins, histograms combine count/total/min/max/buckets).
+  plain dicts (JSON-able, so trace files and benchmark records embed
+  it), and :meth:`MetricRegistry.merge` folds one registry's snapshot
+  into another (counters add, gauges last-write-wins, histograms combine
+  count/total/min/max/buckets).
 * **Thread-local registries.**  Each thread records into its own
   registry; :func:`capture` installs a fresh one for the duration of a
-  task so worker-side counts are isolated and shippable.  Merging a
-  shipped snapshot happens in the caller's thread via :func:`merge`.
+  block so its counts are isolated (the benchmark harness captures each
+  timed run and merges the snapshots into one suite record).
 
 Counter names are dotted, lowercase, and enumerated in DESIGN.md's
 Observability section (``mine.*``, ``kernel.*``, ``executor.*``,
@@ -40,7 +40,6 @@ __all__ = [
     "set_gauge",
     "observe",
     "capture",
-    "merge",
     "summary",
     "reset",
 ]
@@ -142,7 +141,7 @@ class MetricRegistry:
         histogram.observe(value)
 
     def merge(self, snapshot: dict[str, Any]) -> None:
-        """Fold a :meth:`snapshot` dict (possibly from another process)."""
+        """Fold a :meth:`snapshot` dict (possibly of another registry)."""
         for name, amount in snapshot.get("counters", {}).items():
             self.counters[name] = self.counters.get(name, 0) + amount
         self.gauges.update(snapshot.get("gauges", {}))
@@ -202,11 +201,11 @@ def observe(name: str, value: float) -> None:
 def capture() -> Iterator[MetricRegistry]:
     """Record into a fresh registry for the duration of the block.
 
-    Installs a new thread-local registry and force-enables metrics so a
-    worker counts even when the global flag was not inherited (spawn
-    start method).  The previous registry and enabled state are restored
-    on exit; the captured registry is yielded so its :meth:`snapshot`
-    can be shipped back to the parent.
+    Installs a new thread-local registry and force-enables metrics, so
+    the block counts even when telemetry is globally off.  The previous
+    registry and enabled state are restored on exit; the captured
+    registry is yielded so its :meth:`snapshot` can be read or merged
+    elsewhere.
     """
     global _ENABLED
     previous = getattr(_TLS, "registry", None)
@@ -222,13 +221,6 @@ def capture() -> Iterator[MetricRegistry]:
             del _TLS.registry
         else:
             _TLS.registry = previous
-
-
-def merge(snapshot: dict[str, Any]) -> None:
-    """Merge a shipped snapshot into the current thread's registry."""
-    if not _ENABLED:
-        return
-    registry().merge(snapshot)
 
 
 def summary() -> dict[str, Any]:

@@ -2,8 +2,8 @@
 
 Two formatters, both single-line and grep-friendly:
 
-* key=value (default): ``2026-08-08T12:00:00 INFO repro.core.executor
-  pool spawned workers=8 start_method=fork``
+* key=value (default): ``2026-08-08T12:00:00 WARNING
+  repro.resilience.policy task quarantined task=('A:1', 'B:1') attempts=3``
 * JSON-lines (``json_lines=True``): one JSON object per record, with
   any ``extra={...}`` fields inlined.
 

@@ -4,21 +4,21 @@ The package is stdlib-only and splits into two halves:
 
 * :mod:`repro.resilience.policy` -- the *recovery* side: a configurable
   :class:`RetryPolicy` (bounded attempts, exponential backoff with
-  deterministic jitter, optional per-task timeouts, pool-break budget)
-  and the :class:`FailedTask` quarantine record that a task failing all
-  its attempts collapses into instead of killing the whole job.
+  deterministic jitter), :func:`run_task`, the one place a mining task
+  runs, and the :class:`FailedTask` quarantine record that a task
+  failing all its attempts collapses into instead of killing the whole
+  job.
 * :mod:`repro.resilience.faults` -- the *chaos* side: a seeded,
-  declarative :class:`FaultPlan` (kill this worker, delay that task,
-  raise a transient error, interrupt a durable write) injectable into
-  the executors and the atomic writer, including into spawn-started
-  worker processes via the ``REPRO_FAULT_PLAN`` environment variable.
-  This is how every recovery path in this package is tested.
+  declarative :class:`FaultPlan` (fail that task, interrupt that durable
+  write) injectable into the task runner and the atomic writer,
+  including into a ``freqstpfts`` subprocess via the
+  ``REPRO_FAULT_PLAN`` environment variable.  This is how every
+  recovery path in this package is tested.
 
-Both halves ship across the executor boundary (fault plans ride the
-environment into workers; quarantine records ride task outcomes back),
-so everything here is deliberately plain frozen dataclasses of
-primitives -- picklable under every start method, checked by the EP
-analyzer rules and the spawn round-trip tests.
+Everything here is deliberately plain frozen dataclasses of primitives:
+quarantine records ride task outcome streams and fault plans ride the
+environment, so they stay picklable and JSON-able (checked by the EP
+analyzer rules).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from repro.resilience.policy import (
     DEFAULT_RETRY_POLICY,
     FailedTask,
     RetryPolicy,
+    run_task,
 )
 
 __all__ = [
@@ -49,4 +50,5 @@ __all__ = [
     "DEFAULT_RETRY_POLICY",
     "FailedTask",
     "RetryPolicy",
+    "run_task",
 ]

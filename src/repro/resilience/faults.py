@@ -1,8 +1,8 @@
 """Deterministic fault injection for the mining runtime.
 
 A :class:`FaultPlan` is a seeded, declarative schedule of failures --
-"kill the worker running task 3", "delay the first attempt of every
-pair task", "interrupt the second durable write" -- that the executors
+"fail the first attempt of every pair task", "fail task 3 on every
+attempt", "interrupt the second durable write" -- that the task runner
 and the atomic writer consult at well-known *sites*.  Because the plan
 is data (frozen dataclasses of primitives with a JSON round-trip), the
 same schedule replays exactly: the chaos suite runs a job twice with
@@ -10,50 +10,35 @@ the same plan and asserts the recovery machinery lands on identical
 results.
 
 Plans travel two ways.  In-process, :func:`install_fault_plan` sets a
-module global.  Across the executor boundary, installation also exports
-the plan's JSON into the ``REPRO_FAULT_PLAN`` environment variable, so
-pool workers -- including spawn-started ones that inherit nothing but
-the environment -- reconstruct the active plan lazily on their first
-:func:`maybe_fault` call.
+module global and mirrors the plan's JSON into the ``REPRO_FAULT_PLAN``
+environment variable, which is how a plan reaches a ``freqstpfts``
+subprocess (``scripts/chaos_smoke.py``): the process reconstructs the
+active plan lazily on its first :func:`maybe_fault` call.
 
 Injection sites:
 
 ``task``
-    Consulted by all three executors immediately before running a task
-    attempt.  Matched by task index, task key substring, and attempt
-    number.  Gated to dispatch depth 1 (see :func:`fault_task_scope`):
-    miners nested inside worker processes run their own serial
-    dispatch loops, and without the gate a kill-on-attempt-0 fault
-    would re-fire on every outer retry, forever.
+    Consulted by :func:`repro.resilience.policy.run_task` immediately
+    before running a task attempt.  Matched by task index, task key
+    substring, and attempt number.  Gated to dispatch depth 1 (see
+    :func:`fault_task_scope`): the miners a hierarchy-level task runs
+    have their own dispatch loops, and without the gate a fault aimed
+    at a level task would also fire on the group tasks inside it.
 ``write``
     Consulted by :func:`repro.io.atomic.write_text_atomic` between
     writing the temp file and the atomic rename.  Matched by write
     index and target-path substring; an ``interrupt`` here simulates a
     crash mid-write and must leave the previous file intact.
 
-Ops:
-
-``kill``
-    ``os._exit(70)`` when running inside a real pool worker process
-    (``multiprocessing.parent_process() is not None``) -- the only way
-    to produce a genuine ``BrokenProcessPool``.  In the parent process
-    or a thread it degrades to raising :class:`FaultInjected` instead,
-    so serial/thread chaos runs exercise the retry path rather than
-    killing the test process.
-``raise`` / ``interrupt``
-    Raise :class:`FaultInjected` (transient task failure / simulated
-    crash mid-write).
-``delay``
-    ``time.sleep(delay_s)`` -- drives the per-task timeout path.
+Ops: ``raise`` and ``interrupt`` both raise :class:`FaultInjected` (a
+transient task failure / a simulated crash mid-write).
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -71,14 +56,11 @@ __all__ = [
     "fault_task_scope",
 ]
 
-#: Environment variable carrying the active plan's JSON into workers.
+#: Environment variable carrying the active plan's JSON into subprocesses.
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 
 _SITES = ("task", "write")
-_OPS = ("kill", "raise", "delay", "interrupt")
-
-#: Exit code used by ``kill`` faults so a dead worker is attributable.
-KILL_EXIT_CODE = 70
+_OPS = ("raise", "interrupt")
 
 
 @dataclass(frozen=True)
@@ -99,15 +81,12 @@ class FaultSpec:
     index: int | None = None
     key: str | None = None
     attempt: int | None = None
-    delay_s: float = 0.05
 
     def __post_init__(self) -> None:
         if self.site not in _SITES:
             raise ConfigError(f"unknown fault site {self.site!r}; expected one of {_SITES}")
         if self.op not in _OPS:
             raise ConfigError(f"unknown fault op {self.op!r}; expected one of {_OPS}")
-        if self.delay_s < 0:
-            raise ConfigError(f"delay_s must be >= 0, got {self.delay_s}")
 
     def matches(self, site: str, index: int | None, key: str | None, attempt: int | None) -> bool:
         if site != self.site:
@@ -127,7 +106,6 @@ class FaultSpec:
             "index": self.index,
             "key": self.key,
             "attempt": self.attempt,
-            "delay_s": self.delay_s,
         }
 
     @classmethod
@@ -138,7 +116,6 @@ class FaultSpec:
             index=None if data.get("index") is None else int(data["index"]),  # type: ignore[arg-type]
             key=None if data.get("key") is None else str(data["key"]),
             attempt=None if data.get("attempt") is None else int(data["attempt"]),  # type: ignore[arg-type]
-            delay_s=float(data.get("delay_s", 0.05)),  # type: ignore[arg-type]
         )
 
 
@@ -185,12 +162,12 @@ class FaultPlan:
 
 
 # The in-process plan.  ``None`` means "consult the environment" --
-# workers never have the global set and fall through to the env var.
+# a subprocess launched with REPRO_FAULT_PLAN has no global set.
 _ACTIVE: FaultPlan | None = None
 
-# Parsed-environment cache: (raw json string, parsed plan).  Workers
-# call maybe_fault() in hot dispatch loops; parsing JSON once per call
-# would be absurd, and the env var never changes mid-worker.
+# Parsed-environment cache: (raw json string, parsed plan).  The task
+# runner calls maybe_fault() once per task attempt; parsing JSON once
+# per call would be absurd, and the env var never changes mid-run.
 _ENV_CACHE: tuple[str, FaultPlan] | None = None
 
 _TLS = threading.local()
@@ -199,9 +176,9 @@ _TLS = threading.local()
 def install_fault_plan(plan: FaultPlan | None) -> None:
     """Install *plan* process-wide (or uninstall with ``None``).
 
-    Also mirrors the plan into ``REPRO_FAULT_PLAN`` so pool workers --
-    fork or spawn -- see the same schedule.  Call with ``None`` in a
-    ``finally`` block to restore production behavior.
+    Also mirrors the plan into ``REPRO_FAULT_PLAN`` so subprocesses see
+    the same schedule.  Call with ``None`` in a ``finally`` block to
+    restore production behavior.
     """
     global _ACTIVE, _ENV_CACHE
     _ACTIVE = plan
@@ -235,12 +212,10 @@ def _depth() -> int:
 def fault_task_scope() -> Iterator[int]:
     """Mark one level of task dispatch; yields the new depth.
 
-    Executors wrap every task attempt in this scope.  ``task``-site
-    faults fire only at depth 1, so a miner running *inside* a worker
-    process (its own serial dispatch loop, depth 2) never re-triggers
-    the attempt-0 faults that the outer dispatch already absorbed --
-    without the gate, kill-on-first-attempt schedules would loop
-    forever because every outer retry restarts the inner attempts at 0.
+    :func:`~repro.resilience.policy.run_task` wraps every task attempt
+    in this scope.  ``task``-site faults fire only at depth 1, so the
+    miners a hierarchy-level task runs (their own dispatch loops, depth
+    2) never see the faults aimed at the level tasks themselves.
     """
     depth = _depth() + 1
     _TLS.depth = depth
@@ -253,9 +228,7 @@ def fault_task_scope() -> Iterator[int]:
 def maybe_fault(site: str, *, index: int | None = None, key: str | None = None, attempt: int | None = None) -> None:
     """Consult the active plan at an injection site; no-op without one.
 
-    Fires every matching spec in plan order: ``delay`` sleeps and keeps
-    going (so a spec list can delay *and then* raise), the terminal ops
-    stop the consultation by raising or exiting.
+    The first matching spec (in plan order) raises :class:`FaultInjected`.
     """
     plan = active_fault_plan()
     if plan is None:
@@ -264,17 +237,6 @@ def maybe_fault(site: str, *, index: int | None = None, key: str | None = None, 
         return
     for spec in plan.matching(site, index=index, key=key, attempt=attempt):
         metrics.inc(f"faults.injected.{spec.op}")
-        if spec.op == "delay":
-            time.sleep(spec.delay_s)
-            continue
-        if spec.op == "kill":
-            if multiprocessing.parent_process() is not None:
-                # A real pool worker: die hard, producing the genuine
-                # BrokenProcessPool the recovery path must absorb.
-                os._exit(KILL_EXIT_CODE)
-            raise FaultInjected(
-                f"fault plan (seed={plan.seed}): kill at {site} index={index} key={key!r} attempt={attempt}"
-            )
         # "raise" and "interrupt" both surface as FaultInjected; the
         # distinction is the site they are aimed at.
         raise FaultInjected(

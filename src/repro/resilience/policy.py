@@ -1,33 +1,45 @@
-"""Retry policies and failure quarantine records.
+"""Retry policies, failure quarantine records, and the task runner.
 
-A :class:`RetryPolicy` describes how the executors respond to task
-failures: how many attempts each task gets, how long to back off between
-attempts (exponential with *deterministic* jitter -- the schedule is a
-pure function of the task key and attempt number, so chaos runs and
-their re-runs sleep identically), an optional per-task timeout, and how
-many pool breaks a parallel job tolerates before degrading to serial
-execution.
+A :class:`RetryPolicy` describes how the miners respond to task
+failures: how many attempts each task gets and how long to back off
+between attempts (exponential with *deterministic* jitter -- the
+schedule is a pure function of the task key and attempt number, so
+chaos runs and their re-runs sleep identically).
 
-A task that exhausts its attempts is *quarantined* into a
-:class:`FailedTask` record instead of aborting the job: the executor
-yields the record in the outcome stream, the miner collects it into
-``MiningResult.failures``, and the job's ``strict`` flag decides whether
-that surfaces as an exception (the default) or as a partial result.
+:func:`run_task` is the one place a mining task runs: the miners'
+dispatch loops hand it every group task and hierarchy-level task in
+turn.  A task that exhausts its attempts is *quarantined* into a
+:class:`FailedTask` record instead of aborting the job: the miner
+collects it into ``MiningResult.failures``, and the job's ``strict``
+flag decides whether that surfaces as an exception (the default) or as
+a partial result.
 
-Both classes are frozen dataclasses of primitives only: they cross the
-executor boundary (policies ride into the serial-degradation path,
-quarantine records ride outcome streams and job checkpoints), so they
-must pickle under every start method.
+Both classes are frozen dataclasses of primitives only: quarantine
+records ride outcome streams, and the pickling rules keep them safe to
+store next to the outcomes of a job checkpoint.
 """
 
 from __future__ import annotations
 
 import hashlib
+import time
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from repro.exceptions import ConfigError
+from repro.obs import counters as metrics
+from repro.obs.logging import get_logger
+from repro.resilience.faults import fault_task_scope, maybe_fault
 
-__all__ = ["RetryPolicy", "FailedTask", "DEFAULT_RETRY_POLICY", "task_key_of"]
+__all__ = [
+    "RetryPolicy",
+    "FailedTask",
+    "DEFAULT_RETRY_POLICY",
+    "run_task",
+    "task_key_of",
+]
+
+logger = get_logger(__name__)
 
 
 def task_key_of(task: object) -> str:
@@ -42,7 +54,7 @@ def task_key_of(task: object) -> str:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How the executors respond to task failures and pool breaks.
+    """How the miners respond to task failures.
 
     Parameters
     ----------
@@ -56,17 +68,6 @@ class RetryPolicy:
         Fraction of the base delay added/subtracted deterministically
         per ``(task, attempt)`` (see :meth:`backoff_s`), so retry storms
         de-synchronize without making runs irreproducible.
-    timeout_s:
-        Optional per-task wall-clock budget.  Enforced by the process
-        pool (a timed-out task counts as a failed attempt and its pool
-        is recycled -- a stuck worker cannot be preempted any other
-        way); the serial and thread backends cannot preempt a running
-        task and document the budget as unenforced.
-    max_pool_breaks:
-        Consecutive pool breaks (dead worker, broken broadcast barrier,
-        task timeout) a parallel ``map_tasks`` call absorbs by
-        respawning the pool before it degrades to in-process serial
-        execution for the remaining tasks.
     """
 
     max_attempts: int = 3
@@ -74,8 +75,6 @@ class RetryPolicy:
     backoff_multiplier: float = 2.0
     backoff_max_s: float = 5.0
     jitter_pct: float = 0.25
-    timeout_s: float | None = None
-    max_pool_breaks: int = 3
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -91,12 +90,6 @@ class RetryPolicy:
         if not 0.0 <= self.jitter_pct < 1.0:
             raise ConfigError(
                 f"jitter_pct must be in [0, 1), got {self.jitter_pct}"
-            )
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ConfigError(f"timeout_s must be > 0, got {self.timeout_s}")
-        if self.max_pool_breaks < 0:
-            raise ConfigError(
-                f"max_pool_breaks must be >= 0, got {self.max_pool_breaks}"
             )
 
     def backoff_s(self, task_key: str, attempt: int) -> float:
@@ -120,10 +113,10 @@ class RetryPolicy:
         return base * (1.0 + self.jitter_pct * (2.0 * fraction - 1.0))
 
 
-#: The policy used when an executor is built without one: bounded
-#: retries with sub-second backoff, pool-break recovery on, no timeout.
-#: With no faults injected and no failing tasks this is byte-for-byte
-#: the pre-resilience behavior (nothing ever retries).
+#: The policy used when a miner is built without one: bounded retries
+#: with sub-second backoff.  With no faults injected and no failing
+#: tasks this is byte-for-byte the pre-resilience behavior (nothing ever
+#: retries).
 DEFAULT_RETRY_POLICY = RetryPolicy()
 
 
@@ -132,10 +125,10 @@ class FailedTask:
     """The quarantine record of one task that failed all its attempts.
 
     Carries the stable task key, the ``repr`` of the last exception (a
-    string, not the exception object -- reprs pickle and JSON-serialize
-    under every start method), and how many attempts were consumed.
-    Appears in the executor outcome stream in the failed task's slot and
-    is collected into ``MiningResult.failures`` / raised by strict jobs.
+    string, not the exception object -- reprs pickle and JSON-serialize),
+    and how many attempts were consumed.  :func:`run_task` returns it in
+    place of the failed task's outcome; the miners collect it into
+    ``MiningResult.failures`` / raise it from strict jobs.
     """
 
     key: str
@@ -145,3 +138,49 @@ class FailedTask:
     def describe(self) -> str:
         """Readable one-line rendering."""
         return f"{self.key}: {self.error} (after {self.attempts} attempts)"
+
+
+def run_task(
+    fn: Callable[[Any, Any], Any],
+    task: Any,
+    context: Any,
+    index: int,
+    policy: RetryPolicy | None = None,
+) -> Any:
+    """Run ``fn(task, context)`` with bounded in-process retries.
+
+    Returns the task outcome, or a :class:`FailedTask` once
+    ``policy.max_attempts`` attempts have failed (counted in
+    ``executor.quarantined``; each retry counts in ``executor.retries``).
+    Never raises for a task-level failure -- only BaseExceptions
+    (interrupts) escape.  ``index`` is the task's position among the
+    tasks its dispatch loop runs, which ``task``-site fault specs match
+    on.  Each attempt consults the fault plan inside a
+    :func:`fault_task_scope`, so injected faults target only the
+    outermost dispatch, not the miners a hierarchy-level task nests.
+    """
+    policy = policy or DEFAULT_RETRY_POLICY
+    key = task_key_of(task)
+    attempt = 0
+    while True:
+        try:
+            with fault_task_scope():
+                maybe_fault("task", index=index, key=key, attempt=attempt)
+                return fn(task, context)
+        except Exception as exc:
+            attempt += 1
+            if attempt >= policy.max_attempts:
+                metrics.inc("executor.quarantined")
+                logger.warning(
+                    "task quarantined",
+                    extra={"task": key, "attempts": attempt, "error": repr(exc)},
+                )
+                return FailedTask(key=key, error=repr(exc), attempts=attempt)
+            metrics.inc("executor.retries")
+            delay = policy.backoff_s(key, attempt)
+            logger.debug(
+                "task retry",
+                extra={"task": key, "attempt": attempt, "backoff_s": delay},
+            )
+            if delay > 0:
+                time.sleep(delay)

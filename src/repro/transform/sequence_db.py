@@ -55,7 +55,7 @@ class _LazyRows:
     pay nothing for row objects; the first indexing, iteration, append,
     or comparison builds them exactly once (``len()`` answers from the
     known row count without materializing).  Pickling degrades to a
-    plain list so worker processes never ship the builder closure.
+    plain list so a pickle never holds the builder closure.
     """
 
     __slots__ = ("_rows", "_n_rows", "_build", "_lock")
@@ -145,11 +145,11 @@ class TemporalSequenceDatabase:
         """Exclude materialized instance columns from the pickled state.
 
         The primed tables (``_support_cache``, ``_event_positions``,
-        ``_prebuilt_raw``) ARE shipped on purpose -- the multigrain
-        engine primes them before broadcasting so workers skip the row
-        scans.  ``_prebuilt_columns`` is the per-process lazy
-        materialization of those tables (mirror of ``HLH1._columns``):
-        workers rebuild exactly the columns they touch.
+        ``_prebuilt_raw``) ARE kept on purpose, so an unpickled copy
+        skips the row scans.  ``_prebuilt_columns`` is the per-process
+        lazy materialization of those tables (mirror of
+        ``HLH1._columns``): a copy rebuilds exactly the columns it
+        touches.
         """
         state = dict(self.__dict__)
         state["_prebuilt_columns"] = {}

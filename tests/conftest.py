@@ -11,25 +11,11 @@ tests assert.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-
 import pytest
 
 from repro import MiningParams, SymbolicDatabase, build_sequence_database
 from repro.core.config import set_compute_backend
 from repro.datasets import load_dataset
-
-def pytest_sessionstart(session):
-    """Honor REPRO_TEST_START_METHOD (CI's chaos job sets ``spawn``).
-
-    Process-pool tests default to the platform start method (fork on
-    Linux); forcing ``spawn`` here runs the whole suite under the
-    portable worker-boot semantics without per-test plumbing.
-    """
-    method = os.environ.get("REPRO_TEST_START_METHOD")
-    if method:
-        multiprocessing.set_start_method(method, force=True)
 
 
 #: Table II, transcribed row by row (42 symbols each).

@@ -1,13 +1,4 @@
-"""Fixture: every executor-picklability violation (EP001/EP002/EP003)."""
-
-
-def mine(executor, tasks, context):
-    def local_task(task):  # closure -- cannot pickle by qualified name
-        return task
-
-    executor.map_tasks(lambda task: task, tasks, context)  # EP001: lambda
-    executor.map_tasks(local_task, tasks, context)  # EP001: closure
-    return None
+"""Fixture: every checkpoint-picklability violation (EP002/EP003)."""
 
 
 class LevelState:

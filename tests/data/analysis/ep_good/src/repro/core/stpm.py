@@ -5,10 +5,6 @@ def mine_task(task):
     return task
 
 
-def mine(executor, tasks, context):
-    executor.map_tasks(mine_task, tasks, context)
-
-
 class LevelState:
     def __init__(self):
         self.values = []

@@ -49,16 +49,9 @@ class TestComputeTwinRules:
 
 
 class TestPicklabilityRules:
-    def test_bad_tree_fires_all_three_rules(self):
-        result = run_family("ep_bad", "EP001", "EP002", "EP003")
-        assert rules_hit(result) == {"EP001", "EP002", "EP003"}
-
-    def test_lambda_and_closure_both_flagged(self):
-        result = run_family("ep_bad", "EP001")
-        messages = [f.message for f in result.findings]
-        assert len(messages) == 2
-        assert any("lambda" in m for m in messages)
-        assert any("closure" in m for m in messages)
+    def test_bad_tree_fires_both_rules(self):
+        result = run_family("ep_bad", "EP002", "EP003")
+        assert rules_hit(result) == {"EP002", "EP003"}
 
     def test_boundary_class_names_offending_attributes(self):
         result = run_family("ep_bad", "EP002")
@@ -67,7 +60,7 @@ class TestPicklabilityRules:
         assert "_column_cache" in finding.message
 
     def test_good_tree_is_clean(self):
-        result = run_family("ep_good", "EP001", "EP002", "EP003")
+        result = run_family("ep_good", "EP002", "EP003")
         assert result.ok
 
 
@@ -115,7 +108,7 @@ class TestSuppressions:
         suppressions = parse_suppressions(source)
         assert suppressions.is_suppressed("CT001", 1)
         assert suppressions.is_suppressed("EP002", 1)
-        assert not suppressions.is_suppressed("EP001", 1)
+        assert not suppressions.is_suppressed("EP003", 1)
         assert suppressions.is_suppressed("OB001", 999)  # file-wide
         assert suppressions.is_suppressed("ANY999", 3)  # bare ignore = all
 

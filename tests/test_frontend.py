@@ -72,14 +72,6 @@ class TestColumnarScalarParity:
         mined = ESTPM(columnar, paper_params).mine()
         assert results_equivalent(mined, reference)
 
-    @pytest.mark.parametrize("executor", ["serial", "parallel"])
-    def test_mining_parity_across_engines(self, paper_dsyb, paper_params, executor):
-        columnar = build_sequence_database(paper_dsyb, 3)
-        scalar = oracle_dseq(paper_dsyb, 3)
-        reference = ESTPM(scalar, paper_params).mine()
-        mined = ESTPM(columnar, paper_params, executor=executor).mine()
-        assert results_equivalent(mined, reference)
-
 
 @pytest.fixture(scope="module")
 def long_dsyb(paper_dsyb):

@@ -126,12 +126,10 @@ class TestCli:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--executor", "parallel", "--workers", "0"], "max_workers must be >= 1"),
             (["--max-retries", "-1"], "max_attempts must be >= 1"),
-            (["--task-timeout", "-5"], "timeout_s must be > 0"),
             (["--min-season", "0"], "min_season must be >= 1"),
         ],
-        ids=["workers", "max-retries", "task-timeout", "min-season"],
+        ids=["max-retries", "min-season"],
     )
     def test_mine_rejects_bad_flag_values(self, capsys, flags, message):
         argv = ["mine", "--dataset", "RE", "--profile", "tiny", *flags]
@@ -141,11 +139,23 @@ class TestCli:
         assert "ERROR" in err
         assert "Traceback" not in err
 
-    def test_threads_executor_is_a_usage_error(self, capsys):
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--executor", "parallel"],
+            ["--workers", "2"],
+            ["--keep-pool"],
+            ["--task-timeout", "5"],
+        ],
+        ids=["executor", "workers", "keep-pool", "task-timeout"],
+    )
+    def test_retired_engine_flags_are_usage_errors(self, capsys, flags):
         with pytest.raises(SystemExit) as excinfo:
-            cli_main(["mine", "--dataset", "RE", "--profile", "tiny", "--executor", "threads"])
+            cli_main(["mine", "--dataset", "RE", "--profile", "tiny", *flags])
         assert excinfo.value.code == 2
-        assert "invalid choice: 'threads'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "usage: freqstpfts" in err
+        assert f"unrecognized arguments: {' '.join(flags)}" in err
 
     def test_mine_approximate(self, capsys):
         assert (

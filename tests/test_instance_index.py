@@ -2,8 +2,8 @@
 
 The headline guarantee of the columnar engine: a whole mining job is
 ``results_equivalent`` to the brute-force :class:`NaiveSTPM` oracle on
-every seed dataset, for both miners, under both executors.  Plus the
-unit surface: column construction and caching, flyweight interning,
+every seed dataset, for both miners.  Plus the unit surface: column
+construction and caching, flyweight interning (cleared at job end),
 compact assignment decoding, and the ``event_a == event_b`` self-pair
 paths.
 """
@@ -15,7 +15,6 @@ import pytest
 from repro import ESTPM, MiningParams, SymbolicDatabase, build_sequence_database
 from repro.baselines import NaiveSTPM
 from repro.core.approximate import ASTPM
-from repro.core.executor import ParallelExecutor
 from repro.core.hlh import HLH1
 from repro.core.instance_index import (
     EMPTY_COLUMN,
@@ -138,23 +137,29 @@ class TestInterning:
         assert again == intern_triple(FOLLOWS, "A:0", "B:1")
         instance_index.clear_intern_caches()
 
-    def test_release_context_clears_worker_intern_caches(self):
-        """The end-of-job release broadcast (PR 4's 'idle kept pool pins
-        no mining state') also drops the flyweight caches in workers."""
-        import multiprocessing
-
-        from repro.core import executor as executor_module
+    @pytest.mark.parametrize("miner", ["estpm", "astpm", "hierarchical"])
+    def test_mine_clears_intern_caches_at_job_end(self, tiny_inf, miner):
+        """A finished job pins no flyweights, so a process that runs many
+        jobs keeps none of the finished ones' patterns alive."""
         from repro.core import instance_index
-        from repro.core.executor import _receive_context, get_task_context
+        from repro.multigrain import HierarchicalMiner
 
-        intern_triple(FOLLOWS, "A:1", "B:1")
-        executor_module._init_worker(multiprocessing.Barrier(1))
-        try:
-            _receive_context(pickle.dumps(None))
-        finally:
-            executor_module._init_worker(None)
-        assert get_task_context() is None
+        params = tiny_inf.params(
+            max_period_pct=0.4, min_density_pct=0.75, min_season=4
+        )
+        ratio = tiny_inf.ratio
+        jobs = {
+            "estpm": lambda: ESTPM(tiny_inf.dseq(), params),
+            "astpm": lambda: ASTPM(tiny_inf.dsyb, ratio, params, dseq=tiny_inf.dseq()),
+            "hierarchical": lambda: HierarchicalMiner(
+                tiny_inf.dsyb, ratios=[ratio, 2 * ratio], min_season=4
+            ),
+        }
+        intern_triple(FOLLOWS, "A:1", "B:1")  # a flyweight of an earlier job
+        result = jobs[miner]().mine()
+        assert len(result) > 0  # the job interned patterns of its own
         assert not instance_index._TRIPLE_CACHE
+        assert not instance_index._PATTERN_CACHE
 
 
 #: Three interleaved series whose 4-event level is non-empty at ratio 3.
@@ -281,12 +286,7 @@ class TestLastLevelStoresSupportsOnly:
 
 class TestKernelParity:
     """Whole jobs against the NaiveSTPM oracle on all seed datasets x
-    miners x executors."""
-
-    @pytest.fixture(scope="class")
-    def pool(self):
-        with ParallelExecutor(max_workers=2) as executor:
-            yield executor
+    miners."""
 
     @pytest.fixture(scope="class")
     def jobs(self):
@@ -307,30 +307,22 @@ class TestKernelParity:
         return job
 
     @pytest.mark.parametrize("name", ["RE", "SC", "INF", "HFM"])
-    def test_estpm_parity(self, pool, jobs, name):
+    def test_estpm_parity(self, jobs, name):
         _, params, dseq, oracle = jobs(name)
         assert oracle.patterns, f"parity run on {name} mined nothing"
-        for executor in ("serial", pool):
-            result = ESTPM(dseq, params, executor=executor).mine()
-            assert results_equivalent(result, oracle), (name, executor)
+        assert results_equivalent(ESTPM(dseq, params).mine(), oracle), name
 
     @pytest.mark.parametrize("name", ["RE", "SC", "INF", "HFM"])
-    def test_astpm_parity(self, pool, jobs, name):
+    def test_astpm_parity(self, jobs, name):
         """A-STPM is exact on the series its MI screening keeps."""
         dataset, params, dseq, oracle = jobs(name)
-        for executor in ("serial", pool):
-            miner = ASTPM(
-                dataset.dsyb, dataset.ratio, params, dseq=dseq, executor=executor
-            )
-            kept = set(miner.screening().correlated_series)
-            expected = {
-                sp.pattern: sp.support
-                for sp in oracle.patterns
-                if all(series_of(event) in kept for event in sp.pattern.events)
-            }
-            result = miner.mine()
-            assert not result.failures
-            assert {sp.pattern: sp.support for sp in result.patterns} == expected, (
-                name,
-                executor,
-            )
+        miner = ASTPM(dataset.dsyb, dataset.ratio, params, dseq=dseq)
+        kept = set(miner.screening().correlated_series)
+        expected = {
+            sp.pattern: sp.support
+            for sp in oracle.patterns
+            if all(series_of(event) in kept for event in sp.pattern.events)
+        }
+        result = miner.mine()
+        assert not result.failures
+        assert {sp.pattern: sp.support for sp in result.patterns} == expected, name

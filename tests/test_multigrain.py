@@ -3,9 +3,8 @@
 The engine's hard guarantee: every level of a hierarchical run is
 equivalent (``results_equivalent``) to mining that level standalone with
 a fresh sequence mapping -- asserted here on all four seed datasets,
-for E-STPM and A-STPM, for the fold and rebuild strategies, and for
-both executors -- and to the brute-force
-:class:`NaiveSTPM` oracle on that mapping.
+for E-STPM and A-STPM, and for the fold and rebuild strategies -- and
+to the brute-force :class:`NaiveSTPM` oracle on that mapping.
 """
 
 import pytest
@@ -118,21 +117,6 @@ class TestLevelParity:
         for fold_level, rebuild_level in zip(fold, rebuild):
             assert results_equivalent(fold_level.result, rebuild_level.result)
         assert all(level.derived_from is None for level in rebuild)
-
-    def test_parallel_level_dispatch_matches_serial(self, motif_dsyb):
-        def mine(executor):
-            return HierarchicalMiner(
-                motif_dsyb,
-                ratios=[3, 6, 12],
-                dist_interval=(0, 600),
-                min_season=1,
-                executor=executor,
-                n_workers=2,
-            ).mine()
-
-        serial, parallel = mine("serial"), mine("parallel")
-        for serial_level, parallel_level in zip(serial, parallel):
-            assert results_equivalent(serial_level.result, parallel_level.result)
 
     @pytest.mark.parametrize(
         "pruning",

@@ -1,16 +1,9 @@
-"""The telemetry layer: counters, spans, logging, and cross-process merge.
+"""The telemetry layer: counters, spans, logging, and snapshot merge.
 
-The two guarantees worth their own suites:
-
-* **Parity.**  The ``mine.*`` / ``kernel.*`` counters are identical
-  whether the mining work ran in-process, in a thread pool, or in a
-  process pool -- worker-side counts ship back in the task envelope and
-  merge losslessly (tested on every seed dataset).  The exception is
-  ``kernel.extend.verdict_rows``, which counts work per verdict store
-  and so grows with the number of processes filling one.
-* **Zero cost when off.**  With telemetry disabled, the instrumented
-  hot paths allocate nothing in the obs modules and ``span()`` returns
-  one shared singleton.
+The guarantee worth its own suite is **zero cost when off**: with
+telemetry disabled, the instrumented hot paths allocate nothing in the
+obs modules and ``span()`` returns one shared singleton, and a disabled
+run mines exactly what an enabled one does.
 """
 
 import io
@@ -24,7 +17,6 @@ from pathlib import Path
 import pytest
 
 import repro.obs
-from repro.core.executor import ParallelExecutor
 from repro.core.results import results_equivalent
 from repro.core.stpm import ESTPM
 from repro.datasets import load_dataset
@@ -82,7 +74,7 @@ class TestCounters:
             assert captured.counters == {"inner": 1}
         assert counters.summary()["counters"] == {"outer": 1}
 
-    def test_capture_force_enables_for_spawn_workers(self):
+    def test_capture_force_enables_metrics(self):
         assert not counters.metrics_enabled()
         with capture() as captured:
             assert counters.metrics_enabled()
@@ -97,7 +89,7 @@ class TestCounters:
         counters.enable_metrics()
         counters.inc("a")
         counters.observe("h", 8.0)
-        counters.merge(shipped.snapshot())
+        counters.registry().merge(shipped.snapshot())
         snapshot = counters.summary()
         assert snapshot["counters"] == {"a": 6}
         histogram = snapshot["histograms"]["h"]
@@ -220,20 +212,20 @@ class TestLogging:
     def test_key_value_format(self):
         stream = self._configured(level="info")
         get_logger("harness.cli").info(
-            "pool spawned", extra={"workers": 4, "backend": "parallel"}
+            "trace written", extra={"path": "t.json", "spans": 4}
         )
         line = stream.getvalue().strip()
-        assert " INFO repro.harness.cli pool spawned " in line
-        assert "backend=parallel" in line and "workers=4" in line
+        assert " INFO repro.harness.cli trace written " in line
+        assert "path=t.json" in line and "spans=4" in line
 
     def test_json_lines_format(self):
         stream = self._configured(level="debug", json_lines=True)
-        get_logger("core.executor").debug("dispatching", extra={"tasks": 12})
+        get_logger("resilience.policy").debug("task retry", extra={"attempt": 2})
         record = json.loads(stream.getvalue())
         assert record["level"] == "DEBUG"
-        assert record["logger"] == "repro.core.executor"
-        assert record["message"] == "dispatching"
-        assert record["tasks"] == 12
+        assert record["logger"] == "repro.resilience.policy"
+        assert record["message"] == "task retry"
+        assert record["attempt"] == 2
 
     def test_level_threshold(self):
         stream = self._configured(level="warning")
@@ -266,64 +258,6 @@ class TestLogging:
     def test_formatters_are_exported(self):
         assert isinstance(KeyValueFormatter(), stdlib_logging.Formatter)
         assert isinstance(JsonLinesFormatter(), stdlib_logging.Formatter)
-
-
-class TestCrossProcessParity:
-    """Worker-side counters shipped through the envelope match serial."""
-
-    @pytest.mark.parametrize("name", ["RE", "SC", "INF", "HFM"])
-    def test_seed_dataset_counter_parity(self, name):
-        dataset = load_dataset(name, "tiny")
-        params = dataset.params(
-            max_period_pct=0.4, min_density_pct=0.75, min_season=4
-        )
-        dseq = dataset.dseq()
-        with capture() as serial_captured:
-            serial = ESTPM(dseq, params).mine()
-        executor = ParallelExecutor(max_workers=2, min_tasks=1)
-        with capture() as pooled_captured, executor:
-            pooled = ESTPM(dseq, params, executor=executor).mine()
-        assert results_equivalent(serial, pooled)
-
-        def mining_only(registry):
-            return {
-                key: value
-                for key, value in registry.counters.items()
-                if key.startswith(("mine.", "kernel."))
-            }
-
-        serial_counts = mining_only(serial_captured)
-        pooled_counts = mining_only(pooled_captured)
-        assert serial_counts.get("mine.groups.pair", 0) > 0
-        # Verdict rows are built once per verdict store, and the store is
-        # per level in one process: each pool worker fills its own.  So
-        # this one counter measures per-store work: a 2-worker run builds
-        # every row the serial run builds, and each at most twice.
-        serial_rows = serial_counts.pop("kernel.extend.verdict_rows", 0)
-        pooled_rows = pooled_counts.pop("kernel.extend.verdict_rows", 0)
-        assert serial_rows <= pooled_rows <= 2 * serial_rows
-        assert serial_counts == pooled_counts
-
-    def test_executor_counters_record_dispatch(self):
-        dataset = load_dataset("INF", "tiny")
-        params = dataset.params(
-            max_period_pct=0.4, min_density_pct=0.75, min_season=4
-        )
-        dseq = dataset.dseq()
-        with capture() as serial_captured:
-            ESTPM(dseq, params).mine()
-        assert "executor.map_calls" not in serial_captured.counters
-        with capture() as captured, ParallelExecutor(
-            max_workers=2, min_tasks=1, reuse_pool=True
-        ) as executor:
-            ESTPM(dseq, params, executor=executor).mine()
-        assert captured.counters["executor.map_calls"] > 0
-        assert captured.counters["executor.tasks_dispatched"] > 0
-        assert captured.counters["executor.pool_spawns"] == 1
-        assert (
-            captured.counters["executor.pool_reuses"]
-            == captured.counters["executor.map_calls"] - 1
-        )
 
 
 class TestDisabledPathCost:

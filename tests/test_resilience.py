@@ -1,28 +1,30 @@
 """Chaos suite for the resilience layer.
 
-Drives seeded :class:`FaultPlan` schedules -- worker kills, transient
-raises, delays, interrupted writes -- through all three executors and
-both miners, and asserts the recovery machinery's contract: a recovered
-run lands on output *equivalent* (for retry-then-succeed schedules,
-byte-identical) to an uninjected run, exhausted tasks quarantine into
-``failures`` instead of killing the job, resume-from-checkpoint equals
-a fresh run, and an interrupted atomic write leaves the previous file
-intact.  The backoff schedule's determinism is pinned by a hypothesis
-property test.
+Drives seeded :class:`FaultPlan` schedules -- transient raises and
+interrupted writes -- through the task runner and the miners, and
+asserts the recovery machinery's contract: a recovered run lands on
+output *equivalent* (for retry-then-succeed schedules, byte-identical)
+to an uninjected run, exhausted tasks quarantine into ``failures``
+instead of killing the job, resume-from-checkpoint equals a fresh run,
+a checkpoint refuses a job with other settings, and an interrupted
+atomic write leaves the previous file intact.  The backoff schedule's
+determinism is pinned by a hypothesis property test.
 """
 
 from __future__ import annotations
 
+import ast
 import base64
 import json
 import os
 import pickle
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.executor import ParallelExecutor, SerialExecutor
+from repro.core.prune import PruningConfig
 from repro.core.results import results_equivalent
 from repro.core.stpm import ESTPM
 from repro.exceptions import ConfigError, FaultInjected, MiningError
@@ -75,11 +77,6 @@ def counters():
         metrics.reset()
 
 
-def _square(task):
-    """Module-level task fn so process pools can pickle it."""
-    return task * task
-
-
 def _raise_plan(**constraints) -> FaultPlan:
     return FaultPlan(seed=7, faults=(FaultSpec(site="task", op="raise", **constraints),))
 
@@ -87,7 +84,7 @@ def _raise_plan(**constraints) -> FaultPlan:
 class TestRetryPolicy:
     def test_default_policy_bounds(self):
         assert DEFAULT_RETRY_POLICY.max_attempts == 3
-        assert DEFAULT_RETRY_POLICY.timeout_s is None
+        assert DEFAULT_RETRY_POLICY.backoff_max_s == 5.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -97,8 +94,8 @@ class TestRetryPolicy:
             {"backoff_multiplier": 0.5},
             {"jitter_pct": 1.0},
             {"jitter_pct": -0.1},
-            {"timeout_s": 0.0},
-            {"max_pool_breaks": -1},
+            {"backoff_max_s": -1.0},
+            {"max_attempts": -2},
         ],
     )
     def test_validation(self, kwargs):
@@ -153,9 +150,9 @@ class TestFaultPlan:
         plan = FaultPlan(
             seed=42,
             faults=(
-                FaultSpec(site="task", op="kill", index=3, attempt=0),
+                FaultSpec(site="task", op="raise", index=3, attempt=0),
                 FaultSpec(site="write", op="interrupt", key="ckpt"),
-                FaultSpec(site="task", op="delay", delay_s=0.5),
+                FaultSpec(site="task", op="raise", key="k2:"),
             ),
         )
         assert FaultPlan.from_json(plan.to_json()) == plan
@@ -166,7 +163,7 @@ class TestFaultPlan:
         plan = _raise_plan(index=1)
         install_fault_plan(plan)
         assert FaultPlan.from_json(os.environ[FAULT_PLAN_ENV]) == plan
-        # A worker process has no module global -- only the environment.
+        # A subprocess has no module global -- only the environment.
         faults_mod._ACTIVE = None
         assert active_fault_plan() == plan
         install_fault_plan(None)
@@ -175,7 +172,7 @@ class TestFaultPlan:
 
     @pytest.mark.parametrize(
         "kwargs", [{"site": "nope", "op": "raise"}, {"site": "task", "op": "nope"},
-                   {"site": "task", "op": "delay", "delay_s": -1.0}]
+                   {"site": "task", "op": "delay"}, {"site": "task", "op": "kill"}]
     )
     def test_spec_validation(self, kwargs):
         with pytest.raises(ConfigError):
@@ -200,10 +197,10 @@ class TestFaultPlan:
     @pytest.mark.parametrize(
         "value",
         [
-            FaultSpec(site="task", op="kill", index=1),
+            FaultSpec(site="task", op="raise", index=1),
             FaultPlan(seed=9, faults=(FaultSpec(site="write", op="interrupt"),)),
             FailedTask(key="('a',)", error="OSError()", attempts=2),
-            RetryPolicy(max_attempts=5, timeout_s=1.5),
+            RetryPolicy(max_attempts=5, backoff_base_s=1.5),
         ],
     )
     def test_pickles_across_executor_boundary(self, value):
@@ -219,15 +216,7 @@ class TestFaultPlan:
             with pytest.raises(FaultInjected):
                 maybe_fault("task", index=0, key="k", attempt=0)
             with fault_task_scope():
-                # Depth 2: a miner nested inside a worker never re-fires.
-                maybe_fault("task", index=0, key="k", attempt=0)
-
-    def test_kill_degrades_to_raise_outside_pool_workers(self):
-        install_fault_plan(
-            FaultPlan(faults=(FaultSpec(site="task", op="kill", index=0),))
-        )
-        with fault_task_scope():
-            with pytest.raises(FaultInjected):
+                # Depth 2: a miner nested inside a level task never fires.
                 maybe_fault("task", index=0, key="k", attempt=0)
 
 
@@ -264,119 +253,45 @@ class TestAtomicWrites:
         assert target.read_text() == "new"
 
 
-def _executors():
-    return [
-        ("serial", lambda: SerialExecutor(retry=FAST_RETRY)),
-        ("parallel", lambda: ParallelExecutor(max_workers=2, retry=FAST_RETRY)),
-    ]
-
-
-class TestExecutorRecovery:
-    @pytest.mark.parametrize(
-        "name,factory", _executors(), ids=[name for name, _ in _executors()]
-    )
-    def test_retry_then_succeed_matches_unfaulted(self, name, factory):
-        tasks = list(range(6))
-        expected = [task * task for task in tasks]
+class TestTaskRecovery:
+    def test_retry_then_succeed_matches_unfaulted(
+        self, paper_dseq, paper_params, counters
+    ):
+        # Task 1 of each level fails its first attempt; the retries
+        # succeed, and the job returns what an unfaulted run returns.
+        baseline = ESTPM(paper_dseq, paper_params).mine()
         install_fault_plan(_raise_plan(index=1, attempt=0))
-        runner = factory()
-        try:
-            assert list(runner.map_tasks(_square, tasks, None)) == expected
-        finally:
-            runner.close()
+        result = ESTPM(paper_dseq, paper_params, retry=FAST_RETRY).mine()
+        assert not result.failures
+        assert results_equivalent(result, baseline)
+        snapshot = counters.snapshot()["counters"]
+        assert snapshot["executor.retries"] >= 1
+        assert "executor.quarantined" not in snapshot
 
-    @pytest.mark.parametrize(
-        "name,factory", _executors(), ids=[name for name, _ in _executors()]
-    )
-    def test_exhausted_task_quarantines_in_place(self, name, factory):
-        policy = RetryPolicy(max_attempts=2, backoff_base_s=0.0)
+    def test_exhausted_task_quarantines_in_place(
+        self, paper_dseq, paper_params, counters
+    ):
+        params = replace(paper_params, max_pattern_length=2)
+        baseline = ESTPM(paper_dseq, params).mine()
         install_fault_plan(_raise_plan(index=2))  # every attempt of task 2
-        runner = factory()
-        runner.retry = policy
-        try:
-            outcomes = list(runner.map_tasks(_square, list(range(5)), None))
-        finally:
-            runner.close()
-        quarantined = outcomes[2]
-        assert isinstance(quarantined, FailedTask)
+        result = ESTPM(
+            paper_dseq,
+            params,
+            retry=RetryPolicy(max_attempts=2, backoff_base_s=0.0),
+            strict=False,
+        ).mine()
+        (quarantined,) = result.failures
         assert quarantined.attempts == 2
         assert "FaultInjected" in quarantined.error
-        assert [o for i, o in enumerate(outcomes) if i != 2] == [0, 1, 9, 16]
-
-    def test_pool_break_recovery_fork(self, counters):
-        install_fault_plan(
-            FaultPlan(faults=(FaultSpec(site="task", op="kill", index=0, attempt=0),))
-        )
-        runner = ParallelExecutor(max_workers=2, retry=FAST_RETRY)
-        try:
-            tasks = list(range(8))
-            assert list(runner.map_tasks(_square, tasks, None)) == [
-                task * task for task in tasks
-            ]
-        finally:
-            runner.close()
-        assert counters.snapshot()["counters"].get("executor.pool_breaks", 0) >= 1
-
-    def test_pool_break_recovery_spawn(self):
-        # task_key_of is importable from a spawn worker, unlike test fns.
-        install_fault_plan(
-            FaultPlan(faults=(FaultSpec(site="task", op="kill", index=1, attempt=0),))
-        )
-        runner = ParallelExecutor(
-            max_workers=2, start_method="spawn", retry=FAST_RETRY
-        )
-        try:
-            tasks = list(range(4))
-            assert list(runner.map_tasks(task_key_of, tasks, None)) == [
-                repr(task) for task in tasks
-            ]
-        finally:
-            runner.close()
-
-    def test_persistent_breaks_degrade_to_serial(self, counters):
-        # Task 0 dies on *every* attempt: the pool keeps breaking until
-        # the degradation threshold, then the serial fallback turns the
-        # kill into a retryable raise and finally quarantines the task.
-        install_fault_plan(
-            FaultPlan(faults=(FaultSpec(site="task", op="kill", index=0),))
-        )
-        runner = ParallelExecutor(
-            max_workers=2,
-            retry=RetryPolicy(max_attempts=2, backoff_base_s=0.0, max_pool_breaks=1),
-        )
-        try:
-            outcomes = list(runner.map_tasks(_square, list(range(4)), None))
-        finally:
-            runner.close()
-        assert isinstance(outcomes[0], FailedTask)
-        assert outcomes[1:] == [1, 4, 9]
-        snapshot = counters.snapshot()["counters"]
-        assert snapshot.get("executor.serial_degradations", 0) >= 1
-        assert snapshot.get("executor.pool_breaks", 0) >= 2
-
-    def test_stalled_task_times_out_and_recovers(self, counters):
-        install_fault_plan(
-            FaultPlan(
-                faults=(
-                    FaultSpec(site="task", op="delay", index=0, attempt=0, delay_s=5.0),
-                ),
-            )
-        )
-        runner = ParallelExecutor(
-            max_workers=2,
-            retry=RetryPolicy(backoff_base_s=0.0, timeout_s=0.3),
-        )
-        try:
-            assert list(runner.map_tasks(_square, [0, 1], None)) == [0, 1]
-        finally:
-            runner.close()
-        assert counters.snapshot()["counters"].get("executor.task_timeouts", 0) >= 1
-
-    def test_close_is_idempotent(self):
-        runner = ParallelExecutor(max_workers=2)
-        assert list(runner.map_tasks(_square, [1, 2], None)) == [1, 4]
-        runner.close()
-        runner.close()  # second close is a no-op, not an error
+        assert counters.snapshot()["counters"]["executor.quarantined"] == 1
+        # Only the failed group's patterns are missing; every other task
+        # ran and registered as usual.
+        group = ast.literal_eval(quarantined.key)
+        assert [sp.pattern for sp in result.patterns] == [
+            sp.pattern
+            for sp in baseline.patterns
+            if sp.size != 2 or tuple(sorted(sp.pattern.events)) != group
+        ]
 
 
 class TestMiningChaos:
@@ -384,20 +299,13 @@ class TestMiningChaos:
     def baseline(self, paper_dseq, paper_params):
         return ESTPM(paper_dseq, paper_params).mine()
 
-    @pytest.mark.parametrize(
-        "name,factory", _executors(), ids=[name for name, _ in _executors()]
-    )
     def test_retry_then_succeed_byte_identical(
-        self, name, factory, paper_dseq, paper_params, baseline
+        self, paper_dseq, paper_params, baseline
     ):
         # Fail the *first* attempt of every task; retries succeed, and
         # the recovered result is byte-identical to the unfaulted run.
         install_fault_plan(_raise_plan(attempt=0))
-        runner = factory()
-        try:
-            result = ESTPM(paper_dseq, paper_params, executor=runner).mine()
-        finally:
-            runner.close()
+        result = ESTPM(paper_dseq, paper_params, retry=FAST_RETRY).mine()
         assert not result.failures and result.complete
         assert results_equivalent(result, baseline)
         assert (
@@ -407,18 +315,16 @@ class TestMiningChaos:
 
     def test_quarantine_strict_raises(self, paper_dseq, paper_params):
         install_fault_plan(_raise_plan(index=0))
-        runner = SerialExecutor(retry=RetryPolicy(max_attempts=2, backoff_base_s=0.0))
+        retry = RetryPolicy(max_attempts=2, backoff_base_s=0.0)
         with pytest.raises(MiningError, match="failed after retries"):
-            ESTPM(paper_dseq, paper_params, executor=runner).mine()
+            ESTPM(paper_dseq, paper_params, retry=retry).mine()
 
     def test_quarantine_partial_result_not_equivalent(
         self, paper_dseq, paper_params, baseline
     ):
         install_fault_plan(_raise_plan(index=0))
-        runner = SerialExecutor(retry=RetryPolicy(max_attempts=2, backoff_base_s=0.0))
-        result = ESTPM(
-            paper_dseq, paper_params, executor=runner, strict=False
-        ).mine()
+        retry = RetryPolicy(max_attempts=2, backoff_base_s=0.0)
+        result = ESTPM(paper_dseq, paper_params, retry=retry, strict=False).mine()
         assert result.failures and not result.complete
         assert result.failures[0].attempts == 2
         assert not results_equivalent(result, baseline)
@@ -432,7 +338,7 @@ class TestMiningChaos:
         crashing = ESTPM(
             paper_dseq,
             paper_params,
-            executor=SerialExecutor(retry=RetryPolicy(max_attempts=1, backoff_base_s=0.0)),
+            retry=RetryPolicy(max_attempts=1, backoff_base_s=0.0),
             checkpoint_path=ckpt,
         )
         with pytest.raises(MiningError):
@@ -450,11 +356,22 @@ class TestMiningChaos:
     def test_checkpoint_rejects_different_job(self, tmp_path, paper_dseq, paper_params):
         ckpt = str(tmp_path / "estpm.ckpt.json")
         ESTPM(paper_dseq, paper_params, checkpoint_path=ckpt).mine()
-        from dataclasses import replace
-
         other = replace(paper_params, min_season=paper_params.min_season + 1)
         with pytest.raises(ConfigError, match="fingerprint"):
             ESTPM(paper_dseq, other, checkpoint_path=ckpt).mine()
+
+    def test_checkpoint_rejects_other_pruning(
+        self, tmp_path, paper_dseq, paper_params
+    ):
+        # Pruning changes the recorded outcomes (a gate-rejected group
+        # stores no support), so the candidate counts a resumed NoPrune
+        # run would report are the pruned run's.
+        ckpt = str(tmp_path / "estpm.ckpt.json")
+        ESTPM(paper_dseq, paper_params, checkpoint_path=ckpt).mine()
+        with pytest.raises(ConfigError, match="fingerprint"):
+            ESTPM(
+                paper_dseq, paper_params, PruningConfig.none(), checkpoint_path=ckpt
+            ).mine()
 
     @pytest.mark.parametrize("dataset_name", ["tiny_re", "tiny_inf"])
     def test_seed_dataset_chaos_parity(self, dataset_name, request):
@@ -464,8 +381,7 @@ class TestMiningChaos:
         )
         baseline = ESTPM(dataset.dseq(), params).mine()
         install_fault_plan(_raise_plan(attempt=0))
-        runner = SerialExecutor(retry=FAST_RETRY)
-        result = ESTPM(dataset.dseq(), params, executor=runner).mine()
+        result = ESTPM(dataset.dseq(), params, retry=FAST_RETRY).mine()
         assert not result.failures
         assert results_equivalent(result, baseline)
 
@@ -485,48 +401,42 @@ class TestMultigrainChaos:
     def baseline(self, paper_dsyb):
         return self._miner(paper_dsyb).mine()
 
-    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_chaos_parity_kill_one_worker_per_level(
-        self, start_method, paper_dsyb, baseline, tmp_path
+    def test_traced_retry_per_level_matches_unfaulted(
+        self, paper_dsyb, baseline, tmp_path
     ):
-        # The acceptance scenario: a seeded plan kills the first attempt
-        # of every level task; the job completes via pool-break recovery
-        # with output equivalent to the uninjected run, under both start
-        # methods, and the recovery counters land in the trace JSON.
+        # A seeded plan fails the first attempt of every level task; the
+        # retries complete the job with output equivalent to the
+        # uninjected run, and the recovery counters land in the trace.
         install_fault_plan(
-            FaultPlan(seed=42, faults=(FaultSpec(site="task", op="kill", attempt=0),))
-        )
-        runner = ParallelExecutor(
-            max_workers=2, start_method=start_method, retry=FAST_RETRY
+            FaultPlan(seed=42, faults=(FaultSpec(site="task", op="raise", attempt=0),))
         )
         reset_telemetry()
         enable_telemetry()
         try:
-            result = self._miner(paper_dsyb, executor=runner).mine()
-            trace_path = tmp_path / f"chaos-{start_method}.json"
+            result = self._miner(paper_dsyb, retry=FAST_RETRY).mine()
+            trace_path = tmp_path / "chaos.json"
             write_trace(trace_path, command="chaos", counters=telemetry_summary())
         finally:
             disable_telemetry()
             reset_telemetry()
-            runner.close()
             install_fault_plan(None)
         assert not result.failures
         assert len(result.levels) == len(baseline.levels)
         for mine, theirs in zip(result, baseline):
             assert mine.ratio == theirs.ratio
             assert results_equivalent(mine.result, theirs.result)
-        trace = json.loads(trace_path.read_text())
-        counter_names = set(trace["counters"]["counters"])
-        assert "faults.injected.kill" in counter_names or (
-            counter_names & {"executor.pool_breaks", "executor.retries"}
-        )
+        counters = json.loads(trace_path.read_text())["counters"]["counters"]
+        # One injected fault and one retry per level: the depth gate
+        # keeps the plan away from the group tasks inside each level.
+        assert counters["faults.injected.raise"] == len(baseline.levels)
+        assert counters["executor.retries"] == len(baseline.levels)
 
     def test_level_quarantine_strict_and_partial(self, paper_dsyb, baseline):
         install_fault_plan(_raise_plan(index=1))
-        runner = SerialExecutor(retry=RetryPolicy(max_attempts=1, backoff_base_s=0.0))
+        retry = RetryPolicy(max_attempts=1, backoff_base_s=0.0)
         with pytest.raises(MiningError, match="level task"):
-            self._miner(paper_dsyb, executor=runner).mine()
-        partial = self._miner(paper_dsyb, executor=runner, strict=False).mine()
+            self._miner(paper_dsyb, retry=retry).mine()
+        partial = self._miner(paper_dsyb, retry=retry, strict=False).mine()
         assert len(partial.failures) == 1
         assert not partial.complete
         assert len(partial.levels) == len(baseline.levels) - 1
@@ -538,7 +448,7 @@ class TestMultigrainChaos:
         install_fault_plan(_raise_plan(index=1))
         crashing = self._miner(
             paper_dsyb,
-            executor=SerialExecutor(retry=RetryPolicy(max_attempts=1, backoff_base_s=0.0)),
+            retry=RetryPolicy(max_attempts=1, backoff_base_s=0.0),
             checkpoint_path=ckpt,
         )
         with pytest.raises(MiningError):
@@ -549,6 +459,14 @@ class TestMultigrainChaos:
         assert len(resumed.levels) == len(baseline.levels)
         for mine, theirs in zip(resumed, baseline):
             assert results_equivalent(mine.result, theirs.result)
+
+    def test_checkpoint_rejects_other_pruning(self, tmp_path, paper_dsyb):
+        ckpt = str(tmp_path / "multigrain.ckpt.json")
+        self._miner(paper_dsyb, checkpoint_path=ckpt).mine()
+        with pytest.raises(ConfigError, match="fingerprint"):
+            self._miner(
+                paper_dsyb, pruning=PruningConfig.none(), checkpoint_path=ckpt
+            ).mine()
 
 
 class TestJobCheckpoint:
@@ -701,7 +619,7 @@ def test_undecodable_resume_checkpoint_is_a_usage_error(tmp_path, capsys):
 
 
 def test_resilience_modules_registered_for_ep_checks():
-    from repro.analysis.rules.base import EXECUTOR_BOUNDARY_MODULES
+    from repro.analysis.rules.base import PICKLE_BOUNDARY_MODULES
 
-    assert "repro.resilience.policy" in EXECUTOR_BOUNDARY_MODULES
-    assert "repro.resilience.faults" in EXECUTOR_BOUNDARY_MODULES
+    assert "repro.resilience.policy" in PICKLE_BOUNDARY_MODULES
+    assert "repro.resilience.faults" in PICKLE_BOUNDARY_MODULES

@@ -36,20 +36,24 @@ class TestFilters:
         assert all(event.startswith("A:") for event in events)
         assert result.stats.n_events_pruned == 2
 
-    def test_pair_filter_blocks_cross_series_groups(self):
-        dseq = _dseq({"A": "1100", "B": "1100"})
-        result = ESTPM(dseq, _params(), pair_filter=set()).mine()
-        for sp in result.patterns:
-            series = {series_of(event) for event in sp.pattern.events}
-            assert len(series) == 1  # same-series groups always allowed
 
-    def test_pair_filter_allows_listed_pairs(self):
-        dseq = _dseq({"A": "1100", "B": "1100", "C": "0110"})
-        allowed = {frozenset(("A", "B"))}
-        result = ESTPM(dseq, _params(), pair_filter=allowed).mine()
-        for sp in result.patterns:
-            series = {series_of(event) for event in sp.pattern.events}
-            assert not ({"A", "C"} <= series or {"B", "C"} <= series)
+class TestDispatch:
+    def test_dispatch_is_lazy(self):
+        """A task runs only once the previous outcome has been consumed,
+        so each group's outcome is registered (and freed) before the next
+        group is mined."""
+        seen = []
+
+        def record(task, context):
+            seen.append(task)
+            return task
+
+        miner = ESTPM(_dseq({"A": "1100"}), _params())
+        outcomes = miner._dispatch(record, [1, 2, 3], None, "k2", None, [])
+        assert seen == []  # nothing ran yet
+        assert next(outcomes) == 1
+        assert seen == [1]  # one group at a time
+        assert list(outcomes) == [2, 3]
 
 
 class TestMaxPatternLength:

@@ -9,8 +9,7 @@ sharing a store across calls must change nothing but the work done:
   level, and builds fewer rows;
 * the same holds for each of the streaming miner's extension calls,
   which pass ``parent_patterns`` and ``granule_filter``;
-* a :class:`~repro.core.stpm.LevelContext` pickles with an empty store,
-  so each pool worker fills its own.
+* a :class:`~repro.core.stpm.LevelContext` pickles with an empty store.
 """
 
 import dataclasses
@@ -19,7 +18,6 @@ import pickle
 import pytest
 
 import repro.streaming.incremental as incremental
-from repro.core.executor import SerialExecutor
 from repro.core.instance_index import VerdictStore
 from repro.core.stpm import ESTPM, LevelContext, mine_extension_task
 from repro.datasets.registry import DATASET_BUILDERS
@@ -41,10 +39,10 @@ def _extension_levels(dseq, params, monkeypatch) -> list[tuple[list, LevelContex
     levels = []
     dispatch = ESTPM._dispatch
 
-    def recording(self, runner, fn, tasks, context, *args):
+    def recording(self, fn, tasks, context, *args):
         if fn is mine_extension_task:
             levels.append((list(tasks), context))
-        return dispatch(self, runner, fn, tasks, context, *args)
+        return dispatch(self, fn, tasks, context, *args)
 
     monkeypatch.setattr(ESTPM, "_dispatch", recording)
     ESTPM(dseq, params).mine()
@@ -68,7 +66,7 @@ def _outcome_key(outcome):
 
 def _run_level(tasks, context):
     with capture() as registry:
-        outcomes = list(SerialExecutor().map_tasks(mine_extension_task, tasks, context))
+        outcomes = [mine_extension_task(task, context) for task in tasks]
     return [_outcome_key(outcome) for outcome in outcomes], registry.counters.get(ROWS, 0)
 
 
