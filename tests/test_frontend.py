@@ -28,6 +28,7 @@ from repro.obs.trace import (
     reset_trace,
     trace_tree,
 )
+from repro.resilience import RetryPolicy
 from repro.streaming import StreamingDatabase
 from repro.symbolic.alphabet import Alphabet
 from repro.symbolic.series import SymbolicSeries
@@ -70,6 +71,21 @@ class TestColumnarScalarParity:
         scalar = oracle_dseq(paper_dsyb, 3)
         reference = ESTPM(scalar, paper_params).mine()
         mined = ESTPM(columnar, paper_params).mine()
+        assert results_equivalent(mined, reference)
+
+    @pytest.mark.parametrize(
+        "engine",
+        [{"retry": RetryPolicy(max_attempts=1), "strict": False}],
+        ids=["serial"],
+    )
+    def test_mining_parity_across_engines(self, paper_dsyb, paper_params, engine):
+        # Group tasks run in-process; the engine settings that remain
+        # (retry policy, quarantine mode) must not move the result.
+        columnar = build_sequence_database(paper_dsyb, 3)
+        scalar = oracle_dseq(paper_dsyb, 3)
+        reference = ESTPM(scalar, paper_params).mine()
+        mined = ESTPM(columnar, paper_params, **engine).mine()
+        assert not mined.failures
         assert results_equivalent(mined, reference)
 
 
