@@ -29,6 +29,13 @@ chain construction:
 
 For support sets whose near sets chain without breaks (the common case and
 all of the paper's examples) this is exactly the paper's definition.
+
+The walk is left to right, so a support that only grows at its end keeps
+every near set but the last (the *open* one) and the chain state in front
+of it: :class:`SeasonChain` holds that state for the streaming miner, which
+re-walks only the open near set and the new granules per append.
+:func:`compute_seasons` stays the one-shot implementation and the
+accumulator's reference.
 """
 
 from __future__ import annotations
@@ -172,6 +179,136 @@ def compute_seasons(support: SupportLike, params: MiningParams) -> SeasonView:
         near_sets=tuple(tuple(s) for s in near_sets),
         seasons=tuple(tuple(s) for s in best),
     )
+
+
+#: A season chain: the seasons it holds, in order.
+_Chain = tuple[tuple[int, ...], ...]
+
+
+def _chain_step(
+    best: _Chain, current: _Chain, near_set: tuple[int, ...], params: MiningParams
+) -> tuple[_Chain, _Chain]:
+    """One step of the :func:`_chain_seasons` walk, on immutable state.
+
+    ``best`` is the first longest of the chains a ``dist_max`` break has
+    closed so far, ``current`` the chain ``near_set`` continues.
+    """
+    candidate = near_set
+    if current:
+        last_end = current[-1][-1]
+        # Trim leading granules that sit closer than dist_min (H9 rule).
+        candidate = near_set[bisect_left(near_set, last_end + params.dist_min) :]
+        if not candidate:
+            return best, current
+        if candidate[0] - last_end > params.dist_max:
+            if len(current) > len(best):
+                best = current
+            current = ()
+            candidate = near_set
+    if len(candidate) >= params.min_density:
+        current = (*current, candidate)
+    return best, current
+
+
+class SeasonChain:
+    """The seasons of a support set that grows at its end.
+
+    Holds the support positions, the closed near sets and the chain state
+    before the open (last) near set, so :meth:`refresh` after an append
+    re-walks only the open near set and the new positions.  A chain never
+    refreshed before, or whose support gained a position below its last
+    one, takes the full recompute through :func:`compute_seasons`.
+    """
+
+    __slots__ = ("support", "view", "_closed", "_open", "_folded", "_best", "_current")
+
+    def __init__(self) -> None:
+        self.support: list[int] = []
+        #: The view the last :meth:`refresh` returned (stale once the
+        #: support grows).
+        self.view: SeasonView | None = None
+        self._restart()
+
+    def _restart(self) -> None:
+        """Forget the walk: the next refresh recomputes in full."""
+        self._closed: list[tuple[int, ...]] = []
+        self._open = 0  # support index of the open near set's first position
+        self._folded = 0  # support positions the walk has consumed
+        self._best: _Chain = ()
+        self._current: _Chain = ()
+
+    @property
+    def fresh(self) -> bool:
+        """Does the next refresh walk the whole support?"""
+        return self._folded == 0
+
+    def extend(self, positions: list[int]) -> None:
+        """Add ascending positions: in place when all are above the last
+        one, else through a general merge."""
+        support = self.support
+        if not positions:
+            return
+        if not support or positions[0] > support[-1]:
+            support.extend(positions)
+            return
+        n = len(support)
+        last = support[-1]
+        support[:] = sorted(set(support).union(positions))
+        if support[n - 1] != last:
+            # An older position joined: the closed near sets are void.
+            self._restart()
+
+    def refresh(self, params: MiningParams) -> SeasonView:
+        """The view of the current support (cached until it grows)."""
+        support = self.support
+        view = self.view
+        if view is not None and len(view.support) == len(support):
+            return view  # supports only grow: same length, same support
+        if self.fresh:
+            view = compute_seasons(support, params)
+            self._resume(view, params)
+        else:
+            self._fold(params)
+            open_set = tuple(support[self._open :])
+            best, current = _chain_step(self._best, self._current, open_set, params)
+            view = SeasonView(
+                support=tuple(support),
+                near_sets=(*self._closed, open_set),
+                seasons=current if len(current) > len(best) else best,
+            )
+        self.view = view
+        return view
+
+    def _resume(self, view: SeasonView, params: MiningParams) -> None:
+        """Take the walk state from a full view: replay the chain over
+        every near set but the open one."""
+        self._closed = list(view.near_sets[:-1])
+        best: _Chain = ()
+        current: _Chain = ()
+        for near_set in self._closed:
+            best, current = _chain_step(best, current, near_set, params)
+        self._best, self._current = best, current
+        self._folded = len(self.support)
+        self._open = self._folded - len(view.near_sets[-1]) if view.near_sets else 0
+
+    def _fold(self, params: MiningParams) -> None:
+        """Walk the positions appended since the last refresh."""
+        support = self.support
+        max_period = params.max_period
+        open_start = self._open
+        previous = support[self._folded - 1]
+        for index in range(self._folded, len(support)):
+            position = support[index]
+            if position - previous > max_period:
+                near_set = tuple(support[open_start:index])
+                self._closed.append(near_set)
+                self._best, self._current = _chain_step(
+                    self._best, self._current, near_set, params
+                )
+                open_start = index
+            previous = position
+        self._open = open_start
+        self._folded = len(support)
 
 
 def count_seasons(

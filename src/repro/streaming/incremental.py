@@ -9,14 +9,23 @@ appends.  Each :meth:`IncrementalSTPM.advance` call
 2. for candidate 2-event groups, enumerates instance pairs only at the
    *tail* granules of the advance; groups that newly pass the maxSeason
    candidate gate get a one-time catch-up pass over their full support;
-3. for k >= 3 groups, extends already incorporated parent patterns over
-   the tail only, newly candidate parent patterns over their full common
-   support, and rebuilds a group from scratch only when the Iterative
-   Check's candidate-triple set grew on one of the group's event pairs
-   (or the parent group itself was rebuilt);
-4. re-evaluates seasons only for the patterns whose support changed
-   (season views are cached by support length) and reports the frequency
-   transitions as a :class:`PatternDelta`.
+3. for k >= 3, visits only the groups on a worklist derived from what
+   the advance changed, never scanning the others.  A group is visited
+   when (T1) every member occurs in the new granules, (T2) it is
+   candidate and its parent group gained candidate patterns or was
+   rebuilt, (T3) it is candidate and a candidate triple over one of its
+   (parent member, extension event) pairs appeared, or (T4) the batch
+   walk generates it for the first time, because a (k-1)-group gained
+   its first candidate pattern or an event joined the (k-1)-level
+   pattern events.  A visited group extends incorporated parent
+   patterns over the tail only and newly candidate parent patterns over
+   their full common support; T3 and a parent rebuild redo it from
+   scratch;
+4. re-evaluates seasons only for the patterns whose support changed --
+   an append extends the pattern's season chain over the open near set
+   and the new granules, while a support that gained an older granule
+   (or a fresh pattern state) is recomputed in full -- and reports the
+   frequency transitions as a :class:`PatternDelta`.
 
 Parity guarantee
 ----------------
@@ -59,7 +68,7 @@ from repro.obs.trace import span
 from repro.core.stpm import ESTPM
 from repro.core.supportset import BitsetSupportSet
 from repro.events.sequence import TemporalSequence
-from repro.exceptions import MiningError
+from repro.exceptions import ConfigError, MiningError
 from repro.streaming.state import (
     EventState,
     GroupState,
@@ -72,6 +81,32 @@ from repro.transform.sequence_db import TemporalSequenceDatabase
 
 #: Snapshot of a pattern's pre-advance seasonal status: (frequent?, view).
 _Snapshot = tuple[bool, SeasonView | None]
+
+
+@dataclass
+class _Advance:
+    """One advance's bookkeeping: pre-advance snapshots and what changed.
+
+    ``changed`` holds the events occurring in the new granules.  The rest
+    feeds the k >= 3 worklist: the groups that gained candidate patterns
+    (``grown``; ``first`` when they had none before) or were ``rebuilt``,
+    the events that ``joined`` each level's pattern events, the unordered
+    event pairs of the candidate triples that appeared, and the groups of
+    the level last advanced whose members all changed.  HLH1 and the
+    candidate triples are final once the pairs are done, so all the
+    advance's extension calls share one verdict store.
+    """
+
+    changed: set[str] = field(default_factory=set)
+    touched_events: dict[str, _Snapshot] = field(default_factory=dict)
+    touched: dict[TemporalPattern, _Snapshot] = field(default_factory=dict)
+    grown: set[tuple[str, ...]] = field(default_factory=set)
+    first: set[tuple[str, ...]] = field(default_factory=set)
+    rebuilt: set[tuple[str, ...]] = field(default_factory=set)
+    joined: dict[int, set[str]] = field(default_factory=dict)
+    triple_pairs: set[frozenset[str]] = field(default_factory=set)
+    all_changed: set[tuple[str, ...]] = field(default_factory=set)
+    verdict_store: VerdictStore = field(default_factory=VerdictStore)
 
 
 def canonical_sort_key(sp: SeasonalPattern):
@@ -137,9 +172,10 @@ class IncrementalSTPM:
     params:
         The seasonal thresholds; identical semantics to batch E-STPM.
     reanchor_every:
-        If set, every N-th advance re-mines the full prefix with batch
-        E-STPM and raises :class:`MiningError` on any divergence -- the
-        paranoia knob for long-lived deployments.
+        If set (>= 1), every N-th advance re-mines the full prefix with
+        batch E-STPM and raises :class:`MiningError` on any divergence --
+        the paranoia knob for long-lived deployments.  ``None`` turns it
+        off; other values raise :class:`~repro.exceptions.ConfigError`.
 
     The miner always applies both lossless prunings
     (:class:`~repro.core.prune.PruningConfig` ``all``), matching the
@@ -151,6 +187,10 @@ class IncrementalSTPM:
     reanchor_every: int | None = None
 
     def __post_init__(self) -> None:
+        if self.reanchor_every is not None and self.reanchor_every < 1:
+            raise ConfigError(
+                f"reanchor_every must be >= 1, got {self.reanchor_every}"
+            )
         self.state = MinerState(params=self.params)
         self.n_advances = 0
 
@@ -208,25 +248,18 @@ class IncrementalSTPM:
         new_n = len(self.dseq)
         if new_n == prev_n:
             return PatternDelta(n_granules=new_n, new_granules=0)
-        new_rows = self.dseq.rows[prev_n:new_n]
 
-        touched_events: dict[str, _Snapshot] = {}
-        touched_patterns: dict[TemporalPattern, _Snapshot] = {}
-        changed, newly_candidate = self._update_events(new_rows, touched_events)
+        adv = _Advance()
+        newly_candidate = self._update_events(self.dseq.rows[prev_n:new_n], adv)
         if self.params.max_pattern_length >= 2:
-            self._update_pairs(changed, newly_candidate, touched_patterns)
-            # HLH1 and the candidate triples are final for this advance
-            # from here on, so all its extension calls share one store.
-            verdict_store = VerdictStore()
+            self._update_pairs(newly_candidate, adv)
             for k in range(3, self.params.max_pattern_length + 1):
-                self._update_extensions(k, changed, touched_patterns, verdict_store)
+                self._update_extensions(k, adv)
         state.n_granules = new_n
 
-        delta = self._build_delta(
-            prev_n, new_n, touched_events, touched_patterns, started
-        )
+        delta = self._build_delta(prev_n, new_n, adv, started)
         self.n_advances += 1
-        if self.reanchor_every and self.n_advances % self.reanchor_every == 0:
+        if self.reanchor_every is not None and self.n_advances % self.reanchor_every == 0:
             self.verify_parity()
         return delta
 
@@ -234,53 +267,50 @@ class IncrementalSTPM:
     # Level 1: events
     # ------------------------------------------------------------------
 
-    def _update_events(
-        self, new_rows: list[TemporalSequence], touched: dict[str, _Snapshot]
-    ) -> tuple[set[str], list[str]]:
+    def _update_events(self, new_rows: list[TemporalSequence], adv: _Advance) -> list[str]:
         """Extend event supports / instance tables.
 
-        Returns the events whose support changed this advance and the
-        subset that newly crossed the candidate gate.
+        Records the events occurring in the new granules in
+        ``adv.changed`` and returns those that newly crossed the
+        candidate gate.
         """
         state = self.state
         params = self.params
-        changed: set[str] = set()
+        changed = adv.changed
         newly_candidate: list[str] = []
         for row in new_rows:
+            position = row.position
             for event in row.events():
                 es = state.events.get(event)
                 if es is None:
                     es = state.events[event] = EventState(event)
                 changed.add(event)
-                es.bits |= 1 << row.position
+                es.bits |= 1 << position
+                es.chain.extend([position])
                 if es.candidate:
-                    state.hlh1.gh[event][row.position] = row.instances_of(event)
+                    state.hlh1.gh[event][position] = row.instances_of(event)
         for event in sorted(changed):
             es = state.events[event]
             if es.candidate:
                 state.hlh1.eh[event] = BitsetSupportSet(es.bits)
-                touched.setdefault(event, self._snapshot_view(es.view))
-            elif is_candidate(es.bits.bit_count(), params):
+            elif is_candidate(len(es.chain.support), params):
                 es.candidate = True
                 newly_candidate.append(event)
                 instances = {
                     position: self.dseq.instances_at(position, event)
-                    for position in bit_positions(es.bits)
+                    for position in es.chain.support
                 }
                 state.hlh1.add_event(event, BitsetSupportSet(es.bits), instances)
-                touched.setdefault(event, self._snapshot_view(es.view))
-        return changed, newly_candidate
+            else:
+                continue
+            adv.touched_events.setdefault(event, self._snapshot_view(es.chain.view))
+        return newly_candidate
 
     # ------------------------------------------------------------------
     # Level 2: event pairs
     # ------------------------------------------------------------------
 
-    def _update_pairs(
-        self,
-        changed: set[str],
-        newly_candidate: list[str],
-        touched: dict[TemporalPattern, _Snapshot],
-    ) -> None:
+    def _update_pairs(self, newly_candidate: list[str], adv: _Advance) -> None:
         """Advance every affected candidate 2-event group (step 2.2, k = 2).
 
         A pair's support can only change when *both* its events occur in
@@ -291,13 +321,15 @@ class IncrementalSTPM:
         """
         state = self.state
         params = self.params
+        changed = adv.changed
         level = state.level(2)
         mirror = state.mirror(2)
         new_n = len(self.dseq)
         changed_candidates = sorted(
             event for event in changed if state.events[event].candidate
         )
-        pairs = set(combinations_with_replacement(changed_candidates, 2))
+        adv.all_changed = set(combinations_with_replacement(changed_candidates, 2))
+        pairs = set(adv.all_changed)
         if newly_candidate:
             candidates = [
                 event for event, es in state.events.items() if es.candidate
@@ -319,7 +351,7 @@ class IncrementalSTPM:
                 if tail:
                     gs.bits = bits
                     mirror.ehk[group].support = BitsetSupportSet(bits)
-                    self._collect_pairs(gs, bit_positions(tail), touched)
+                    self._collect_pairs(gs, bit_positions(tail), adv)
                 gs.processed_upto = new_n
                 continue
             # The support of an unevaluated or still-gated group can only
@@ -329,17 +361,11 @@ class IncrementalSTPM:
             gs.bits = state.events[event_a].bits & state.events[event_b].bits
             if not is_candidate(gs.bits.bit_count(), params):
                 continue
-            gs.candidate = True
-            mirror.add_group(group, BitsetSupportSet(gs.bits))
-            self._collect_pairs(gs, bit_positions(gs.bits), touched)
+            state.add_candidate_group(2, gs)
+            self._collect_pairs(gs, bit_positions(gs.bits), adv)
             gs.processed_upto = new_n
 
-    def _collect_pairs(
-        self,
-        gs: GroupState,
-        granules: list[int],
-        touched: dict[TemporalPattern, _Snapshot],
-    ) -> None:
+    def _collect_pairs(self, gs: GroupState, granules: list[int], adv: _Advance) -> None:
         """Enumerate one pair group's instances over ``granules``."""
         support_out: dict[TemporalPattern, list[int]] = {}
         assignments_out: dict[TemporalPattern, dict] = {}
@@ -348,84 +374,157 @@ class IncrementalSTPM:
             self.state.hlh1, event_a, event_b, granules,
             self.params.relation, support_out, assignments_out,
         )
-        self._merge_outcomes(2, gs, support_out, assignments_out, touched, dedup=False)
+        self._merge_outcomes(2, gs, support_out, assignments_out, adv)
 
     # ------------------------------------------------------------------
-    # Levels k >= 3: group extension
+    # Levels k >= 3: the changed-group worklist
     # ------------------------------------------------------------------
 
-    def _update_extensions(
-        self,
-        k: int,
-        changed: set[str],
-        touched: dict[TemporalPattern, _Snapshot],
-        verdict_store: VerdictStore,
-    ) -> None:
-        """Advance every candidate k-event group (step 2.2, k >= 3)."""
-        state = self.state
-        prev_mirror = state.mirror(k - 1)
-        if not prev_mirror.phk:
-            return
-        level = state.level(k)
-        filtered_f1 = sorted(prev_mirror.events_in_patterns())
-        seen: set[tuple[str, ...]] = set()
-        for group_prev in prev_mirror.groups:
-            if not prev_mirror.ehk[group_prev].patterns:
-                continue
-            for event in filtered_f1:
-                group = tuple(sorted(group_prev + (event,)))
-                if group in seen:
-                    continue
-                seen.add(group)
-                gs = level.get(group)
-                if gs is None:
-                    gs = level[group] = GroupState(group)
-                elif self._extension_group_is_settled(k, gs, changed):
-                    continue
-                self._advance_extension_group(
-                    k, gs, group_prev, event, touched, verdict_store
-                )
+    def _update_extensions(self, k: int, adv: _Advance) -> None:
+        """Advance the k-event groups this advance can have changed
+        (step 2.2, k >= 3).
 
-    def _extension_group_is_settled(
-        self, k: int, gs: GroupState, changed: set[str]
-    ) -> bool:
-        """Can this advance be skipped for an already-evaluated group?
-
-        A group's support only changes when *every* member occurs in a
-        new granule (supports are monotone intersections), so a group
-        with an unchanged member can only need work through the parent
-        channels: new parent patterns (entry.patterns grows), a parent
-        rebuild (revision bump), or new candidate triples on its event
-        pairs.  All three checks are O(1)-ish; skipping avoids the k-way
-        bitset intersection over the full history for the (vast)
-        majority of settled groups on every advance.
+        The batch walk generates a k-group from every (k-1)-group with
+        candidate patterns and every event of the (k-1)-level pattern
+        events (Lemma 4).  A generated group needs work only when one of
+        the four triggers holds; the other groups keep their support,
+        gate verdict and patterns.  The worklist is visited in the walk's
+        order, so a group crossing the gate is extended from the parent
+        the walk would reach it through.
         """
-        if gs.bits is None or all(member in changed for member in gs.group):
-            return False
-        if not gs.candidate:
-            return True  # support unchanged, gate verdict cannot flip
         state = self.state
-        entry_prev = state.mirror(k - 1).ehk[gs.parent_group]
-        return (
-            state.level(k - 1)[gs.parent_group].revision == gs.parent_revision
-            and len(entry_prev.patterns) == len(gs.incorporated)
-            and not state.triples_affect_group(gs)
-        )
+        if not state.pattern_events.get(k - 1):
+            return
+        changed = self._groups_with_changed_members(k, adv)
+        rebuild = self._groups_with_new_triples(k, adv)
+        work = changed | rebuild
+        work.update(self._children_of_changed_parents(k, adv))
+        work.update(self._newly_generated_groups(k, adv))
+        adv.all_changed = changed
+        if metrics.metrics_enabled():
+            metrics.inc("stream.groups.visited", len(work))
+        level = state.level(k)
+        for _, event, parent, group in sorted(
+            (*self._walk_position(k, group), group) for group in work
+        ):
+            gs = level.get(group)
+            if gs is None:
+                gs = level[group] = GroupState(group)
+            self._advance_extension_group(
+                k, gs, parent, event,
+                group in rebuild or gs.parent_group in adv.rebuilt, adv,
+            )
+
+    def _groups_with_changed_members(self, k: int, adv: _Advance) -> set[tuple[str, ...]]:
+        """(T1) Generated k-groups whose members all occur in the new
+        granules -- the only ones whose support can have changed.
+
+        Every parent of such a group has all-changed members too, so they
+        are the all-changed (k-1)-groups with candidate patterns times the
+        changed (k-1)-level pattern events.
+        """
+        prev_ehk = self.state.mirror(k - 1).ehk
+        events = adv.changed.intersection(self.state.pattern_events[k - 1])
+        groups: set[tuple[str, ...]] = set()
+        for parent in adv.all_changed:
+            entry = prev_ehk.get(parent)
+            if entry is not None and entry.patterns:
+                groups.update(tuple(sorted((*parent, event))) for event in events)
+        return groups
+
+    def _children_of_changed_parents(self, k: int, adv: _Advance) -> set[tuple[str, ...]]:
+        """(T2) Candidate k-groups whose parent group gained candidate
+        patterns or was rebuilt in this advance."""
+        children = self.state.children
+        return {
+            child
+            for parent in adv.grown | adv.rebuilt
+            if len(parent) == k - 1
+            for child in children.get(parent, ())
+        }
+
+    def _groups_with_new_triples(self, k: int, adv: _Advance) -> set[tuple[str, ...]]:
+        """(T3) Candidate k-groups whose Iterative Check relates an event
+        pair that gained a candidate triple in this advance: old granules
+        may now admit extensions it rejected, so these are rebuilt."""
+        triple_groups = self.state.triple_groups
+        return {
+            group
+            for pair in adv.triple_pairs
+            for group in triple_groups.get(pair, ())
+            if len(group) == k
+        }
+
+    def _newly_generated_groups(self, k: int, adv: _Advance) -> set[tuple[str, ...]]:
+        """(T4) k-groups the walk generates for the first time: a
+        (k-1)-group gained its first candidate pattern, or an event joined
+        the (k-1)-level pattern events."""
+        state = self.state
+        level = state.level(k)
+        sources = [
+            (parent, state.pattern_events[k - 1])
+            for parent in adv.first
+            if len(parent) == k - 1
+        ]
+        joined = adv.joined.get(k - 1)
+        if joined:
+            sources += [
+                (parent, joined)
+                for parent, entry in state.mirror(k - 1).ehk.items()
+                if entry.patterns
+            ]
+        groups: set[tuple[str, ...]] = set()
+        for parent, events in sources:
+            for event in events:
+                group = tuple(sorted((*parent, event)))
+                if group not in level:
+                    groups.add(group)
+        return groups
+
+    def _walk_position(
+        self, k: int, group: tuple[str, ...]
+    ) -> tuple[int, str, tuple[str, ...]]:
+        """Where the batch walk first generates ``group``: the lowest
+        (parent rank, event) over its (k-1)-subgroups with candidate
+        patterns whose left-out event is a (k-1)-level pattern event.
+        Returns that rank, event and parent."""
+        state = self.state
+        prev_level = state.level(k - 1)
+        prev_ehk = state.mirror(k - 1).ehk
+        events = state.pattern_events[k - 1]
+        first = None
+        for index, event in enumerate(group):
+            if (index and group[index - 1] == event) or event not in events:
+                continue
+            parent = group[:index] + group[index + 1 :]
+            entry = prev_ehk.get(parent)
+            if entry is None or not entry.patterns:
+                continue
+            position = (prev_level[parent].rank, event, parent)
+            if first is None or position < first:
+                first = position
+        if first is None:
+            raise MiningError(f"group {group} has no generating parent")
+        return first
 
     def _advance_extension_group(
         self,
         k: int,
         gs: GroupState,
-        enum_parent: tuple[str, ...],
-        enum_event: str,
-        touched: dict[TemporalPattern, _Snapshot],
-        verdict_store: VerdictStore,
+        parent: tuple[str, ...],
+        event: str,
+        rebuild: bool,
+        adv: _Advance,
     ) -> None:
-        """Bring one k-event group's pattern state up to the new horizon."""
+        """Bring one k-event group's pattern state up to the new horizon.
+
+        ``parent`` and ``event`` are where the walk generates the group;
+        ``rebuild`` asks a candidate group for a from-scratch pass (its
+        parent group was rebuilt or it gained candidate triples).
+        """
         state = self.state
         params = self.params
         mirror = state.mirror(k)
-        new_n = len(self.dseq)
         bits = state.events[gs.group[0]].bits
         for member in gs.group[1:]:
             bits &= state.events[member].bits
@@ -438,19 +537,17 @@ class IncrementalSTPM:
             # (any candidate parent yields the same pattern set -- every
             # sub-pattern of a candidate pattern is itself a candidate
             # with full assignments) and catch up over the full support.
-            gs.candidate = True
-            gs.parent_group = enum_parent
-            gs.extension_event = self._extension_event(gs.group, enum_parent)
-            mirror.add_group(gs.group, BitsetSupportSet(bits))
-            self._rebuild_extension_group(k, gs, touched, verdict_store)
+            gs.parent_group = parent
+            gs.extension_event = event
+            state.add_candidate_group(k, gs)
+            self._rebuild_extension_group(k, gs, adv)
             return
         if bits_changed:
             mirror.ehk[gs.group].support = BitsetSupportSet(bits)
-        parent_gs = state.level(k - 1)[gs.parent_group]
-        if parent_gs.revision != gs.parent_revision or state.triples_affect_group(gs):
+        if rebuild:
             # Old granules may now admit new patterns/assignments: the
             # incremental premise broke, redo the group batch-style.
-            self._rebuild_extension_group(k, gs, touched, verdict_store)
+            self._rebuild_extension_group(k, gs, adv)
             return
         entry_prev = state.mirror(k - 1).ehk[gs.parent_group]
         fresh: list[TemporalPattern] = []
@@ -461,57 +558,28 @@ class IncrementalSTPM:
         if fresh:
             # Newly candidate parent patterns: their assignments cover
             # old granules too, so extend them over the full support.
-            self._extend_group(
-                k, gs, entry_prev, fresh, None, touched, verdict_store
-            )
+            self._extend_group(k, gs, entry_prev, fresh, None, adv)
             gs.incorporated.update(fresh)
         if tail and previously:
             self._extend_group(
-                k, gs, entry_prev, previously, bit_positions(tail), touched,
-                verdict_store,
+                k, gs, entry_prev, previously, bit_positions(tail), adv
             )
-        gs.processed_upto = new_n
-        gs.triples_revision = state.triples_revision
+        gs.processed_upto = len(self.dseq)
 
-    @staticmethod
-    def _extension_event(group: tuple[str, ...], parent: tuple[str, ...]) -> str:
-        """The one event of ``group`` not accounted for by ``parent``
-        (multiset difference -- groups may repeat an event)."""
-        remaining = list(parent)
-        for event in group:
-            if event in remaining:
-                remaining.remove(event)
-            else:
-                return event
-        raise MiningError(f"group {group} does not extend parent {parent}")
-
-    def _rebuild_extension_group(
-        self,
-        k: int,
-        gs: GroupState,
-        touched: dict[TemporalPattern, _Snapshot],
-        verdict_store: VerdictStore,
-    ) -> None:
+    def _rebuild_extension_group(self, k: int, gs: GroupState, adv: _Advance) -> None:
         """Re-extend one group from scratch over its full support."""
         state = self.state
         mirror = state.mirror(k)
         if gs.patterns:
             for pattern, ps in gs.patterns.items():
                 if ps.candidate:
-                    touched.setdefault(pattern, self._snapshot_view(ps.view))
+                    adv.touched.setdefault(pattern, self._snapshot_view(ps.chain.view))
                     mirror.remove_pattern(pattern)
             gs.patterns = {}
-            gs.revision += 1
-        gs.incorporated = set()
-        parent_gs = state.level(k - 1)[gs.parent_group]
+            adv.rebuilt.add(gs.group)
         entry_prev = state.mirror(k - 1).ehk[gs.parent_group]
-        self._extend_group(
-            k, gs, entry_prev, list(entry_prev.patterns), None, touched,
-            verdict_store,
-        )
+        self._extend_group(k, gs, entry_prev, list(entry_prev.patterns), None, adv)
         gs.incorporated = set(entry_prev.patterns)
-        gs.parent_revision = parent_gs.revision
-        gs.triples_revision = state.triples_revision
         gs.processed_upto = len(self.dseq)
 
     def _extend_group(
@@ -521,8 +589,7 @@ class IncrementalSTPM:
         entry_prev,
         parent_patterns: list[TemporalPattern],
         granule_filter: list[int] | None,
-        touched: dict[TemporalPattern, _Snapshot],
-        verdict_store: VerdictStore,
+        adv: _Advance,
     ) -> None:
         """Run the shared extension loop and merge its outcomes."""
         state = self.state
@@ -534,11 +601,11 @@ class IncrementalSTPM:
             state.candidate_triples,
             self.params,
             True,
-            verdict_store,
+            adv.verdict_store,
             parent_patterns=parent_patterns,
             granule_filter=granule_filter,
         )
-        self._merge_outcomes(k, gs, support_out, assignments_out, touched, dedup=True)
+        self._merge_outcomes(k, gs, support_out, assignments_out, adv)
 
     # ------------------------------------------------------------------
     # Shared pattern-state merging and candidacy registration
@@ -550,63 +617,76 @@ class IncrementalSTPM:
         gs: GroupState,
         support_out: dict[TemporalPattern, list[int]],
         assignments_out: dict[TemporalPattern, dict],
-        touched: dict[TemporalPattern, _Snapshot],
-        dedup: bool,
+        adv: _Advance,
     ) -> None:
         """Fold one enumeration's outcomes into the group's pattern states.
 
-        Pair enumeration runs over granule sets disjoint from everything
-        processed before, so its outcomes append (``dedup=False``).
-        Extension outcomes can re-derive an assignment already found
-        through a previously incorporated parent pattern, so they merge
-        as per-granule sets (``dedup=True``) -- exactly the deduplication
-        the batch accumulator performs within one group task.  Nothing
-        extends the last level, so its patterns keep supports only,
-        merged as granule sets.
+        Tail enumerations run over granules above everything processed
+        before, so their supports append in place and hand the new
+        granules to the season chain.  A full-support catch-up (a newly
+        candidate parent pattern) re-derives assignments already found
+        through a previously incorporated parent pattern, so its
+        assignments merge as per-granule sets -- exactly the
+        deduplication the batch accumulator performs within one group
+        task -- and its support goes through the chain's general merge,
+        which also covers a granule below the pattern's last one.
+        Nothing extends the last level, so its patterns keep supports
+        only.
         """
         state = self.state
         params = self.params
         mirror = state.mirror(k)
-        last_level = k == params.max_pattern_length
+        keep = k < params.max_pattern_length
         for pattern, new_support in support_out.items():
             ps = gs.patterns.get(pattern)
             if ps is None:
                 ps = gs.patterns[pattern] = PatternState()
-            new_assignments = assignments_out[pattern]
-            if not ps.support:
-                ps.support = list(new_support)
-                if not last_level:
-                    ps.assignments.update(new_assignments)
-            elif last_level:
-                ps.support = sorted(set(ps.support).union(new_support))
-            elif dedup:
-                for granule, assignments in new_assignments.items():
-                    existing = ps.assignments.get(granule)
-                    if existing is None:
-                        ps.assignments[granule] = assignments
-                    else:
-                        ps.assignments[granule] = sorted(
-                            set(existing) | set(assignments)
-                        )
-                ps.support = sorted(ps.assignments)
-            else:
-                for granule, assignments in new_assignments.items():
-                    ps.assignments[granule] = assignments
-                ps.support.extend(new_support)
-            for granule in new_support:
-                ps.bits |= 1 << granule
-            if not ps.candidate:
-                if is_candidate(len(ps.support), params):
-                    ps.candidate = True
-                    mirror.add_pattern(
-                        pattern, BitsetSupportSet(ps.bits), ps.assignments
+            if keep:
+                assignments = ps.assignments
+                for granule, found in assignments_out[pattern].items():
+                    existing = assignments.get(granule)
+                    assignments[granule] = (
+                        found if existing is None else sorted(set(existing) | set(found))
                     )
-                    if k == 2:
-                        state.register_triple(pattern.triples[0])
-                    touched.setdefault(pattern, self._snapshot_view(ps.view))
+            ps.chain.extend(new_support)
+            bits = ps.bits
+            for granule in new_support:
+                bits |= 1 << granule
+            ps.bits = bits
+            if ps.candidate:
+                mirror.phk[pattern] = BitsetSupportSet(bits)
+            elif is_candidate(len(ps.chain.support), params):
+                ps.candidate = True
+                self._register_pattern(k, gs, pattern, ps, adv)
             else:
-                mirror.phk[pattern] = BitsetSupportSet(ps.bits)
-                touched.setdefault(pattern, self._snapshot_view(ps.view))
+                continue
+            adv.touched.setdefault(pattern, self._snapshot_view(ps.chain.view))
+
+    def _register_pattern(
+        self,
+        k: int,
+        gs: GroupState,
+        pattern: TemporalPattern,
+        ps: PatternState,
+        adv: _Advance,
+    ) -> None:
+        """Add a newly candidate pattern to the mirror and to the
+        worklist triggers of level k + 1."""
+        state = self.state
+        mirror = state.mirror(k)
+        if not mirror.ehk[gs.group].patterns:
+            adv.first.add(gs.group)
+        adv.grown.add(gs.group)
+        mirror.add_pattern(pattern, BitsetSupportSet(ps.bits), ps.assignments)
+        events = state.pattern_events.setdefault(k, set())
+        for event in pattern.events:
+            if event not in events:
+                events.add(event)
+                adv.joined.setdefault(k, set()).add(event)
+        if k == 2:
+            triple = pattern.triples[0]
+            state.candidate_triples.add(triple)
+            adv.triple_pairs.add(frozenset((triple.first, triple.second)))
 
     def _snapshot_view(self, view: SeasonView | None) -> _Snapshot:
         """Pre-advance status of a pattern: (was frequent, last view)."""
@@ -618,21 +698,16 @@ class IncrementalSTPM:
     # ------------------------------------------------------------------
 
     def _build_delta(
-        self,
-        prev_n: int,
-        new_n: int,
-        touched_events: dict[str, _Snapshot],
-        touched_patterns: dict[TemporalPattern, _Snapshot],
-        started: float,
+        self, prev_n: int, new_n: int, adv: _Advance, started: float
     ) -> PatternDelta:
         state = self.state
         delta = PatternDelta(n_granules=new_n, new_granules=new_n - prev_n)
-        for event, snapshot in touched_events.items():
+        for event, snapshot in adv.touched_events.items():
             es = state.events[event]
             self._classify(
                 single_event_pattern(event), state.event_view(es), snapshot, delta
             )
-        for pattern, snapshot in touched_patterns.items():
+        for pattern, snapshot in adv.touched.items():
             ps = self._pattern_state(pattern)
             self._classify(pattern, state.pattern_view(ps), snapshot, delta)
         delta.promoted.sort(key=canonical_sort_key)

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 from repro.core.config import MiningParams
 from repro.core.results import MiningResult, SeasonalPattern
-from repro.exceptions import MiningError
+from repro.exceptions import ConfigError, MiningError
 from repro.streaming.incremental import IncrementalSTPM, PatternDelta
 from repro.streaming.ingest import StreamingDatabase, StreamingSymbolizer
 
@@ -183,11 +183,11 @@ def replay_dataset(
         Granules in the warm-up window (default: one batch).
     """
     if batch_granules < 1:
-        raise MiningError(f"batch_granules must be >= 1, got {batch_granules}")
+        raise ConfigError(f"batch_granules must be >= 1, got {batch_granules}")
     if initial_granules is None:
         initial_granules = batch_granules
     elif initial_granules < 1:
-        raise MiningError(f"initial_granules must be >= 1, got {initial_granules}")
+        raise ConfigError(f"initial_granules must be >= 1, got {initial_granules}")
     database = StreamingDatabase(
         dataset.ratio, {series.name: series.alphabet for series in dataset.dsyb}
     )

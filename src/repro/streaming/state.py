@@ -15,18 +15,26 @@ Why appends are cheap
 Everything the miners gate on is *monotone* under granule appends:
 
 * support sets only gain positions (one ``|=`` per event per granule on
-  the big-int bitset from PR 1);
+  the big-int bitset);
 * the maxSeason candidate gate ``|SUP|/minDensity >= minSeason`` (Eq. (1))
   can only flip from failed to passed -- a candidate event, group, or
-  pattern never loses candidacy;
+  pattern never loses candidacy, so the events in each level's candidate
+  patterns and the groups with candidate patterns only grow too;
 * the candidate-triple set consulted by the Iterative Check only grows;
 * season chains (Defs. 3.13-3.15) are built left-to-right, so appending
   granules never removes a season from the best chain.
 
 The state therefore records, per group, *how far* it has been enumerated
-(``processed_upto``) and which parent patterns it has incorporated; an
-advance only touches the tail plus the bounded one-time catch-ups of
-objects that newly crossed a gate.
+(``processed_upto``) and which parent patterns it has incorporated, and
+indexes the candidate k >= 3 groups by parent group and by the (parent
+member, extension event) pairs the Iterative Check relates, so an advance
+finds the groups it changed without scanning the others.  Each event and
+pattern keeps a :class:`~repro.core.seasonality.SeasonChain`: an append
+re-walks only the open near set and the new granules.  Tail enumerations
+always append; a k >= 3 pattern's full-support catch-up (a newly
+candidate parent pattern) merges instead, and should it add a granule
+below the pattern's last one, the view is recomputed from the whole
+support.  So is the first view of a fresh pattern state.
 """
 
 from __future__ import annotations
@@ -36,8 +44,9 @@ from dataclasses import dataclass, field
 from repro.core.config import MiningParams
 from repro.core.hlh import HLH1, Assignment, HLHk
 from repro.core.pattern import TemporalPattern, Triple
-from repro.core.seasonality import SeasonView, compute_seasons
-from repro.core.supportset import bit_positions
+from repro.core.seasonality import SeasonChain, SeasonView
+from repro.core.supportset import BitsetSupportSet, bit_positions
+from repro.obs import counters as metrics
 
 __all__ = [
     "EventState",
@@ -56,37 +65,36 @@ def mask_upto(position: int) -> int:
 
 @dataclass
 class EventState:
-    """Streaming record of one temporal event (the HLH1 row)."""
+    """Streaming record of one temporal event (the HLH1 row).
+
+    ``chain.support`` holds the event's positions, ``bits`` the same set
+    as a bitmask.
+    """
 
     event: str
     bits: int = 0
     candidate: bool = False
-    view: SeasonView | None = None
-    view_support_len: int = -1
+    chain: SeasonChain = field(default_factory=SeasonChain)
 
 
 @dataclass
 class PatternState:
     """Streaming record of one candidate pattern (the PHk/GHk rows).
 
-    ``support`` / ``assignments`` grow in place, with ``bits`` as the
-    equivalent bitmask (kept so the PHk mirror refresh is O(1) instead
-    of re-packing the whole support per advance).
+    The support (``chain.support``) and ``assignments`` grow in place,
+    with ``bits`` as the equivalent bitmask (kept so the PHk mirror
+    refresh is O(1) instead of re-packing the whole support per advance).
     ``assignments`` holds the kernels' compact column-index encoding
     (see :mod:`repro.core.instance_index`) -- the shared inner loops
     produce and consume it, and the HLH mirrors store the same lists.
     It stays empty at the last level (``k == max_pattern_length``),
-    which nothing extends.  The cached :class:`SeasonView` is valid only
-    while ``view_support_len`` matches the support length (supports are
-    append-only, so length is a sufficient fingerprint).
+    which nothing extends.
     """
 
-    support: list[int] = field(default_factory=list)
     assignments: dict[int, list[Assignment]] = field(default_factory=dict)
     bits: int = 0
     candidate: bool = False
-    view: SeasonView | None = None
-    view_support_len: int = -1
+    chain: SeasonChain = field(default_factory=SeasonChain)
 
 
 @dataclass
@@ -97,9 +105,8 @@ class GroupState:
     the fixed ``parent_group`` have been incorporated over the full
     history, so an advance extends incorporated patterns over the tail
     only and newly candidate parent patterns over their full support.
-    ``revision`` bumps whenever the group's patterns were rebuilt from
-    scratch (old granules touched), telling dependent (k+1)-groups their
-    incremental premise broke.
+    ``rank`` is the group's insertion index in its level's EHk mirror
+    (the order the batch miner walks parent groups in).
     """
 
     group: tuple[str, ...]
@@ -110,9 +117,7 @@ class GroupState:
     parent_group: tuple[str, ...] | None = None
     extension_event: str | None = None
     incorporated: set[TemporalPattern] = field(default_factory=set)
-    parent_revision: int = 0
-    triples_revision: int = 0
-    revision: int = 0
+    rank: int = -1
 
 
 @dataclass
@@ -123,7 +128,11 @@ class MinerState:
     hashes, kept consistent with the event/group/pattern records after
     every advance so the shared mining inner loops (and any HLH-level
     introspection) see exactly what a batch run over the same prefix
-    would have built.
+    would have built.  ``pattern_events[k]`` is level k's
+    ``HLHk.events_in_patterns()`` (the Lemma 4 filter), ``children`` maps
+    a group to the candidate groups extending it, and ``triple_groups``
+    maps an unordered (parent member, extension event) pair to the
+    candidate k >= 3 groups whose Iterative Check relates it.
     """
 
     params: MiningParams
@@ -133,8 +142,11 @@ class MinerState:
     hlh1: HLH1 = field(default_factory=HLH1)
     hlhk: dict[int, HLHk] = field(default_factory=dict)
     candidate_triples: set[Triple] = field(default_factory=set)
-    triples_revision: int = 0
-    pair_revision: dict[frozenset[str], int] = field(default_factory=dict)
+    pattern_events: dict[int, set[str]] = field(default_factory=dict)
+    children: dict[tuple[str, ...], list[tuple[str, ...]]] = field(default_factory=dict)
+    triple_groups: dict[frozenset[str], list[tuple[str, ...]]] = field(
+        default_factory=dict
+    )
 
     def level(self, k: int) -> dict[tuple[str, ...], GroupState]:
         """The group-state table of level ``k`` (created on first use)."""
@@ -147,49 +159,31 @@ class MinerState:
             mirror = self.hlhk[k] = HLHk(k=k)
         return mirror
 
-    def register_triple(self, triple: Triple) -> None:
-        """Record a newly candidate 2-event pattern's relation triple.
+    def add_candidate_group(self, k: int, state: GroupState) -> None:
+        """Register a group that passed the candidate gate.
 
-        Bumps the triples revision and remembers, per unordered event
-        pair, when a triple of that pair last appeared -- the k >= 3
-        rebuild test consults this to find groups whose Iterative Check
-        could now accept previously rejected extensions.
+        A k >= 3 group's ``parent_group`` and ``extension_event`` must be
+        set: they are indexed here, and fixed from now on.
         """
-        if triple in self.candidate_triples:
-            return
-        self.triples_revision += 1
-        self.candidate_triples.add(triple)
-        self.pair_revision[frozenset((triple.first, triple.second))] = (
-            self.triples_revision
-        )
-
-    def triples_affect_group(self, state: GroupState) -> bool:
-        """Could triples added since the group's last full pass matter?
-
-        The Iterative Check only relates instances of the parent's events
-        with instances of the extension event, so the group is affected
-        exactly when a triple over one of those unordered pairs appeared
-        after ``state.triples_revision``.
-        """
-        since = state.triples_revision
-        event = state.extension_event
-        return any(
-            self.pair_revision.get(frozenset((member, event)), 0) > since
-            for member in state.parent_group or ()
-        )
+        state.candidate = True
+        mirror = self.mirror(k)
+        state.rank = len(mirror.ehk)
+        mirror.add_group(state.group, BitsetSupportSet(state.bits))
+        if k >= 3:
+            self.children.setdefault(state.parent_group, []).append(state.group)
+            for member in set(state.parent_group):
+                pair = frozenset((member, state.extension_event))
+                self.triple_groups.setdefault(pair, []).append(state.group)
 
     def event_view(self, state: EventState) -> SeasonView:
-        """The (cached) seasonal decomposition of one event's support."""
-        size = state.bits.bit_count()
-        if state.view is None or state.view_support_len != size:
-            state.view = compute_seasons(bit_positions(state.bits), self.params)
-            state.view_support_len = size
-        return state.view
+        """The seasonal decomposition of one event's support."""
+        return self._refresh(state.chain)
 
     def pattern_view(self, state: PatternState) -> SeasonView:
-        """The (cached) seasonal decomposition of one pattern's support."""
-        size = len(state.support)
-        if state.view is None or state.view_support_len != size:
-            state.view = compute_seasons(state.support, self.params)
-            state.view_support_len = size
-        return state.view
+        """The seasonal decomposition of one pattern's support."""
+        return self._refresh(state.chain)
+
+    def _refresh(self, chain: SeasonChain) -> SeasonView:
+        if chain.fresh and metrics.metrics_enabled():
+            metrics.inc("stream.views.recomputed")
+        return chain.refresh(self.params)

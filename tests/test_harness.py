@@ -140,6 +140,27 @@ class TestCli:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--batch-granules", "0"], "batch_granules must be >= 1"),
+            (["--initial-granules", "0"], "initial_granules must be >= 1"),
+            (["--reanchor-every", "0"], "reanchor_every must be >= 1"),
+            (["--reanchor-every", "-3"], "reanchor_every must be >= 1"),
+        ],
+        ids=["batch-granules", "initial-granules", "reanchor-zero", "reanchor-negative"],
+    )
+    def test_stream_rejects_bad_flag_values(self, capsys, flags, message):
+        argv = [
+            "stream", "--dataset", "RE", "--profile", "tiny", "--min-season", "4",
+            *flags,
+        ]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count("ERROR") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "flags",
         [
             ["--executor", "parallel"],

@@ -1,10 +1,12 @@
 """Property-based tests for the seasonality machinery (Defs. 3.13-3.15)."""
 
-from hypothesis import given, settings
+from itertools import cycle
+
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro import MiningParams, compute_seasons, max_season
-from repro.core.seasonality import split_near_support_sets
+from repro.core.seasonality import SeasonChain, split_near_support_sets
 
 supports = st.lists(
     st.integers(1, 120), min_size=0, max_size=40, unique=True
@@ -94,3 +96,66 @@ def test_chain_counter_early_exit_is_sound(support, params, stop_at):
     exact = compute_seasons(support, params).n_seasons
     stopped = count_seasons(support, params, stop_at=stop_at)
     assert (stopped >= stop_at) == (exact >= stop_at)
+
+
+# -- SeasonChain: the streaming miner's append-only season state ----------
+
+#: H9 trimming (the paper's Sec. IV-B example).
+_H9 = (
+    [1, 3, 4, 5, 6, 9, 10, 11, 13],
+    MiningParams(max_period=2, min_density=3, dist_interval=(4, 10), min_season=2),
+)
+#: A dist_max break between two equally long chains: the first one wins.
+_TIED_CHAINS = (
+    [1, 2, 5, 6, 20, 21, 24, 25],
+    MiningParams(max_period=1, min_density=2, dist_interval=(2, 5), min_season=2),
+)
+
+
+def _assert_same_view(view, expected):
+    assert view.support == expected.support
+    assert view.near_sets == expected.near_sets
+    assert view.seasons == expected.seasons
+
+
+@given(supports, params_strategy, st.lists(st.integers(1, 6), min_size=1, max_size=40))
+@example(*_H9, [2, 1, 3])
+@example(*_TIED_CHAINS, [3, 1, 4])
+@settings(max_examples=200)
+def test_season_chain_matches_compute_seasons_after_every_chunk(support, params, sizes):
+    chain = SeasonChain()
+    start = 0
+    for size in cycle(sizes):
+        if start >= len(support):
+            break
+        chain.extend(support[start : start + size])
+        start += size
+        assert chain.support == support[:start]
+        _assert_same_view(chain.refresh(params), compute_seasons(support[:start], params))
+
+
+@given(supports, params_strategy, st.data())
+@example(*_TIED_CHAINS, None)
+def test_season_chain_older_position_takes_the_full_recompute(support, params, data):
+    assume(len(support) >= 2)
+    if data is None:  # the explicit example: re-insert the first chain's end
+        older, tail = 6, [30]
+    else:
+        older = data.draw(st.sampled_from(support[:-1]))
+        tail = data.draw(
+            st.lists(st.integers(support[-1] + 1, 160), max_size=4, unique=True).map(sorted)
+        )
+    chain = SeasonChain()
+    chain.extend([position for position in support if position != older])
+    chain.refresh(params)
+    assert not chain.fresh
+    chain.extend(sorted([older, *tail]))
+    assert chain.fresh, "an older position must void the incremental walk"
+    merged = sorted({*support, *tail})
+    assert chain.support == merged
+    _assert_same_view(chain.refresh(params), compute_seasons(merged, params))
+    # Appends after the fallback extend the recomputed walk again.
+    more = [merged[-1] + 1, merged[-1] + params.max_period + 2]
+    chain.extend(more)
+    assert not chain.fresh
+    _assert_same_view(chain.refresh(params), compute_seasons(merged + more, params))

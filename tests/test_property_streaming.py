@@ -2,13 +2,16 @@
 
 On arbitrary small symbolic databases, feeding the granule stream one
 granule at a time through :class:`IncrementalSTPM` must match batch
-E-STPM after *every* prefix -- the property version of the seed-dataset
-parity tests, exploring shapes (alphabets, ratios, thresholds) the seed
-profiles do not.
+E-STPM after *every* prefix, and every advance's delta must match the
+diff of the results around it -- the property version of the
+seed-dataset parity tests, exploring shapes (alphabets, ratios,
+thresholds) the seed profiles do not.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from delta_oracle import advance_checked
 
 from repro import (
     ESTPM,
@@ -56,8 +59,9 @@ def test_streaming_equals_batch_at_every_prefix(case):
     dsyb = SymbolicDatabase.from_rows(rows, Alphabet(tuple(observed)))
     dseq = build_sequence_database(dsyb, ratio)
     miner = IncrementalSTPM.empty(ratio, params)
+    seasonal_map: dict = {}
     for position, row in enumerate(dseq.rows, start=1):
-        miner.advance([row])
+        _, seasonal_map = advance_checked(miner, [row], seasonal_map)
         batch = ESTPM(dseq.prefix(position), params).mine()
         assert results_equivalent(miner.result(), batch), (
             f"prefix {position} diverged (ratio={ratio})"

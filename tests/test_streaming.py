@@ -15,7 +15,13 @@ from repro import (
     replay_dataset,
 )
 from repro.core.results import results_equivalent
-from repro.exceptions import MiningError, ReproError, SymbolizationError, TransformError
+from repro.exceptions import (
+    ConfigError,
+    MiningError,
+    ReproError,
+    SymbolizationError,
+    TransformError,
+)
 from repro.io import load_stream_checkpoint, save_stream_checkpoint
 from repro.streaming.state import bit_positions, mask_upto
 from repro.symbolic import Alphabet, QuantileMapper, TimeSeries
@@ -288,6 +294,11 @@ class TestIncrementalSTPM:
         for row in paper_dseq.rows:
             miner.advance([row])  # raises MiningError on any divergence
 
+    @pytest.mark.parametrize("reanchor_every", [0, -3])
+    def test_reanchor_every_must_be_positive(self, paper_params, reanchor_every):
+        with pytest.raises(ConfigError, match="reanchor_every must be >= 1"):
+            IncrementalSTPM.empty(3, paper_params, reanchor_every=reanchor_every)
+
     def test_describe_mentions_counts(self, paper_dseq, paper_params):
         miner = IncrementalSTPM.empty(3, paper_params)
         delta = miner.advance(paper_dseq.rows)
@@ -332,9 +343,9 @@ class TestStreamingMiningService:
         assert results_equivalent(service.result(), batch)
 
     def test_replay_validates_batch_size(self, tiny_inf):
-        with pytest.raises(MiningError):
+        with pytest.raises(ConfigError):
             next(iter(replay_dataset(tiny_inf, PARAMS, batch_granules=0)))
-        with pytest.raises(MiningError):
+        with pytest.raises(ConfigError):
             next(
                 iter(
                     replay_dataset(
@@ -391,6 +402,13 @@ class TestStreamCheckpoint:
         assert restored.n_granules == service.n_granules
         assert restored.result().pattern_keys() == service.result().pattern_keys()
         restored.verify_parity()
+
+    @pytest.mark.parametrize("reanchor_every", [0, -1])
+    def test_bad_reanchor_every_rejected(self, reanchor_every):
+        payload = json.loads(save_stream_checkpoint(self._seeded_service()))
+        payload["reanchor_every"] = reanchor_every
+        with pytest.raises(ConfigError, match="reanchor_every must be >= 1"):
+            load_stream_checkpoint(json.dumps(payload))
 
     def test_unknown_version_rejected(self):
         with pytest.raises(ReproError) as excinfo:

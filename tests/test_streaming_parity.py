@@ -4,30 +4,37 @@ Feeding any prefix of a granule stream through :class:`IncrementalSTPM`
 must produce a mining result equivalent to running batch E-STPM on that
 prefix -- same frequent patterns, same supports, near support sets, and
 seasons -- for every seed dataset profile, and both single-granule and
-multi-granule batches.  On the paper example and
+multi-granule batches.  Every advance's delta must match the diff of the
+results around it (:mod:`delta_oracle`).  On the paper example and
 one seed stream every sampled prefix is also checked against the
-brute-force :class:`NaiveSTPM` oracle.
+brute-force :class:`NaiveSTPM` oracle.  The k >= 3 worklist's four
+triggers and the full season recompute all fire on the seed streams, so
+these parity checks exercise every path of the advance.
 """
 
 import pytest
 
+from delta_oracle import advance_checked
 from repro import ESTPM, IncrementalSTPM
 from repro.baselines import NaiveSTPM
 from repro.core.results import results_equivalent
 from repro.datasets.registry import DATASET_BUILDERS
+from repro.obs import counters as metrics
 
 
 def _assert_prefix_parity(dseq, params, batch_granules, check_every=1, oracle=False):
-    """Stream ``dseq`` in batches, asserting parity at sampled prefixes
-    (with batch E-STPM, and with NaiveSTPM too when ``oracle`` is set)."""
+    """Stream ``dseq`` in batches, checking every delta and asserting
+    parity at sampled prefixes (with batch E-STPM, and with NaiveSTPM
+    too when ``oracle`` is set)."""
     miner = IncrementalSTPM.empty(dseq.ratio, params)
     position = 0
     n_batches = 0
     checked = 0
+    seasonal_map: dict = {}
     while position < len(dseq):
         rows = dseq.rows[position : position + batch_granules]
         position += len(rows)
-        delta = miner.advance(rows)
+        delta, seasonal_map = advance_checked(miner, rows, seasonal_map)
         assert delta.n_granules == position
         n_batches += 1
         if n_batches % check_every == 0 or position == len(dseq):
@@ -98,3 +105,77 @@ class TestKernelParity:
         params = dataset.params(min_season=2, min_density_pct=0.6)
         miner = _assert_prefix_parity(dataset.dseq(), params, 9, oracle=True)
         assert len(miner.result()) > 0, "parity must be checked on real patterns"
+
+
+#: The k >= 3 worklist's triggers, by the miner method that lists each.
+TRIGGERS = {
+    "T1": "_groups_with_changed_members",
+    "T2": "_children_of_changed_parents",
+    "T3": "_groups_with_new_triples",
+    "T4": "_newly_generated_groups",
+}
+
+
+class _SpyMiner(IncrementalSTPM):
+    """Records the groups each trigger lists, per level, in one advance."""
+
+    listed: dict
+
+
+def _spy(method: str, trigger: str):
+    def listing(self, k, adv):
+        groups = getattr(IncrementalSTPM, method)(self, k, adv)
+        self.listed[(k, trigger)] = set(groups)
+        return groups
+
+    return listing
+
+
+for _trigger, _method in TRIGGERS.items():
+    setattr(_SpyMiner, _method, _spy(_method, _trigger))
+
+
+class TestWorklistCoverage:
+    """Each worklist trigger, and the full season recompute, fires on the
+    seed streams after the first advance -- each trigger at least once
+    for a group no other trigger listed -- so the parity tests above
+    exercise every path."""
+
+    @pytest.fixture(scope="class")
+    def coverage(self):
+        fired = dict.fromkeys(TRIGGERS, 0)
+        alone = dict.fromkeys(TRIGGERS, 0)
+        recomputed = 0
+        for name in sorted(DATASET_BUILDERS):
+            dataset = DATASET_BUILDERS[name](n_sequences=44, n_series=4)
+            params = dataset.params(min_season=2, min_density_pct=0.6)
+            dseq = dataset.dseq()
+            miner = _SpyMiner.empty(dseq.ratio, params)
+            miner.listed = {}
+            miner.advance(dseq.rows[:1])
+            with metrics.capture() as registry:
+                for row in dseq.rows[1:]:
+                    miner.listed = {}
+                    miner.advance([row])
+                    for (k, trigger), groups in miner.listed.items():
+                        others = set().union(
+                            *(
+                                miner.listed.get((k, other), set())
+                                for other in TRIGGERS
+                                if other != trigger
+                            )
+                        )
+                        fired[trigger] += bool(groups)
+                        alone[trigger] += bool(groups - others)
+            recomputed += registry.counters.get("stream.views.recomputed", 0)
+        return fired, alone, recomputed
+
+    @pytest.mark.parametrize("trigger", sorted(TRIGGERS))
+    def test_trigger_fires_alone(self, coverage, trigger):
+        fired, alone, _ = coverage
+        assert fired[trigger] > 0
+        assert alone[trigger] > 0
+
+    def test_full_season_recompute_fires(self, coverage):
+        _, _, recomputed = coverage
+        assert recomputed > 0
