@@ -7,8 +7,29 @@ Given the support set of an event / group / pattern, this module computes:
 * its *seasons* -- near support sets of density >= ``min_density`` chained
   so that consecutive season distances lie in ``dist_interval``
   (Defs. 3.14-3.15);
-* its ``maxSeason`` upper bound ``|SUP| / min_density`` (Eq. (1)), the
-  anti-monotone measure behind the Apriori-like pruning (Lemmas 1-2).
+* its ``maxSeason`` upper bound ``|SUP| / min_density`` (Eq. (1));
+* the candidate gate of the Apriori-like pruning (Lemmas 1-2),
+  :func:`is_season_candidate`, which tightens maxSeason to the near-set
+  bound (see below).
+
+The near-set bound
+------------------
+A season is one maximal near support set (possibly trimmed by the H9
+rule) holding at least ``min_density`` granules, so a support set ``S``
+has at most
+
+    B(S) = sum over the near sets N of S of floor(|N| / min_density)
+
+seasons, and ``B(S) <= |S| / min_density``.  ``B`` is anti-monotone like
+maxSeason: each near set of ``S' <= S`` lies inside one near set of
+``S``, and ``floor(. / min_density)`` is superadditive, so
+``seasons(S') <= B(S') <= B(S)``.  For the same reason ``B`` never falls
+when a support gains granules, by append or by merge, which keeps the
+streaming miner's gates monotone.  ``max_season`` stays: it is the
+quantity the MI bound of Eq. (6) (:mod:`repro.core.bounds`) bounds, and
+its gate :func:`is_candidate` is the O(1) first check of
+:func:`is_season_candidate`.  With ``min_density == 1`` the two gates
+coincide (``B(S) = |S|``).
 
 Season chaining semantics
 -------------------------
@@ -45,7 +66,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.core.config import MiningParams, get_numpy
-from repro.core.supportset import SupportLike, as_positions
+from repro.core.supportset import SupportLike, as_positions, bit_positions
 
 #: Support size at or above which the batched season counter splits near
 #: sets with one vectorized diff instead of the streaming generator.
@@ -60,6 +81,47 @@ def max_season(support_size: int, min_density: int) -> float:
 def is_candidate(support_size: int, params: MiningParams) -> bool:
     """Candidate gate of Sec. IV-B: ``maxSeason >= minSeason``."""
     return max_season(support_size, params.min_density) >= params.min_season
+
+
+def is_season_candidate(support: SupportLike | int, params: MiningParams) -> bool:
+    """The Apriori candidate gate: ``B(SUP) >= minSeason``.
+
+    ``support`` is a sorted position sequence, a
+    :class:`~repro.core.supportset.SupportSet` or a raw support bitmask.
+    The O(1) Eq. (1) check :func:`is_candidate` runs first; only when it
+    passes and ``min_density > 1`` are the positions walked (a bitset's
+    are materialized through its cached ``positions()``), and the walk
+    stops as soon as the closed near sets plus the open one reach
+    ``minSeason`` or the positions left can no longer reach it.
+    """
+    size = support.bit_count() if isinstance(support, int) else len(support)
+    if not is_candidate(size, params):
+        return False
+    min_density = params.min_density
+    if min_density == 1:
+        return True  # B(S) = |S|
+    positions = (
+        bit_positions(support) if isinstance(support, int) else as_positions(support)
+    )
+    max_period = params.max_period
+    # Granules the open near set still needs for the bound to reach
+    # minSeason; each closed near set N pays floor(|N| / minDensity) of it.
+    goal = params.min_season * min_density
+    walked = 0
+    run = 0
+    previous = positions[0]
+    for position in positions:
+        if position - previous > max_period:
+            walked += run
+            goal -= run - run % min_density
+            if size - walked < goal:
+                return False
+            run = 0
+        run += 1
+        if run == goal:
+            return True
+        previous = position
+    return False
 
 
 def _iter_near_sets(support, max_period: int) -> Iterator[list[int]]:

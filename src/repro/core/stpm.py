@@ -4,9 +4,9 @@ The miner follows the paper's two mining steps on a temporal sequence
 database ``DSEQ``:
 
 * **Step 2.1** -- mine frequent seasonal single events: one scan of DSEQ
-  computes every event's support set; events passing the ``maxSeason``
-  candidate gate populate ``HLH1``; candidates passing the full seasonal
-  check (maxPeriod / minDensity / distInterval / minSeason) are frequent.
+  computes every event's support set; events passing the candidate gate
+  populate ``HLH1``; candidates passing the full seasonal check
+  (maxPeriod / minDensity / distInterval / minSeason) are frequent.
 * **Step 2.2** -- mine frequent seasonal k-event patterns, k >= 2:
   candidate k-event groups come from the Cartesian product
   ``F_{k-1} x FilteredF1`` with support-set intersection; patterns are
@@ -16,15 +16,21 @@ database ``DSEQ``:
   Sec. IV-D 4.2.2).
 
 Pruning is controlled by :class:`~repro.core.prune.PruningConfig`:
-``apriori`` applies the maxSeason candidate gates (Lemmas 1-2);
-``transitivity`` restricts F1 to events present in HLH_{k-1} patterns
-(Lemmas 3-4).  Both are lossless.
+``apriori`` applies the candidate gates of Lemmas 1-2 to events, groups
+and patterns, each through
+:func:`~repro.core.seasonality.is_season_candidate` -- the near-set
+bound ``B(SUP) >= minSeason``, which is anti-monotone like Eq. (1)'s
+maxSeason and never looser than it; ``transitivity`` restricts F1 to
+events present in HLH_{k-1} patterns (Lemmas 3-4).  Both are lossless.
 
 Engine architecture
 -------------------
 Support sets live behind :class:`~repro.core.supportset.SupportSet`
 (big-int bitsets), so every group intersection is a C-level ``&`` and
-every maxSeason gate a ``bit_count()``.  The per-group work of step 2.2 -- intersect supports,
+every candidate gate starts with Eq. (1)'s O(1) size check (a
+``bit_count()`` on a bitset); only supports that pass it at
+``min_density > 1`` have their positions walked.  The per-group work of
+step 2.2 -- intersect supports,
 enumerate instance pairs, grow assignments -- is expressed as *group
 tasks* (:func:`mine_pair_task` / :func:`mine_extension_task`, each taking
 its level's shared :class:`LevelContext`).  :meth:`ESTPM._dispatch` runs
@@ -67,8 +73,8 @@ from repro.core.results import MiningResult, MiningStats, SeasonalPattern
 from repro.core.seasonality import (
     compute_seasons,
     count_seasons_batch,
-    is_candidate,
     is_frequent_seasonal,
+    is_season_candidate,
 )
 from repro.core.supportset import SupportLike, SupportSet, make_support_set
 from repro.exceptions import MiningError
@@ -118,8 +124,8 @@ class LevelContext:
 class GroupOutcome:
     """What one group task produced.
 
-    ``support is None`` means the group failed the maxSeason candidate
-    gate and contributes nothing to the level.  At the last level
+    ``support is None`` means the group failed the candidate gate and
+    contributes nothing to the level.  At the last level
     (``k == max_pattern_length``, k >= 3) the extension kernel returns
     supports only: every ``pattern_assignments`` entry is empty, since
     no later level reads it.
@@ -146,7 +152,7 @@ def mine_pair_task(task: tuple[str, str], context: LevelContext) -> GroupOutcome
     if track:
         metrics.inc("mine.groups.pair")
         metrics.inc("mine.support.intersections")
-    if context.apriori and not is_candidate(len(support), params):
+    if context.apriori and not is_season_candidate(support, params):
         metrics.inc("mine.groups.gate_rejected")
         return GroupOutcome((event_a, event_b), None, {}, {})
     pattern_support: dict[TemporalPattern, list[int]] = {}
@@ -187,7 +193,7 @@ def mine_extension_task(
     if track:
         metrics.inc("mine.groups.extension")
         metrics.inc("mine.support.intersections")
-    if context.apriori and not is_candidate(len(support), context.params):
+    if context.apriori and not is_season_candidate(support, context.params):
         metrics.inc("mine.groups.gate_rejected")
         return GroupOutcome(group, None, {}, {})
     pattern_support, pattern_assignments = array_extend_group_patterns(
@@ -411,8 +417,8 @@ class ESTPM:
         hlh1 = HLH1()
         params = self.params
         # Per-granule instance tables exist solely for step 2.2's pair /
-        # extension enumeration; a single-event run (maxSeason scan, the
-        # multigrain event-seasonality workload) never reads them.
+        # extension enumeration; a single-event run (the multigrain
+        # event-seasonality workload) never reads them.
         need_instances = params.max_pattern_length >= 2
         with span("estpm/step2.1/hlh1_scan") as scan_span:
             event_supports = sorted(self.dseq.event_support().items())
@@ -426,7 +432,7 @@ class ESTPM:
                 stats.n_events_pruned += 1
                 continue
             stats.n_events_scanned += 1
-            if self.pruning.apriori and not is_candidate(len(support), params):
+            if self.pruning.apriori and not is_season_candidate(support, params):
                 continue
             candidates.append((event, support))
         # Batched frequency gate: every candidate's packed bit positions
@@ -572,7 +578,7 @@ class ESTPM:
     ) -> None:
         params = self.params
         for pattern, support in pattern_support.items():
-            if self.pruning.apriori and not is_candidate(len(support), params):
+            if self.pruning.apriori and not is_season_candidate(support, params):
                 metrics.inc("mine.patterns.gate_rejected")
                 continue
             metrics.inc("mine.patterns.candidates")

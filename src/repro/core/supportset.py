@@ -6,9 +6,11 @@ operations on it:
 
 * **intersection** -- every candidate group in ``EHk`` is born from one
   (Sec. IV-D 4.1);
-* **cardinality** -- the ``|SUP|`` of the maxSeason gate (Eq. (1));
-* **ascending iteration** -- only when seasons are materialized or the
-  group's granules are walked for instance enumeration.
+* **cardinality** -- the ``|SUP|`` of Eq. (1)'s maxSeason, the first
+  check of every candidate gate;
+* **ascending iteration** -- only when seasons are materialized, the
+  group's granules are walked for instance enumeration, or a support that
+  passes Eq. (1) meets the near-set bound of the candidate gate.
 
 :class:`SupportSet` names that interface and :class:`BitsetSupportSet`
 implements it: the positions are packed into one Python big int (bit

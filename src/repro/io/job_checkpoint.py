@@ -11,7 +11,7 @@ resumed skipping the finished work (``freqstpfts run/multigrain
 The on-disk format is a versioned JSON envelope::
 
     {
-      "format_version": 1,
+      "format_version": 2,
       "fingerprint": {"job": "estpm", "level": 2, ...},
       "outcomes": {"<task key>": "<base64 pickle>", ...}
     }
@@ -51,7 +51,12 @@ __all__ = ["JobCheckpoint", "FORMAT_VERSION"]
 
 logger = get_logger(__name__)
 
-FORMAT_VERSION = 1
+#: Version 2: step-2.2 outcomes gated by the near-set bound
+#: (:func:`~repro.core.seasonality.is_season_candidate`).  A version-1
+#: file holds outcomes of the cardinality-only maxSeason gate -- groups
+#: this build rejects, with their patterns -- so a resume mixing the two
+#: would report candidate counts of neither gate; it is refused.
+FORMAT_VERSION = 2
 
 #: What a damaged or foreign outcome blob raises on decode: bad base64
 #: (``binascii.Error``, a ``ValueError``), a truncated or corrupt pickle
@@ -115,7 +120,8 @@ class JobCheckpoint:
         if version != FORMAT_VERSION:
             raise ConfigError(
                 f"job checkpoint {self.path} has format_version {version!r}; "
-                f"this build reads version {FORMAT_VERSION}"
+                f"this build reads version {FORMAT_VERSION}. Delete the file, "
+                "or point --resume at a fresh path."
             )
         stored = data.get("fingerprint", {})
         if stored != self.fingerprint:

@@ -9,14 +9,18 @@ event support with :meth:`~repro.core.supportset.SupportSet.coarsen`
 therefore yields *exactly* the support a coarse-level DSEQ scan would
 recompute (asserted by the hypothesis property tests).
 
-Because the fold is exact, each coarse level's maxSeason candidate gate
-(Eq. (1): ``|SUP_E| / minDensity >= minSeason``) can be evaluated from
-the folded supports alone, before any of that level's granule rows
-exist.  The batch miner materializes per-granule instance tables only
-for gate-passing events (``ESTPM._mine_single_events`` checks the gate
-first), so granules touched by no candidate event are never read during
-mining -- screening them out of the row derivation cannot change the
-result, only skip work.
+Because the fold is exact, each coarse level's candidate gate -- the
+near-set bound ``B(SUP_E) >= minSeason`` of
+:func:`~repro.core.seasonality.is_season_candidate`, which depends on the
+support's positions only -- can be evaluated from the folded supports
+alone, before any of that level's granule rows exist, and it decides
+exactly as the level's step 2.1 will on the same supports.  The batch
+miner materializes per-granule instance tables only for gate-passing
+events (``ESTPM._mine_single_events`` checks the gate first), so
+granules touched by no candidate event are never read during mining --
+screening them out of the row derivation cannot change the result, only
+skip work.  The gate walks each folded support through its cached
+``positions()``, which the level's step-2.1 season count then reuses.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.config import MiningParams
-from repro.core.seasonality import is_candidate
-from repro.core.supportset import SupportSet
+from repro.core.seasonality import is_season_candidate
+from repro.core.supportset import BitsetSupportSet, bit_positions
 
 
 @dataclass(frozen=True)
@@ -41,7 +45,7 @@ class LevelScreening:
     supports:
         Folded (exact) support per event occurring at this level.
     candidates:
-        Events passing the level's maxSeason candidate gate.
+        Events passing the level's candidate gate (the near-set bound).
     granules:
         Union of the candidates' supports -- the only coarse positions
         whose rows mining can touch, hence the only ones worth deriving.
@@ -49,7 +53,7 @@ class LevelScreening:
 
     ratio: int
     n_sequences: int
-    supports: dict[str, SupportSet]
+    supports: dict[str, BitsetSupportSet]
     candidates: frozenset[str]
     granules: frozenset[int]
 
@@ -70,7 +74,7 @@ class LevelScreening:
 
 
 def screen_level(
-    fine_supports: dict[str, SupportSet],
+    fine_supports: dict[str, BitsetSupportSet],
     factor: int,
     n_sequences: int,
     params: MiningParams,
@@ -83,22 +87,24 @@ def screen_level(
     the folded positions (the trailing partial block is dropped, matching
     the sequence mapping).  Events whose folded support is empty occur
     only in that dropped block and do not exist at the coarse level.
+    The candidates' granule union is one bitmask OR per candidate,
+    converted to positions once.
     """
-    supports: dict[str, SupportSet] = {}
+    supports: dict[str, BitsetSupportSet] = {}
     candidates: set[str] = set()
-    granules: set[int] = set()
+    union = 0
     for event, support in fine_supports.items():
         folded = support.coarsen(factor, n_sequences)
         if not folded:
             continue
         supports[event] = folded
-        if is_candidate(len(folded), params):
+        if is_season_candidate(folded, params):
             candidates.add(event)
-            granules.update(folded)
+            union |= folded.bits
     return LevelScreening(
         ratio=ratio,
         n_sequences=n_sequences,
         supports=supports,
         candidates=frozenset(candidates),
-        granules=frozenset(granules),
+        granules=frozenset(bit_positions(union)),
     )

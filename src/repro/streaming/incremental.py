@@ -7,8 +7,9 @@ appends.  Each :meth:`IncrementalSTPM.advance` call
 1. extends every occurring event's support bitset (one ``|=`` per event)
    and the instance tables of candidate events;
 2. for candidate 2-event groups, enumerates instance pairs only at the
-   *tail* granules of the advance; groups that newly pass the maxSeason
-   candidate gate get a one-time catch-up pass over their full support;
+   *tail* granules of the advance; groups that newly pass the candidate
+   gate (the near-set bound shared with the batch miner) get a one-time
+   catch-up pass over their full support;
 3. for k >= 3, visits only the groups on a worklist derived from what
    the advance changed, never scanning the others.  A group is visited
    when (T1) every member occurs in the new granules, (T2) it is
@@ -61,7 +62,7 @@ from repro.core.results import (
     SeasonalPattern,
     results_equivalent,
 )
-from repro.core.seasonality import SeasonView, is_candidate
+from repro.core.seasonality import SeasonView, is_season_candidate
 from repro.core.instance_index import VerdictStore
 from repro.obs import counters as metrics
 from repro.obs.trace import span
@@ -293,7 +294,7 @@ class IncrementalSTPM:
             es = state.events[event]
             if es.candidate:
                 state.hlh1.eh[event] = BitsetSupportSet(es.bits)
-            elif is_candidate(len(es.chain.support), params):
+            elif is_season_candidate(es.chain.support, params):
                 es.candidate = True
                 newly_candidate.append(event)
                 instances = {
@@ -359,7 +360,7 @@ class IncrementalSTPM:
             if gs.bits is not None and not both_changed:
                 continue
             gs.bits = state.events[event_a].bits & state.events[event_b].bits
-            if not is_candidate(gs.bits.bit_count(), params):
+            if not is_season_candidate(gs.bits, params):
                 continue
             state.add_candidate_group(2, gs)
             self._collect_pairs(gs, bit_positions(gs.bits), adv)
@@ -531,7 +532,7 @@ class IncrementalSTPM:
         bits_changed = bits != gs.bits
         gs.bits = bits
         if not gs.candidate:
-            if not is_candidate(bits.bit_count(), params):
+            if not is_season_candidate(bits, params):
                 return
             # The group crosses the gate now: fix its extension parent
             # (any candidate parent yields the same pattern set -- every
@@ -655,7 +656,7 @@ class IncrementalSTPM:
             ps.bits = bits
             if ps.candidate:
                 mirror.phk[pattern] = BitsetSupportSet(bits)
-            elif is_candidate(len(ps.chain.support), params):
+            elif is_season_candidate(ps.chain.support, params):
                 ps.candidate = True
                 self._register_pattern(k, gs, pattern, ps, adv)
             else:
@@ -772,7 +773,9 @@ class IncrementalSTPM:
         """Candidates exactly one season short of ``minSeason``.
 
         These are the patterns the next few granules are most likely to
-        promote -- the "border" a monitoring dashboard watches.
+        promote -- the "border" a monitoring dashboard watches.  Only
+        candidates (supports whose near-set bound reaches ``minSeason``)
+        are listed.
         """
         state = self.state
         threshold = self.params.min_season - 1

@@ -170,7 +170,11 @@ class MultiGrainStreamingService:
         return {ratio: self._level_miner(ratio).result() for ratio in self.ratios}
 
     def border_patterns(self, ratio: int) -> list[SeasonalPattern]:
-        """One level's candidates one season short of promotion."""
+        """One level's candidates one season short of promotion.
+
+        Candidates are what the level's near-set gate admits; see
+        :meth:`~repro.streaming.incremental.IncrementalSTPM.border_patterns`.
+        """
         return self._level_miner(ratio).border_patterns()
 
     def verify_parity(self) -> dict[int, MiningResult]:

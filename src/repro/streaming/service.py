@@ -126,7 +126,11 @@ class StreamingMiningService:
         return self.miner.result()
 
     def border_patterns(self) -> list[SeasonalPattern]:
-        """Candidates one season short of promotion (the watch list)."""
+        """Candidates one season short of promotion (the watch list).
+
+        Candidates are what the near-set gate admits; see
+        :meth:`~repro.streaming.incremental.IncrementalSTPM.border_patterns`.
+        """
         return self.miner.border_patterns()
 
     def verify_parity(self) -> MiningResult:

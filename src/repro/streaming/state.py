@@ -16,10 +16,14 @@ Everything the miners gate on is *monotone* under granule appends:
 
 * support sets only gain positions (one ``|=`` per event per granule on
   the big-int bitset);
-* the maxSeason candidate gate ``|SUP|/minDensity >= minSeason`` (Eq. (1))
-  can only flip from failed to passed -- a candidate event, group, or
-  pattern never loses candidacy, so the events in each level's candidate
-  patterns and the groups with candidate patterns only grow too;
+* the candidate gate, the near-set bound ``B(SUP) >= minSeason`` of
+  :func:`~repro.core.seasonality.is_season_candidate`, can only flip from
+  failed to passed: a support that gains granules, by an append or a
+  catch-up merge, keeps each of its near sets inside one of the new
+  support's, and ``floor(|N| / minDensity)`` is superadditive, so ``B``
+  never falls.  A candidate event, group, or pattern never loses
+  candidacy, so the events in each level's candidate patterns and the
+  groups with candidate patterns only grow too;
 * the candidate-triple set consulted by the Iterative Check only grows;
 * season chains (Defs. 3.13-3.15) are built left-to-right, so appending
   granules never removes a season from the best chain.

@@ -12,7 +12,8 @@ import pytest
 from repro import ESTPM, PruningConfig, SymbolicDatabase
 from repro.baselines import NaiveSTPM
 from repro.core.approximate import ASTPM
-from repro.core.results import results_equivalent
+from repro.core.results import MiningStats, results_equivalent
+from repro.core.seasonality import is_candidate, is_season_candidate
 from repro.datasets import load_dataset
 from repro.exceptions import ConfigError, TransformError
 from repro.granularity import GranularityHierarchy, TimeDomain
@@ -211,6 +212,46 @@ class TestScreening:
         assert set(screening.supports) == set(recomputed)
         for event, folded in screening.supports.items():
             assert folded == recomputed[event]
+
+    def test_screening_admits_what_step21_admits(self):
+        # B:1 occurs in four bursts of 4 fine granules: 2 coarse granules
+        # each at ratio 2, where maxPeriod 1 and minDensity 3 leave
+        # maxSeason = 8/3 >= 2 but no near set dense enough (B = 0).
+        bursts = ["0"] * 120
+        for start in (0, 40, 80, 112):
+            bursts[start : start + 4] = "1111"
+        dsyb = SymbolicDatabase.from_rows(
+            {"A": "111111000000" * 10, "B": "".join(bursts)}
+        )
+        miner = HierarchicalMiner(
+            dsyb,
+            ratios=[1, 2],
+            max_period_pct=1.0,
+            min_density_pct=5.0,
+            dist_interval=(0, 120),
+            min_season=2,
+            max_pattern_length=2,
+        )
+        fine = build_sequence_database(dsyb, 1)
+        n_sequences = len(fine) // 2
+        params = miner.params_for(2, n_sequences)
+        assert (params.max_period, params.min_density) == (1, 3)
+        screening = screen_level(fine.event_support(), 2, n_sequences, params, 2)
+        folded = screening.supports["B:1"]
+        assert is_candidate(len(folded), params)
+        assert not is_season_candidate(folded, params)
+        # The level's step 2.1, on a standalone rebuild, admits exactly
+        # the screened candidates.
+        hlh1 = ESTPM(build_sequence_database(dsyb, 2), params)._mine_single_events(
+            [], MiningStats()
+        )
+        assert screening.candidates == set(hlh1.candidates)
+        assert "B:1" not in screening.candidates
+        coarse = miner.mine().level(2)
+        assert coarse.n_events_screened == screening.n_screened_out
+        assert coarse.result.stats.n_candidate_events == len(screening.candidates)
+        standalone = ESTPM(build_sequence_database(dsyb, 2), params).mine()
+        assert results_equivalent(coarse.result, standalone)
 
 
 class TestMultiGranularityResult:

@@ -6,7 +6,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro import MiningParams, compute_seasons, max_season
-from repro.core.seasonality import SeasonChain, split_near_support_sets
+from repro.core.seasonality import (
+    SeasonChain,
+    is_season_candidate,
+    split_near_support_sets,
+)
+from repro.core.supportset import BitsetSupportSet
 
 supports = st.lists(
     st.integers(1, 120), min_size=0, max_size=40, unique=True
@@ -159,3 +164,77 @@ def test_season_chain_older_position_takes_the_full_recompute(support, params, d
     chain.extend(more)
     assert not chain.fresh
     _assert_same_view(chain.refresh(params), compute_seasons(merged + more, params))
+
+
+# -- The near-set bound B behind every Apriori gate -----------------------
+
+
+def near_set_bound(support, params) -> int:
+    """B(S): the sum of floor(|N| / minDensity) over the near sets N of S."""
+    return sum(
+        len(near) // params.min_density
+        for near in split_near_support_sets(support, params.max_period)
+    )
+
+
+@st.composite
+def support_and_subset(draw):
+    support = draw(supports)
+    keep = draw(st.lists(st.booleans(), min_size=len(support), max_size=len(support)))
+    return support, [position for position, kept in zip(support, keep) if kept]
+
+
+@given(support_and_subset(), params_strategy)
+@example((_H9[0], _H9[0][2:]), _H9[1])
+@settings(max_examples=300)
+def test_near_set_bound_caps_the_seasons_of_every_subset(case, params):
+    # Lemmas 1-2 with B: a subset's seasons never exceed the superset's B.
+    from repro.core.seasonality import count_seasons
+
+    support, subset = case
+    assert count_seasons(subset, params) <= near_set_bound(support, params)
+    assert near_set_bound(subset, params) <= near_set_bound(support, params)
+
+
+@given(supports, supports, params_strategy)
+@settings(max_examples=200)
+def test_near_set_bound_never_falls_under_appends_or_merges(support, more, params):
+    bound = near_set_bound(support, params)
+    merged = sorted(set(support) | set(more))
+    assert near_set_bound(merged, params) >= bound
+    top = support[-1] if support else 0
+    appended = support + [top + offset for offset in sorted(set(more))]
+    assert near_set_bound(appended, params) >= bound
+
+
+@given(supports, params_strategy)
+def test_near_set_bound_tightens_max_season(support, params):
+    bound = near_set_bound(support, params)
+    assert bound <= max_season(len(support), params.min_density)
+    if params.min_density == 1:
+        assert bound == len(support)
+
+
+#: Early exits: True at granule 12, inside the second near set; False at
+#: the break before 5, where the 5 granules left can add only 2 < 3.
+_EARLY_TRUE = (
+    [1, 2, 3, 10, 11, 12, 13, 20],
+    MiningParams(max_period=1, min_density=3, dist_interval=(0, 30), min_season=2),
+)
+_EARLY_FALSE = (
+    [1, 3, 5, 6, 7, 8, 9],
+    MiningParams(max_period=1, min_density=2, dist_interval=(0, 30), min_season=3),
+)
+
+
+@given(supports, params_strategy)
+@example(*_EARLY_TRUE)
+@example(*_EARLY_FALSE)
+@example(*_H9)
+@settings(max_examples=400)
+def test_season_gate_agrees_with_the_near_set_bound(support, params):
+    expected = near_set_bound(support, params) >= params.min_season
+    bitset = BitsetSupportSet.from_positions(support)
+    assert is_season_candidate(support, params) == expected
+    assert is_season_candidate(bitset, params) == expected
+    assert is_season_candidate(bitset.bits, params) == expected

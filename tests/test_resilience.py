@@ -58,6 +58,13 @@ from repro.resilience.policy import task_key_of
 FAST_RETRY = RetryPolicy(backoff_base_s=0.0)
 
 
+def _set_checkpoint_version(path, version: int) -> None:
+    """Rewrite a job checkpoint's format version in place."""
+    data = json.loads(path.read_text())
+    data["format_version"] = version
+    path.write_text(json.dumps(data))
+
+
 @pytest.fixture(autouse=True)
 def _no_leaked_faults():
     """Every test leaves the process (and environment) fault-free."""
@@ -373,6 +380,15 @@ class TestMiningChaos:
                 paper_dseq, paper_params, PruningConfig.none(), checkpoint_path=ckpt
             ).mine()
 
+    def test_checkpoint_rejects_version_1(self, tmp_path, paper_dseq, paper_params):
+        # A version-1 checkpoint holds outcomes of the maxSeason gate:
+        # resuming it would mix gate-rejected groups into the counts.
+        ckpt = tmp_path / "estpm.ckpt.json"
+        ESTPM(paper_dseq, paper_params, checkpoint_path=str(ckpt)).mine()
+        _set_checkpoint_version(ckpt, 1)
+        with pytest.raises(ConfigError, match="format_version 1"):
+            ESTPM(paper_dseq, paper_params, checkpoint_path=str(ckpt)).mine()
+
     @pytest.mark.parametrize("dataset_name", ["tiny_re", "tiny_inf"])
     def test_seed_dataset_chaos_parity(self, dataset_name, request):
         dataset = request.getfixturevalue(dataset_name)
@@ -467,6 +483,13 @@ class TestMultigrainChaos:
             self._miner(
                 paper_dsyb, pruning=PruningConfig.none(), checkpoint_path=ckpt
             ).mine()
+
+    def test_checkpoint_rejects_version_1(self, tmp_path, paper_dsyb):
+        ckpt = tmp_path / "multigrain.ckpt.json"
+        self._miner(paper_dsyb, checkpoint_path=str(ckpt)).mine()
+        _set_checkpoint_version(ckpt, 1)
+        with pytest.raises(ConfigError, match="format_version 1"):
+            self._miner(paper_dsyb, checkpoint_path=str(ckpt)).mine()
 
 
 class TestJobCheckpoint:

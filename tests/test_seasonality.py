@@ -5,6 +5,7 @@ from repro.core.seasonality import (
     count_seasons,
     is_candidate,
     is_frequent_seasonal,
+    is_season_candidate,
     season_distance,
     split_near_support_sets,
 )
@@ -19,6 +20,18 @@ class TestMaxSeason:
         # minSeason=2, minDensity=3: support 6 is candidate, 5 is not.
         assert is_candidate(6, paper_params)
         assert not is_candidate(5, paper_params)
+
+    def test_near_set_bound_is_tighter_than_max_season(self, paper_params):
+        # maxSeason = 8/3 >= 2, but the near sets {1,2,4,5}, {9,10} and
+        # {14,15} hold 4, 2 and 2 granules: B = 1 + 0 + 0 = 1 < 2.
+        support = [1, 2, 4, 5, 9, 10, 14, 15]
+        assert split_near_support_sets(support, paper_params.max_period) == [
+            [1, 2, 4, 5], [9, 10], [14, 15],
+        ]
+        assert is_candidate(len(support), paper_params)
+        assert not is_season_candidate(support, paper_params)
+        # One more granule closes the gap to {9, 10}: B = 2.
+        assert is_season_candidate(sorted(support + [7]), paper_params)
 
 
 class TestNearSupportSets:

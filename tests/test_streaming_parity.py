@@ -9,7 +9,9 @@ results around it (:mod:`delta_oracle`).  On the paper example and
 one seed stream every sampled prefix is also checked against the
 brute-force :class:`NaiveSTPM` oracle.  The k >= 3 worklist's four
 triggers and the full season recompute all fire on the seed streams, so
-these parity checks exercise every path of the advance.
+these parity checks exercise every path of the advance.  At sampled
+prefixes of streams where the near-set gate prunes, the streaming
+candidate mirrors also match batch E-STPM's candidate counts.
 """
 
 import pytest
@@ -18,6 +20,7 @@ from delta_oracle import advance_checked
 from repro import ESTPM, IncrementalSTPM
 from repro.baselines import NaiveSTPM
 from repro.core.results import results_equivalent
+from repro.core.seasonality import is_candidate, is_season_candidate
 from repro.datasets.registry import DATASET_BUILDERS
 from repro.obs import counters as metrics
 
@@ -105,6 +108,83 @@ class TestKernelParity:
         params = dataset.params(min_season=2, min_density_pct=0.6)
         miner = _assert_prefix_parity(dataset.dseq(), params, 9, oracle=True)
         assert len(miner.result()) > 0, "parity must be checked on real patterns"
+
+
+def _gate_acted(state, params) -> int:
+    """Event, group and pattern supports of the streaming state that pass
+    Eq. (1) but fail the near-set gate."""
+    supports = [es.chain.support for es in state.events.values()]
+    for level in state.levels.values():
+        for gs in level.values():
+            if gs.bits is not None:
+                supports.append(gs.bits)
+            supports.extend(ps.chain.support for ps in gs.patterns.values())
+    return sum(
+        1
+        for support in supports
+        if is_candidate(
+            support.bit_count() if isinstance(support, int) else len(support), params
+        )
+        and not is_season_candidate(support, params)
+    )
+
+
+def _assert_gates_agree(dseq, params, check_every):
+    """Stream ``dseq`` granule by granule; at sampled prefixes the
+    streaming mirrors hold exactly the candidates batch E-STPM counts on
+    that prefix, and every one of them passes the gate."""
+    miner = IncrementalSTPM.empty(dseq.ratio, params)
+    checked = 0
+    for position, row in enumerate(dseq.rows, start=1):
+        miner.advance([row])
+        if position % check_every and position != len(dseq):
+            continue
+        stats = ESTPM(dseq.prefix(position), params).mine().stats
+        state = miner.state
+        where = f"prefix {position}"
+        assert len(state.hlh1) == stats.n_candidate_events, where
+        assert all(
+            is_season_candidate(support, params) for support in state.hlh1.eh.values()
+        ), where
+        for k in range(2, params.max_pattern_length + 1):
+            mirror = state.mirror(k)
+            assert len(mirror.ehk) == stats.n_candidate_groups.get(k, 0), (where, k)
+            assert len(mirror.phk) == stats.n_candidate_patterns.get(k, 0), (where, k)
+            assert all(
+                is_season_candidate(entry.support, params)
+                for entry in mirror.ehk.values()
+            ), (where, k)
+            assert all(
+                is_season_candidate(support, params) for support in mirror.phk.values()
+            ), (where, k)
+        checked += 1
+    assert checked >= 2
+    return miner
+
+
+class TestGateConsistency:
+    """Batch and streaming miners share one candidate gate.
+
+    Frequent-output parity cannot catch a gate site left on Eq. (1)'s
+    maxSeason, because the near-set bound is lossless; the candidate
+    counts can.  The streams run at minDensity 3, where the bound prunes
+    (at minDensity 1 it equals ``|SUP|`` and the gates coincide), and
+    each test asserts that the bound rejected a support Eq. (1) admits.
+    """
+
+    def test_paper_example(self, paper_dseq, paper_params):
+        miner = _assert_gates_agree(paper_dseq, paper_params, check_every=2)
+        assert len(miner.result()) == 25
+        assert _gate_acted(miner.state, paper_params) > 0
+
+    @pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
+    def test_seed_dataset(self, name):
+        dataset = DATASET_BUILDERS[name](n_sequences=44, n_series=4)
+        params = dataset.params(min_season=2, min_density_pct=5, max_period_pct=5)
+        assert params.min_density == 3
+        miner = _assert_gates_agree(dataset.dseq(), params, check_every=6)
+        assert len(miner.result()) > 0
+        assert _gate_acted(miner.state, params) > 0
 
 
 #: The k >= 3 worklist's triggers, by the miner method that lists each.
