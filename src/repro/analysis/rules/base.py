@@ -36,10 +36,15 @@ PICKLE_BOUNDARY_MODULES = (
     "repro.core.supportset",
     "repro.core.instance_index",
     "repro.core.pattern",
+    "repro.core.config",
+    "repro.core.results",
+    "repro.core.seasonality",
     "repro.transform.sequence_db",
     "repro.events.event",
+    "repro.events.relations",
     "repro.events.sequence",
     "repro.multigrain.engine",
+    "repro.multigrain.result",
     "repro.resilience.policy",
     "repro.resilience.faults",
 )

@@ -4,8 +4,8 @@ A job checkpoint pickles the outcome of every completed group task and
 hierarchy level (``GroupOutcome``, ``GranularityLevel``) and a resumed
 run unpickles them, possibly in a later build.  So the classes those
 outcomes reach must exclude per-process caches from their pickled state
-(``HLH1.__getstate__`` is the model: the columns are rebuilt on first
-touch), and the callables the dispatch registries hold must resolve by
+(``HLH1.__getstate__`` is the model: its candidate list is rebuilt on
+first touch), and the callables the dispatch registries hold must resolve by
 qualified name (module-level, not a lambda / closure / bound method).
 
 * ``EP002``: boundary class with cache-like attributes but no
@@ -103,7 +103,7 @@ def _suspicious_attributes(node: ast.ClassDef) -> list[tuple[str, int]]:
 
     Two triggers: an underscore dataclass field excluded from comparison
     (derived state by construction), or any underscore attribute whose
-    name matches the cache markers (``_support_cache``, ``_columns``,
+    name matches the cache markers (``_support_cache``, ``_column_cache``,
     ``_interned`` ...), whether a dataclass field or a ``self._x``
     assignment in ``__init__``.
     """

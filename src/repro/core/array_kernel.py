@@ -2,10 +2,10 @@
 
 Step 2.2 of E-STPM (paper Sec. IV-D) has two inner loops, one function
 each, shared by the batch miner's group tasks (:mod:`repro.core.stpm`)
-and the streaming miner (:mod:`repro.streaming.incremental`).  Both run
-on the per ``(event, granule)`` columns of
-:class:`~repro.core.instance_index.InstanceColumn`, whose start and end
-bounds are strictly ascending:
+and the streaming miner (:mod:`repro.streaming.incremental`).  Both read
+HLH1's GH table, one :class:`~repro.core.instance_index.InstanceColumn`
+per ``(event, granule)``: two plain tuples of start and end bounds, each
+strictly ascending:
 
 * **Pair enumeration** (:func:`array_collect_pair_patterns`, k = 2).
   For one ``(event_a, event_b)`` column pair an amortized two-pointer
@@ -108,15 +108,13 @@ def array_collect_pair_patterns(
     same = event_a == event_b
     for granule in granules:
         column_a = hlh1.column_of(event_a, granule)
-        n_a = len(column_a.starts_arr)
-        if n_a == 0:
+        if not column_a.starts:
             continue
         if same:
             _self_join(column_a, event_a, granule, epsilon, min_overlap, _bucket)
             continue
         column_b = hlh1.column_of(event_b, granule)
-        n_b = len(column_b.starts_arr)
-        if n_b == 0:
+        if not column_b.starts:
             continue
         _pair_join(
             column_a, column_b, event_a, event_b, granule,
@@ -290,8 +288,8 @@ def _verdict_row_array(
     new_starts = new_column.starts
     new_ends = new_column.ends
     n_new = len(new_starts)
-    s_e = existing_column.starts_arr[existing_index]
-    e_e = existing_column.ends_arr[existing_index]
+    s_e = existing_column.starts[existing_index]
+    e_e = existing_column.ends[existing_index]
     head = bisect_right(new_ends, s_e - epsilon - 1)
     tail = bisect_left(new_starts, e_e + epsilon + 1)
     # Sized once (the store keeps every row for a whole level): bulk
@@ -419,7 +417,7 @@ def _granule_record(hlh1: HLH1, event: str, granule: int) -> tuple:
     column, its length, and the per-existing-event slots (filled by
     :func:`_slot_record`)."""
     new_column = hlh1.column_of(event, granule)
-    return (new_column, len(new_column.starts_arr), {})
+    return (new_column, len(new_column.starts), {})
 
 
 def _slot_record(
@@ -442,7 +440,7 @@ def _slot_record(
             before = _NO_RELATION
         if after[1] not in allowed_triples:
             after = _NO_RELATION
-    return ([None] * len(existing_column.starts_arr), existing_column, before, after)
+    return ([None] * len(existing_column.starts), existing_column, before, after)
 
 
 def array_extend_group_patterns(

@@ -4,7 +4,9 @@
 
 * ``EH``  (single event hash table): event key -> support set granules;
 * ``GH``  (event granule hash table): the event's granules -> the event
-  instances occurring there.
+  instances occurring there, as one
+  :class:`~repro.core.instance_index.InstanceColumn` per granule (the
+  start-sorted ``starts`` / ``ends`` bounds the step-2.2 kernels read).
 
 ``HLHk`` (k >= 2) keeps candidate seasonal *k-event groups and patterns*:
 
@@ -42,72 +44,47 @@ class HLH1:
     """Candidate seasonal single events with their supports and instances."""
 
     eh: dict[str, SupportLike] = field(default_factory=dict)
-    gh: dict[str, dict[int, list[EventInstance]]] = field(default_factory=dict)
+    gh: dict[str, dict[int, InstanceColumn]] = field(default_factory=dict)
     _candidates: list[str] | None = field(default=None, repr=False, compare=False)
-    #: Lazily built columnar instance tables per (event, granule) -- the
-    #: step-2.2 kernels' view of GH.  Never pickled: an unpickled copy
-    #: rebuilds its columns from the ``gh`` tables.
-    _columns: dict[str, dict[int, InstanceColumn]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     def add_event(
         self,
         event: str,
         support: SupportLike,
-        instances_by_granule: dict[int, list[EventInstance]],
-        columns: dict[int, InstanceColumn] | None = None,
+        columns: dict[int, InstanceColumn],
     ) -> None:
         """Insert a candidate single event (Alg. 1 line 4).
 
-        ``columns``, if given, installs prebuilt per-granule instance
-        columns (the columnar front end hands over the tables it already
-        materialized); granules missing from it still build lazily via
-        :meth:`column_of`.
+        ``columns`` maps the event's granules to its instance columns
+        there; a single-event run, which never enumerates instances,
+        passes ``{}``.
         """
         self.eh[event] = support
-        self.gh[event] = instances_by_granule
+        self.gh[event] = columns
         self._candidates = None
-        if columns is None:
-            self._columns.pop(event, None)
-        else:
-            self._columns[event] = dict(columns)
 
     def support_of(self, event: str) -> SupportLike:
         """Support set of a candidate event (``SUP_E``)."""
         return self.eh[event]
 
-    def instances_of(self, event: str, granule: int) -> list[EventInstance]:
-        """Instances of ``event`` at ``granule``."""
-        return self.gh[event].get(granule, [])
-
     def column_of(self, event: str, granule: int) -> InstanceColumn:
         """The start-sorted instance column of ``(event, granule)``.
 
-        Built on first access and cached for the life of the structure
-        (GH's per-granule instance lists are write-once: the batch miner
-        fills them before step 2.2, the streaming miner only adds *new*
-        granule keys).  Missing granules share :data:`EMPTY_COLUMN`.
+        :data:`EMPTY_COLUMN` where the event does not occur.
         """
-        per_event = self._columns.get(event)
-        if per_event is None:
-            per_event = self._columns[event] = {}
-        column = per_event.get(granule)
-        if column is None:
-            instances = self.gh.get(event, {}).get(granule)
-            column = InstanceColumn.from_instances(instances) if instances else EMPTY_COLUMN
-            per_event[granule] = column
-        return column
+        columns = self.gh.get(event)
+        if columns is None:
+            return EMPTY_COLUMN
+        return columns.get(granule, EMPTY_COLUMN)
 
     def __getstate__(self):
-        """Pickle only the hash tables; caches are per-process state."""
+        """Pickle only the hash tables; the candidate list is per-process."""
         return {"eh": self.eh, "gh": self.gh}
 
     def __setstate__(self, state) -> None:
         self.eh = state["eh"]
         self.gh = state["gh"]
         self._candidates = None
-        self._columns = {}
 
     @property
     def candidates(self) -> list[str]:

@@ -11,11 +11,12 @@ This module provides the columnar substitute:
 
 * :class:`InstanceColumn` -- the per ``(event, granule)`` instance table:
   parallel ``starts`` / ``ends`` position tuples sorted chronologically
-  (by ``(start, -end)``), plus the instance objects themselves for
-  decoding.  Built once per mining job per process and cached on
-  :class:`~repro.core.hlh.HLH1` (see :meth:`HLH1.column_of`); the cache
-  is never pickled -- an unpickled ``HLH1`` rebuilds its columns lazily
-  from its ``GH`` tables.
+  (by ``(start, -end)``).  It is the one instance table from the front
+  end to step 2.2: :meth:`TemporalSequenceDatabase.instance_columns
+  <repro.transform.sequence_db.TemporalSequenceDatabase.instance_columns>`
+  cuts it, step 2.1 stores it as the value of
+  :class:`~repro.core.hlh.HLH1`'s ``GH`` table, and the kernels read it
+  through :meth:`HLH1.column_of <repro.core.hlh.HLH1.column_of>`.
 * **Flyweight interning** for :class:`~repro.core.pattern.Triple` and
   :class:`~repro.core.pattern.TemporalPattern`: the kernels produce one
   object per *distinct* pattern per process instead of one per accepted
@@ -38,7 +39,6 @@ batch and streaming miners share.
 
 from __future__ import annotations
 
-from array import array
 from itertools import repeat
 from typing import Iterable, Sequence
 
@@ -61,48 +61,21 @@ def _sort_key(instance: EventInstance) -> tuple[int, int]:
 
 
 class InstanceColumn:
-    """Start-sorted compact instance table of one ``(event, granule)``.
+    """The instances of one ``(event, granule)``: HLH1's GH table entry.
 
-    ``starts_arr`` and ``ends_arr`` are parallel ``array('q')`` buffers of
-    inclusive fine-granule bounds in chronological order -- compact
-    machine-word storage, built once per column.  ``instances`` holds the
-    corresponding :class:`EventInstance` objects for decoding.  The
-    ``starts`` / ``ends`` *tuples* are lazy views, materialized at most
-    once per column, that the kernels' inner loops and ``bisect`` calls
-    index.
-
-    Instances of one event inside one granule are disjoint runs, so both
-    columns are strictly ascending -- the monotonicity the kernels'
-    two-pointer walks and bulk-Follows boundaries rely on.
+    ``starts`` and ``ends`` are parallel tuples of inclusive fine-granule
+    bounds in chronological order; instance ``i`` is
+    ``EventInstance(event, starts[i], ends[i])``.  Instances of one event
+    inside one granule are disjoint runs, so both tuples are strictly
+    ascending -- the monotonicity the kernels' two-pointer walks and
+    bulk-Follows boundaries rely on.  Columns compare by value.
     """
 
-    __slots__ = ("starts_arr", "ends_arr", "instances", "_starts", "_ends")
+    __slots__ = ("starts", "ends")
 
-    def __init__(
-        self,
-        starts: Iterable[int],
-        ends: Iterable[int],
-        instances: tuple[EventInstance, ...],
-    ):
-        self.starts_arr = starts if isinstance(starts, array) else array("q", starts)
-        self.ends_arr = ends if isinstance(ends, array) else array("q", ends)
-        self.instances = instances
-        self._starts: tuple[int, ...] | None = None
-        self._ends: tuple[int, ...] | None = None
-
-    @property
-    def starts(self) -> tuple[int, ...]:
-        """The start bounds as a tuple (lazy view over ``starts_arr``)."""
-        if self._starts is None:
-            self._starts = tuple(self.starts_arr)
-        return self._starts
-
-    @property
-    def ends(self) -> tuple[int, ...]:
-        """The end bounds as a tuple (lazy view over ``ends_arr``)."""
-        if self._ends is None:
-            self._ends = tuple(self.ends_arr)
-        return self._ends
+    def __init__(self, starts: tuple[int, ...], ends: tuple[int, ...]):
+        self.starts = starts
+        self.ends = ends
 
     @classmethod
     def from_instances(cls, instances: Sequence[EventInstance]) -> "InstanceColumn":
@@ -123,7 +96,7 @@ class InstanceColumn:
             _sort_key(a) > _sort_key(b) for a, b in zip(ordered, ordered[1:])
         ):
             ordered = tuple(sorted(ordered, key=_sort_key))
-        ends = array("q", (instance.end for instance in ordered))
+        ends = tuple(instance.end for instance in ordered)
         for index in range(1, len(ends)):
             if ends[index - 1] > ends[index]:
                 raise MiningError(
@@ -133,21 +106,22 @@ class InstanceColumn:
                     "monotone); per-event granule instances must be "
                     "disjoint runs (Def. 3.10)"
                 )
-        return cls(
-            array("q", (instance.start for instance in ordered)),
-            ends,
-            ordered,
-        )
+        return cls(tuple(instance.start for instance in ordered), ends)
 
     def __len__(self) -> int:
-        return len(self.starts_arr)
+        return len(self.starts)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, InstanceColumn):
+            return NotImplemented
+        return self.starts == other.starts and self.ends == other.ends
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"InstanceColumn({list(zip(self.starts_arr, self.ends_arr))!r})"
+        return f"InstanceColumn({list(zip(self.starts, self.ends))!r})"
 
 
 #: The shared empty column (events missing from a granule).
-EMPTY_COLUMN = InstanceColumn((), (), ())
+EMPTY_COLUMN = InstanceColumn((), ())
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +231,9 @@ class LazyAssignments:
     def _materialize(self) -> list:
         """Expand the blocks into the pair list, once.
 
-        Threads that share one level's buckets may race here.  Each racer expands the same blocks into an equal list; a
-        racer that finds the blocks already dropped returns the list the
-        winner stored first.
+        Idempotent: a call that finds the blocks already dropped returns
+        the list the first call stored, so every reader of a shared
+        bucket sees the same expansion.
         """
         blocks = self._blocks
         if blocks is None:
@@ -354,9 +328,7 @@ def _rebuild_lazy_assignments(blocks, items, length) -> LazyAssignments:
 #: objects are all referenced by its HLH structures anyway); for paths with no job
 #: scope -- the long-lived streaming miner -- :data:`_INTERN_CACHE_LIMIT`
 #: hard-bounds each cache, resetting it when the distinct-identity
-#: population outgrows the limit.  Concurrent misses from threads of one
-#: process race benignly: both threads build equal objects and the last
-#: insert wins.
+#: population outgrows the limit.
 _TRIPLE_CACHE: dict[tuple[str, str, str], Triple] = {}
 _PATTERN_CACHE: dict[tuple[tuple[str, ...], tuple[Triple, ...]], TemporalPattern] = {}
 
@@ -424,9 +396,9 @@ class VerdictStore(dict):
     extension kernel.
 
     The caller owns the store.  Kernels add its nested containers with
-    ``dict.setdefault`` only, so threads sharing a store never replace a
-    container another thread is filling (two threads can at worst both
-    build one row, and the rows are equal).  It pickles empty.
+    ``dict.setdefault`` only, so no call ever replaces a container an
+    earlier call filled; a row, once built, is reused as is.  It pickles
+    empty.
     """
 
     __slots__ = ()
@@ -447,9 +419,12 @@ def decode_assignment(
 
     ``events`` is the pattern's chronological event tuple; ``encoded[i]``
     indexes the instance of ``events[i]`` in its ``(event, granule)``
-    column.  The result is chronologically ordered by construction.
+    column.  Each instance is rebuilt from the column's bounds and
+    equals the one the granule row holds.  The result is chronologically
+    ordered by construction.
     """
-    return tuple(
-        hlh1.column_of(event, granule).instances[index]
-        for event, index in zip(events, encoded)
-    )
+    instances = []
+    for event, index in zip(events, encoded):
+        column = hlh1.column_of(event, granule)
+        instances.append(EventInstance(event, column.starts[index], column.ends[index]))
+    return tuple(instances)

@@ -65,12 +65,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.core.config import MiningParams, get_numpy
+from repro.core.config import MiningParams
 from repro.core.supportset import SupportLike, as_positions, bit_positions
-
-#: Support size at or above which the batched season counter splits near
-#: sets with one vectorized diff instead of the streaming generator.
-_NUMPY_MIN_POSITIONS = 64
 
 
 def max_season(support_size: int, min_density: int) -> float:
@@ -419,61 +415,6 @@ def count_seasons(
             if stop_at is not None and current >= stop_at:
                 return current
     return best if best > current else current
-
-
-def count_seasons_batch(
-    supports: list[SupportLike], params: MiningParams, stop_at: int | None = None
-) -> list[int]:
-    """``seasons(P)`` for many support sets at once (step-2.1 season gate).
-
-    Semantically a list of :func:`count_seasons` results (same early-exit
-    contract per element when ``stop_at`` is given).  With numpy enabled,
-    each large support materializes its packed bit positions once and the
-    Def. 3.13 near-set split becomes a single vectorized period diff; the
-    chain walk then runs on ``(lo, hi)`` index windows with no per-set
-    list slicing.  Under ``REPRO_COMPUTE=python`` this is exactly the
-    scalar counter per element.
-    """
-    np = get_numpy()
-    if np is None:
-        return [count_seasons(support, params, stop_at=stop_at) for support in supports]
-    max_period = params.max_period
-    dist_min = params.dist_min
-    dist_max = params.dist_max
-    min_density = params.min_density
-    counts: list[int] = []
-    for support in supports:
-        positions = as_positions(support)
-        n = len(positions)
-        if n < _NUMPY_MIN_POSITIONS:
-            counts.append(count_seasons(positions, params, stop_at=stop_at))
-            continue
-        arr = np.asarray(positions, dtype=np.int64)
-        splits = (np.flatnonzero(arr[1:] - arr[:-1] > max_period) + 1).tolist()
-        best = 0
-        current = 0
-        last_end = 0
-        early = False
-        for lo, hi in zip([0, *splits], [*splits, n]):
-            start_index = lo
-            if current:
-                # The H9 trimming rule, on the near set's index window.
-                start_index = bisect_left(positions, last_end + dist_min, lo, hi)
-                if start_index == hi:
-                    continue
-                if positions[start_index] - last_end > dist_max:
-                    if current > best:
-                        best = current
-                    current = 0
-                    start_index = lo
-            if hi - start_index >= min_density:
-                current += 1
-                last_end = positions[hi - 1]
-                if stop_at is not None and current >= stop_at:
-                    early = True
-                    break
-        counts.append(current if early else (best if best > current else current))
-    return counts
 
 
 def is_frequent_seasonal(support: SupportLike, params: MiningParams) -> bool:

@@ -5,8 +5,10 @@ database ``DSEQ``:
 
 * **Step 2.1** -- mine frequent seasonal single events: one scan of DSEQ
   computes every event's support set; events passing the candidate gate
-  populate ``HLH1``; candidates passing the full seasonal check
-  (maxPeriod / minDensity / distInterval / minSeason) are frequent.
+  populate ``HLH1`` with their support and their instance columns
+  (:meth:`~repro.transform.sequence_db.TemporalSequenceDatabase.instance_columns`);
+  candidates passing the full seasonal check (maxPeriod / minDensity /
+  distInterval / minSeason) are frequent.
 * **Step 2.2** -- mine frequent seasonal k-event patterns, k >= 2:
   candidate k-event groups come from the Cartesian product
   ``F_{k-1} x FilteredF1`` with support-set intersection; patterns are
@@ -41,8 +43,8 @@ more than one group's outcome at once.  The outcomes are what a job
 checkpoint records and a resumed run replays.
 
 The step-2.2 inner loops are the kernels of :mod:`repro.core.array_kernel`
-over the columnar instance index (:mod:`repro.core.instance_index`): per
-``(event, granule)`` start-sorted start/end columns, a two-pointer join
+over the columnar instance index (:mod:`repro.core.instance_index`): HLH1's
+per ``(event, granule)`` start-sorted start/end columns, a two-pointer join
 with bulk Follows zones for pair enumeration, verdict rows shared per
 level for the Iterative Check, flyweight-interned triples/patterns, and
 compact column-index assignment encodings in ``GH_k`` and in the pickled
@@ -72,11 +74,10 @@ from repro.core.prune import PruningConfig
 from repro.core.results import MiningResult, MiningStats, SeasonalPattern
 from repro.core.seasonality import (
     compute_seasons,
-    count_seasons_batch,
     is_frequent_seasonal,
     is_season_candidate,
 )
-from repro.core.supportset import SupportLike, SupportSet, make_support_set
+from repro.core.supportset import SupportSet, make_support_set
 from repro.exceptions import MiningError
 from repro.obs import counters as metrics
 from repro.obs.trace import span
@@ -416,14 +417,13 @@ class ESTPM:
     ) -> HLH1:
         hlh1 = HLH1()
         params = self.params
-        # Per-granule instance tables exist solely for step 2.2's pair /
-        # extension enumeration; a single-event run (the multigrain
+        # Instance columns exist solely for step 2.2's pair / extension
+        # enumeration; a single-event run (the multigrain
         # event-seasonality workload) never reads them.
         need_instances = params.max_pattern_length >= 2
         with span("estpm/step2.1/hlh1_scan") as scan_span:
             event_supports = sorted(self.dseq.event_support().items())
             scan_span.set(events=len(event_supports))
-        candidates: list[tuple[str, SupportLike]] = []
         for event, support in event_supports:
             if self.series_filter is not None and series_of(event) not in self.series_filter:
                 stats.n_events_pruned += 1
@@ -434,42 +434,17 @@ class ESTPM:
             stats.n_events_scanned += 1
             if self.pruning.apriori and not is_season_candidate(support, params):
                 continue
-            candidates.append((event, support))
-        # Batched frequency gate: every candidate's packed bit positions
-        # run through the chain counter in one pass, early-exiting per
-        # event at min_season; the full SeasonView is materialized only
-        # for the frequent survivors below.
-        with span("estpm/step2.1/season_gate", events=len(candidates)):
-            season_counts = count_seasons_batch(
-                [support for _, support in candidates],
-                params,
-                stop_at=params.min_season,
-            )
-        for (event, support), n_seasons in zip(candidates, season_counts):
-            instances_by_granule: dict[int, list] = {}
-            columns = None
-            if need_instances:
-                # The columnar front end already holds per-granule instance
-                # tables; hand them straight to HLH1 instead of re-walking
-                # the rows (databases without them fall back to row walks).
-                columns = self.dseq.prebuilt_columns(event)
-                if columns is not None:
-                    instances_by_granule = {
-                        granule: list(column.instances)
-                        for granule, column in columns.items()
-                    }
-                else:
-                    instances_by_granule = {
-                        position: self.dseq.instances_at(position, event)
-                        for position in support
-                    }
-            hlh1.add_event(event, support, instances_by_granule, columns=columns)
-            if n_seasons >= params.min_season:
+            if is_frequent_seasonal(support, params):
                 patterns.append(
                     SeasonalPattern(
                         single_event_pattern(event), compute_seasons(support, params)
                     )
                 )
+            hlh1.add_event(
+                event,
+                support,
+                self.dseq.instance_columns(event) if need_instances else {},
+            )
         stats.n_candidate_events = len(hlh1)
         stats.bump(stats.n_frequent, 1, sum(1 for p in patterns if p.size == 1))
         return hlh1

@@ -67,8 +67,6 @@ from repro.io.results_json import load_results_archive, multigrain_to_json
 from repro.multigrain import (
     MINER_APPROXIMATE,
     MINER_EXACT,
-    STRATEGIES,
-    STRATEGY_FOLD,
     HierarchicalMiner,
     MultiGranularityResult,
 )
@@ -181,11 +179,6 @@ def _build_parser() -> argparse.ArgumentParser:
     multigrain_parser.add_argument("--max-period-pct", type=float, default=0.4)
     multigrain_parser.add_argument(
         "--approximate", action="store_true", help="mine each level with A-STPM"
-    )
-    multigrain_parser.add_argument(
-        "--strategy", default=STRATEGY_FOLD, choices=sorted(STRATEGIES),
-        help="fold: derive coarse levels from the finest; rebuild: re-map "
-        "every level from the symbolic database (baseline)",
     )
     multigrain_parser.add_argument(
         "--output", default=None, metavar="PATH",
@@ -411,7 +404,6 @@ def _run_multigrain(args) -> int:
         dist_interval=dist_interval,
         min_season=args.min_season,
         miner=MINER_APPROXIMATE if args.approximate else MINER_EXACT,
-        strategy=args.strategy,
         retry=_retry_policy(args),
         checkpoint_path=args.resume,
     )
@@ -419,7 +411,7 @@ def _run_multigrain(args) -> int:
     print(
         f"hierarchical {'A-STPM' if args.approximate else 'E-STPM'} on "
         f"{args.dataset} ({args.profile}): {len(result)} levels in "
-        f"{result.total_seconds:.2f}s ({args.strategy} strategy)"
+        f"{result.total_seconds:.2f}s"
     )
     print(result.describe(limit=args.limit))
     if args.output:

@@ -27,9 +27,6 @@ from repro.multigrain.engine import (
     MINER_APPROXIMATE,
     MINER_EXACT,
     MINER_KINDS,
-    STRATEGIES,
-    STRATEGY_FOLD,
-    STRATEGY_REBUILD,
     HierarchicalMiner,
     resolve_level_params,
 )
@@ -46,7 +43,4 @@ __all__ = [
     "MINER_EXACT",
     "MINER_APPROXIMATE",
     "MINER_KINDS",
-    "STRATEGY_FOLD",
-    "STRATEGY_REBUILD",
-    "STRATEGIES",
 ]

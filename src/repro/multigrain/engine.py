@@ -53,13 +53,6 @@ MINER_EXACT = "exact"
 MINER_APPROXIMATE = "approximate"
 MINER_KINDS = (MINER_EXACT, MINER_APPROXIMATE)
 
-#: ``fold`` derives coarse levels from the finest; ``rebuild`` re-maps
-#: every level from the symbolic database (the pre-hierarchical baseline,
-#: kept for the EXT4 benchmark and differential testing).
-STRATEGY_FOLD = "fold"
-STRATEGY_REBUILD = "rebuild"
-STRATEGIES = (STRATEGY_FOLD, STRATEGY_REBUILD)
-
 
 def resolve_level_params(
     ratio: int,
@@ -101,8 +94,7 @@ class LevelJob:
     """Everything one level task needs beyond the shared context.
 
     ``dseq is None`` means the task rebuilds the level from the symbolic
-    database (the finest level of the ``rebuild`` strategy, or a ratio
-    the fold cannot reach).
+    database (a ratio the fold cannot reach).
     """
 
     ratio: int
@@ -186,10 +178,6 @@ class HierarchicalMiner:
     miner:
         ``"exact"`` (E-STPM) or ``"approximate"`` (A-STPM with MI
         screening; ``event_level=True`` adds its event-level extension).
-    strategy:
-        ``"fold"`` (derive coarse levels, the default) or ``"rebuild"``
-        (re-map every level from DSYB -- the baseline the EXT4 benchmark
-        measures the fold against).
     retry:
         The :class:`~repro.resilience.policy.RetryPolicy` each level task
         runs under (``None``: the default policy); the miners inside a
@@ -206,8 +194,8 @@ class HierarchicalMiner:
         across reruns) and a rerun pointed at the same path resumes,
         re-mining only the unfinished levels (``freqstpfts multigrain
         --resume``).  The checkpoint is fingerprinted against the
-        hierarchy's thresholds, miner, strategy and pruning, so it cannot
-        be replayed into a different job.
+        hierarchy's thresholds, miner and pruning, so it cannot be
+        replayed into a different job.
     """
 
     dsyb: SymbolicDatabase
@@ -220,7 +208,6 @@ class HierarchicalMiner:
     pruning: PruningConfig = field(default_factory=PruningConfig.all)
     min_sequences: int = 4
     miner: str = MINER_EXACT
-    strategy: str = STRATEGY_FOLD
     event_level: bool = False
     retry: RetryPolicy | None = None
     strict: bool = True
@@ -236,10 +223,6 @@ class HierarchicalMiner:
         if self.miner not in MINER_KINDS:
             raise ConfigError(
                 f"unknown miner kind {self.miner!r}; choose from {MINER_KINDS}"
-            )
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(
-                f"unknown strategy {self.strategy!r}; choose from {STRATEGIES}"
             )
 
     @classmethod
@@ -285,22 +268,10 @@ class HierarchicalMiner:
         return levels
 
     def _build_jobs(self) -> list[LevelJob]:
-        """Plan one job per level (deriving DSEQs under the fold strategy)."""
+        """Plan one job per level, deriving every coarse level whose ratio
+        is a multiple of the base ratio from the base level."""
         levels = self._validated_levels()
         jobs: list[LevelJob] = []
-        if self.strategy == STRATEGY_REBUILD:
-            for ratio, n_sequences in levels:
-                jobs.append(
-                    LevelJob(
-                        ratio=ratio,
-                        n_sequences=n_sequences,
-                        params=self.params_for(ratio, n_sequences),
-                        dseq=None,
-                        derived_from=None,
-                    )
-                )
-            return jobs
-
         base_ratio, base_n = levels[0]
         base_dseq = build_sequence_database(self.dsyb, base_ratio)
         base_supports = base_dseq.event_support()
@@ -366,7 +337,7 @@ class HierarchicalMiner:
         """The per-level job checkpoint, or ``None`` when not configured.
 
         The fingerprint binds the checkpoint to the full hierarchy
-        configuration -- thresholds, miner, strategy and pruning variant
+        configuration -- thresholds, miner and pruning variant
         (pruning changes the candidate counts each level records) -- and
         the symbolic database's extent, so a resume cannot silently mix
         levels mined under different settings.
@@ -383,7 +354,6 @@ class HierarchicalMiner:
                 "job": "multigrain",
                 "ratios": sorted(self.ratios),
                 "miner": self.miner,
-                "strategy": self.strategy,
                 "max_period_pct": self.max_period_pct,
                 "min_density_pct": self.min_density_pct,
                 "dist_interval": list(self.dist_interval),

@@ -63,7 +63,7 @@ from repro.core.results import (
     results_equivalent,
 )
 from repro.core.seasonality import SeasonView, is_season_candidate
-from repro.core.instance_index import VerdictStore
+from repro.core.instance_index import InstanceColumn, VerdictStore
 from repro.obs import counters as metrics
 from repro.obs.trace import span
 from repro.core.stpm import ESTPM
@@ -289,7 +289,9 @@ class IncrementalSTPM:
                 es.bits |= 1 << position
                 es.chain.extend([position])
                 if es.candidate:
-                    state.hlh1.gh[event][position] = row.instances_of(event)
+                    state.hlh1.gh[event][position] = InstanceColumn.from_instances(
+                        row.instances_of(event)
+                    )
         for event in sorted(changed):
             es = state.events[event]
             if es.candidate:
@@ -297,11 +299,13 @@ class IncrementalSTPM:
             elif is_season_candidate(es.chain.support, params):
                 es.candidate = True
                 newly_candidate.append(event)
-                instances = {
-                    position: self.dseq.instances_at(position, event)
+                columns = {
+                    position: InstanceColumn.from_instances(
+                        self.dseq.instances_at(position, event)
+                    )
                     for position in es.chain.support
                 }
-                state.hlh1.add_event(event, BitsetSupportSet(es.bits), instances)
+                state.hlh1.add_event(event, BitsetSupportSet(es.bits), columns)
             else:
                 continue
             adv.touched_events.setdefault(event, self._snapshot_view(es.chain.view))

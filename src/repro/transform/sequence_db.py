@@ -15,22 +15,28 @@ Columnar front end
 :func:`build_sequence_database` makes one pass over each series' symbol
 stream: run boundaries are found for the whole stream at once (vectorized
 when numpy is enabled, a single scalar sweep otherwise) and every run
-feeds the granule row, the per-event support positions, and the per
-``(event, granule)`` :class:`~repro.core.instance_index.InstanceColumn`
-simultaneously -- so step 2.1 never re-scans the rows.
+feeds the granule row and the per-event support positions -- and, on the
+numpy builder, the per-event run tables -- simultaneously.
+
+Instance columns
+----------------
+:meth:`TemporalSequenceDatabase.instance_columns` is the one source of
+the per ``(event, granule)``
+:class:`~repro.core.instance_index.InstanceColumn` tables step 2.1 hands
+to HLH1, for every database: cut from the numpy builder's run tables
+when it has them (so the rows are never built), from the rows otherwise.
 """
 
 from __future__ import annotations
 
 import threading
-from array import array
 from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Iterable, Sequence
 
 from repro.core.config import get_numpy
 from repro.core.instance_index import InstanceColumn
-from repro.core.supportset import SupportSet, make_support_set
+from repro.core.supportset import BitsetSupportSet, SupportSet
 from repro.events.event import EventInstance
 from repro.events.sequence import TemporalSequence
 from repro.exceptions import TransformError
@@ -123,40 +129,25 @@ class TemporalSequenceDatabase:
         default=None, repr=False, compare=False
     )
     #: Per-event ascending support positions, primed by the columnar
-    #: front end (``None`` on databases assembled from rows -- supports
-    #: are then recomputed by scanning the rows).
+    #: front end and consumed by the first :meth:`event_support` call
+    #: (``None`` on databases assembled from rows -- supports are then
+    #: recomputed by scanning the rows).
     _event_positions: dict[str, list[int]] | None = field(
         default=None, repr=False, compare=False
     )
-    #: Per-event flat run tables primed by the columnar front end:
-    #: ``event -> (granule positions per run, starts, ends, instances)``
-    #: with every sequence run-aligned and non-decreasing by position.
-    #: :class:`InstanceColumn` objects are materialized from these lazily
-    #: (and cached in ``_prebuilt_columns``) -- only the events step 2.1
-    #: actually asks for pay the per-granule column construction.
-    _prebuilt_raw: dict[str, tuple] | None = field(
+    #: Per-event flat run tables primed by the numpy builder:
+    #: ``event -> (granule positions per run, starts, ends)``, three
+    #: numpy arrays, run-aligned and non-decreasing by position.
+    #: :meth:`instance_columns` cuts an event's columns from them; the
+    #: arrays stay arrays until then.
+    _run_tables: dict[str, tuple] | None = field(
         default=None, repr=False, compare=False
-    )
-    _prebuilt_columns: dict[str, dict[int, InstanceColumn]] = field(
-        default_factory=dict, repr=False, compare=False
     )
 
     def __getstate__(self):
-        """Exclude materialized instance columns from the pickled state.
-
-        The primed tables (``_support_cache``, ``_event_positions``,
-        ``_prebuilt_raw``) ARE kept on purpose, so an unpickled copy
-        skips the row scans.  ``_prebuilt_columns`` is the per-process
-        lazy materialization of those tables (mirror of
-        ``HLH1._columns``): a copy rebuilds exactly the columns it
-        touches.
-        """
-        state = dict(self.__dict__)
-        state["_prebuilt_columns"] = {}
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
+        """Pickle every field, the primed tables included on purpose, so
+        an unpickled copy skips the row scans."""
+        return dict(self.__dict__)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -177,56 +168,47 @@ class TemporalSequenceDatabase:
 
         This is the ``SUP_E`` of Def. 3.12 for every event, computed with a
         single scan of DSEQ (as Alg. 1 step 2.1 requires) and cached.  The
-        returned sets compare equal to plain sorted position lists.
+        returned sets compare equal to plain sorted position lists.  Each
+        set keeps the ascending positions it was packed from, so its
+        ``positions()`` never re-derives them from the bits.
         """
         cached = self._support_cache
         if cached is None:
-            positions: dict[str, list[int]] | dict[str, Sequence[int]]
-            if self._event_positions is not None:
-                positions = self._event_positions
-            else:
+            positions = self._event_positions
+            if positions is None:
                 positions = {}
                 for row in self.rows:
                     for event in row.events():
                         positions.setdefault(event, []).append(row.position)
-            cached = {
-                event: make_support_set(granules)
-                for event, granules in positions.items()
-            }
+            cached = {}
+            for event, granules in positions.items():
+                support = BitsetSupportSet.from_positions(granules)
+                support._cached = tuple(granules)
+                cached[event] = support
             self._support_cache = cached
+            self._event_positions = None
         return cached
 
-    def prebuilt_columns(self, event: str) -> dict[int, InstanceColumn] | None:
-        """The columnar front end's prebuilt instance columns of ``event``.
+    def instance_columns(self, event: str) -> dict[int, InstanceColumn]:
+        """The instance columns of ``event``: HLH1's GH entry for it.
 
-        ``{granule position: InstanceColumn}`` when this database was
-        built by the columnar front end (``None`` otherwise, and the
-        miner falls back to :meth:`instances_at` row walks).  The dict's
-        keys are exactly the event's support positions, ascending.
-        Columns are materialized from the primed flat run tables on
-        first request per event, then cached -- events that never reach
-        step 2.1's instance installation never pay for them.
+        ``{granule position: InstanceColumn}``, keyed by exactly the
+        event's support positions, ascending (``{}`` for an event that
+        never occurs).  Cut from the numpy builder's run tables where
+        this database has them, otherwise from the rows -- pure-Python,
+        coarsened and streamed databases alike -- at the support
+        positions only, so a coarsened database's screened granules are
+        never touched.
         """
-        if self._prebuilt_raw is None:
-            return None
-        cached = self._prebuilt_columns.get(event)
-        if cached is not None:
-            return cached
-        raw = self._prebuilt_raw.get(event)
-        if raw is None:
-            return None
-        positions, starts, ends, instances = raw
-        if hasattr(positions, "tolist"):  # numpy-built tables
-            positions = positions.tolist()
-            starts = starts.tolist()
-            ends = ends.tolist()
-        if instances is None:
-            # The numpy builder defers instance objects entirely: only
-            # the events step 2.1 actually installs pay for them.
-            instances = [
-                EventInstance(event, start, end)
-                for start, end in zip(starts, ends)
-            ]
+        table = None if self._run_tables is None else self._run_tables.get(event)
+        if table is None:
+            return {
+                position: InstanceColumn.from_instances(
+                    self.instances_at(position, event)
+                )
+                for position in self.event_support().get(event, ())
+            }
+        positions, starts, ends = (array.tolist() for array in table)
         columns: dict[int, InstanceColumn] = {}
         n_runs = len(positions)
         lo = 0
@@ -235,13 +217,8 @@ class TemporalSequenceDatabase:
             hi = lo + 1
             while hi < n_runs and positions[hi] == granule:
                 hi += 1
-            columns[granule] = InstanceColumn(
-                array("q", starts[lo:hi]),
-                array("q", ends[lo:hi]),
-                tuple(instances[lo:hi]),
-            )
+            columns[granule] = InstanceColumn(tuple(starts[lo:hi]), tuple(ends[lo:hi]))
             lo = hi
-        self._prebuilt_columns[event] = columns
         return columns
 
     def events(self) -> list[str]:
@@ -286,8 +263,7 @@ class TemporalSequenceDatabase:
         # streaming appends invalidate it (the streaming miner keeps its
         # own incrementally extended supports and columns).
         self._event_positions = None
-        self._prebuilt_raw = None
-        self._prebuilt_columns.clear()
+        self._run_tables = None
 
     def prefix(self, n_granules: int) -> "TemporalSequenceDatabase":
         """A view of the first ``n_granules`` rows (rows are shared).
@@ -566,11 +542,11 @@ def _build_columnar_numpy(
     pool is globally sorted, granule rows are plain slices (no per-run
     distribution loop) that arrive pre-sorted -- finalize's per-instance
     sort is skipped entirely -- and each event's runs, selected from the
-    same sorted pool, are start-ascending as the lazy
-    :class:`InstanceColumn` cuts require.  No ``EventInstance`` objects
-    are created here at all: the run tables defer them to the per-event
-    column cuts and the rows themselves are a :class:`_LazyRows` thunk,
-    so a support-only mining pass stays entirely in machine arrays.
+    same sorted pool, are start-ascending as the
+    :meth:`~TemporalSequenceDatabase.instance_columns` cuts require.  No
+    ``EventInstance`` objects are created here at all: the rows are a
+    :class:`_LazyRows` thunk, so a support-only mining pass stays
+    entirely in machine arrays.
     """
     start_parts = []
     end_parts = []
@@ -638,7 +614,7 @@ def _build_columnar_numpy(
         if len(indices) == 0:  # alphabet symbol never emitted
             continue
         positions = granules1[indices]
-        tables[event] = (positions, starts1[indices], ends1[indices], None)
+        tables[event] = (positions, starts1[indices], ends1[indices])
         event_positions[event] = sorted(set(positions.tolist()))
     if metrics.metrics_enabled():
         metrics.inc("frontend.columnar.runs", n_pool)
@@ -648,7 +624,7 @@ def _build_columnar_numpy(
         ratio=ratio,
         source_names=dsyb.names,
         _event_positions=event_positions,
-        _prebuilt_raw=tables,
+        _run_tables=tables,
     )
 
 
@@ -725,13 +701,13 @@ def _build_columnar(
     Every run of every series feeds the granule row and the per-event
     support positions (priming ``event_support``), in one sweep per
     series.  On the numpy backend each run additionally lands in the
-    event's flat run table -- granule positions, start/end bounds, and
-    instances, run-aligned and non-decreasing by position (one event
-    belongs to one series scanned left to right) -- from which
-    per-granule :class:`InstanceColumn` objects are cut lazily on
-    step 2.1's first request per event.  The pure twin skips the run
-    tables (the per-run bookkeeping would outweigh what the lazy cuts
-    save) and step 2.1 falls back to row walks for instances.
+    event's flat run table -- granule positions and start/end bounds,
+    run-aligned and non-decreasing by position (one event belongs to one
+    series scanned left to right) -- from which
+    :meth:`~TemporalSequenceDatabase.instance_columns` cuts the event's
+    columns.  The pure twin skips the run tables (the per-run
+    bookkeeping would outweigh what the cuts save), and its columns are
+    cut from the rows.
     """
     total = n_granules * ratio
     np = get_numpy()
@@ -771,8 +747,8 @@ def build_sequence_database(dsyb: SymbolicDatabase, ratio: int) -> TemporalSeque
         dropped, consistent with Def. 3.3's complete-partition requirement.
 
     The build is columnar (see the module docstring): one pass per series
-    primes the per-event supports and instance columns along with the
-    rows.
+    primes the per-event supports (and, on the numpy builder, the run
+    tables the instance columns are cut from) along with the rows.
     """
     if ratio < 1:
         raise TransformError(f"sequence mapping ratio must be >= 1, got {ratio}")

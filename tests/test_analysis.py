@@ -7,18 +7,24 @@ the CLI surfaces, and the self-check that the shipped tree is clean
 against the shipped baseline.
 """
 
+import base64
+import io
 import json
+import pickle
 import shutil
 from pathlib import Path
 
 import pytest
 
+from repro import ESTPM
 from repro.analysis import ALL_RULES, Baseline, analyze, load_baseline, render_json
 from repro.analysis.baseline import FIXME_JUSTIFICATION, write_baseline
 from repro.analysis.engine import build_repo_index, run_rules
+from repro.analysis.rules.base import PICKLE_BOUNDARY_MODULES
 from repro.analysis.runner import BASELINE_FILENAME, main as lint_main
 from repro.analysis.suppress import parse_suppressions
 from repro.harness.cli import main as cli_main
+from repro.multigrain import HierarchicalMiner
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = Path(__file__).resolve().parent / "data" / "analysis"
@@ -62,6 +68,44 @@ class TestPicklabilityRules:
     def test_good_tree_is_clean(self):
         result = run_family("ep_good", "EP002", "EP003")
         assert result.ok
+
+
+def _pickled_modules(blob: bytes) -> set[str]:
+    """The modules a pickle names: ``find_class`` runs once per
+    ``GLOBAL`` / ``STACK_GLOBAL`` opcode of the stream."""
+    modules: set[str] = set()
+
+    class Recorder(pickle.Unpickler):
+        def find_class(self, module, name):
+            modules.add(module)
+            return super().find_class(module, name)
+
+    Recorder(io.BytesIO(blob)).load()
+    return modules
+
+
+class TestPickleBoundary:
+    """EP002 inspects the modules whose classes job checkpoints pickle."""
+
+    @pytest.mark.parametrize("job", ["estpm", "multigrain"])
+    def test_boundary_lists_every_pickled_module(
+        self, tmp_path, paper_dsyb, paper_dseq, paper_params, job
+    ):
+        path = tmp_path / f"{job}.ckpt"
+        if job == "estpm":
+            ESTPM(paper_dseq, paper_params, checkpoint_path=str(path)).mine()
+        else:
+            HierarchicalMiner(
+                paper_dsyb, ratios=[3, 6], min_season=1, checkpoint_path=str(path)
+            ).mine()
+        blobs = json.loads(path.read_text())["outcomes"].values()
+        assert blobs
+        pickled = set().union(
+            *(_pickled_modules(base64.b64decode(blob)) for blob in blobs)
+        )
+        repro_modules = {m for m in pickled if m.split(".")[0] == "repro"}
+        assert repro_modules
+        assert repro_modules <= set(PICKLE_BOUNDARY_MODULES)
 
 
 class TestObsOverheadRule:

@@ -3,7 +3,7 @@
 The columnar front end (one pass per series, primed supports, lazy rows
 and instance columns) must be observably identical to the scalar
 granule-by-granule test oracle (``dseq_oracle``) on every surface mining
-touches: rows, per-event supports, prebuilt columns, streaming
+touches: rows, per-event supports, instance columns, streaming
 materialization, and the final mining results -- under both compute
 backends.
 """
@@ -15,12 +15,15 @@ import pickle
 import pytest
 from dseq_oracle import oracle_dseq
 
-from repro import ESTPM, SymbolicDatabase, build_sequence_database
+from repro import ESTPM, MiningParams, SymbolicDatabase, build_sequence_database
+from repro.core import supportset
 from repro.core.config import get_numpy, set_compute_backend
+from repro.core.instance_index import InstanceColumn
 from repro.core.results import results_equivalent
 from repro.datasets import load_dataset
 from repro.events import EventInstance
 from repro.exceptions import SymbolizationError
+from repro.multigrain import screen_level
 from repro.obs import counters
 from repro.obs.trace import (
     disable_tracing,
@@ -101,54 +104,127 @@ def long_dsyb(paper_dsyb):
     return database
 
 
+def _assert_columns_match_oracle(dseq, oracle, events=None):
+    """``instance_columns`` equals the oracle's row walks: keyed by the
+    event's support positions, each column holding the row's bounds."""
+    supports = oracle.event_support()
+    for event in sorted(supports) if events is None else sorted(events):
+        columns = dseq.instance_columns(event)
+        assert list(columns) == list(supports[event].positions())
+        for granule, column in columns.items():
+            instances = oracle.instances_at(granule, event)
+            assert column.starts == tuple(i.start for i in instances)
+            assert column.ends == tuple(i.end for i in instances)
+
+
 class TestPrebuiltColumns:
-    def test_short_streams_have_none(self, paper_dsyb):
-        # Below _NUMPY_MIN_SYMBOLS the columnar builder stays scalar and
-        # primes supports only.
-        columnar = build_sequence_database(paper_dsyb, 3)
-        assert columnar.prebuilt_columns("C:1") is None
-        scalar = oracle_dseq(paper_dsyb, 3)
-        assert _support_positions(columnar) == _support_positions(scalar)
+    """Columns cut from the numpy builder's run tables."""
 
     @pytest.mark.skipif(get_numpy() is None, reason="needs the numpy backend")
     def test_columns_match_row_walks(self, long_dsyb):
         columnar = build_sequence_database(long_dsyb, 3)
-        scalar = oracle_dseq(long_dsyb, 3)
-        for event, support in scalar.event_support().items():
-            columns = columnar.prebuilt_columns(event)
-            assert columns is not None
-            assert sorted(columns) == list(support.positions())
-            for granule, column in columns.items():
-                instances = scalar.instances_at(granule, event)
-                assert list(column.instances) == instances
-                assert list(column.starts) == [i.start for i in instances]
-                assert list(column.ends) == [i.end for i in instances]
-
-    @pytest.mark.skipif(get_numpy() is None, reason="needs the numpy backend")
-    def test_columns_cached_per_event(self, long_dsyb):
-        columnar = build_sequence_database(long_dsyb, 3)
-        first = columnar.prebuilt_columns("C:1")
-        assert first is not None
-        assert columnar.prebuilt_columns("C:1") is first
-
-    def test_pure_columnar_has_none(self, long_dsyb):
-        set_compute_backend("python")
-        try:
-            columnar = build_sequence_database(long_dsyb, 3)
-            assert columnar.prebuilt_columns("C:1") is None
-        finally:
-            set_compute_backend(None)
+        _assert_columns_match_oracle(columnar, oracle_dseq(long_dsyb, 3))
+        assert columnar.rows._rows is None  # cut without building a row
 
     @pytest.mark.skipif(get_numpy() is None, reason="needs the numpy backend")
     def test_append_invalidates(self, long_dsyb):
-        columnar = build_sequence_database(long_dsyb, 3)
-        assert columnar.prebuilt_columns("C:1") is not None
         from repro.events.sequence import TemporalSequence
 
+        columnar = build_sequence_database(long_dsyb, 3)
+        before = columnar.instance_columns("C:1")
+        position = len(columnar) + 1
+        start = 3 * len(columnar) + 1
         columnar.append_row(
-            TemporalSequence(position=len(columnar) + 1).finalize()
+            TemporalSequence(
+                position=position,
+                instances=[EventInstance("C:1", start, start + 2)],
+            ).finalize()
         )
-        assert columnar.prebuilt_columns("C:1") is None
+        # The run tables described the pre-append rows; the columns now
+        # come from the rows, the new granule included.
+        assert columnar.instance_columns("C:1") == {
+            **before,
+            position: InstanceColumn((start,), (start + 2,)),
+        }
+
+
+@pytest.fixture(scope="module")
+def screened_dsyb():
+    """Two series whose only events in a middle stretch (``A:2``/``B:2``)
+    are too short-lived to pass the coarse gate of
+    :data:`SCREENING_PARAMS`, so screening skips those coarse granules."""
+    return SymbolicDatabase.from_rows(
+        {
+            "A": "01" * 60 + "2" * 36 + "01" * 60,
+            "B": "0011" * 30 + "2" * 36 + "0011" * 30,
+        },
+        Alphabet.levels(["0", "1", "2"]),
+    )
+
+
+SCREENING_PARAMS = MiningParams(
+    max_period=1, min_density=7, dist_interval=(1, 40), min_season=2
+)
+
+
+class TestInstanceColumns:
+    """``instance_columns`` against the oracle's row walks on the
+    databases without run tables (numpy-built ones: TestPrebuiltColumns)."""
+
+    def test_pure_built(self, long_dsyb):
+        set_compute_backend("python")
+        try:
+            dseq = build_sequence_database(long_dsyb, 3)
+            _assert_columns_match_oracle(dseq, oracle_dseq(long_dsyb, 3))
+        finally:
+            set_compute_backend(None)
+
+    @pytest.mark.parametrize("screened", [True, False], ids=["screened", "noprune"])
+    def test_coarsened(self, screened_dsyb, screened):
+        # How the hierarchical miner derives a coarse level: fold the
+        # base supports, screen them, merge only the rows the candidate
+        # events need (all rows when apriori pruning is off).
+        base = build_sequence_database(screened_dsyb, 3)
+        oracle = oracle_dseq(screened_dsyb, 6)
+        screening = screen_level(
+            base.event_support(), 2, len(oracle), SCREENING_PARAMS, 6
+        )
+        assert screening.n_granules_skipped > 0
+        assert screening.n_screened_out > 0
+        coarse = base.coarsen(2, granules=screening.granules if screened else None)
+        coarse.prime_event_support(screening.supports)
+        events = screening.candidates if screened else None
+        _assert_columns_match_oracle(coarse, oracle, events)
+
+    def test_streamed_after_appends(self, long_dsyb):
+        database = StreamingDatabase(3, {s.name: s.alphabet for s in long_dsyb})
+        streams = {s.name: s.symbols for s in long_dsyb}
+        for cut in range(0, long_dsyb.n_instants, 40):
+            database.append_symbols(
+                {name: symbols[cut : cut + 40] for name, symbols in streams.items()}
+            )
+        _assert_columns_match_oracle(database.dseq, oracle_dseq(long_dsyb, 3))
+
+
+class TestEventSupportPositions:
+    """An event support keeps the ascending positions it was packed from."""
+
+    @pytest.mark.parametrize("build", [build_sequence_database, oracle_dseq])
+    def test_positions_are_not_rederived(
+        self, long_dsyb, compute_backend, monkeypatch, build
+    ):
+        supports = build(long_dsyb, 3).event_support()
+        derive = supportset.bit_positions
+        calls = []
+
+        def spy(bits):
+            calls.append(bits)
+            return derive(bits)
+
+        monkeypatch.setattr(supportset, "bit_positions", spy)
+        for support in supports.values():
+            assert support.positions() == tuple(derive(support.bits))
+        assert calls == []
 
 
 class TestLazyRows:

@@ -3,7 +3,7 @@
 The headline guarantee of the columnar engine: a whole mining job is
 ``results_equivalent`` to the brute-force :class:`NaiveSTPM` oracle on
 every seed dataset, for both miners.  Plus the unit surface: column
-construction and caching, flyweight interning (cleared at job end),
+construction and lookup, flyweight interning (cleared at job end),
 compact assignment decoding, and the ``event_a == event_b`` self-pair
 paths.
 """
@@ -50,17 +50,20 @@ def _params(**overrides):
     return MiningParams(**defaults)
 
 
+def _column(*bounds):
+    return InstanceColumn.from_instances(
+        [EventInstance("A:1", start, end) for start, end in bounds]
+    )
+
+
 class TestInstanceColumn:
     def test_columns_are_start_sorted(self):
-        instances = [
-            EventInstance("A:1", 5, 6),
-            EventInstance("A:1", 1, 2),
-            EventInstance("A:1", 3, 3),
-        ]
-        column = InstanceColumn.from_instances(instances)
+        column = _column((5, 6), (1, 2), (3, 3))
         assert column.starts == (1, 3, 5)
         assert column.ends == (2, 3, 6)
-        assert [i.start for i in column.instances] == [1, 3, 5]
+        assert len(column) == 3
+        assert column == InstanceColumn((1, 3, 5), (2, 3, 6))
+        assert column != InstanceColumn((1, 3, 5), (2, 3, 7))
 
     def test_partial_overlap_allowed_nesting_rejected(self):
         # Partial overlap keeps both columns monotone -- fine.  Nesting
@@ -76,30 +79,30 @@ class TestInstanceColumn:
             )
 
     def test_hlh1_caches_columns(self):
+        # GH holds the columns themselves: column_of hands back the
+        # installed object, and EMPTY_COLUMN where the event is absent.
         hlh1 = HLH1()
-        instance = EventInstance("A:1", 1, 2)
-        hlh1.add_event("A:1", [1], {1: [instance]})
-        column = hlh1.column_of("A:1", 1)
-        assert column.starts == (1,)
-        assert hlh1.column_of("A:1", 1) is column  # cached
+        column = _column((1, 2))
+        hlh1.add_event("A:1", [1], {1: column})
+        assert hlh1.column_of("A:1", 1) is column
         assert hlh1.column_of("A:1", 99) is EMPTY_COLUMN
         assert hlh1.column_of("B:1", 1) is EMPTY_COLUMN
 
     def test_add_event_invalidates_columns(self):
         hlh1 = HLH1()
-        hlh1.add_event("A:1", [1], {1: [EventInstance("A:1", 1, 2)]})
+        hlh1.add_event("A:1", [1], {1: _column((1, 2))})
         stale = hlh1.column_of("A:1", 1)
-        hlh1.add_event("A:1", [1], {1: [EventInstance("A:1", 3, 4)]})
+        hlh1.add_event("A:1", [1], {1: _column((3, 4))})
         fresh = hlh1.column_of("A:1", 1)
         assert fresh is not stale
         assert fresh.starts == (3,)
 
     def test_pickle_drops_the_cache(self):
         hlh1 = HLH1()
-        hlh1.add_event("A:1", [1], {1: [EventInstance("A:1", 1, 2)]})
-        hlh1.column_of("A:1", 1)
+        hlh1.add_event("A:1", [1], {1: _column((1, 2))})
+        assert hlh1.candidates == ["A:1"]
         clone = pickle.loads(pickle.dumps(hlh1))
-        assert clone._columns == {}
+        assert clone._candidates is None
         assert clone.eh == hlh1.eh
         assert clone.gh == hlh1.gh
         assert clone.column_of("A:1", 1).starts == (1,)
@@ -204,6 +207,52 @@ class TestEncodedAssignments:
                         checked[k] = checked.get(k, 0) + 1
         assert checked.get(2, 0) > 0
         assert checked.get(3, 0) > 0
+
+
+    @pytest.mark.parametrize("miner", ["batch", "streaming"])
+    def test_decoded_instances_are_the_rows_own(self, monkeypatch, miner):
+        """Decoding rebuilds each instance from its column's bounds; it
+        equals the instance the granule row holds at that index."""
+        # Long enough for the numpy builder's run tables (when enabled).
+        dseq = _dseq({name: row * 11 for name, row in THREE_SERIES.items()}, 3)
+        params = _params(max_pattern_length=4)
+        if miner == "streaming":
+            streaming = IncrementalSTPM(dseq, params)
+            streaming.advance()
+            hlh1, levels = streaming.state.hlh1, streaming.state.hlhk
+        else:
+            recorded = {}
+            for name in ("_mine_single_events", "_mine_two_event_patterns",
+                         "_mine_k_event_patterns"):
+                monkeypatch.setattr(
+                    ESTPM, name, _recording(getattr(ESTPM, name), recorded)
+                )
+            ESTPM(dseq, params).mine()
+            hlh1 = recorded.pop(1)
+            levels = recorded
+        checked = 0
+        for mirror in levels.values():
+            for pattern, by_granule in mirror.ghk.items():
+                for granule, encoded_list in by_granule.items():
+                    decoded_list = mirror.decoded_assignments_of(pattern, granule, hlh1)
+                    for encoded, decoded in zip(encoded_list, decoded_list):
+                        assert decoded == tuple(
+                            dseq.instances_at(granule, event)[index]
+                            for event, index in zip(pattern.events, encoded)
+                        )
+                        checked += 1
+        assert checked > 0
+
+
+def _recording(method, recorded):
+    """Wrap an ESTPM level method to record what it returns, by level."""
+
+    def wrapper(self, *args, **kwargs):
+        level = method(self, *args, **kwargs)
+        recorded[getattr(level, "k", 1)] = level
+        return level
+
+    return wrapper
 
 
 class TestSelfPairPaths:

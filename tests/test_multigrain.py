@@ -3,8 +3,8 @@
 The engine's hard guarantee: every level of a hierarchical run is
 equivalent (``results_equivalent``) to mining that level standalone with
 a fresh sequence mapping -- asserted here on all four seed datasets,
-for E-STPM and A-STPM, and for the fold and rebuild strategies -- and
-to the brute-force :class:`NaiveSTPM` oracle on that mapping.
+for E-STPM and A-STPM -- and to the brute-force :class:`NaiveSTPM`
+oracle on that mapping.
 """
 
 import pytest
@@ -109,15 +109,6 @@ class TestLevelParity:
         for level in hierarchical:
             standalone = ASTPM(dataset.dsyb, level.ratio, level.params).mine()
             assert results_equivalent(level.result, standalone)
-
-    def test_rebuild_strategy_matches_fold(self):
-        dataset = load_dataset("HFM", "tiny")
-        fold = hierarchy_miner(dataset).mine()
-        rebuild = hierarchy_miner(dataset, strategy="rebuild").mine()
-        assert fold.ratios == rebuild.ratios
-        for fold_level, rebuild_level in zip(fold, rebuild):
-            assert results_equivalent(fold_level.result, rebuild_level.result)
-        assert all(level.derived_from is None for level in rebuild)
 
     @pytest.mark.parametrize(
         "pruning",
@@ -335,10 +326,6 @@ class TestValidation:
     def test_unknown_miner_kind_rejected(self, motif_dsyb):
         with pytest.raises(ConfigError):
             HierarchicalMiner(motif_dsyb, ratios=[3], miner="quantum")
-
-    def test_unknown_strategy_rejected(self, motif_dsyb):
-        with pytest.raises(ConfigError):
-            HierarchicalMiner(motif_dsyb, ratios=[3], strategy="clone")
 
     def test_too_coarse_ratio_rejected_at_mine_time(self, motif_dsyb):
         miner = HierarchicalMiner(motif_dsyb, ratios=[100], min_season=1)

@@ -1,10 +1,9 @@
 """Property-based parity of the vectorized front end.
 
-Random symbol streams, raw series, and support sets must be handled by
-the columnar front end exactly as by the granule-by-granule scalar test
-oracle (``dseq_oracle``), under both compute backends: same DSEQ rows
-and supports, byte-identical symbolization, the same batched season
-counts, and equivalent step-2.1 results.
+Random symbol streams and raw series must be handled by the columnar
+front end exactly as by the granule-by-granule scalar test oracle
+(``dseq_oracle``), under both compute backends: same DSEQ rows and
+supports, byte-identical symbolization, and equivalent step-2.1 results.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro import (
 )
 from repro.core.config import set_compute_backend
 from repro.core.results import results_equivalent
-from repro.core.seasonality import count_seasons, count_seasons_batch
 from repro.streaming import StreamingDatabase
 from repro.symbolic.mapping import QuantileMapper, ThresholdMapper
 from repro.symbolic.sax import SaxMapper
@@ -57,19 +55,6 @@ def raw_series(draw):
         )
     )
     return TimeSeries("R", tuple(values))
-
-
-@st.composite
-def support_sets(draw):
-    return draw(
-        st.lists(
-            st.lists(st.integers(1, 60), min_size=1, max_size=30, unique=True).map(
-                sorted
-            ),
-            min_size=0,
-            max_size=5,
-        )
-    )
 
 
 def _each_backend(check):
@@ -177,31 +162,6 @@ def test_threshold_symbolization_byte_parity(series):
 
     _each_backend(check)
     assert streams[0] == streams[1]
-
-
-@given(
-    support_sets(),
-    st.integers(1, 6),
-    st.integers(1, 8),
-    st.sampled_from([None, 2, 3]),
-)
-@settings(max_examples=60, deadline=None)
-def test_count_seasons_batch_matches_per_element(supports, max_period, min_density, stop_at):
-    params = MiningParams(
-        max_period=max_period,
-        min_density=min_density,
-        dist_interval=(1, 10),
-        min_season=2,
-    )
-
-    def check():
-        batched = count_seasons_batch(supports, params, stop_at=stop_at)
-        singles = [
-            count_seasons(support, params, stop_at=stop_at) for support in supports
-        ]
-        assert batched == singles
-
-    _each_backend(check)
 
 
 @given(databases())

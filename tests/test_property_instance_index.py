@@ -22,7 +22,7 @@ from repro import ESTPM, MiningParams, SymbolicDatabase, build_sequence_database
 from repro.baselines import NaiveSTPM
 from repro.core.array_kernel import array_collect_pair_patterns
 from repro.core.hlh import HLH1
-from repro.core.instance_index import decode_assignment
+from repro.core.instance_index import InstanceColumn, decode_assignment
 from repro.core.pattern import TemporalPattern, Triple
 from repro.core.results import results_equivalent
 from repro.events.event import EventInstance
@@ -51,14 +51,25 @@ relation_configs = st.builds(
 )
 
 
-def _hlh1_with(columns: dict[str, dict[int, list[EventInstance]]]) -> HLH1:
+#: Instance lists per event and granule, the input both sides read.
+Instances = dict[str, dict[int, list[EventInstance]]]
+
+
+def _hlh1_with(instances: Instances) -> HLH1:
     hlh1 = HLH1()
-    for event, by_granule in columns.items():
-        hlh1.add_event(event, sorted(by_granule), by_granule)
+    for event, by_granule in instances.items():
+        hlh1.add_event(
+            event,
+            sorted(by_granule),
+            {
+                granule: InstanceColumn.from_instances(runs)
+                for granule, runs in by_granule.items()
+            },
+        )
     return hlh1
 
 
-def _naive_pairs(hlh1, event_a, event_b, granules, config):
+def _naive_pairs(instances: Instances, event_a, event_b, granules, config):
     """The oracle: classify the full instance product of every granule.
 
     Returns ``(pattern -> support list, pattern -> granule -> sorted
@@ -67,11 +78,11 @@ def _naive_pairs(hlh1, event_a, event_b, granules, config):
     support: dict[TemporalPattern, list[int]] = {}
     assignments: dict[TemporalPattern, dict[int, list]] = {}
     for granule in granules:
-        instances_a = hlh1.instances_of(event_a, granule)
+        instances_a = instances[event_a].get(granule, [])
         if event_a == event_b:
             pairs = combinations(instances_a, 2)
         else:
-            pairs = product(instances_a, hlh1.instances_of(event_b, granule))
+            pairs = product(instances_a, instances[event_b].get(granule, []))
         for a, b in pairs:
             located = relation_of_pair(a, b, config)
             if located is None:
@@ -90,13 +101,14 @@ def _naive_pairs(hlh1, event_a, event_b, granules, config):
     return support, assignments
 
 
-def _assert_kernel_matches_naive(hlh1, event_a, event_b, granules, config):
+def _assert_kernel_matches_naive(instances: Instances, event_a, event_b, granules, config):
+    hlh1 = _hlh1_with(instances)
     kernel_support, kernel_assignments = {}, {}
     array_collect_pair_patterns(
         hlh1, event_a, event_b, granules, config, kernel_support, kernel_assignments
     )
     naive_support, naive_assignments = _naive_pairs(
-        hlh1, event_a, event_b, granules, config
+        instances, event_a, event_b, granules, config
     )
     assert kernel_support == naive_support
     assert set(kernel_assignments) == set(naive_assignments)
@@ -122,17 +134,14 @@ def _assert_kernel_matches_naive(hlh1, event_a, event_b, granules, config):
 )
 @settings(max_examples=200, deadline=None)
 def test_pair_join_equals_naive_product(a1, b1, a2, b2, config):
-    hlh1 = _hlh1_with(
-        {"A:1": {1: a1, 2: a2}, "B:1": {1: b1, 2: b2}}
-    )
-    _assert_kernel_matches_naive(hlh1, "A:1", "B:1", [1, 2], config)
+    instances = {"A:1": {1: a1, 2: a2}, "B:1": {1: b1, 2: b2}}
+    _assert_kernel_matches_naive(instances, "A:1", "B:1", [1, 2], config)
 
 
 @given(instance_runs("A:1"), instance_runs("A:1"), relation_configs)
 @settings(max_examples=150, deadline=None)
 def test_self_join_equals_naive_combinations(a1, a2, config):
-    hlh1 = _hlh1_with({"A:1": {1: a1, 2: a2}})
-    _assert_kernel_matches_naive(hlh1, "A:1", "A:1", [1, 2], config)
+    _assert_kernel_matches_naive({"A:1": {1: a1, 2: a2}}, "A:1", "A:1", [1, 2], config)
 
 
 def _long_column(event: str, seed: int, n_instances: int = 80) -> list[EventInstance]:
@@ -151,20 +160,19 @@ def test_joins_on_columns_longer_than_64_instances():
     """80 instances per column, over four times the longest column of any
     shipped workload (18): bulk zones dominate, and the near windows
     still hold every relation."""
-    hlh1 = _hlh1_with(
-        {
-            "A:1": {1: _long_column("A:1", 1), 2: _long_column("A:1", 2)},
-            "B:1": {1: _long_column("B:1", 3), 2: _long_column("B:1", 4)},
-        }
-    )
+    instances = {
+        "A:1": {1: _long_column("A:1", 1), 2: _long_column("A:1", 2)},
+        "B:1": {1: _long_column("B:1", 3), 2: _long_column("B:1", 4)},
+    }
+    hlh1 = _hlh1_with(instances)
     assert all(
         len(hlh1.column_of(event, granule)) > 64
         for event in ("A:1", "B:1")
         for granule in (1, 2)
     )
     for config in (RelationConfig(), RelationConfig(epsilon=2, min_overlap=3)):
-        _assert_kernel_matches_naive(hlh1, "A:1", "B:1", [1, 2], config)
-        _assert_kernel_matches_naive(hlh1, "A:1", "A:1", [1, 2], config)
+        _assert_kernel_matches_naive(instances, "A:1", "B:1", [1, 2], config)
+        _assert_kernel_matches_naive(instances, "A:1", "A:1", [1, 2], config)
 
 
 @given(

@@ -4,6 +4,7 @@ import pytest
 
 from repro import ESTPM, MiningParams, PruningConfig, SymbolicDatabase, build_sequence_database
 from repro.core.hlh import HLH1, GroupEntry, HLHk
+from repro.core.instance_index import EMPTY_COLUMN, InstanceColumn
 from repro.core.pattern import single_event_pattern
 from repro.core.stpm import mine_seasonal_patterns, series_of
 from repro.events import EventInstance
@@ -125,12 +126,12 @@ class TestWrapperValidation:
 class TestHLHStructures:
     def test_hlh1_roundtrip(self):
         hlh1 = HLH1()
-        instance = EventInstance("A:1", 1, 2)
-        hlh1.add_event("A:1", [1, 3], {1: [instance], 3: []})
+        column = InstanceColumn.from_instances([EventInstance("A:1", 1, 2)])
+        hlh1.add_event("A:1", [1, 3], {1: column, 3: EMPTY_COLUMN})
         assert "A:1" in hlh1
         assert hlh1.support_of("A:1") == [1, 3]
-        assert hlh1.instances_of("A:1", 1) == [instance]
-        assert hlh1.instances_of("A:1", 99) == []
+        assert hlh1.column_of("A:1", 1) is column
+        assert hlh1.column_of("A:1", 99) is EMPTY_COLUMN
         assert hlh1.candidates == ["A:1"]
         assert len(hlh1) == 1
 
