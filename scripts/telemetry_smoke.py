@@ -8,12 +8,15 @@ Two modes:
     schema (version, nested spans with names/durations, counter summary)
     and covers the mining phases end to end.
 
-``overhead [--budget PCT]``
-    Mine a dense workload with telemetry off (best of 3) and on (best of
-    3) and fail when the enabled/disabled wall-clock ratio exceeds the
-    budget (default 5%).  Guards the zero-overhead-when-disabled
-    discipline from quietly regressing into always-on instrumentation
-    cost.
+``overhead [--budget PCT] [--rounds N]``
+    Mine a dense workload once with telemetry off and once with it on in
+    each of N rounds (default 4), alternating which arm runs first, and
+    fail when the ratio of the best enabled to the best disabled
+    wall-clock time exceeds the budget (default 5%).  Alternating the
+    arms keeps a drift in machine load, or whichever arm runs first,
+    from reading as telemetry cost.  Guards the zero-overhead-when-
+    disabled discipline from quietly regressing into always-on
+    instrumentation cost.
 
 Exit code 0 on success, 1 on failure, with a one-line verdict either
 way.
@@ -116,27 +119,42 @@ def _mine_once() -> float:
     return time.perf_counter() - started
 
 
-def overhead(budget_pct: float, rounds: int) -> int:
-    """Compare disabled vs enabled telemetry; returns the exit code."""
+def _mine_arm(enabled: bool) -> float:
+    """One mining run with telemetry on or off; telemetry is off after."""
     from repro.obs import disable_telemetry, enable_telemetry, reset_telemetry
 
-    _mine_once()  # warm caches (imports, dataset build) outside both arms
-    disable_telemetry()
-    baseline = min(_mine_once() for _ in range(rounds))
     reset_telemetry()
-    enable_telemetry()
+    if enabled:
+        enable_telemetry()
     try:
-        enabled = min(_mine_once() for _ in range(rounds))
+        return _mine_once()
     finally:
         disable_telemetry()
         reset_telemetry()
+
+
+def overhead(budget_pct: float, rounds: int) -> int:
+    """Compare disabled vs enabled telemetry; returns the exit code."""
+    _mine_arm(False)  # warm caches (imports, dataset build) outside both arms
+    times: dict[bool, list[float]] = {False: [], True: []}
+    for index in range(rounds):
+        first = index % 2 == 1  # the enabled arm leads every other round
+        for enabled in (first, not first):
+            times[enabled].append(_mine_arm(enabled))
+    baseline = min(times[False])
+    enabled = min(times[True])
     ratio = enabled / baseline if baseline else float("inf")
     overhead_pct = (ratio - 1.0) * 100.0
     verdict = "OK" if overhead_pct <= budget_pct else "FAIL"
+
+    def listed(arm: bool) -> str:
+        return ", ".join(f"{seconds:.3f}" for seconds in times[arm])
+
     print(
         f"{verdict}: telemetry overhead {overhead_pct:+.1f}% "
         f"(disabled best-of-{rounds} {baseline:.3f}s, "
-        f"enabled {enabled:.3f}s, budget {budget_pct:.1f}%)"
+        f"enabled {enabled:.3f}s, budget {budget_pct:.1f}%; "
+        f"per round disabled [{listed(False)}] enabled [{listed(True)}])"
     )
     return 0 if verdict == "OK" else 1
 
@@ -154,8 +172,9 @@ def main(argv: list[str] | None = None) -> int:
         help="maximum tolerated overhead percentage (default: 5)",
     )
     overhead_parser.add_argument(
-        "--rounds", type=int, default=3,
-        help="runs per arm; the best is compared (default: 3)",
+        "--rounds", type=int, default=4,
+        help="rounds of one disabled and one enabled run, alternating "
+        "which goes first; the best of each arm is compared (default: 4)",
     )
     args = parser.parse_args(argv)
     if args.mode == "validate":

@@ -74,7 +74,12 @@ def quantile_breakpoints(values: Sequence[float], n_bins: int) -> list[float]:
     np = get_numpy()
     if np is not None:
         quantiles = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
-        return [float(b) for b in np.quantile(np.asarray(values, dtype=float), quantiles)]
+        # Huge finite values overflow the interpolation to the same
+        # inf/nan breakpoints as the twin, which stays silent; so does
+        # this path.
+        with np.errstate(over="ignore", invalid="ignore"):
+            breakpoints = np.quantile(np.asarray(values, dtype=float), quantiles)
+        return [float(b) for b in breakpoints]
     return interp_quantiles(sorted(float(v) for v in values), n_bins)
 
 

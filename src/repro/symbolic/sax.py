@@ -10,10 +10,12 @@ the standard two steps:
 The normal quantile is computed with the Acklam rational approximation so
 the core library stays scipy-free (scipy is only a test dependency).
 
-Both steps are vectorized when the numpy compute backend is active (one
-reshape-mean for all PAA frames, one ``searchsorted`` + object-array
-lookup for all symbols) and fall back to pure-Python twins under
-``REPRO_COMPUTE=python`` -- see :func:`repro.core.config.get_numpy`.
+The z-normalisation and the binning are vectorized when the numpy
+compute backend is active (one ``searchsorted`` + object-array lookup for
+all symbols) and fall back to pure-Python twins under
+``REPRO_COMPUTE=python`` -- see :func:`repro.core.config.get_numpy`.  The
+moments and the PAA frame means are ``math.fsum`` sums under both, so
+the twins put a value that sits on a breakpoint on the same side of it.
 """
 
 from __future__ import annotations
@@ -86,42 +88,47 @@ def paa(values, frame: int):
 
     Trailing values that do not fill a frame are averaged into a final
     shorter frame, so no data is silently dropped.  Returns a numpy array
-    on the numpy backend (all full frames averaged by one reshaped
-    ``mean(axis=1)``) and a plain list under ``REPRO_COMPUTE=python``.
+    on the numpy backend and a plain list under ``REPRO_COMPUTE=python``.
+    Both average each frame with ``math.fsum``: a summation order of
+    numpy's own would move a frame mean that sits on a breakpoint (the
+    mean of a z-normalised frame covering the whole series is 0.0) to
+    the other side of it.
     """
     if frame < 1:
         raise SymbolizationError(f"PAA frame size must be >= 1, got {frame}")
     np = get_numpy()
-    if np is not None:
-        arr = np.asarray(values, dtype=float)
-        if frame == 1:
-            return arr.copy()
-        n_full = len(arr) // frame
-        means = arr[: n_full * frame].reshape(n_full, frame).mean(axis=1)
-        if len(arr) % frame:
-            means = np.append(means, arr[n_full * frame :].mean())
-        return means
-    data = [float(v) for v in values]
     if frame == 1:
-        return data
-    n_full = len(data) // frame
-    means = [
-        math.fsum(data[i * frame : (i + 1) * frame]) / frame for i in range(n_full)
-    ]
-    if len(data) % frame:
-        tail = data[n_full * frame :]
-        means.append(math.fsum(tail) / len(tail))
-    return means
+        return [float(v) for v in values] if np is None else np.array(values, dtype=float)
+    data = [float(v) for v in values]
+    means = []
+    for start in range(0, len(data), frame):
+        chunk = data[start : start + frame]
+        means.append(math.fsum(chunk) / len(chunk))
+    return means if np is None else np.asarray(means)
 
 
-def _check_moments(series: TimeSeries, mean: float, std: float) -> None:
-    """Reject a series whose z-normalisation mean or standard deviation
-    is not finite (finite values too close to the float range)."""
+def _moments(series: TimeSeries) -> tuple[float, float]:
+    """The z-normalisation mean and standard deviation of ``series``.
+
+    Both compute backends use these same floats (``math.fsum`` over the
+    values), so they z-normalise identically: numpy's own ``mean`` sums
+    in another order, which moves a value that sits exactly on a
+    breakpoint to the other side of it.  Raises for moments that are not
+    finite (finite values too close to the float range).
+    """
+    values = series.values
+    n = len(values)
+    try:
+        mean = math.fsum(values) / n
+        std = math.sqrt(math.fsum((v - mean) * (v - mean) for v in values) / n)
+    except OverflowError:
+        mean = std = math.inf
     if not (math.isfinite(mean) and math.isfinite(std)):
         raise SymbolizationError(
             f"series {series.name!r}: the SAX z-normalisation mean or "
             "standard deviation is not finite; rescale the values"
         )
+    return mean, std
 
 
 @dataclass(frozen=True)
@@ -138,21 +145,17 @@ class SaxMapper:
     frame: int = 1
 
     def encode(self, series: TimeSeries) -> SymbolicSeries:
-        np = get_numpy()
-        if np is None:
-            return self._encode_scalar(series)
-        values = series.as_array()
-        # Finite values near the float range overflow the moments; the
-        # check below rejects them, so numpy's warnings are muted here.
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean = values.mean()
-            std = values.std()
-        _check_moments(series, float(mean), float(std))
-        if std == 0.0:
-            # A constant series z-normalizes to all-zeros: middle symbol.
+        mean, std = _moments(series)
+        # A constant series z-normalizes to all-zeros: middle symbol.  It
+        # is tested exactly, since a rounded mean can leave a constant
+        # series a tiny non-zero deviation.
+        if std == 0.0 or min(series.values) == max(series.values):
             mid = self.alphabet.symbols[len(self.alphabet) // 2]
             return SymbolicSeries(series.name, (mid,) * len(series), self.alphabet)
-        normalized = (values - mean) / std
+        np = get_numpy()
+        if np is None:
+            return self._encode_scalar(series, mean, std)
+        normalized = (series.as_array() - mean) / std
         frames = paa(normalized, self.frame)
         breakpoints = np.asarray(sax_breakpoints(len(self.alphabet)))
         bins = np.searchsorted(breakpoints, frames, side="right")
@@ -162,20 +165,12 @@ class SaxMapper:
             codes = np.append(codes, np.full(len(series) - len(codes), codes[-1]))
         return SymbolicSeries.from_codes(series.name, codes, self.alphabet)
 
-    def _encode_scalar(self, series: TimeSeries) -> SymbolicSeries:
+    def _encode_scalar(
+        self, series: TimeSeries, mean: float, std: float
+    ) -> SymbolicSeries:
         """Pure-Python twin of :meth:`encode` (``REPRO_COMPUTE=python``)."""
-        values = series.values
-        n = len(values)
-        try:
-            mean = math.fsum(values) / n
-            std = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / n)
-        except OverflowError:
-            mean = std = math.inf
-        _check_moments(series, mean, std)
-        if std == 0.0:
-            mid = self.alphabet.symbols[len(self.alphabet) // 2]
-            return SymbolicSeries(series.name, (mid,) * n, self.alphabet)
-        normalized = [(v - mean) / std for v in values]
+        n = len(series)
+        normalized = [(v - mean) / std for v in series.values]
         frames = paa(normalized, self.frame)
         breakpoints = sax_breakpoints(len(self.alphabet))
         alphabet_symbols = self.alphabet.symbols

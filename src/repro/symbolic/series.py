@@ -60,7 +60,25 @@ class TimeSeries:
 
     @classmethod
     def from_array(cls, name: str, values) -> "TimeSeries":
-        """Build from any iterable / numpy array of numbers."""
+        """Build from any iterable / numpy array of numbers.
+
+        A one-dimensional numpy array of float64, float32 or float16 is
+        converted in C with one ``tolist()``, which yields the same
+        Python floats as ``float(v)`` per element; every other input
+        (integer, bool, object and long-double arrays, lists, iterables)
+        is converted element by element.  The non-finite check runs on
+        every value either way.
+        """
+        np = get_numpy()
+        if (
+            np is not None
+            and isinstance(values, np.ndarray)
+            and values.ndim == 1
+            and values.dtype.kind == "f"
+            # long double's tolist() keeps numpy scalars, not floats
+            and values.dtype.itemsize <= 8
+        ):
+            return cls(name, tuple(values.tolist()))
         return cls(name, tuple(float(v) for v in values))
 
     def __len__(self) -> int:

@@ -15,8 +15,12 @@ Columnar front end
 :func:`build_sequence_database` makes one pass over each series' symbol
 stream: run boundaries are found for the whole stream at once (vectorized
 when numpy is enabled, a single scalar sweep otherwise) and every run
-feeds the granule row and the per-event support positions -- and, on the
-numpy builder, the per-event run tables -- simultaneously.
+feeds the per-event support positions.  The numpy builder pools the runs
+of all series and groups them by event with one stable sort, so each
+event's run table and support positions are slices of the grouped pool.
+The granule rows are deferred behind a thunk under both builders; the
+numpy builder's canonical instance sort runs only there, when something
+first reads a row.
 
 Instance columns
 ----------------
@@ -537,16 +541,17 @@ def _build_columnar_numpy(
 ) -> TemporalSequenceDatabase:
     """Vectorized columnar DSEQ construction (see ``_build_columnar``).
 
-    All series' runs are pooled into flat arrays and lexsorted once by
-    the canonical instance order ``(start, -end, event)``.  Because the
-    pool is globally sorted, granule rows are plain slices (no per-run
-    distribution loop) that arrive pre-sorted -- finalize's per-instance
-    sort is skipped entirely -- and each event's runs, selected from the
-    same sorted pool, are start-ascending as the
-    :meth:`~TemporalSequenceDatabase.instance_columns` cuts require.  No
-    ``EventInstance`` objects are created here at all: the rows are a
-    :class:`_LazyRows` thunk, so a support-only mining pass stays
-    entirely in machine arrays.
+    All series' runs are pooled into flat arrays and grouped by event
+    with one stable sort of their event codes.  Each series' runs enter
+    the pool start-ascending and each event belongs to one series, so
+    every group is its event's runs in start order: the event's run
+    table is three slices of the grouped arrays, and its support
+    positions are the group's granules with repeats dropped (one
+    vectorized dedupe for all events).  No ``EventInstance`` objects
+    are created here at all: the rows are a :class:`_LazyRows` thunk
+    that does the row-only work -- the canonical ``(start, -end,
+    event)`` lexsort and the row cuts -- only when something reads a
+    row, so a support-only mining pass stays entirely in machine arrays.
     """
     start_parts = []
     end_parts = []
@@ -560,36 +565,66 @@ def _build_columnar_numpy(
         end_parts.append(ends)
         code_parts.append(run_codes + len(event_names))
         event_names.extend(names)
-    starts = np.concatenate(start_parts)
-    ends = np.concatenate(end_parts)
     run_codes = np.concatenate(code_parts)
-    n_pool = len(starts)
-    # Canonical order (start, -end, event): rank events by name so the
-    # string tiebreak is an integer sort.  The key is total (one event
-    # has at most one run per start), so the order is exactly what
-    # ``TemporalSequence.finalize`` would produce.
-    name_order = sorted(range(len(event_names)), key=event_names.__getitem__)
-    ranks = np.empty(len(event_names), dtype=np.int64)
-    ranks[name_order] = np.arange(len(event_names))
-    order = np.lexsort((ranks[run_codes], -ends, starts))
-    starts = starts[order]
-    ends = ends[order]
-    run_codes = run_codes[order]
-    # Rows are contiguous slices of the sorted pool (granule = start //
-    # ratio is non-decreasing when starts are sorted), already in
-    # finalize order.
-    granules = starts // ratio
-    bounds = np.searchsorted(granules, np.arange(1, n_granules)).tolist()
-    bounds.append(n_pool)
-    lookup = np.array(event_names, dtype=object)
+    n_pool = len(run_codes)
+    n_events = len(event_names)
+    by_event = np.argsort(run_codes, kind="stable")
+    counts = np.bincount(run_codes, minlength=n_events)
+    offsets = np.zeros(n_events + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    starts1 = np.concatenate(start_parts)[by_event]
+    granules1 = starts1 // ratio + 1
+    starts1 += 1
+    ends1 = np.concatenate(end_parts)[by_event]
+    ends1 += 1
+    # A run adds a support position unless it repeats the previous
+    # run's granule within the same event.
+    new_position = np.empty(n_pool, dtype=bool)
+    new_position[0] = True
+    np.not_equal(granules1[1:], granules1[:-1], out=new_position[1:])
+    new_position[offsets[:-1][counts > 0]] = True
+    position_offsets = np.searchsorted(
+        np.flatnonzero(new_position), offsets
+    ).tolist()
+    positions = granules1[new_position].tolist()
+    offsets = offsets.tolist()
+
+    tables: dict[str, tuple] = {}
+    event_positions: dict[str, list[int]] = {}
+    for code, event in enumerate(event_names):
+        lo, hi = offsets[code], offsets[code + 1]
+        if lo == hi:  # alphabet symbol never emitted
+            continue
+        tables[event] = (granules1[lo:hi], starts1[lo:hi], ends1[lo:hi])
+        event_positions[event] = positions[
+            position_offsets[code] : position_offsets[code + 1]
+        ]
 
     def build_rows() -> list[TemporalSequence]:
+        # Canonical order (start, -end, event): rank events by name so
+        # the string tiebreak is an integer sort.  The key is total (one
+        # event has at most one run per start), so the order is exactly
+        # what ``TemporalSequence.finalize`` would produce, and rows are
+        # contiguous slices of the sorted pool (granules are
+        # non-decreasing when starts are sorted), already in that order.
+        name_order = sorted(range(n_events), key=event_names.__getitem__)
+        ranks = np.empty(n_events, dtype=np.int64)
+        ranks[name_order] = np.arange(n_events)
+        run_ranks = np.repeat(ranks, counts)
+        order = np.lexsort((run_ranks, -ends1, starts1))
+        bounds = np.searchsorted(
+            granules1[order], np.arange(2, n_granules + 1)
+        ).tolist()
+        bounds.append(n_pool)
+        names_by_rank = np.array(
+            [event_names[code] for code in name_order], dtype=object
+        )
         instances = [
             EventInstance(event, start, end)
             for event, start, end in zip(
-                lookup[run_codes].tolist(),
-                (starts + 1).tolist(),
-                (ends + 1).tolist(),
+                names_by_rank[run_ranks[order]].tolist(),
+                starts1[order].tolist(),
+                ends1[order].tolist(),
             )
         ]
         rows: list[TemporalSequence] = []
@@ -604,18 +639,6 @@ def _build_columnar_numpy(
             lo = hi
         return rows
 
-    tables: dict[str, tuple] = {}
-    event_positions: dict[str, list[int]] = {}
-    granules1 = granules + 1
-    starts1 = starts + 1
-    ends1 = ends + 1
-    for code, event in enumerate(event_names):
-        indices = np.flatnonzero(run_codes == code)
-        if len(indices) == 0:  # alphabet symbol never emitted
-            continue
-        positions = granules1[indices]
-        tables[event] = (positions, starts1[indices], ends1[indices])
-        event_positions[event] = sorted(set(positions.tolist()))
     if metrics.metrics_enabled():
         metrics.inc("frontend.columnar.runs", n_pool)
         metrics.inc("frontend.columnar.events", len(tables))
@@ -698,12 +721,12 @@ def _build_columnar(
 ) -> TemporalSequenceDatabase:
     """One-pass columnar DSEQ construction (see the module docstring).
 
-    Every run of every series feeds the granule row and the per-event
-    support positions (priming ``event_support``), in one sweep per
-    series.  On the numpy backend each run additionally lands in the
-    event's flat run table -- granule positions and start/end bounds,
-    run-aligned and non-decreasing by position (one event belongs to one
-    series scanned left to right) -- from which
+    Every run of every series feeds the per-event support positions
+    (priming ``event_support``), in one sweep per series; the rows are
+    built on first access.  On the numpy backend each run additionally
+    lands in the event's flat run table -- granule positions and
+    start/end bounds, run-aligned and non-decreasing by position (one
+    event belongs to one series scanned left to right) -- from which
     :meth:`~TemporalSequenceDatabase.instance_columns` cuts the event's
     columns.  The pure twin skips the run tables (the per-run
     bookkeeping would outweigh what the cuts save), and its columns are
@@ -748,7 +771,8 @@ def build_sequence_database(dsyb: SymbolicDatabase, ratio: int) -> TemporalSeque
 
     The build is columnar (see the module docstring): one pass per series
     primes the per-event supports (and, on the numpy builder, the run
-    tables the instance columns are cut from) along with the rows.
+    tables the instance columns are cut from); the rows are built when
+    first read.
     """
     if ratio < 1:
         raise TransformError(f"sequence mapping ratio must be >= 1, got {ratio}")

@@ -35,6 +35,7 @@ from repro.resilience import RetryPolicy
 from repro.streaming import StreamingDatabase
 from repro.symbolic.alphabet import Alphabet
 from repro.symbolic.series import SymbolicSeries
+from repro.transform.sequence_db import _NUMPY_MIN_SYMBOLS
 
 
 def _support_positions(dseq):
@@ -115,6 +116,99 @@ def _assert_columns_match_oracle(dseq, oracle, events=None):
             instances = oracle.instances_at(granule, event)
             assert column.starts == tuple(i.start for i in instances)
             assert column.ends == tuple(i.end for i in instances)
+
+
+def _coded(rows: dict[str, str], alphabet: Alphabet) -> SymbolicDatabase:
+    """Series carrying mapper-style integer codes, so the numpy builder's
+    events are the whole alphabet, unused symbols included."""
+    np = get_numpy()
+    return SymbolicDatabase.from_symbolic(
+        [
+            SymbolicSeries.from_codes(
+                name, np.asarray([alphabet.index(s) for s in row]), alphabet
+            )
+            for name, row in rows.items()
+        ]
+    )
+
+
+#: Numpy-builder inputs past ``_NUMPY_MIN_SYMBOLS`` that a mis-grouped run
+#: pool would get wrong: ``name -> (rows, alphabet, ratio, coded)``.
+GROUPED_CASES = {
+    # Five series with coprime run lengths and offsets: their runs
+    # interleave in time, and every event recurs in many granules.
+    "interleaved": (
+        {
+            name: "".join("abc"[(i + shift) // period % 3] for i in range(200))
+            for name, period, shift in (
+                ("A", 2, 0), ("B", 3, 1), ("C", 5, 2), ("D", 7, 3), ("E", 11, 4)
+            )
+        },
+        Alphabet(("a", "b", "c")),
+        4,
+        False,
+    ),
+    # "z" and "y" never occur; coded series still carry them as events.
+    "unused-symbol": (
+        {"A": "ab" * 60 + "b" * 80, "B": "a" * 100 + "ba" * 50},
+        Alphabet(("z", "a", "b", "y")),
+        3,
+        True,
+    ),
+    "ratio-1": (
+        {"A": "aabba" * 40, "B": "ab" * 100, "C": "b" * 150 + "a" * 50},
+        Alphabet(("a", "b")),
+        1,
+        True,
+    ),
+    # One granule; the trailing 50 symbols are dropped.
+    "one-granule": (
+        {"A": "ab" * 125, "B": "a" * 100 + "b" * 150},
+        Alphabet(("a", "b")),
+        200,
+        False,
+    ),
+    "changes-every-instant": (
+        {"A": "abc" * 70, "B": "ba" * 105, "C": "cab" * 70, "D": "ab" * 105},
+        Alphabet(("a", "b", "c")),
+        3,
+        True,
+    ),
+    # Runs spanning many granules, recurring after a gap.
+    "long-runs": (
+        {"A": "a" * 50 + "b" * 100 + "a" * 60, "B": "b" * 7 + "a" * 203},
+        Alphabet(("a", "b")),
+        7,
+        False,
+    ),
+}
+
+
+def _grouped_case(case: str) -> tuple[SymbolicDatabase, int]:
+    rows, alphabet, ratio, coded = GROUPED_CASES[case]
+    if coded:
+        return _coded(rows, alphabet), ratio
+    return SymbolicDatabase.from_rows(rows, alphabet), ratio
+
+
+@pytest.mark.skipif(get_numpy() is None, reason="needs the numpy backend")
+class TestGroupedBuilder:
+    """The numpy builder's per-event run tables and supports, grouped
+    from the whole run pool, against the oracle's row walks."""
+
+    @pytest.mark.parametrize("case", sorted(GROUPED_CASES))
+    def test_supports_and_columns_match_oracle(self, case):
+        dsyb, ratio = _grouped_case(case)
+        assert dsyb.n_instants // ratio * ratio >= _NUMPY_MIN_SYMBOLS
+        columnar = build_sequence_database(dsyb, ratio)
+        oracle = oracle_dseq(dsyb, ratio)
+        assert columnar._run_tables is not None  # the numpy builder ran
+        assert _support_positions(columnar) == _support_positions(oracle)
+        _assert_columns_match_oracle(columnar, oracle)
+        for series in dsyb:
+            for event in series.event_keys():
+                if event not in oracle.event_support():
+                    assert columnar.instance_columns(event) == {}
 
 
 class TestPrebuiltColumns:
@@ -242,6 +336,23 @@ class TestLazyRows:
         scalar = oracle_dseq(paper_dsyb, 3)
         assert supports == _support_positions(scalar)
         assert list(columnar.rows) == list(scalar.rows)
+
+    @pytest.mark.skipif(get_numpy() is None, reason="needs the numpy backend")
+    @pytest.mark.parametrize("case", sorted(GROUPED_CASES))
+    def test_rows_unbuilt_until_read(self, case):
+        # Supports and every event's columns come from the run tables;
+        # the row-only sort runs on the first row access.
+        dsyb, ratio = _grouped_case(case)
+        columnar = build_sequence_database(dsyb, ratio)
+        for event in columnar.event_support():
+            columnar.instance_columns(event)
+        assert columnar.rows._rows is None
+        oracle = oracle_dseq(dsyb, ratio)
+        assert columnar.rows == oracle.rows
+        for left, right in zip(columnar.rows, oracle.rows):
+            assert left.events() == right.events()
+            for event in right.events():
+                assert left.instances_of(event) == right.instances_of(event)
 
     def test_rows_materialize_on_index(self, paper_dsyb, compute_backend):
         columnar = build_sequence_database(paper_dsyb, 3)

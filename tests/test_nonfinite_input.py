@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.exceptions import DatasetError
@@ -39,6 +40,8 @@ def test_nan_series_rejected_under_both_backends(compute_backend):
         TimeSeries("T", tuple(values))
     with pytest.raises(DatasetError, match="at index 17"):
         TimeSeries.from_array("T", values)
+    with pytest.raises(DatasetError, match="at index 17"):
+        TimeSeries.from_array("T", np.asarray(values, dtype=np.float64))
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

@@ -65,23 +65,38 @@ class TestBitIdenticalBreakpoints:
         assert incremental == replayed
 
     def test_parity_across_compute_backends(self, alphabet):
-        rng = random.Random(99)
-        blocks = [
-            [rng.uniform(-1.0, 1.0) for _ in range(rng.randint(1, 5))]
-            for _ in range(20)
-        ]
-        streams = []
-        for backend in (None, "python"):
-            set_compute_backend(backend)
-            try:
-                streams.append(
-                    _push_blocks(
-                        StreamingSymbolizer({"S": alphabet}, mode="rolling"), blocks
-                    )
-                )
-            finally:
-                set_compute_backend(None)
-        assert streams[0] == streams[1]
+        # Smooth values plus hostile ones: a constant stream, few
+        # distinct values (the breakpoints land on pushed values) and
+        # huge finite values.  Each stream starts with one single-value
+        # push, a history shorter than the alphabet.
+        draws = {
+            "uniform": lambda rng: rng.uniform(-1.0, 1.0),
+            "constant": lambda rng: 2.5,
+            "ties": lambda rng: rng.choice((-1.0, 0.0, 0.1, 0.5, 1.0)),
+            "huge": lambda rng: rng.choice(
+                (-1e308, 1e308, 0.0, rng.uniform(-1.0, 1.0) * 1e308)
+            ),
+        }
+        for kind, draw in draws.items():
+            rng = random.Random(99)
+            blocks = [[draw(rng)]] + [
+                [draw(rng) for _ in range(rng.randint(1, 5))] for _ in range(20)
+            ]
+            streams = []
+            for backend in (None, "python"):
+                set_compute_backend(backend)
+                try:
+                    symbolizer = StreamingSymbolizer({"S": alphabet}, mode="rolling")
+                    outcomes = []
+                    for block in blocks:
+                        try:
+                            outcomes.append(symbolizer.push({"S": block})["S"])
+                        except Exception as exc:  # noqa: BLE001 -- the type is compared
+                            outcomes.append(type(exc))
+                    streams.append(outcomes)
+                finally:
+                    set_compute_backend(None)
+            assert streams[0] == streams[1], kind
 
 
 class TestRefitCost:

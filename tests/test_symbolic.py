@@ -1,5 +1,7 @@
 """Unit tests for alphabets, series, mappers and DSYB (paper Sec. III-B)."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,30 @@ class TestTimeSeries:
         assert len(series) == 3
         assert series.values == (1.0, 2.0, 3.0)
         assert series.as_array().dtype == float
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([0.1, -0.0, 5e-324, -1e308, 2.5]),
+            np.arange(10.0)[::3],
+            np.array([0.1, -0.0, 1e-40, -3.4e38], dtype=np.float32),
+            np.array([0.1, -0.0, 6e-8, 65504.0], dtype=np.float16),
+            np.array([0.1, 2.5], dtype=np.longdouble),
+            np.array([3, -7, 2**53 + 1, 0], dtype=np.int64),
+            np.array([True, False, True]),
+            np.array([1, 0.1, Fraction(1, 3), np.float32(0.1)], dtype=object),
+            [1, 0.1, -0.0, True],
+        ],
+        ids=[
+            "float64", "float64-strided", "float32", "float16", "longdouble",
+            "int64", "bool", "object", "list",
+        ],
+    )
+    def test_from_array_converts_like_float(self, values, compute_backend):
+        expected = tuple(float(v) for v in values)
+        converted = TimeSeries.from_array("X", values).values
+        assert [type(v) for v in converted] == [float] * len(expected)
+        assert [v.hex() for v in converted] == [v.hex() for v in expected]
 
     def test_empty_rejected(self):
         with pytest.raises(SymbolizationError):
