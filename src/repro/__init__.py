@@ -92,7 +92,7 @@ from repro.resilience import (
 )
 from repro.transform import TemporalSequenceDatabase, build_sequence_database
 
-__version__ = "1.19.0"
+__version__ = "1.20.0"
 
 __all__ = [
     # granularity

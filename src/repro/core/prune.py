@@ -4,9 +4,10 @@ The evaluation compares four variants of the exact miner:
 
 * ``NoPrune`` -- neither technique;
 * ``Apriori`` -- the candidate filtering of Lemmas 1-2; here the gate is
-  the near-set bound of :func:`~repro.core.seasonality.is_season_candidate`,
-  which is anti-monotone like the paper's maxSeason and never looser, so
-  candidate counts are at most the paper's;
+  the season-chain bound of
+  :func:`~repro.core.seasonality.is_season_candidate`, which is
+  anti-monotone like the paper's maxSeason and never looser, so candidate
+  counts are at most the paper's;
 * ``Trans``   -- the transitivity filtering of F1 (Lemmas 3-4);
 * ``All``     -- both (the default E-STPM).
 

@@ -9,27 +9,44 @@ Given the support set of an event / group / pattern, this module computes:
   (Defs. 3.14-3.15);
 * its ``maxSeason`` upper bound ``|SUP| / min_density`` (Eq. (1));
 * the candidate gate of the Apriori-like pruning (Lemmas 1-2),
-  :func:`is_season_candidate`, which tightens maxSeason to the near-set
-  bound (see below).
+  :func:`is_season_candidate`, which tightens maxSeason to the
+  season-chain bound (see below).
 
-The near-set bound
-------------------
-A season is one maximal near support set (possibly trimmed by the H9
-rule) holding at least ``min_density`` granules, so a support set ``S``
-has at most
+The season-chain bound
+----------------------
+Let ``g = max(dist_min, max_period + 1)``.  A *window* of a support set
+``S`` is ``min_density`` consecutive granules of ``S`` whose steps are
+all <= ``max_period``.  ``C(S)`` counts the windows a greedy walk finds:
+it takes the earliest window, then the earliest one starting at least
+``g`` after that window's end, and so on.
 
-    B(S) = sum over the near sets N of S of floor(|N| / min_density)
+``C`` bounds the seasons of every subset.  Take a chain of seasons of
+``S' <= S``.  Each season holds ``min_density`` granules of ``S'`` with
+steps <= ``max_period``, so the granules of ``S`` from its first one on
+hold a window that ends no later than the season.  Consecutive seasons of
+a chain lie at least ``g`` apart: the H9 trim keeps ``dist_min``, and
+they come from different near sets of ``S'``, which lie more than
+``max_period`` apart.  So the seasons' windows form a chain of windows
+``g`` apart, and the greedy walk, whose i-th window ends no later than
+theirs (by induction), finds at least as many.  The same exchange
+argument gives ``C(S') <= C(S)``, so ``C`` is anti-monotone like
+maxSeason and never falls when a support gains granules, by append or by
+merge, which keeps the streaming miner's gates monotone.  A near set
+``N`` holds at most ``floor(|N| / min_density)`` disjoint windows, so
 
-seasons, and ``B(S) <= |S| / min_density``.  ``B`` is anti-monotone like
-maxSeason: each near set of ``S' <= S`` lies inside one near set of
-``S``, and ``floor(. / min_density)`` is superadditive, so
-``seasons(S') <= B(S') <= B(S)``.  For the same reason ``B`` never falls
-when a support gains granules, by append or by merge, which keeps the
-streaming miner's gates monotone.  ``max_season`` stays: it is the
-quantity the MI bound of Eq. (6) (:mod:`repro.core.bounds`) bounds, and
-its gate :func:`is_candidate` is the O(1) first check of
-:func:`is_season_candidate`.  With ``min_density == 1`` the two gates
-coincide (``B(S) = |S|``).
+    seasons(S') <= C(S') <= C(S) <= B(S) <= |S| / min_density,
+
+where ``B(S)`` sums ``floor(|N| / min_density)`` over the near sets of
+``S``.  When ``dist_max`` does not bind, the union of the greedy windows
+is a subset whose seasons are exactly those windows, so ``C(S)`` is the
+best season count over all subsets of ``S``.
+
+``max_season`` stays: it is the quantity the MI bound of Eq. (6)
+(:mod:`repro.core.bounds`) bounds, and its gate :func:`is_candidate` is
+the first O(1) check of :func:`is_season_candidate`.  The second is the
+span check: ``m`` windows ``g`` apart need at least
+``m * (min_density - 1) + (m - 1) * g`` between their first and last
+granule.
 
 Season chaining semantics
 -------------------------
@@ -66,7 +83,12 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.core.config import MiningParams
-from repro.core.supportset import SupportLike, as_positions, bit_positions
+from repro.core.supportset import (
+    BitsetSupportSet,
+    SupportLike,
+    as_positions,
+    bit_positions,
+)
 
 
 def max_season(support_size: int, min_density: int) -> float:
@@ -80,43 +102,53 @@ def is_candidate(support_size: int, params: MiningParams) -> bool:
 
 
 def is_season_candidate(support: SupportLike | int, params: MiningParams) -> bool:
-    """The Apriori candidate gate: ``B(SUP) >= minSeason``.
+    """The Apriori candidate gate: ``C(SUP) >= minSeason``.
 
     ``support`` is a sorted position sequence, a
-    :class:`~repro.core.supportset.SupportSet` or a raw support bitmask.
-    The O(1) Eq. (1) check :func:`is_candidate` runs first; only when it
-    passes and ``min_density > 1`` are the positions walked (a bitset's
-    are materialized through its cached ``positions()``), and the walk
-    stops as soon as the closed near sets plus the open one reach
-    ``minSeason`` or the positions left can no longer reach it.
+    :class:`~repro.core.supportset.BitsetSupportSet` or a raw support
+    bitmask.  Two O(1) checks run first: Eq. (1)'s size check
+    :func:`is_candidate` and the span check (``minSeason`` windows ``g``
+    apart must fit between the first and the last granule).  Only then are
+    the positions walked (a bitset's through its cached ``positions()``),
+    and the walk stops as soon as ``minSeason`` windows are found, or as
+    soon as the granules or the span left can no longer hold the windows
+    still needed.
     """
-    size = support.bit_count() if isinstance(support, int) else len(support)
+    if isinstance(support, int):
+        bits = support
+    elif isinstance(support, BitsetSupportSet):
+        bits = support.bits
+    else:
+        bits = None
+    size = len(support) if bits is None else bits.bit_count()
     if not is_candidate(size, params):
         return False
+    if bits is None:
+        first, last = support[0], support[-1]
+    else:
+        first, last = (bits & -bits).bit_length() - 1, bits.bit_length() - 1
     min_density = params.min_density
-    if min_density == 1:
-        return True  # B(S) = |S|
-    positions = (
-        bit_positions(support) if isinstance(support, int) else as_positions(support)
-    )
     max_period = params.max_period
-    # Granules the open near set still needs for the bound to reach
-    # minSeason; each closed near set N pays floor(|N| / minDensity) of it.
-    goal = params.min_season * min_density
-    walked = 0
-    run = 0
-    previous = positions[0]
-    for position in positions:
-        if position - previous > max_period:
-            walked += run
-            goal -= run - run % min_density
-            if size - walked < goal:
-                return False
-            run = 0
-        run += 1
-        if run == goal:
+    gap = max(params.dist_min, max_period + 1)
+    # ``need`` windows ``gap`` apart span at least ``need * step - gap``.
+    step = min_density - 1 + gap
+    need = params.min_season
+    if last - first < need * step - gap:
+        return False
+    positions = bit_positions(support) if isinstance(support, int) else as_positions(support)
+    start = 0  # index of the first granule the next window may start at
+    while size - start >= need * min_density and last - positions[start] >= need * step - gap:
+        end = start + min_density - 1
+        index = start + 1
+        while index <= end and positions[index] - positions[index - 1] <= max_period:
+            index += 1
+        if index <= end:
+            start = index  # a window starting before ``index`` holds its long step
+            continue
+        need -= 1
+        if not need:
             return True
-        previous = position
+        start = bisect_left(positions, positions[end] + gap, end + 1)
     return False
 
 

@@ -20,8 +20,8 @@ database ``DSEQ``:
 Pruning is controlled by :class:`~repro.core.prune.PruningConfig`:
 ``apriori`` applies the candidate gates of Lemmas 1-2 to events, groups
 and patterns, each through
-:func:`~repro.core.seasonality.is_season_candidate` -- the near-set
-bound ``B(SUP) >= minSeason``, which is anti-monotone like Eq. (1)'s
+:func:`~repro.core.seasonality.is_season_candidate` -- the season-chain
+bound ``C(SUP) >= minSeason``, which is anti-monotone like Eq. (1)'s
 maxSeason and never looser than it; ``transitivity`` restricts F1 to
 events present in HLH_{k-1} patterns (Lemmas 3-4).  Both are lossless.
 
@@ -29,10 +29,10 @@ Engine architecture
 -------------------
 Support sets live behind :class:`~repro.core.supportset.SupportSet`
 (big-int bitsets), so every group intersection is a C-level ``&`` and
-every candidate gate starts with Eq. (1)'s O(1) size check (a
-``bit_count()`` on a bitset); only supports that pass it at
-``min_density > 1`` have their positions walked.  The per-group work of
-step 2.2 -- intersect supports,
+every candidate gate starts with two O(1) checks, Eq. (1)'s size (a
+``bit_count()`` on a bitset) and the span from the first to the last
+granule; only supports that pass both have their positions walked.  The
+per-group work of step 2.2 -- intersect supports,
 enumerate instance pairs, grow assignments -- is expressed as *group
 tasks* (:func:`mine_pair_task` / :func:`mine_extension_task`, each taking
 its level's shared :class:`LevelContext`).  :meth:`ESTPM._dispatch` runs

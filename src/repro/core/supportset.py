@@ -10,7 +10,8 @@ operations on it:
   check of every candidate gate;
 * **ascending iteration** -- only when seasons are materialized, the
   group's granules are walked for instance enumeration, or a support that
-  passes Eq. (1) meets the near-set bound of the candidate gate.
+  passes the O(1) checks of the candidate gate meets its season-chain
+  walk.
 
 :class:`SupportSet` names that interface and :class:`BitsetSupportSet`
 implements it: the positions are packed into one Python big int (bit

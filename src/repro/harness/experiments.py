@@ -539,7 +539,7 @@ def _pruning_figure(
         x_values=xs,
         y_label="runtime (s)",
         notes="Shape vs paper: All <= Trans, Apriori <= NoPrune; both prunings "
-        "combined win. Apriori here gates on the near-set bound, tighter than "
+        "combined win. Apriori here gates on the season-chain bound, tighter than "
         "the paper's maxSeason, so its candidate counts are not the paper's.",
     )
     for pruning in ALL_VARIANTS:

@@ -11,7 +11,7 @@ resumed skipping the finished work (``freqstpfts run/multigrain
 The on-disk format is a versioned JSON envelope::
 
     {
-      "format_version": 2,
+      "format_version": 3,
       "fingerprint": {"job": "estpm", "level": 2, ...},
       "outcomes": {"<task key>": "<base64 pickle>", ...}
     }
@@ -51,12 +51,13 @@ __all__ = ["JobCheckpoint", "FORMAT_VERSION"]
 
 logger = get_logger(__name__)
 
-#: Version 2: step-2.2 outcomes gated by the near-set bound
-#: (:func:`~repro.core.seasonality.is_season_candidate`).  A version-1
-#: file holds outcomes of the cardinality-only maxSeason gate -- groups
-#: this build rejects, with their patterns -- so a resume mixing the two
-#: would report candidate counts of neither gate; it is refused.
-FORMAT_VERSION = 2
+#: Version 3: step-2.2 outcomes gated by the season-chain bound
+#: (:func:`~repro.core.seasonality.is_season_candidate`).  Older files
+#: hold outcomes of looser gates -- version 1 the cardinality-only
+#: maxSeason, version 2 the near-set bound -- including groups this
+#: build rejects, with their patterns, so a resume mixing the two would
+#: report candidate counts of neither gate; they are refused.
+FORMAT_VERSION = 3
 
 #: What a damaged or foreign outcome blob raises on decode: bad base64
 #: (``binascii.Error``, a ``ValueError``), a truncated or corrupt pickle

@@ -10,7 +10,7 @@ therefore yields *exactly* the support a coarse-level DSEQ scan would
 recompute (asserted by the hypothesis property tests).
 
 Because the fold is exact, each coarse level's candidate gate -- the
-near-set bound ``B(SUP_E) >= minSeason`` of
+season-chain bound ``C(SUP_E) >= minSeason`` of
 :func:`~repro.core.seasonality.is_season_candidate`, which depends on the
 support's positions only -- can be evaluated from the folded supports
 alone, before any of that level's granule rows exist, and it decides
@@ -45,7 +45,7 @@ class LevelScreening:
     supports:
         Folded (exact) support per event occurring at this level.
     candidates:
-        Events passing the level's candidate gate (the near-set bound).
+        Events passing the level's candidate gate (the season-chain bound).
     granules:
         Union of the candidates' supports -- the only coarse positions
         whose rows mining can touch, hence the only ones worth deriving.

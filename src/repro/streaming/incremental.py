@@ -8,7 +8,7 @@ appends.  Each :meth:`IncrementalSTPM.advance` call
    and the instance tables of candidate events;
 2. for candidate 2-event groups, enumerates instance pairs only at the
    *tail* granules of the advance; groups that newly pass the candidate
-   gate (the near-set bound shared with the batch miner) get a one-time
+   gate (the season-chain bound shared with the batch miner) get a one-time
    catch-up pass over their full support;
 3. for k >= 3, visits only the groups on a worklist derived from what
    the advance changed, never scanning the others.  A group is visited
@@ -778,7 +778,7 @@ class IncrementalSTPM:
 
         These are the patterns the next few granules are most likely to
         promote -- the "border" a monitoring dashboard watches.  Only
-        candidates (supports whose near-set bound reaches ``minSeason``)
+        candidates (supports whose season-chain bound reaches ``minSeason``)
         are listed.
         """
         state = self.state

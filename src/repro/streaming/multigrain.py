@@ -172,7 +172,7 @@ class MultiGrainStreamingService:
     def border_patterns(self, ratio: int) -> list[SeasonalPattern]:
         """One level's candidates one season short of promotion.
 
-        Candidates are what the level's near-set gate admits; see
+        Candidates are what the level's season-chain gate admits; see
         :meth:`~repro.streaming.incremental.IncrementalSTPM.border_patterns`.
         """
         return self._level_miner(ratio).border_patterns()

@@ -128,7 +128,7 @@ class StreamingMiningService:
     def border_patterns(self) -> list[SeasonalPattern]:
         """Candidates one season short of promotion (the watch list).
 
-        Candidates are what the near-set gate admits; see
+        Candidates are what the season-chain gate admits; see
         :meth:`~repro.streaming.incremental.IncrementalSTPM.border_patterns`.
         """
         return self.miner.border_patterns()

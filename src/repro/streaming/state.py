@@ -16,11 +16,11 @@ Everything the miners gate on is *monotone* under granule appends:
 
 * support sets only gain positions (one ``|=`` per event per granule on
   the big-int bitset);
-* the candidate gate, the near-set bound ``B(SUP) >= minSeason`` of
+* the candidate gate, the season-chain bound ``C(SUP) >= minSeason`` of
   :func:`~repro.core.seasonality.is_season_candidate`, can only flip from
-  failed to passed: a support that gains granules, by an append or a
-  catch-up merge, keeps each of its near sets inside one of the new
-  support's, and ``floor(|N| / minDensity)`` is superadditive, so ``B``
+  failed to passed: in a support that gains granules, by an append or a
+  catch-up merge, every window of the old support still starts a window
+  that ends no later, so the greedy walk finds at least as many and ``C``
   never falls.  A candidate event, group, or pattern never loses
   candidacy, so the events in each level's candidate patterns and the
   groups with candidate patterns only grow too;

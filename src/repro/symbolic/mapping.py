@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from math import isfinite
 from typing import Protocol, Sequence, runtime_checkable
 
 from repro.core.config import get_numpy
@@ -46,9 +47,12 @@ def interp_quantiles(sorted_values: Sequence[float], n_bins: int) -> list[float]
     interpolation: the probabilities are ``i * (1/n_bins)`` and each
     quantile lerps between its two bracketing order statistics using
     numpy's exact ``_lerp`` formula (``b - d*(1-t)`` for ``t >= 0.5``),
-    so the breakpoints match the numpy path to the last bit.  The
-    streaming rolling refit calls this directly on its incrementally
-    maintained sorted history -- O(n_bins) per refit, no re-sort.
+    so the breakpoints match the numpy path to the last bit.  Where the
+    spread ``b - a`` of two finite values overflows, that formula gives
+    inf or nan; such a breakpoint is ``a`` at ``t = 0`` and otherwise
+    ``a*(1-t) + b*t``, which cannot overflow.  The streaming rolling
+    refit calls this directly on its incrementally maintained sorted
+    history -- O(n_bins) per refit, no re-sort.
     """
     n = len(sorted_values)
     step = 1.0 / n_bins
@@ -60,7 +64,10 @@ def interp_quantiles(sorted_values: Sequence[float], n_bins: int) -> list[float]
         a = sorted_values[low]
         b = sorted_values[low + 1] if low + 1 < n else a
         d = b - a
-        breakpoints.append(b - d * (1.0 - t) if t >= 0.5 else a + d * t)
+        if not isfinite(d):
+            breakpoints.append(a if t == 0 else a * (1.0 - t) + b * t)
+        else:
+            breakpoints.append(b - d * (1.0 - t) if t >= 0.5 else a + d * t)
     return breakpoints
 
 
@@ -69,17 +76,20 @@ def quantile_breakpoints(values: Sequence[float], n_bins: int) -> list[float]:
 
     Dispatches to ``np.quantile`` on the numpy backend and to the
     sort + :func:`interp_quantiles` twin otherwise; both produce the
-    same floats.
+    same floats.  A non-finite ``np.quantile`` breakpoint comes from an
+    interpolation whose spread overflowed; it is replaced by the twin's
+    overflow-free one, and every other breakpoint keeps numpy's bits.
     """
     np = get_numpy()
     if np is not None:
         quantiles = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
-        # Huge finite values overflow the interpolation to the same
-        # inf/nan breakpoints as the twin, which stays silent; so does
-        # this path.
         with np.errstate(over="ignore", invalid="ignore"):
             breakpoints = np.quantile(np.asarray(values, dtype=float), quantiles)
-        return [float(b) for b in breakpoints]
+        result = [float(b) for b in breakpoints]
+        if all(isfinite(b) for b in result):
+            return result
+        twin = interp_quantiles(sorted(float(v) for v in values), n_bins)
+        return [b if isfinite(b) else t for b, t in zip(result, twin)]
     return interp_quantiles(sorted(float(v) for v in values), n_bins)
 
 

@@ -1,6 +1,6 @@
 """Property-based tests for the seasonality machinery (Defs. 3.13-3.15)."""
 
-from itertools import cycle
+from itertools import compress, cycle, product
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro import MiningParams, compute_seasons, max_season
 from repro.core.seasonality import (
     SeasonChain,
+    count_seasons,
     is_season_candidate,
     split_near_support_sets,
 )
@@ -166,7 +167,7 @@ def test_season_chain_older_position_takes_the_full_recompute(support, params, d
     _assert_same_view(chain.refresh(params), compute_seasons(merged + more, params))
 
 
-# -- The near-set bound B behind every Apriori gate -----------------------
+# -- The near-set bound B, the reference the season-chain bound tightens --
 
 
 def near_set_bound(support, params) -> int:
@@ -189,8 +190,6 @@ def support_and_subset(draw):
 @settings(max_examples=300)
 def test_near_set_bound_caps_the_seasons_of_every_subset(case, params):
     # Lemmas 1-2 with B: a subset's seasons never exceed the superset's B.
-    from repro.core.seasonality import count_seasons
-
     support, subset = case
     assert count_seasons(subset, params) <= near_set_bound(support, params)
     assert near_set_bound(subset, params) <= near_set_bound(support, params)
@@ -215,6 +214,42 @@ def test_near_set_bound_tightens_max_season(support, params):
         assert bound == len(support)
 
 
+# -- The season-chain bound C behind every Apriori gate ------------------
+
+
+def chain_bound(support, params) -> int:
+    """C(S), as a plain loop: the greedy count of windows of minDensity
+    consecutive granules with steps <= maxPeriod, each starting at least
+    g = max(distMin, maxPeriod + 1) after the previous one ends."""
+    gap = max(params.dist_min, params.max_period + 1)
+    width = params.min_density
+    count = 0
+    earliest = None
+    index = 0
+    while index + width <= len(support):
+        window = support[index : index + width]
+        steps_ok = all(b - a <= params.max_period for a, b in zip(window, window[1:]))
+        if steps_ok and (earliest is None or window[0] >= earliest):
+            count += 1
+            earliest = window[-1] + gap
+            index += width
+        else:
+            index += 1
+    return count
+
+
+#: Thresholds where distMin often exceeds maxPeriod + 1, so that the
+#: gap g between windows is distMin's.
+gate_params = st.builds(
+    MiningParams,
+    max_period=st.integers(1, 6),
+    min_density=st.integers(1, 4),
+    dist_interval=st.integers(0, 40).flatmap(
+        lambda low: st.tuples(st.just(low), st.integers(low, 200))
+    ),
+    min_season=st.integers(1, 5),
+)
+
 #: Early exits: True at granule 12, inside the second near set; False at
 #: the break before 5, where the 5 granules left can add only 2 < 3.
 _EARLY_TRUE = (
@@ -225,16 +260,73 @@ _EARLY_FALSE = (
     [1, 3, 5, 6, 7, 8, 9],
     MiningParams(max_period=1, min_density=2, dist_interval=(0, 30), min_season=3),
 )
+#: minDensity 1 with distMin >> maxPeriod (the regime of RE at the CLI's
+#: thresholds): B = |S| = 8, but granules 30 apart give C = 3 < 4.
+_SPREAD = (
+    [1, 2, 5, 31, 33, 40, 61, 62],
+    MiningParams(max_period=1, min_density=1, dist_interval=(30, 330), min_season=4),
+)
 
 
-@given(supports, params_strategy)
+@given(supports, gate_params)
 @example(*_EARLY_TRUE)
 @example(*_EARLY_FALSE)
 @example(*_H9)
+@example(*_SPREAD)
 @settings(max_examples=400)
-def test_season_gate_agrees_with_the_near_set_bound(support, params):
-    expected = near_set_bound(support, params) >= params.min_season
+def test_season_gate_agrees_with_the_chain_bound(support, params):
+    bound = chain_bound(support, params)
     bitset = BitsetSupportSet.from_positions(support)
-    assert is_season_candidate(support, params) == expected
-    assert is_season_candidate(bitset, params) == expected
-    assert is_season_candidate(bitset.bits, params) == expected
+    # The drawn minSeason, and the thresholds on either side of C, which
+    # pin C itself.
+    for min_season in {params.min_season, max(bound, 1), bound + 1}:
+        at = params.with_updates(min_season=min_season)
+        expected = bound >= min_season
+        for form in (support, bitset, bitset.bits):
+            assert is_season_candidate(form, at) == expected
+
+
+@given(support_and_subset(), gate_params)
+@example((_H9[0], _H9[0][2:]), _H9[1])
+@example((_SPREAD[0], _SPREAD[0][::2]), _SPREAD[1])
+@settings(max_examples=300)
+def test_chain_bound_caps_the_seasons_of_every_subset(case, params):
+    # Lemmas 1-2 with C: a subset's seasons never exceed the superset's C.
+    support, subset = case
+    assert count_seasons(subset, params) <= chain_bound(support, params)
+    assert chain_bound(subset, params) <= chain_bound(support, params)
+
+
+@given(supports, supports, gate_params)
+@settings(max_examples=200)
+def test_chain_bound_never_falls_under_appends_or_merges(support, more, params):
+    bound = chain_bound(support, params)
+    merged = sorted(set(support) | set(more))
+    assert chain_bound(merged, params) >= bound
+    top = support[-1] if support else 0
+    appended = support + [top + offset for offset in sorted(set(more))]
+    assert chain_bound(appended, params) >= bound
+
+
+@given(supports, gate_params)
+@example(*_SPREAD)
+def test_chain_bound_tightens_the_near_set_bound(support, params):
+    assert chain_bound(support, params) <= near_set_bound(support, params)
+
+
+@given(
+    st.lists(st.integers(1, 60), max_size=10, unique=True).map(sorted),
+    gate_params,
+)
+@example(*_SPREAD)
+@settings(max_examples=150)
+def test_chain_bound_is_the_best_season_count_of_a_subset(support, params):
+    # With distMax >= max(S) no distance binds, and the greedy windows of
+    # S are the seasons of their union.
+    dist_max = max(params.dist_min, max(support, default=0))
+    params = params.with_updates(dist_interval=(params.dist_min, dist_max))
+    best = max(
+        count_seasons(list(compress(support, keep)), params)
+        for keep in product((False, True), repeat=len(support))
+    )
+    assert chain_bound(support, params) == best

@@ -35,10 +35,13 @@ def mining_inputs(draw, max_lengths=(3,)):
         for i in range(n_series)
     }
     ratio = draw(st.sampled_from([2, 3]))
+    # distMin up to 6 exceeds maxPeriod + 1 (at most 4) in many draws, so
+    # the candidate gate's season spacing is distMin's there.
+    dist_min = draw(st.integers(0, 6))
     params = MiningParams(
         max_period=draw(st.integers(1, 3)),
         min_density=draw(st.integers(1, 2)),
-        dist_interval=(draw(st.integers(0, 2)), draw(st.integers(3, 10))),
+        dist_interval=(dist_min, draw(st.integers(max(3, dist_min), 10))),
         min_season=draw(st.integers(1, 2)),
         max_pattern_length=draw(st.sampled_from(max_lengths)),
     )
@@ -55,8 +58,24 @@ def _fixed_inputs(rows: dict[str, str], ratio: int, params: MiningParams):
 # the k = 3 fast path, the general extension path) and k = 3 also as an
 # inner level whose assignments are extended.  Few random draws reach
 # frequent 4-event patterns, so one explicit example with 91 of them
-# always runs.
+# always runs.  The second example runs at minDensity 1 with distMin far
+# above maxPeriod, where the season-chain gate rejects 2-/3-event
+# candidates (14 and 19 of them) that the near-set bound admits.
 @given(mining_inputs(max_lengths=(2, 3, 4)))
+@example(
+    _fixed_inputs(
+        {
+            "S0": "110111111001001010011011101110",
+            "S1": "001011010000010011011010110110",
+            "S2": "100001100000011001111101011000",
+        },
+        2,
+        MiningParams(
+            max_period=1, min_density=1, dist_interval=(6, 12),
+            min_season=2, max_pattern_length=3,
+        ),
+    )
+)
 @example(
     _fixed_inputs(
         {

@@ -380,14 +380,26 @@ class TestMiningChaos:
                 paper_dseq, paper_params, PruningConfig.none(), checkpoint_path=ckpt
             ).mine()
 
+    @staticmethod
+    def _assert_refuses_version(ckpt, paper_dseq, paper_params, version):
+        ESTPM(paper_dseq, paper_params, checkpoint_path=str(ckpt)).mine()
+        _set_checkpoint_version(ckpt, version)
+        with pytest.raises(ConfigError, match=f"format_version {version}"):
+            ESTPM(paper_dseq, paper_params, checkpoint_path=str(ckpt)).mine()
+
     def test_checkpoint_rejects_version_1(self, tmp_path, paper_dseq, paper_params):
         # A version-1 checkpoint holds outcomes of the maxSeason gate:
         # resuming it would mix gate-rejected groups into the counts.
-        ckpt = tmp_path / "estpm.ckpt.json"
-        ESTPM(paper_dseq, paper_params, checkpoint_path=str(ckpt)).mine()
-        _set_checkpoint_version(ckpt, 1)
-        with pytest.raises(ConfigError, match="format_version 1"):
-            ESTPM(paper_dseq, paper_params, checkpoint_path=str(ckpt)).mine()
+        self._assert_refuses_version(
+            tmp_path / "estpm.ckpt.json", paper_dseq, paper_params, 1
+        )
+
+    def test_checkpoint_rejects_version_2(self, tmp_path, paper_dseq, paper_params):
+        # A version-2 checkpoint holds outcomes of the near-set bound,
+        # which admits groups the season-chain bound rejects.
+        self._assert_refuses_version(
+            tmp_path / "estpm.ckpt.json", paper_dseq, paper_params, 2
+        )
 
     @pytest.mark.parametrize("dataset_name", ["tiny_re", "tiny_inf"])
     def test_seed_dataset_chaos_parity(self, dataset_name, request):
@@ -484,12 +496,17 @@ class TestMultigrainChaos:
                 paper_dsyb, pruning=PruningConfig.none(), checkpoint_path=ckpt
             ).mine()
 
-    def test_checkpoint_rejects_version_1(self, tmp_path, paper_dsyb):
-        ckpt = tmp_path / "multigrain.ckpt.json"
+    def _assert_refuses_version(self, ckpt, paper_dsyb, version):
         self._miner(paper_dsyb, checkpoint_path=str(ckpt)).mine()
-        _set_checkpoint_version(ckpt, 1)
-        with pytest.raises(ConfigError, match="format_version 1"):
+        _set_checkpoint_version(ckpt, version)
+        with pytest.raises(ConfigError, match=f"format_version {version}"):
             self._miner(paper_dsyb, checkpoint_path=str(ckpt)).mine()
+
+    def test_checkpoint_rejects_version_1(self, tmp_path, paper_dsyb):
+        self._assert_refuses_version(tmp_path / "multigrain.ckpt.json", paper_dsyb, 1)
+
+    def test_checkpoint_rejects_version_2(self, tmp_path, paper_dsyb):
+        self._assert_refuses_version(tmp_path / "multigrain.ckpt.json", paper_dsyb, 2)
 
 
 class TestJobCheckpoint:
@@ -639,6 +656,24 @@ def test_undecodable_resume_checkpoint_is_a_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
     (line,) = [line for line in err.splitlines() if "ERROR" in line]
     assert str(path) in line
+
+
+def test_old_format_resume_checkpoint_is_a_usage_error(tmp_path, capsys):
+    from repro.harness import cli
+
+    path = tmp_path / "resume.json"
+    argv = [
+        "mine", "--dataset", "RE", "--profile", "tiny", "--min-season", "4",
+        "--resume", str(path),
+    ]
+    assert cli.main(argv) == 0
+    _set_checkpoint_version(path, 2)
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = [line for line in err.splitlines() if "ERROR" in line]
+    assert "format_version 2" in line
 
 
 def test_resilience_modules_registered_for_ep_checks():

@@ -21,17 +21,22 @@ class TestMaxSeason:
         assert is_candidate(6, paper_params)
         assert not is_candidate(5, paper_params)
 
-    def test_near_set_bound_is_tighter_than_max_season(self, paper_params):
-        # maxSeason = 8/3 >= 2, but the near sets {1,2,4,5}, {9,10} and
-        # {14,15} hold 4, 2 and 2 granules: B = 1 + 0 + 0 = 1 < 2.
-        support = [1, 2, 4, 5, 9, 10, 14, 15]
+    def test_chain_bound_is_tighter_than_near_set_bound(self, paper_params):
+        # g = max(distMin 4, maxPeriod 2 + 1) = 4.  The near sets
+        # {1,2,4,5,7,9,10} and {14,15} give B = 2 + 0 = 2, but after the
+        # first window {1,2,4} the next must start at 8 or later, and
+        # {9,10} and {14,15} hold no 3 granules with steps <= 2: C = 1.
+        support = [1, 2, 4, 5, 7, 9, 10, 14, 15]
         assert split_near_support_sets(support, paper_params.max_period) == [
-            [1, 2, 4, 5], [9, 10], [14, 15],
+            [1, 2, 4, 5, 7, 9, 10], [14, 15],
         ]
         assert is_candidate(len(support), paper_params)
         assert not is_season_candidate(support, paper_params)
-        # One more granule closes the gap to {9, 10}: B = 2.
-        assert is_season_candidate(sorted(support + [7]), paper_params)
+        # With 11 the window {9,10,11} fits: B = C = 2, and the subset
+        # {1,2,4,9,10,11} has those two windows as its seasons.
+        support = [1, 2, 4, 5, 7, 9, 10, 11]
+        assert is_season_candidate(support, paper_params)
+        assert count_seasons([1, 2, 4, 9, 10, 11], paper_params) == 2
 
 
 class TestNearSupportSets:

@@ -10,7 +10,7 @@ one seed stream every sampled prefix is also checked against the
 brute-force :class:`NaiveSTPM` oracle.  The k >= 3 worklist's four
 triggers and the full season recompute all fire on the seed streams, so
 these parity checks exercise every path of the advance.  At sampled
-prefixes of streams where the near-set gate prunes, the streaming
+prefixes of streams where the season-chain gate prunes, the streaming
 candidate mirrors also match batch E-STPM's candidate counts.
 """
 
@@ -112,7 +112,7 @@ class TestKernelParity:
 
 def _gate_acted(state, params) -> int:
     """Event, group and pattern supports of the streaming state that pass
-    Eq. (1) but fail the near-set gate."""
+    Eq. (1) but fail the season-chain gate."""
     supports = [es.chain.support for es in state.events.values()]
     for level in state.levels.values():
         for gs in level.values():
@@ -166,10 +166,12 @@ class TestGateConsistency:
     """Batch and streaming miners share one candidate gate.
 
     Frequent-output parity cannot catch a gate site left on Eq. (1)'s
-    maxSeason, because the near-set bound is lossless; the candidate
-    counts can.  The streams run at minDensity 3, where the bound prunes
-    (at minDensity 1 it equals ``|SUP|`` and the gates coincide), and
-    each test asserts that the bound rejected a support Eq. (1) admits.
+    maxSeason, because the season-chain bound is lossless; the candidate
+    counts can.  The bound prunes through density (the streams at
+    minDensity 3) and through season spacing: at minDensity 1 a window
+    is one granule, but windows must lie ``g = max(distMin, maxPeriod +
+    1)`` apart, so the streams at distMin > maxPeriod + 1 prune too.
+    Each test asserts that the bound rejected a support Eq. (1) admits.
     """
 
     def test_paper_example(self, paper_dseq, paper_params):
@@ -182,6 +184,16 @@ class TestGateConsistency:
         dataset = DATASET_BUILDERS[name](n_sequences=44, n_series=4)
         params = dataset.params(min_season=2, min_density_pct=5, max_period_pct=5)
         assert params.min_density == 3
+        miner = _assert_gates_agree(dataset.dseq(), params, check_every=6)
+        assert len(miner.result()) > 0
+        assert _gate_acted(miner.state, params) > 0
+
+    @pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
+    def test_seed_dataset_season_spacing(self, name):
+        dataset = DATASET_BUILDERS[name](n_sequences=44, n_series=4)
+        params = dataset.params(min_season=2, min_density_pct=1, max_period_pct=1)
+        assert params.min_density == 1
+        assert params.dist_min > params.max_period + 1
         miner = _assert_gates_agree(dataset.dseq(), params, check_every=6)
         assert len(miner.result()) > 0
         assert _gate_acted(miner.state, params) > 0

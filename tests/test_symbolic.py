@@ -14,7 +14,8 @@ from repro.symbolic import (
     ThresholdMapper,
     TimeSeries,
 )
-from repro.symbolic.mapping import ExplicitMapper
+from repro.streaming.ingest import StreamingSymbolizer
+from repro.symbolic.mapping import ExplicitMapper, quantile_breakpoints
 
 
 class TestAlphabet:
@@ -134,6 +135,20 @@ class TestMappers:
         alphabet = Alphabet.levels(["only"])
         encoded = QuantileMapper(alphabet).encode(TimeSeries("X", (1.0, 2.0)))
         assert set(encoded.symbols) == {"only"}
+
+    def test_quantile_breakpoint_of_an_overflowing_spread(self, compute_backend):
+        # The median sits between -1e308 and 1e308, whose difference
+        # overflows: the breakpoint is the lower value, not nan.
+        values = (-1e308, -1e308, 1e308)
+        assert quantile_breakpoints(values, 2) == [-1e308]
+        assert quantile_breakpoints(values, 4) == [-1e308, -1e308, 0.0]
+        alphabet = Alphabet.levels(["L", "H"])
+        encoded = QuantileMapper(alphabet).encode(TimeSeries("X", values))
+        assert encoded.symbols == ("L", "L", "H")
+        # The streaming fit and the rolling refit share the breakpoints.
+        for mode in ("frozen", "rolling"):
+            pushed = StreamingSymbolizer({"X": alphabet}, mode).push({"X": values})
+            assert pushed["X"] == ("L", "L", "H")
 
     def test_quantile_preserves_monotone_transforms(self):
         # The property A-STPM's duplicate families rely on.
