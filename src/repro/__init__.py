@@ -31,10 +31,8 @@ from repro.core.config import MiningParams
 from repro.multigrain import (
     GranularityLevel,
     HierarchicalMiner,
-    LevelScreening,
     MultiGranularityResult,
     resolve_level_params,
-    screen_level,
 )
 from repro.core.supportset import (
     BitsetSupportSet,
@@ -92,7 +90,7 @@ from repro.resilience import (
 )
 from repro.transform import TemporalSequenceDatabase, build_sequence_database
 
-__version__ = "1.20.0"
+__version__ = "1.21.0"
 
 __all__ = [
     # granularity
@@ -133,8 +131,6 @@ __all__ = [
     "HierarchicalMiner",
     "GranularityLevel",
     "MultiGranularityResult",
-    "LevelScreening",
-    "screen_level",
     "resolve_level_params",
     "PatternQuery",
     "superpatterns_of",

@@ -164,7 +164,6 @@ def multigrain_to_json(
                 "ratio": level.ratio,
                 "n_sequences": level.n_sequences,
                 "derived_from": level.derived_from,
-                "n_events_screened": level.n_events_screened,
                 "n_granules_skipped": level.n_granules_skipped,
                 "seconds": level.seconds,
                 "params": _params_to_dict(level.params),
@@ -202,7 +201,6 @@ def _multigrain_from_payload(payload: dict) -> MultiGranularityResult:
                 params=_params_from_dict(entry["params"]),
                 result=_result_from_dict(entry["result"]),
                 derived_from=entry.get("derived_from"),
-                n_events_screened=entry.get("n_events_screened", 0),
                 n_granules_skipped=entry.get("n_granules_skipped", 0),
                 seconds=entry.get("seconds", 0.0),
             )

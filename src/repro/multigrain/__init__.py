@@ -7,13 +7,11 @@ sequences) and mined at each level of the granularity hierarchy.  This
 package turns that from a loop over independent jobs into one
 hierarchical job:
 
-* :mod:`repro.multigrain.screening` -- fold-derived coarse event supports
-  (:meth:`~repro.core.supportset.SupportSet.coarsen` is exact for events)
-  and the cross-level candidacy screening built on them;
 * :mod:`repro.multigrain.engine` -- :class:`HierarchicalMiner`, which
-  builds the finest level once, derives every coarser level's supports
-  and granule rows from it, and mines the levels as independent level
-  tasks;
+  builds the finest level once, derives every coarser level from it
+  (:meth:`~repro.transform.sequence_db.TemporalSequenceDatabase.coarsen`:
+  event supports folded exactly, granule rows merged only when first
+  read), and mines the levels as independent level tasks;
 * :mod:`repro.multigrain.result` -- :class:`MultiGranularityResult`,
   aligning the frequent patterns across levels ("which patterns persist
   from hourly to daily?").
@@ -31,14 +29,11 @@ from repro.multigrain.engine import (
     resolve_level_params,
 )
 from repro.multigrain.result import GranularityLevel, MultiGranularityResult
-from repro.multigrain.screening import LevelScreening, screen_level
 
 __all__ = [
     "HierarchicalMiner",
     "GranularityLevel",
     "MultiGranularityResult",
-    "LevelScreening",
-    "screen_level",
     "resolve_level_params",
     "MINER_EXACT",
     "MINER_APPROXIMATE",

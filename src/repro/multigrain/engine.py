@@ -6,19 +6,20 @@ job instead of N independent ones:
 1. the finest requested level is sequence-mapped from the symbolic
    database once and its event supports computed with the usual single
    DSEQ scan;
-2. every coarser level whose ratio is a multiple of the finest derives
-   its event supports by *folding* the fine supports
+2. every coarser level whose ratio is a multiple of the finest is
+   derived with
+   :meth:`~repro.transform.sequence_db.TemporalSequenceDatabase.coarsen`:
+   its event supports are the fine supports *folded*
    (:meth:`~repro.core.supportset.SupportSet.coarsen` -- exact for
-   events) and its granule rows by *merging* the fine rows
-   (:meth:`~repro.transform.sequence_db.TemporalSequenceDatabase.coarsen`),
-   never re-walking the raw symbol stream;
-3. the cross-level screening (:mod:`repro.multigrain.screening`)
-   evaluates each coarse level's candidate gate on the folded supports
-   first, so rows are derived only for the granules some candidate event
-   actually supports;
-4. the levels run one after another as independent level tasks
+   events), and its granule rows *merge* the fine rows only when first
+   read, never re-walking the raw symbol stream;
+3. the levels run one after another as independent level tasks
    (:func:`mine_level_task`, through the same retry and resume machinery
-   as E-STPM's group tasks) and are mined with E-STPM or A-STPM.
+   as E-STPM's group tasks) and are mined with E-STPM or A-STPM.  Each
+   level's step 2.1 is its only candidate gate: it cuts instance
+   columns (and so reads rows) only for the events the gate admits, so
+   a single-event level (``max_pattern_length == 1``) never builds a
+   row and any other level builds its rows once.
 
 Each level's :class:`~repro.core.results.MiningResult` is equivalent to
 mining that level standalone (same patterns, same supports / near sets /
@@ -39,7 +40,6 @@ from repro.core.stpm import ESTPM
 from repro.exceptions import ConfigError, MiningError
 from repro.granularity.hierarchy import GranularityHierarchy
 from repro.multigrain.result import GranularityLevel, MultiGranularityResult
-from repro.multigrain.screening import screen_level
 from repro.obs import counters as metrics
 from repro.obs.trace import span
 from repro.resilience.policy import FailedTask, RetryPolicy, run_task
@@ -102,8 +102,6 @@ class LevelJob:
     params: MiningParams
     dseq: TemporalSequenceDatabase | None
     derived_from: int | None
-    n_events_screened: int = 0
-    n_granules_skipped: int = 0
 
 
 @dataclass(frozen=True)
@@ -144,8 +142,7 @@ def mine_level_task(index: int, context: HierarchicalContext) -> GranularityLeve
         params=job.params,
         result=result,
         derived_from=job.derived_from,
-        n_events_screened=job.n_events_screened,
-        n_granules_skipped=job.n_granules_skipped,
+        n_granules_skipped=dseq.unbuilt_rows(),
         seconds=time.perf_counter() - started,
     )
 
@@ -274,7 +271,6 @@ class HierarchicalMiner:
         jobs: list[LevelJob] = []
         base_ratio, base_n = levels[0]
         base_dseq = build_sequence_database(self.dsyb, base_ratio)
-        base_supports = base_dseq.event_support()
         jobs.append(
             LevelJob(
                 ratio=base_ratio,
@@ -298,37 +294,13 @@ class HierarchicalMiner:
                     )
                 )
                 continue
-            factor = ratio // base_ratio
-            screening = screen_level(
-                base_supports, factor, n_sequences, params, ratio
-            )
-            # Rows back the per-granule instance tables of step 2.2: a
-            # single-event run never reads them (derive none), the default
-            # apriori-gated miner reads them only for gate-passing events
-            # (derive the screened granules), and with apriori pruning
-            # disabled every event gets tables (derive everything -- the
-            # screening gate is exactly what NoPrune turns off).
-            if self.max_pattern_length < 2:
-                granules: frozenset[int] | None = frozenset()
-            elif self.pruning.apriori:
-                granules = screening.granules
-            else:
-                granules = None
-            dseq = base_dseq.coarsen(factor, granules=granules)
-            dseq.prime_event_support(screening.supports)
             jobs.append(
                 LevelJob(
                     ratio=ratio,
                     n_sequences=n_sequences,
                     params=params,
-                    dseq=dseq,
+                    dseq=base_dseq.coarsen(ratio // base_ratio),
                     derived_from=base_ratio,
-                    n_events_screened=(
-                        screening.n_screened_out if self.pruning.apriori else 0
-                    ),
-                    n_granules_skipped=(
-                        0 if granules is None else n_sequences - len(granules)
-                    ),
                 )
             )
         return jobs

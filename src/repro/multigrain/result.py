@@ -26,9 +26,12 @@ class GranularityLevel:
 
     ``derived_from`` names the ratio whose DSEQ/supports this level was
     fold-derived from (``None``: built directly from the symbolic
-    database).  ``n_events_screened`` counts the events the cross-level
-    screening discarded before any row of this level was derived;
-    ``n_granules_skipped`` the rows it never materialized.
+    database).  ``n_granules_skipped`` counts the level's granule rows
+    that mining never built: all of them when nothing read a row (a
+    single-event run, or a numpy-built level whose instance columns come
+    from its run tables), 0 once step 2.1 cut a column from the rows.
+    The events step 2.1's gate rejected number
+    ``result.stats.n_events_scanned - result.stats.n_candidate_events``.
     """
 
     ratio: int
@@ -36,7 +39,6 @@ class GranularityLevel:
     params: MiningParams
     result: MiningResult
     derived_from: int | None = None
-    n_events_screened: int = 0
     n_granules_skipped: int = 0
     seconds: float = 0.0
 
@@ -166,8 +168,7 @@ class MultiGranularityResult:
             lines.append(
                 f"ratio {level.ratio:4d}: {level.n_sequences:5d} sequences, "
                 f"{len(level.result):4d} frequent patterns "
-                f"({origin}, {level.n_events_screened} events screened, "
-                f"{level.seconds:.2f}s)"
+                f"({origin}, {level.seconds:.2f}s)"
             )
         persistent = self.persistent_patterns()
         lines.append(

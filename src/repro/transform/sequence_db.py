@@ -18,9 +18,10 @@ when numpy is enabled, a single scalar sweep otherwise) and every run
 feeds the per-event support positions.  The numpy builder pools the runs
 of all series and groups them by event with one stable sort, so each
 event's run table and support positions are slices of the grouped pool.
-The granule rows are deferred behind a thunk under both builders; the
-numpy builder's canonical instance sort runs only there, when something
-first reads a row.
+The granule rows are deferred behind a thunk under both builders, and
+:meth:`TemporalSequenceDatabase.coarsen` defers its row merge the same
+way; the numpy builder's canonical instance sort runs only there, when
+something first reads a row.
 
 Instance columns
 ----------------
@@ -36,7 +37,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.core.config import get_numpy
 from repro.core.instance_index import InstanceColumn
@@ -59,8 +60,9 @@ class _LazyRows:
 
     The columnar builders derive everything mining needs -- per-event
     support positions and flat run tables -- before a single
-    :class:`TemporalSequence` exists, and a step-2.1-only run (primed
-    supports, ``max_pattern_length == 1``) never reads the rows at all.
+    :class:`TemporalSequence` exists, and :meth:`TemporalSequenceDatabase.coarsen`
+    folds the supports without merging a row, so a step-2.1-only run
+    (``max_pattern_length == 1``) never reads the rows at all.
     Deferring their construction behind a thunk makes that common case
     pay nothing for row objects; the first indexing, iteration, append,
     or comparison builds them exactly once (``len()`` answers from the
@@ -129,6 +131,8 @@ class TemporalSequenceDatabase:
     rows: list[TemporalSequence]
     ratio: int
     source_names: list[str] = field(default_factory=list)
+    #: Per-event supports, filled by the first :meth:`event_support`
+    #: call (or by :meth:`coarsen`, with the folded fine supports).
     _support_cache: dict[str, SupportSet] | None = field(
         default=None, repr=False, compare=False
     )
@@ -171,10 +175,12 @@ class TemporalSequenceDatabase:
         """Support set per event, as :class:`SupportSet` objects.
 
         This is the ``SUP_E`` of Def. 3.12 for every event, computed with a
-        single scan of DSEQ (as Alg. 1 step 2.1 requires) and cached.  The
-        returned sets compare equal to plain sorted position lists.  Each
-        set keeps the ascending positions it was packed from, so its
-        ``positions()`` never re-derives them from the bits.
+        single scan of DSEQ (as Alg. 1 step 2.1 requires) and cached; a
+        coarsened database serves the folded fine supports instead
+        (:meth:`coarsen`).  The returned sets compare equal to plain
+        sorted position lists.  Each scanned set keeps the ascending
+        positions it was packed from, so its ``positions()`` never
+        re-derives them from the bits.
         """
         cached = self._support_cache
         if cached is None:
@@ -201,8 +207,8 @@ class TemporalSequenceDatabase:
         never occurs).  Cut from the numpy builder's run tables where
         this database has them, otherwise from the rows -- pure-Python,
         coarsened and streamed databases alike -- at the support
-        positions only, so a coarsened database's screened granules are
-        never touched.
+        positions only.  On a database whose rows are still deferred
+        (pure-built or coarsened), the first call builds them.
         """
         table = None if self._run_tables is None else self._run_tables.get(event)
         if table is None:
@@ -239,6 +245,13 @@ class TemporalSequenceDatabase:
         :mod:`repro.core.instance_index`).
         """
         return self.sequence_at(position).instances_of(event)
+
+    def unbuilt_rows(self) -> int:
+        """How many rows are still deferred: all of them until something
+        first reads a row, 0 after that and on databases assembled from
+        a row list."""
+        rows = self.rows
+        return len(rows) if isinstance(rows, _LazyRows) and rows._rows is None else 0
 
     def total_instances(self) -> int:
         """Total number of event instances across all rows."""
@@ -285,40 +298,23 @@ class TemporalSequenceDatabase:
             source_names=list(self.source_names),
         )
 
-    def prime_event_support(self, supports: dict[str, SupportSet]) -> None:
-        """Install precomputed per-event supports.
-
-        The hierarchical miner derives a coarse level's event supports by
-        folding the finer level's (:meth:`SupportSet.coarsen`) instead of
-        re-scanning the rows; priming the cache makes
-        :meth:`event_support` serve the folded sets directly.  The caller
-        guarantees the supports equal what a scan would compute -- for
-        event supports the fold is exact (see
-        :meth:`repro.core.supportset.SupportSet.coarsen`).
-        """
-        self._support_cache = dict(supports)
-
-    def coarsen(
-        self, factor: int, granules: Iterable[int] | None = None
-    ) -> "TemporalSequenceDatabase":
+    def coarsen(self, factor: int) -> "TemporalSequenceDatabase":
         """Derive the ``factor``-times coarser DSEQ from this one.
 
-        Every ``factor`` adjacent rows merge into one coarse row whose
+        Its :meth:`event_support` is this database's supports folded by
+        :meth:`SupportSet.coarsen <repro.core.supportset.SupportSet.coarsen>`
+        (exact for events: a coarse granule holds an event iff one of
+        the fine granules it covers does), with empty folds -- events
+        occurring only in the dropped trailing block -- left out; no row
+        is scanned.  Its rows are deferred: on first read, every
+        ``factor`` adjacent fine rows merge into one coarse row whose
         instances are re-run-grouped at the boundaries (Def. 3.10: runs
         never span granule boundaries *of their own granularity*, so runs
         split by a fine boundary fuse back together at the coarse level).
-        The result's rows equal ``build_sequence_database(dsyb,
-        self.ratio * factor)`` -- without re-walking the symbol stream.
-        A trailing group of fewer than ``factor`` rows is dropped,
-        mirroring the sequence mapping's complete-block rule.
-
-        ``granules``, if given, lists the 1-based coarse positions whose
-        rows are actually needed (the union of the candidate events'
-        folded supports); other positions get an
-        :class:`UnmaterializedSequence` placeholder that raises on access,
-        so cross-level screening can skip the merge work for granules no
-        candidate event touches without any risk of silently serving
-        empty rows.
+        Both equal ``build_sequence_database(dsyb, self.ratio * factor)``'s
+        -- without re-walking the symbol stream.  A trailing group of
+        fewer than ``factor`` rows is dropped, mirroring the sequence
+        mapping's complete-block rule.
         """
         if factor < 1:
             raise TransformError(f"coarsening factor must be >= 1, got {factor}")
@@ -327,56 +323,30 @@ class TemporalSequenceDatabase:
             raise TransformError(
                 f"coarsening factor {factor} exceeds the {len(self.rows)} rows"
             )
-        materialize = None if granules is None else set(granules)
-        series_memo: dict[str, str] = {}
-        rows: list[TemporalSequence] = []
-        for position in range(1, n_coarse + 1):
-            if materialize is not None and position not in materialize:
-                rows.append(UnmaterializedSequence(position=position))
-            else:
-                rows.append(
-                    merge_sequences(
-                        self.rows[(position - 1) * factor : position * factor],
-                        position,
-                        series_memo,
-                    )
+        supports: dict[str, SupportSet] = {}
+        for event, support in self.event_support().items():
+            folded = support.coarsen(factor, n_coarse)
+            if folded:
+                supports[event] = folded
+        fine_rows = self.rows
+
+        def build_rows() -> list[TemporalSequence]:
+            series_memo: dict[str, str] = {}
+            return [
+                merge_sequences(
+                    fine_rows[(position - 1) * factor : position * factor],
+                    position,
+                    series_memo,
                 )
+                for position in range(1, n_coarse + 1)
+            ]
+
         return TemporalSequenceDatabase(
-            rows=rows,
+            rows=_LazyRows(n_coarse, build_rows),
             ratio=self.ratio * factor,
             source_names=list(self.source_names),
+            _support_cache=supports,
         )
-
-
-class UnmaterializedSequence(TemporalSequence):
-    """Placeholder row for a coarse granule the screening proved irrelevant.
-
-    Cross-level screening materializes only the granules some candidate
-    event supports; every other position gets this sentinel.  Any attempt
-    to read it is a bug in the screening soundness argument, so it raises
-    loudly instead of serving an empty sequence.
-    """
-
-    def _unavailable(self) -> TransformError:
-        return TransformError(
-            f"granule {self.position} was screened out of this derived DSEQ "
-            "and never materialized; re-derive with coarsen(factor) for full rows"
-        )
-
-    def events(self) -> list[str]:
-        raise self._unavailable()
-
-    def instances_of(self, event: str) -> list[EventInstance]:
-        raise self._unavailable()
-
-    def __contains__(self, event: str) -> bool:
-        raise self._unavailable()
-
-    def __len__(self) -> int:
-        raise self._unavailable()
-
-    def describe(self) -> str:
-        raise self._unavailable()
 
 
 def merge_sequences(

@@ -15,7 +15,7 @@ import pickle
 import pytest
 from dseq_oracle import oracle_dseq
 
-from repro import ESTPM, MiningParams, SymbolicDatabase, build_sequence_database
+from repro import ESTPM, SymbolicDatabase, build_sequence_database
 from repro.core import supportset
 from repro.core.config import get_numpy, set_compute_backend
 from repro.core.instance_index import InstanceColumn
@@ -23,7 +23,6 @@ from repro.core.results import results_equivalent
 from repro.datasets import load_dataset
 from repro.events import EventInstance
 from repro.exceptions import SymbolizationError
-from repro.multigrain import screen_level
 from repro.obs import counters
 from repro.obs.trace import (
     disable_tracing,
@@ -105,11 +104,11 @@ def long_dsyb(paper_dsyb):
     return database
 
 
-def _assert_columns_match_oracle(dseq, oracle, events=None):
+def _assert_columns_match_oracle(dseq, oracle):
     """``instance_columns`` equals the oracle's row walks: keyed by the
     event's support positions, each column holding the row's bounds."""
     supports = oracle.event_support()
-    for event in sorted(supports) if events is None else sorted(events):
+    for event in sorted(supports):
         columns = dseq.instance_columns(event)
         assert list(columns) == list(supports[event].positions())
         for granule, column in columns.items():
@@ -242,25 +241,6 @@ class TestPrebuiltColumns:
         }
 
 
-@pytest.fixture(scope="module")
-def screened_dsyb():
-    """Two series whose only events in a middle stretch (``A:2``/``B:2``)
-    are too short-lived to pass the coarse gate of
-    :data:`SCREENING_PARAMS`, so screening skips those coarse granules."""
-    return SymbolicDatabase.from_rows(
-        {
-            "A": "01" * 60 + "2" * 36 + "01" * 60,
-            "B": "0011" * 30 + "2" * 36 + "0011" * 30,
-        },
-        Alphabet.levels(["0", "1", "2"]),
-    )
-
-
-SCREENING_PARAMS = MiningParams(
-    max_period=1, min_density=7, dist_interval=(1, 40), min_season=2
-)
-
-
 class TestInstanceColumns:
     """``instance_columns`` against the oracle's row walks on the
     databases without run tables (numpy-built ones: TestPrebuiltColumns)."""
@@ -273,22 +253,15 @@ class TestInstanceColumns:
         finally:
             set_compute_backend(None)
 
-    @pytest.mark.parametrize("screened", [True, False], ids=["screened", "noprune"])
-    def test_coarsened(self, screened_dsyb, screened):
-        # How the hierarchical miner derives a coarse level: fold the
-        # base supports, screen them, merge only the rows the candidate
-        # events need (all rows when apriori pruning is off).
-        base = build_sequence_database(screened_dsyb, 3)
-        oracle = oracle_dseq(screened_dsyb, 6)
-        screening = screen_level(
-            base.event_support(), 2, len(oracle), SCREENING_PARAMS, 6
-        )
-        assert screening.n_granules_skipped > 0
-        assert screening.n_screened_out > 0
-        coarse = base.coarsen(2, granules=screening.granules if screened else None)
-        coarse.prime_event_support(screening.supports)
-        events = screening.candidates if screened else None
-        _assert_columns_match_oracle(coarse, oracle, events)
+    def test_coarsened(self, long_dsyb):
+        # How the hierarchical miner derives a coarse level: the supports
+        # are folded at once, the rows merged on the first column cut.
+        coarse = build_sequence_database(long_dsyb, 3).coarsen(2)
+        oracle = oracle_dseq(long_dsyb, 6)
+        assert _support_positions(coarse) == _support_positions(oracle)
+        assert coarse.unbuilt_rows() == len(oracle)
+        _assert_columns_match_oracle(coarse, oracle)
+        assert coarse.unbuilt_rows() == 0
 
     def test_streamed_after_appends(self, long_dsyb):
         database = StreamingDatabase(3, {s.name: s.alphabet for s in long_dsyb})

@@ -175,6 +175,17 @@ class TestMultigrainJson:
         restored = multigrain_from_json(path)
         assert restored.ratios == hierarchical.ratios
 
+    def test_loads_archives_carrying_screening_counts(self, hierarchical):
+        # 1.20 and older wrote a per-level ``n_events_screened`` count.
+        payload = json.loads(multigrain_to_json(hierarchical))
+        for entry in payload["levels"]:
+            entry["n_events_screened"] = 1
+        restored = multigrain_from_json(json.dumps(payload))
+        assert restored.ratios == hierarchical.ratios
+        for original, loaded in zip(hierarchical.levels, restored.levels):
+            assert loaded.n_granules_skipped == original.n_granules_skipped
+            assert loaded.result.pattern_keys() == original.result.pattern_keys()
+
     def test_result_loader_rejects_multigrain_archives(self, hierarchical):
         text = multigrain_to_json(hierarchical)
         with pytest.raises(ReproError) as excinfo:

@@ -7,6 +7,8 @@ for E-STPM and A-STPM -- and to the brute-force :class:`NaiveSTPM`
 oracle on that mapping.
 """
 
+import sys
+
 import pytest
 
 from repro import ESTPM, PruningConfig, SymbolicDatabase
@@ -15,9 +17,9 @@ from repro.core.approximate import ASTPM
 from repro.core.results import MiningStats, results_equivalent
 from repro.core.seasonality import is_candidate, is_season_candidate
 from repro.datasets import load_dataset
-from repro.exceptions import ConfigError, TransformError
+from repro.exceptions import ConfigError
 from repro.granularity import GranularityHierarchy, TimeDomain
-from repro.multigrain import HierarchicalMiner, screen_level
+from repro.multigrain import HierarchicalMiner
 from repro.transform import build_sequence_database
 
 #: Per-dataset thresholds keeping the tiny profiles fast *and* fruitful
@@ -57,8 +59,8 @@ def motif_dsyb():
 @pytest.fixture(scope="module")
 def sparse_prunable_dsyb():
     # B:1 occurs in exactly four early fine granules and nowhere after,
-    # so the apriori gate prunes it at coarse levels -- the screening /
-    # NoPrune regression surface.
+    # so the apriori gate prunes it at coarse levels -- the NoPrune
+    # regression surface.
     return SymbolicDatabase.from_rows(
         {
             "A": "101010101010" * 10,
@@ -119,8 +121,7 @@ class TestLevelParity:
         self, sparse_prunable_dsyb, pruning
     ):
         # Regression: with apriori off, ESTPM builds instance tables for
-        # *every* event, so the fold must materialize every granule row
-        # (the screening gate is exactly what NoPrune disables).
+        # *every* event, so the coarse level must build every granule row.
         hierarchical = HierarchicalMiner(
             sparse_prunable_dsyb,
             ratios=[1, 4],
@@ -132,13 +133,89 @@ class TestLevelParity:
         ).mine()
         coarse = hierarchical.level(4)
         assert coarse.n_granules_skipped == 0
-        assert coarse.n_events_screened == 0
         standalone = ESTPM(
             build_sequence_database(sparse_prunable_dsyb, 4),
             coarse.params,
             pruning,
         ).mine()
         assert results_equivalent(coarse.result, standalone)
+
+    def test_single_event_levels_build_no_row(self, sparse_prunable_dsyb):
+        hierarchical = HierarchicalMiner(
+            sparse_prunable_dsyb,
+            ratios=[1, 2, 4],
+            dist_interval=(0, 240),
+            min_season=3,
+            min_density_pct=1.0,
+            max_pattern_length=1,
+        ).mine()
+        for level in hierarchical.levels[1:]:
+            assert level.derived_from == 1
+            assert level.n_granules_skipped == level.n_sequences
+
+    def test_each_level_gates_each_event_once(self, sparse_prunable_dsyb, monkeypatch):
+        # One gate per event per level: the level's step 2.1, on the
+        # folded supports.  Every module-level binding of the gate is
+        # patched, so a second gate anywhere in the job would be counted.
+        calls = []
+
+        def counting(support, params):
+            calls.append(support)
+            return is_season_candidate(support, params)
+
+        for module in list(sys.modules.values()):
+            if (
+                module is not None
+                and module.__name__.startswith("repro")
+                and getattr(module, "is_season_candidate", None) is is_season_candidate
+            ):
+                monkeypatch.setattr(module, "is_season_candidate", counting)
+        hierarchical = HierarchicalMiner(
+            sparse_prunable_dsyb,
+            ratios=[1, 2, 4],
+            dist_interval=(0, 240),
+            min_season=3,
+            min_density_pct=1.0,
+            max_pattern_length=1,
+        ).mine()
+        n_events = [
+            len(build_sequence_database(sparse_prunable_dsyb, ratio).event_support())
+            for ratio in hierarchical.ratios
+        ]
+        assert len(calls) == sum(n_events)
+        # The coarse gate does reject events here (B:1 at ratio 4).
+        coarse = hierarchical.level(4).result.stats
+        assert coarse.n_candidate_events < coarse.n_events_scanned == n_events[-1]
+
+    def test_coarse_gate_matches_standalone_step21(self):
+        # B:1 occurs in four bursts of 4 fine granules: 2 coarse granules
+        # each at ratio 2, where maxPeriod 1 and minDensity 3 leave
+        # maxSeason = 8/3 >= 2 but no window of 3 granules (C = 0).
+        bursts = ["0"] * 120
+        for start in (0, 40, 80, 112):
+            bursts[start : start + 4] = "1111"
+        dsyb = SymbolicDatabase.from_rows(
+            {"A": "111111000000" * 10, "B": "".join(bursts)}
+        )
+        coarse = HierarchicalMiner(
+            dsyb,
+            ratios=[1, 2],
+            max_period_pct=1.0,
+            min_density_pct=5.0,
+            dist_interval=(0, 120),
+            min_season=2,
+            max_pattern_length=2,
+        ).mine().level(2)
+        params = coarse.params
+        assert (params.max_period, params.min_density) == (1, 3)
+        rebuilt = build_sequence_database(dsyb, 2)
+        support = rebuilt.event_support()["B:1"]
+        assert is_candidate(len(support), params)
+        assert not is_season_candidate(support, params)
+        hlh1 = ESTPM(rebuilt, params)._mine_single_events([], MiningStats())
+        assert "B:1" not in hlh1.candidates
+        assert coarse.result.stats.n_candidate_events == len(hlh1.candidates)
+        assert results_equivalent(coarse.result, ESTPM(rebuilt, params).mine())
 
     def test_non_divisible_ratio_falls_back_to_rebuild(self, motif_dsyb):
         hierarchical = HierarchicalMiner(
@@ -151,98 +228,6 @@ class TestLevelParity:
                 build_sequence_database(motif_dsyb, level.ratio), level.params
             ).mine()
             assert results_equivalent(level.result, standalone)
-
-
-class TestScreening:
-    def test_folded_gate_screens_events_before_mining(self, sparse_prunable_dsyb):
-        hierarchical = HierarchicalMiner(
-            sparse_prunable_dsyb,
-            ratios=[1, 4],
-            dist_interval=(0, 240),
-            min_season=3,
-            min_density_pct=1.0,
-        ).mine()
-        coarse = hierarchical.level(4)
-        assert coarse.n_events_screened > 0
-        standalone = ESTPM(
-            build_sequence_database(sparse_prunable_dsyb, 4), coarse.params
-        ).mine()
-        assert results_equivalent(coarse.result, standalone)
-
-    def test_screened_granules_stay_unmaterialized(self, sparse_prunable_dsyb):
-        dseq = build_sequence_database(sparse_prunable_dsyb, 1)
-        params = HierarchicalMiner(
-            sparse_prunable_dsyb, ratios=[4], min_season=3, min_density_pct=1.0
-        ).params_for(4, len(dseq) // 4)
-        screening = screen_level(
-            dseq.event_support(), 4, len(dseq) // 4, params, 4
-        )
-        assert screening.n_screened_out > 0
-        derived = dseq.coarsen(4, granules=screening.granules)
-        skipped = sorted(
-            set(range(1, len(derived) + 1)) - set(screening.granules)
-        )
-        if skipped:
-            with pytest.raises(TransformError):
-                derived.sequence_at(skipped[0]).events()
-        # Materialized granules equal the standalone rows exactly.
-        rebuilt = build_sequence_database(sparse_prunable_dsyb, 4)
-        for position in sorted(screening.granules):
-            assert derived.sequence_at(position) == rebuilt.sequence_at(position)
-
-    def test_screening_is_exact_for_events(self, sparse_prunable_dsyb):
-        fine = build_sequence_database(sparse_prunable_dsyb, 1)
-        coarse = build_sequence_database(sparse_prunable_dsyb, 4)
-        params = HierarchicalMiner(
-            sparse_prunable_dsyb, ratios=[4], min_season=3
-        ).params_for(4, len(coarse))
-        screening = screen_level(
-            fine.event_support(), 4, len(coarse), params, 4
-        )
-        recomputed = coarse.event_support()
-        assert set(screening.supports) == set(recomputed)
-        for event, folded in screening.supports.items():
-            assert folded == recomputed[event]
-
-    def test_screening_admits_what_step21_admits(self):
-        # B:1 occurs in four bursts of 4 fine granules: 2 coarse granules
-        # each at ratio 2, where maxPeriod 1 and minDensity 3 leave
-        # maxSeason = 8/3 >= 2 but no near set dense enough (B = 0).
-        bursts = ["0"] * 120
-        for start in (0, 40, 80, 112):
-            bursts[start : start + 4] = "1111"
-        dsyb = SymbolicDatabase.from_rows(
-            {"A": "111111000000" * 10, "B": "".join(bursts)}
-        )
-        miner = HierarchicalMiner(
-            dsyb,
-            ratios=[1, 2],
-            max_period_pct=1.0,
-            min_density_pct=5.0,
-            dist_interval=(0, 120),
-            min_season=2,
-            max_pattern_length=2,
-        )
-        fine = build_sequence_database(dsyb, 1)
-        n_sequences = len(fine) // 2
-        params = miner.params_for(2, n_sequences)
-        assert (params.max_period, params.min_density) == (1, 3)
-        screening = screen_level(fine.event_support(), 2, n_sequences, params, 2)
-        folded = screening.supports["B:1"]
-        assert is_candidate(len(folded), params)
-        assert not is_season_candidate(folded, params)
-        # The level's step 2.1, on a standalone rebuild, admits exactly
-        # the screened candidates.
-        hlh1 = ESTPM(build_sequence_database(dsyb, 2), params)._mine_single_events(
-            [], MiningStats()
-        )
-        assert screening.candidates == set(hlh1.candidates)
-        assert "B:1" not in screening.candidates
-        coarse = miner.mine().level(2)
-        assert coarse.n_events_screened == screening.n_screened_out
-        assert coarse.result.stats.n_candidate_events == len(screening.candidates)
-        standalone = ESTPM(build_sequence_database(dsyb, 2), params).mine()
-        assert results_equivalent(coarse.result, standalone)
 
 
 class TestMultiGranularityResult:

@@ -4,7 +4,8 @@ The soundness of the whole fold-derived engine rests on two equalities,
 asserted here for random databases and ratios:
 
 * ``SupportSet.coarsen(factor)`` on a fine event support equals the
-  support recomputed by scanning a freshly rebuilt coarse DSEQ;
+  support recomputed by scanning a freshly rebuilt coarse DSEQ, and so
+  does ``TemporalSequenceDatabase.coarsen(factor).event_support()``;
 * ``TemporalSequenceDatabase.coarsen(factor)`` produces exactly the rows
   ``build_sequence_database`` would produce at the coarse ratio.
 
@@ -56,6 +57,7 @@ def test_folded_supports_equal_rebuilt_coarse_supports(case):
     assert set(folded) == set(recomputed)
     for event, support in folded.items():
         assert support == recomputed[event]
+    assert fine.coarsen(factor).event_support() == recomputed
 
 
 @given(fold_cases())
