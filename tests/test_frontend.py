@@ -15,11 +15,12 @@ import pickle
 import pytest
 from dseq_oracle import oracle_dseq
 
-from repro import ESTPM, SymbolicDatabase, build_sequence_database
+from repro import ESTPM, MiningParams, SymbolicDatabase, build_sequence_database
 from repro.core import supportset
 from repro.core.config import get_numpy, set_compute_backend
 from repro.core.instance_index import InstanceColumn
 from repro.core.results import results_equivalent
+from repro.core.seasonality import is_season_candidate
 from repro.datasets import load_dataset
 from repro.events import EventInstance
 from repro.exceptions import SymbolizationError
@@ -104,11 +105,11 @@ def long_dsyb(paper_dsyb):
     return database
 
 
-def _assert_columns_match_oracle(dseq, oracle):
+def _assert_columns_match_oracle(dseq, oracle, events=None):
     """``instance_columns`` equals the oracle's row walks: keyed by the
     event's support positions, each column holding the row's bounds."""
     supports = oracle.event_support()
-    for event in sorted(supports):
+    for event in sorted(supports) if events is None else sorted(events):
         columns = dseq.instance_columns(event)
         assert list(columns) == list(supports[event].positions())
         for granule, column in columns.items():
@@ -241,6 +242,25 @@ class TestPrebuiltColumns:
         }
 
 
+@pytest.fixture(scope="module")
+def screened_dsyb():
+    """Two series whose only events in a middle stretch (``A:2``/``B:2``)
+    are too short-lived to pass the coarse gate of
+    :data:`SCREENING_PARAMS`, so step 2.1 screens them out."""
+    return SymbolicDatabase.from_rows(
+        {
+            "A": "01" * 60 + "2" * 36 + "01" * 60,
+            "B": "0011" * 30 + "2" * 36 + "0011" * 30,
+        },
+        Alphabet.levels(["0", "1", "2"]),
+    )
+
+
+SCREENING_PARAMS = MiningParams(
+    max_period=1, min_density=7, dist_interval=(1, 40), min_season=2
+)
+
+
 class TestInstanceColumns:
     """``instance_columns`` against the oracle's row walks on the
     databases without run tables (numpy-built ones: TestPrebuiltColumns)."""
@@ -253,14 +273,24 @@ class TestInstanceColumns:
         finally:
             set_compute_backend(None)
 
-    def test_coarsened(self, long_dsyb):
+    @pytest.mark.parametrize("screened", [True, False], ids=["screened", "noprune"])
+    def test_coarsened(self, screened_dsyb, screened):
         # How the hierarchical miner derives a coarse level: the supports
-        # are folded at once, the rows merged on the first column cut.
-        coarse = build_sequence_database(long_dsyb, 3).coarsen(2)
-        oracle = oracle_dseq(long_dsyb, 6)
+        # are folded at once, step 2.1 gates them, and the rows are merged
+        # on the first column cut -- for the events the gate admits, or
+        # for every event when apriori pruning is off.
+        coarse = build_sequence_database(screened_dsyb, 3).coarsen(2)
+        oracle = oracle_dseq(screened_dsyb, 6)
         assert _support_positions(coarse) == _support_positions(oracle)
         assert coarse.unbuilt_rows() == len(oracle)
-        _assert_columns_match_oracle(coarse, oracle)
+        supports = coarse.event_support()
+        admitted = {
+            event
+            for event, support in supports.items()
+            if is_season_candidate(support, SCREENING_PARAMS)
+        }
+        assert 0 < len(admitted) < len(supports)
+        _assert_columns_match_oracle(coarse, oracle, admitted if screened else None)
         assert coarse.unbuilt_rows() == 0
 
     def test_streamed_after_appends(self, long_dsyb):

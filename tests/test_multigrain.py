@@ -230,6 +230,29 @@ class TestLevelParity:
             assert results_equivalent(level.result, standalone)
 
 
+class TestScreening:
+    """A coarse level's one gate, its step 2.1, screens events on the
+    supports folded from the finest level, so the fold must be exact."""
+
+    def test_screening_is_exact_for_events(self, sparse_prunable_dsyb):
+        fine = build_sequence_database(sparse_prunable_dsyb, 1)
+        coarse = build_sequence_database(sparse_prunable_dsyb, 4)
+        params = HierarchicalMiner(
+            sparse_prunable_dsyb, ratios=[4], min_season=3
+        ).params_for(4, len(coarse))
+        derived = fine.coarsen(4)
+        folded = derived.event_support()
+        # Folded, not scanned: reading the supports builds no row.
+        assert derived.unbuilt_rows() == len(coarse)
+        recomputed = coarse.event_support()
+        assert set(folded) == set(recomputed)
+        for event, support in folded.items():
+            assert support == recomputed[event]
+            assert is_season_candidate(support, params) == is_season_candidate(
+                recomputed[event], params
+            )
+
+
 class TestMultiGranularityResult:
     @pytest.fixture(scope="class")
     def hierarchical(self, motif_dsyb):
