@@ -34,11 +34,7 @@ from repro.multigrain import (
     MultiGranularityResult,
     resolve_level_params,
 )
-from repro.core.supportset import (
-    BitsetSupportSet,
-    SupportSet,
-    make_support_set,
-)
+from repro.core.supportset import SupportSet
 from repro.core.query import PatternQuery, subpatterns_of, superpatterns_of
 from repro.core.validation import validate_result, validate_seasonal_pattern
 from repro.core.mi import (
@@ -90,7 +86,7 @@ from repro.resilience import (
 )
 from repro.transform import TemporalSequenceDatabase, build_sequence_database
 
-__version__ = "1.21.0"
+__version__ = "1.22.0"
 
 __all__ = [
     # granularity
@@ -146,8 +142,6 @@ __all__ = [
     "max_season",
     # support-set engine
     "SupportSet",
-    "BitsetSupportSet",
-    "make_support_set",
     # resilience
     "RetryPolicy",
     "FailedTask",

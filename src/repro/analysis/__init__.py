@@ -5,7 +5,7 @@ runtime contracts into checked invariants:
 
 * **CT** compute-twin -- numpy only via :func:`repro.core.config.get_numpy`;
 * **EP** checkpoint picklability -- classes pickled into job checkpoints
-  exclude per-process caches, registry values are module-level callables;
+  exclude per-process caches;
 * **OB** zero-overhead telemetry -- hot paths use the guarded helpers;
 * **RC** registry conformance -- the export surfaces resolve.
 

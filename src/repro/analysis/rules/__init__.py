@@ -11,10 +11,7 @@ from repro.analysis.rules.compute_twin import (
     ModuleScopeNumpyImport,
 )
 from repro.analysis.rules.obs_overhead import DirectObsAccess
-from repro.analysis.rules.picklability import (
-    BoundaryClassShipsCaches,
-    RegistryValueNotModuleLevel,
-)
+from repro.analysis.rules.picklability import BoundaryClassShipsCaches
 from repro.analysis.rules.registry_conformance import (
     DunderAllResolves,
     ImportTargetResolves,
@@ -24,7 +21,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     ModuleScopeNumpyImport,
     FunctionScopeNumpyImport,
     BoundaryClassShipsCaches,
-    RegistryValueNotModuleLevel,
     DirectObsAccess,
     DunderAllResolves,
     ImportTargetResolves,

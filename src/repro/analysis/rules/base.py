@@ -49,14 +49,6 @@ PICKLE_BOUNDARY_MODULES = (
     "repro.resilience.faults",
 )
 
-#: Module-scope dispatch registries, whose values must be module-level
-#: callables (resolvable by qualified name).
-CALLABLE_REGISTRIES = (
-    "MINERS",
-    "DATASET_BUILDERS",
-    "EXPERIMENTS",
-)
-
 #: Attribute-name heuristic of "per-process cache state" on classes that
 #: are pickled into job checkpoints (EP002).
 CACHE_ATTR_MARKERS = ("cache", "cached", "column", "memo", "intern")

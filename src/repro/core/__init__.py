@@ -9,8 +9,8 @@ Public entry points:
 * :class:`~repro.core.approximate.ASTPM` -- the MI-based approximate miner
   (Alg. 2).
 * :class:`~repro.core.results.MiningResult` -- patterns plus statistics.
-* :class:`~repro.core.supportset.SupportSet` -- the support-set algebra
-  (one big-int bitset representation).
+* :class:`~repro.core.supportset.SupportSet` -- the one support-set
+  class (a big-int bitset).
 """
 
 from repro.core.config import MiningParams
@@ -20,11 +20,7 @@ from repro.core.prune import PruningConfig
 from repro.core.results import MiningResult, SeasonalPattern
 from repro.core.seasonality import SeasonView, compute_seasons, max_season
 from repro.core.stpm import ESTPM
-from repro.core.supportset import (
-    BitsetSupportSet,
-    SupportSet,
-    make_support_set,
-)
+from repro.core.supportset import SupportSet
 
 __all__ = [
     "MiningParams",
@@ -39,6 +35,4 @@ __all__ = [
     "compute_seasons",
     "max_season",
     "SupportSet",
-    "BitsetSupportSet",
-    "make_support_set",
 ]

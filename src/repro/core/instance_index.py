@@ -183,23 +183,6 @@ class LazyAssignments:
                 blocks.append((_BLOCK_PAIRS, [pair]))
         self._length += 1
 
-    def extend(self, pairs) -> None:
-        """Append a run of classified near-window pairs."""
-        if self._items is not None:
-            before = len(self._items)
-            self._items.extend(pairs)
-            self._length += len(self._items) - before
-            return
-        blocks = self._blocks
-        if blocks and blocks[-1][0] == _BLOCK_PAIRS:
-            run = blocks[-1][1]
-        else:
-            run = []
-            blocks.append((_BLOCK_PAIRS, run))
-        before = len(run)
-        run.extend(pairs)
-        self._length += len(run) - before
-
     def add_bulk_before(self, heads, count: int) -> None:
         """Record the bulk ``(j, i) for j < heads[i]`` Follows zone."""
         if count <= 0:
@@ -286,12 +269,6 @@ class LazyAssignments:
         return items == other
 
     __hash__ = None  # mutable sequence, like list
-
-    def sort(self, **kwargs) -> None:
-        items = self._items
-        if items is None:
-            items = self._materialize()
-        items.sort(**kwargs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self._items is None:

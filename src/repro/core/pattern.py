@@ -169,57 +169,3 @@ def splice_triples(
                 triples.append(prev_triples[old_pair])
                 old_pair += 1
     return tuple(triples)
-
-
-def extend_pattern(
-    prev_events: tuple[str, ...],
-    prev_triples: tuple[Triple, ...],
-    assignment: tuple[EventInstance, ...],
-    instance: EventInstance,
-    relation: RelationConfig,
-) -> tuple[tuple[str, ...], tuple[Triple, ...], tuple[EventInstance, ...], tuple[Triple, ...]] | None:
-    """Incrementally extend a realized pattern with one new instance.
-
-    ``assignment`` must be the chronologically sorted instances realizing
-    the parent pattern ``(prev_events, prev_triples)``.  Only the k-1 new
-    pairwise relations are computed; the parent's triples are spliced in
-    unchanged (inserting an instance cannot reorder or re-relate the
-    existing pairs).  Returns ``(events, triples, new_assignment,
-    new_triples)`` -- the last element holds just the triples involving the
-    new instance, for the Iterative Check -- or ``None`` if any new pair
-    has no relation.
-    """
-    key = instance.sort_key()
-    position = 0
-    while position < len(assignment) and assignment[position].sort_key() <= key:
-        position += 1
-    new_assignment = assignment[:position] + (instance,) + assignment[position:]
-    k = len(new_assignment)
-    events = prev_events[:position] + (instance.event,) + prev_events[position:]
-    partner_triples: list[Triple | None] = [None] * k
-    for index, other in enumerate(new_assignment):
-        if index == position:
-            continue
-        if index < position:
-            rel = relation_between(other, instance, relation)
-            if rel is None:
-                return None
-            partner_triples[index] = Triple(rel, other.event, instance.event)
-        else:
-            rel = relation_between(instance, other, relation)
-            if rel is None:
-                return None
-            partner_triples[index] = Triple(rel, instance.event, other.event)
-    triples: list[Triple] = []
-    old_pair = 0
-    for i in range(k):
-        for j in range(i + 1, k):
-            if i == position:
-                triples.append(partner_triples[j])  # type: ignore[arg-type]
-            elif j == position:
-                triples.append(partner_triples[i])  # type: ignore[arg-type]
-            else:
-                triples.append(prev_triples[old_pair])
-                old_pair += 1
-    new_triples = tuple(t for t in partner_triples if t is not None)
-    return events, tuple(triples), new_assignment, new_triples

@@ -68,12 +68,15 @@ chain construction:
 For support sets whose near sets chain without breaks (the common case and
 all of the paper's examples) this is exactly the paper's definition.
 
-The walk is left to right, so a support that only grows at its end keeps
-every near set but the last (the *open* one) and the chain state in front
-of it: :class:`SeasonChain` holds that state for the streaming miner, which
-re-walks only the open near set and the new granules per append.
-:func:`compute_seasons` stays the one-shot implementation and the
-accumulator's reference.
+One step of the walk is :func:`_chain_step`, and every season view is
+built with it: :func:`compute_seasons` folds it over the near sets of a
+whole support.  The walk is left to right, so a support that only grows
+at its end keeps every near set but the last (the *open* one) and the
+chain state in front of it: :class:`SeasonChain` holds that state for the
+streaming miner, which walks a fresh support once and then re-walks only
+the open near set and the new granules per append.
+:func:`count_seasons` counts the same chains without building them, for
+the gates that only need the number.
 """
 
 from __future__ import annotations
@@ -84,8 +87,8 @@ from typing import Iterator
 
 from repro.core.config import MiningParams
 from repro.core.supportset import (
-    BitsetSupportSet,
     SupportLike,
+    SupportSet,
     as_positions,
     bit_positions,
 )
@@ -105,8 +108,7 @@ def is_season_candidate(support: SupportLike | int, params: MiningParams) -> boo
     """The Apriori candidate gate: ``C(SUP) >= minSeason``.
 
     ``support`` is a sorted position sequence, a
-    :class:`~repro.core.supportset.BitsetSupportSet` or a raw support
-    bitmask.  Two O(1) checks run first: Eq. (1)'s size check
+    :class:`~repro.core.supportset.SupportSet` or a raw support bitmask.  Two O(1) checks run first: Eq. (1)'s size check
     :func:`is_candidate` and the span check (``minSeason`` windows ``g``
     apart must fit between the first and the last granule).  Only then are
     the positions walked (a bitset's through its cached ``positions()``),
@@ -116,7 +118,7 @@ def is_season_candidate(support: SupportLike | int, params: MiningParams) -> boo
     """
     if isinstance(support, int):
         bits = support
-    elif isinstance(support, BitsetSupportSet):
+    elif isinstance(support, SupportSet):
         bits = support.bits
     else:
         bits = None
@@ -173,8 +175,8 @@ def _iter_near_sets(support, max_period: int) -> Iterator[list[int]]:
 def split_near_support_sets(support: SupportLike, max_period: int) -> list[list[int]]:
     """Maximal near support sets: split where the period exceeds maxPeriod.
 
-    ``support`` may be a plain sorted position list or any
-    :class:`~repro.core.supportset.SupportSet` representation.
+    ``support`` may be a plain sorted position list or a
+    :class:`~repro.core.supportset.SupportSet`.
     """
     return list(_iter_near_sets(as_positions(support), max_period))
 
@@ -220,57 +222,6 @@ class SeasonView:
         ]
 
 
-def _chain_seasons(
-    near_sets: list[list[int]], params: MiningParams
-) -> list[list[list[int]]]:
-    """All season chains, built left-to-right with the H9 trimming rule."""
-    chains: list[list[list[int]]] = []
-    current: list[list[int]] = []
-    for near_set in near_sets:
-        candidate = near_set
-        if current:
-            last_end = current[-1][-1]
-            # Trim leading granules that sit closer than dist_min (H9 rule).
-            start_index = 0
-            while (
-                start_index < len(candidate)
-                and candidate[start_index] - last_end < params.dist_min
-            ):
-                start_index += 1
-            candidate = candidate[start_index:]
-            if not candidate:
-                continue
-            distance = candidate[0] - last_end
-            if distance > params.dist_max:
-                # Chain broken by a too-long gap; start fresh from this set.
-                chains.append(current)
-                current = []
-                candidate = near_set
-        if len(candidate) >= params.min_density:
-            current.append(candidate)
-    if current:
-        chains.append(current)
-    return chains
-
-
-def compute_seasons(support: SupportLike, params: MiningParams) -> SeasonView:
-    """Full seasonal decomposition of a support set under ``params``.
-
-    Accepts a plain sorted position list or either
-    :class:`~repro.core.supportset.SupportSet` representation -- this is
-    the point where a lazily-packed bitset support is materialized.
-    """
-    support = as_positions(support)
-    near_sets = split_near_support_sets(support, params.max_period)
-    chains = _chain_seasons(near_sets, params)
-    best: list[list[int]] = max(chains, key=len) if chains else []
-    return SeasonView(
-        support=tuple(support),
-        near_sets=tuple(tuple(s) for s in near_sets),
-        seasons=tuple(tuple(s) for s in best),
-    )
-
-
 #: A season chain: the seasons it holds, in order.
 _Chain = tuple[tuple[int, ...], ...]
 
@@ -278,10 +229,12 @@ _Chain = tuple[tuple[int, ...], ...]
 def _chain_step(
     best: _Chain, current: _Chain, near_set: tuple[int, ...], params: MiningParams
 ) -> tuple[_Chain, _Chain]:
-    """One step of the :func:`_chain_seasons` walk, on immutable state.
+    """One step of the season-chain walk (step 2 of the module
+    docstring's construction): chain the next near set, on immutable state.
 
     ``best`` is the first longest of the chains a ``dist_max`` break has
-    closed so far, ``current`` the chain ``near_set`` continues.
+    closed so far, ``current`` the chain ``near_set`` continues; the
+    seasons are the first longest of ``best`` and the final ``current``.
     """
     candidate = near_set
     if current:
@@ -291,6 +244,7 @@ def _chain_step(
         if not candidate:
             return best, current
         if candidate[0] - last_end > params.dist_max:
+            # Chain broken by a too-long gap; start fresh from this set.
             if len(current) > len(best):
                 best = current
             current = ()
@@ -300,6 +254,26 @@ def _chain_step(
     return best, current
 
 
+def compute_seasons(support: SupportLike, params: MiningParams) -> SeasonView:
+    """Full seasonal decomposition of a support set under ``params``.
+
+    Accepts a plain sorted position list or a
+    :class:`~repro.core.supportset.SupportSet` -- this is the point where
+    a lazily-packed bitset support is materialized.
+    """
+    support = as_positions(support)
+    near_sets = tuple(tuple(s) for s in _iter_near_sets(support, params.max_period))
+    best: _Chain = ()
+    current: _Chain = ()
+    for near_set in near_sets:
+        best, current = _chain_step(best, current, near_set, params)
+    return SeasonView(
+        support=tuple(support),
+        near_sets=near_sets,
+        seasons=current if len(current) > len(best) else best,
+    )
+
+
 class SeasonChain:
     """The seasons of a support set that grows at its end.
 
@@ -307,7 +281,7 @@ class SeasonChain:
     before the open (last) near set, so :meth:`refresh` after an append
     re-walks only the open near set and the new positions.  A chain never
     refreshed before, or whose support gained a position below its last
-    one, takes the full recompute through :func:`compute_seasons`.
+    one, walks its whole support the same way, once.
     """
 
     __slots__ = ("support", "view", "_closed", "_open", "_folded", "_best", "_current")
@@ -320,7 +294,7 @@ class SeasonChain:
         self._restart()
 
     def _restart(self) -> None:
-        """Forget the walk: the next refresh recomputes in full."""
+        """Forget the walk: the next refresh walks the whole support."""
         self._closed: list[tuple[int, ...]] = []
         self._open = 0  # support index of the open near set's first position
         self._folded = 0  # support positions the walk has consumed
@@ -354,40 +328,26 @@ class SeasonChain:
         view = self.view
         if view is not None and len(view.support) == len(support):
             return view  # supports only grow: same length, same support
-        if self.fresh:
-            view = compute_seasons(support, params)
-            self._resume(view, params)
-        else:
-            self._fold(params)
-            open_set = tuple(support[self._open :])
-            best, current = _chain_step(self._best, self._current, open_set, params)
-            view = SeasonView(
-                support=tuple(support),
-                near_sets=(*self._closed, open_set),
-                seasons=current if len(current) > len(best) else best,
-            )
+        self._fold(params)
+        open_set = tuple(support[self._open :])
+        best, current = _chain_step(self._best, self._current, open_set, params)
+        view = SeasonView(
+            support=tuple(support),
+            near_sets=(*self._closed, open_set) if open_set else (),
+            seasons=current if len(current) > len(best) else best,
+        )
         self.view = view
         return view
 
-    def _resume(self, view: SeasonView, params: MiningParams) -> None:
-        """Take the walk state from a full view: replay the chain over
-        every near set but the open one."""
-        self._closed = list(view.near_sets[:-1])
-        best: _Chain = ()
-        current: _Chain = ()
-        for near_set in self._closed:
-            best, current = _chain_step(best, current, near_set, params)
-        self._best, self._current = best, current
-        self._folded = len(self.support)
-        self._open = self._folded - len(view.near_sets[-1]) if view.near_sets else 0
-
     def _fold(self, params: MiningParams) -> None:
-        """Walk the positions appended since the last refresh."""
+        """Walk the positions added since the last refresh (all of them on
+        a fresh chain), stepping the chain over each near set they close."""
         support = self.support
         max_period = params.max_period
         open_start = self._open
-        previous = support[self._folded - 1]
-        for index in range(self._folded, len(support)):
+        start = self._folded or 1  # the first position closes no near set
+        previous = support[start - 1] if support else 0
+        for index in range(start, len(support)):
             position = support[index]
             if position - previous > max_period:
                 near_set = tuple(support[open_start:index])
@@ -406,9 +366,9 @@ def count_seasons(
 ) -> int:
     """``seasons(P)`` without materializing a :class:`SeasonView`.
 
-    Streams the chain construction of :func:`_chain_seasons` over the
-    near sets one at a time -- no view tuples, no list of chains, just
-    the running chain length and the best seen.  With ``stop_at`` the
+    Streams the chain construction of :func:`_chain_step` over the near
+    sets one at a time -- no view tuples, no chains, just the running
+    chain length and the best seen.  With ``stop_at`` the
     walk returns as soon as the current chain reaches that many seasons
     (chains only grow until a ``dist_max`` break, so any prefix reaching
     ``stop_at`` proves ``seasons(P) >= stop_at``) -- the early exit the

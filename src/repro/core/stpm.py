@@ -77,7 +77,7 @@ from repro.core.seasonality import (
     is_frequent_seasonal,
     is_season_candidate,
 )
-from repro.core.supportset import SupportSet, make_support_set
+from repro.core.supportset import SupportSet
 from repro.exceptions import MiningError
 from repro.obs import counters as metrics
 from repro.obs.trace import span
@@ -559,7 +559,7 @@ class ESTPM:
             metrics.inc("mine.patterns.candidates")
             hlhk.add_pattern(
                 pattern,
-                make_support_set(support),
+                SupportSet.from_positions(support),
                 pattern_assignments[pattern],
             )
             stats.bump(stats.n_candidate_patterns, hlhk.k)

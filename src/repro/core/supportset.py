@@ -13,12 +13,11 @@ operations on it:
   passes the O(1) checks of the candidate gate meets its season-chain
   walk.
 
-:class:`SupportSet` names that interface and :class:`BitsetSupportSet`
-implements it: the positions are packed into one Python big int (bit
-``p`` set <=> granule ``p`` is in the set), so intersection is a single
-C-level ``&`` and cardinality a single ``int.bit_count()``.  Support sets
-compare equal to plain position lists/tuples, so callers and tests can
-treat them as sorted lists.
+:class:`SupportSet` is the one class: the positions are packed into one
+Python big int (bit ``p`` set <=> granule ``p`` is in the set), so
+intersection is a single C-level ``&`` and cardinality a single
+``int.bit_count()``.  Support sets compare equal to plain position
+lists/tuples, so callers and tests can treat them as sorted lists.
 """
 
 from __future__ import annotations
@@ -44,8 +43,8 @@ _COARSEN_CHUNK = 512
 def bit_positions(bits: int) -> list[int]:
     """The set bit indices of a support bitmask, ascending.
 
-    The low-bit extraction primitive shared by :class:`BitsetSupportSet`
-    and the streaming miner's raw-bitmask state.  Small masks peel low
+    The low-bit extraction primitive shared by :class:`SupportSet` and
+    the streaming miner's raw-bitmask state.  Small masks peel low
     bits off the int directly; larger ones are exported once with
     ``int.to_bytes`` and peeled word by word, so the total cost is linear
     in the mask length instead of quadratic (every ``bits ^= low`` on a
@@ -133,23 +132,43 @@ def coarsen_bits(bits: int, factor: int, n_granules: int | None = None) -> int:
 
 
 class SupportSet:
-    """Interface of a support set, and the annotation type for one.
+    """A support set packed into one Python big int.
 
-    Instances behave like immutable sorted sequences of granule positions:
-    they are sized, iterable (ascending), indexable, and compare equal to
-    plain lists/tuples with the same positions.  :class:`BitsetSupportSet`
-    implements the physical storage and the intersection.
+    Bit ``p`` of ``bits`` is set iff granule position ``p`` belongs to the
+    set.  Positions are 1-based (bit 0 is never set by the miners, but the
+    representation does not care).  Instances behave like immutable
+    sorted sequences of granule positions: they are sized, iterable
+    (ascending), indexable, and compare equal to plain lists/tuples with
+    the same positions.  Intersection and cardinality never materialize
+    the positions; iteration does, once, and caches the tuple.
     """
 
-    __slots__ = ()
+    __slots__ = ("bits", "_cached")
+
+    def __init__(self, bits: int = 0):
+        if bits < 0:
+            raise ConfigError("support bitset cannot be negative")
+        self.bits = bits
+        self._cached: tuple[int, ...] | None = None
+
+    @classmethod
+    def from_positions(cls, positions: Iterable[int]) -> "SupportSet":
+        """Pack an iterable of non-negative positions into a bitset."""
+        return cls(_pack_bits(positions))
+
+    @classmethod
+    def from_sorted(cls, positions: Sequence[int]) -> "SupportSet":
+        """Pack strictly ascending positions and keep them as the cached
+        positions, so :meth:`positions` never re-derives them from the bits."""
+        support = cls(_pack_bits(positions))
+        support._cached = tuple(positions)
+        return support
 
     def positions(self) -> tuple[int, ...]:
-        """The positions as an ascending tuple (materializing if needed)."""
-        raise NotImplementedError
-
-    def intersect(self, other: SupportLike) -> "SupportSet":
-        """The intersection, in this set's representation."""
-        raise NotImplementedError
+        """The positions as an ascending tuple (materialized once, cached)."""
+        if self._cached is None:
+            self._cached = tuple(bit_positions(self.bits))
+        return self._cached
 
     def coarsen(self, factor: int, n_granules: int | None = None) -> "SupportSet":
         """The support set's image under a ``factor``-coarser sequence mapping.
@@ -162,14 +181,17 @@ class SupportSet:
         drops coarse positions beyond the mapped database's length (the
         trailing partial block of Def. 3.3).
         """
-        raise NotImplementedError
+        return SupportSet(coarsen_bits(self.bits, factor, n_granules))
 
     def __and__(self, other: SupportLike) -> "SupportSet":
-        """``a & b`` -- operator alias of :meth:`intersect`."""
-        return self.intersect(other)
+        """``a & b``: the intersection, with a support set or a position
+        sequence."""
+        if isinstance(other, SupportSet):
+            return SupportSet(self.bits & other.bits)
+        return SupportSet(self.bits & _pack_bits(other))
 
     def __len__(self) -> int:
-        raise NotImplementedError
+        return self.bits.bit_count()
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.positions())
@@ -180,15 +202,15 @@ class SupportSet:
         return list(result) if isinstance(index, slice) else result
 
     def __contains__(self, position: int) -> bool:
-        return position in self.positions()
+        return position >= 0 and (self.bits >> position) & 1 == 1
 
     def __bool__(self) -> bool:
-        return len(self) > 0
+        return self.bits != 0
 
     def __eq__(self, other) -> bool:
         """Equal to any SupportSet / list / tuple with the same positions."""
         if isinstance(other, SupportSet):
-            return self.positions() == other.positions()
+            return self.bits == other.bits
         if isinstance(other, (list, tuple, range)):
             return list(self.positions()) == list(other)
         return NotImplemented
@@ -196,56 +218,11 @@ class SupportSet:
     def __hash__(self) -> int:
         return hash(self.positions())
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}({list(self.positions())!r})"
-
-
-class BitsetSupportSet(SupportSet):
-    """Support set packed into one Python big int.
-
-    Bit ``p`` of ``bits`` is set iff granule position ``p`` belongs to the
-    set.  Positions are 1-based (bit 0 is never set by the miners, but the
-    representation does not care).  Intersection and cardinality never
-    materialize the positions; iteration does, once, and caches the tuple.
-    """
-
-    __slots__ = ("bits", "_cached")
-
-    def __init__(self, bits: int = 0):
-        if bits < 0:
-            raise ConfigError("support bitset cannot be negative")
-        self.bits = bits
-        self._cached: tuple[int, ...] | None = None
-
-    @classmethod
-    def from_positions(cls, positions: Iterable[int]) -> "BitsetSupportSet":
-        """Pack an iterable of non-negative positions into a bitset."""
-        return cls(_pack_bits(positions))
-
-    def positions(self) -> tuple[int, ...]:
-        if self._cached is None:
-            self._cached = tuple(bit_positions(self.bits))
-        return self._cached
-
-    def intersect(self, other: SupportLike) -> "BitsetSupportSet":
-        if isinstance(other, BitsetSupportSet):
-            return BitsetSupportSet(self.bits & other.bits)
-        return BitsetSupportSet(self.bits & _as_bits(other))
-
-    def coarsen(self, factor: int, n_granules: int | None = None) -> "BitsetSupportSet":
-        return BitsetSupportSet(coarsen_bits(self.bits, factor, n_granules))
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
-
-    def __contains__(self, position: int) -> bool:
-        return position >= 0 and (self.bits >> position) & 1 == 1
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
     def __reduce__(self):
-        return (BitsetSupportSet, (self.bits,))
+        return (SupportSet, (self.bits,))
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"SupportSet({list(self.positions())!r})"
 
 
 def _pack_bits(positions: Iterable[int]) -> int:
@@ -268,13 +245,6 @@ def _pack_bits(positions: Iterable[int]) -> int:
     return int.from_bytes(packed, "little")
 
 
-def _as_bits(support: SupportLike) -> int:
-    """The big-int bitmask of any support-like value."""
-    if isinstance(support, BitsetSupportSet):
-        return support.bits
-    return _pack_bits(as_positions(support))
-
-
 def as_positions(support: SupportLike) -> Sequence[int]:
     """A sorted position sequence view of any support-like value.
 
@@ -284,13 +254,3 @@ def as_positions(support: SupportLike) -> Sequence[int]:
     if isinstance(support, SupportSet):
         return support.positions()
     return support
-
-
-def as_support_list(support: SupportLike) -> list[int]:
-    """A plain ``list[int]`` copy of any support-like value."""
-    return list(as_positions(support))
-
-
-def make_support_set(positions: Iterable[int]) -> SupportSet:
-    """Build a support set from an iterable of non-negative positions."""
-    return BitsetSupportSet.from_positions(positions)

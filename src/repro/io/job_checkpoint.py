@@ -40,7 +40,7 @@ import base64
 import json
 import pickle
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 from repro.exceptions import ConfigError
 from repro.io.atomic import write_text_atomic
@@ -158,9 +158,6 @@ class JobCheckpoint:
     def get(self, key: str) -> Any:
         """The recorded outcome of a completed task key."""
         return self._outcomes[key]
-
-    def completed_keys(self) -> Iterator[str]:
-        return iter(self._outcomes)
 
     # -- progress recording --------------------------------------------
 

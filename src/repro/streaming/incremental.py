@@ -24,9 +24,9 @@ appends.  Each :meth:`IncrementalSTPM.advance` call
    scratch;
 4. re-evaluates seasons only for the patterns whose support changed --
    an append extends the pattern's season chain over the open near set
-   and the new granules, while a support that gained an older granule
-   (or a fresh pattern state) is recomputed in full -- and reports the
-   frequency transitions as a :class:`PatternDelta`.
+   and the new granules, while the chain of a support that gained an
+   older granule (or of a fresh pattern state) walks the whole support --
+   and reports the frequency transitions as a :class:`PatternDelta`.
 
 Parity guarantee
 ----------------
@@ -67,7 +67,7 @@ from repro.core.instance_index import InstanceColumn, VerdictStore
 from repro.obs import counters as metrics
 from repro.obs.trace import span
 from repro.core.stpm import ESTPM
-from repro.core.supportset import BitsetSupportSet
+from repro.core.supportset import SupportSet
 from repro.events.sequence import TemporalSequence
 from repro.exceptions import ConfigError, MiningError
 from repro.streaming.state import (
@@ -295,7 +295,7 @@ class IncrementalSTPM:
         for event in sorted(changed):
             es = state.events[event]
             if es.candidate:
-                state.hlh1.eh[event] = BitsetSupportSet(es.bits)
+                state.hlh1.eh[event] = SupportSet(es.bits)
             elif is_season_candidate(es.chain.support, params):
                 es.candidate = True
                 newly_candidate.append(event)
@@ -305,7 +305,7 @@ class IncrementalSTPM:
                     )
                     for position in es.chain.support
                 }
-                state.hlh1.add_event(event, BitsetSupportSet(es.bits), columns)
+                state.hlh1.add_event(event, SupportSet(es.bits), columns)
             else:
                 continue
             adv.touched_events.setdefault(event, self._snapshot_view(es.chain.view))
@@ -355,7 +355,7 @@ class IncrementalSTPM:
                 tail = bits & ~mask_upto(gs.processed_upto)
                 if tail:
                     gs.bits = bits
-                    mirror.ehk[group].support = BitsetSupportSet(bits)
+                    mirror.ehk[group].support = SupportSet(bits)
                     self._collect_pairs(gs, bit_positions(tail), adv)
                 gs.processed_upto = new_n
                 continue
@@ -548,7 +548,7 @@ class IncrementalSTPM:
             self._rebuild_extension_group(k, gs, adv)
             return
         if bits_changed:
-            mirror.ehk[gs.group].support = BitsetSupportSet(bits)
+            mirror.ehk[gs.group].support = SupportSet(bits)
         if rebuild:
             # Old granules may now admit new patterns/assignments: the
             # incremental premise broke, redo the group batch-style.
@@ -659,7 +659,7 @@ class IncrementalSTPM:
                 bits |= 1 << granule
             ps.bits = bits
             if ps.candidate:
-                mirror.phk[pattern] = BitsetSupportSet(bits)
+                mirror.phk[pattern] = SupportSet(bits)
             elif is_season_candidate(ps.chain.support, params):
                 ps.candidate = True
                 self._register_pattern(k, gs, pattern, ps, adv)
@@ -682,7 +682,7 @@ class IncrementalSTPM:
         if not mirror.ehk[gs.group].patterns:
             adv.first.add(gs.group)
         adv.grown.add(gs.group)
-        mirror.add_pattern(pattern, BitsetSupportSet(ps.bits), ps.assignments)
+        mirror.add_pattern(pattern, SupportSet(ps.bits), ps.assignments)
         events = state.pattern_events.setdefault(k, set())
         for event in pattern.events:
             if event not in events:

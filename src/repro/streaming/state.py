@@ -33,12 +33,12 @@ The state therefore records, per group, *how far* it has been enumerated
 indexes the candidate k >= 3 groups by parent group and by the (parent
 member, extension event) pairs the Iterative Check relates, so an advance
 finds the groups it changed without scanning the others.  Each event and
-pattern keeps a :class:`~repro.core.seasonality.SeasonChain`: an append
-re-walks only the open near set and the new granules.  Tail enumerations
-always append; a k >= 3 pattern's full-support catch-up (a newly
-candidate parent pattern) merges instead, and should it add a granule
-below the pattern's last one, the view is recomputed from the whole
-support.  So is the first view of a fresh pattern state.
+pattern keeps a :class:`~repro.core.seasonality.SeasonChain`: its first
+view walks the whole support once, and an append re-walks only the open
+near set and the new granules.  Tail enumerations always append; a
+k >= 3 pattern's full-support catch-up (a newly candidate parent pattern)
+merges instead, and should it add a granule below the pattern's last
+one, the chain walks the whole support again.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from repro.core.config import MiningParams
 from repro.core.hlh import HLH1, Assignment, HLHk
 from repro.core.pattern import TemporalPattern, Triple
 from repro.core.seasonality import SeasonChain, SeasonView
-from repro.core.supportset import BitsetSupportSet, bit_positions
+from repro.core.supportset import SupportSet, bit_positions
 from repro.obs import counters as metrics
 
 __all__ = [
@@ -172,7 +172,7 @@ class MinerState:
         state.candidate = True
         mirror = self.mirror(k)
         state.rank = len(mirror.ehk)
-        mirror.add_group(state.group, BitsetSupportSet(state.bits))
+        mirror.add_group(state.group, SupportSet(state.bits))
         if k >= 3:
             self.children.setdefault(state.parent_group, []).append(state.group)
             for member in set(state.parent_group):

@@ -164,20 +164,3 @@ class QuantileMapper:
             )
         breakpoints = quantile_breakpoints(series.values, n_bins)
         return _encode_with_breakpoints(series, breakpoints, self.alphabet)
-
-
-@dataclass(frozen=True)
-class ExplicitMapper:
-    """A mapper that returns pre-computed symbols (used by dataset builders
-    that symbolize with domain-specific rules)."""
-
-    symbols: tuple[str, ...]
-    alphabet: Alphabet
-
-    def encode(self, series: TimeSeries) -> SymbolicSeries:
-        if len(self.symbols) != len(series):
-            raise SymbolizationError(
-                f"explicit symbols length {len(self.symbols)} does not match "
-                f"series {series.name!r} length {len(series)}"
-            )
-        return SymbolicSeries(series.name, self.symbols, self.alphabet)

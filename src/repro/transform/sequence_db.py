@@ -41,7 +41,7 @@ from typing import Sequence
 
 from repro.core.config import get_numpy
 from repro.core.instance_index import InstanceColumn
-from repro.core.supportset import BitsetSupportSet, SupportSet
+from repro.core.supportset import SupportSet
 from repro.events.event import EventInstance
 from repro.events.sequence import TemporalSequence
 from repro.exceptions import TransformError
@@ -190,11 +190,10 @@ class TemporalSequenceDatabase:
                 for row in self.rows:
                     for event in row.events():
                         positions.setdefault(event, []).append(row.position)
-            cached = {}
-            for event, granules in positions.items():
-                support = BitsetSupportSet.from_positions(granules)
-                support._cached = tuple(granules)
-                cached[event] = support
+            cached = {
+                event: SupportSet.from_sorted(granules)
+                for event, granules in positions.items()
+            }
             self._support_cache = cached
             self._event_positions = None
         return cached

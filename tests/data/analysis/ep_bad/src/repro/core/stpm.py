@@ -1,4 +1,4 @@
-"""Fixture: every checkpoint-picklability violation (EP002/EP003)."""
+"""Fixture: the checkpoint-picklability violation (EP002)."""
 
 
 class LevelState:
@@ -7,6 +7,3 @@ class LevelState:
     def __init__(self):
         self.values = []
         self._column_cache = {}
-
-
-MINERS = {"exact": lambda dseq: dseq}  # EP003: lambda registry value

@@ -1,10 +1,6 @@
 """Fixture: the picklability contract respected (clean)."""
 
 
-def mine_task(task):
-    return task
-
-
 class LevelState:
     def __init__(self):
         self.values = []
@@ -16,6 +12,3 @@ class LevelState:
     def __setstate__(self, state):
         self.values = state["values"]
         self._column_cache = {}
-
-
-MINERS = {"exact": mine_task}

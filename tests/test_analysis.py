@@ -56,8 +56,8 @@ class TestComputeTwinRules:
 
 class TestPicklabilityRules:
     def test_bad_tree_fires_both_rules(self):
-        result = run_family("ep_bad", "EP002", "EP003")
-        assert rules_hit(result) == {"EP002", "EP003"}
+        result = run_family("ep_bad", "EP")
+        assert rules_hit(result) == {"EP002"}
 
     def test_boundary_class_names_offending_attributes(self):
         result = run_family("ep_bad", "EP002")
@@ -66,7 +66,7 @@ class TestPicklabilityRules:
         assert "_column_cache" in finding.message
 
     def test_good_tree_is_clean(self):
-        result = run_family("ep_good", "EP002", "EP003")
+        result = run_family("ep_good", "EP")
         assert result.ok
 
 
@@ -152,7 +152,7 @@ class TestSuppressions:
         suppressions = parse_suppressions(source)
         assert suppressions.is_suppressed("CT001", 1)
         assert suppressions.is_suppressed("EP002", 1)
-        assert not suppressions.is_suppressed("EP003", 1)
+        assert not suppressions.is_suppressed("RC003", 1)
         assert suppressions.is_suppressed("OB001", 999)  # file-wide
         assert suppressions.is_suppressed("ANY999", 3)  # bare ignore = all
 

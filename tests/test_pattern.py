@@ -4,12 +4,18 @@ import pytest
 
 from repro import TemporalPattern, Triple
 from repro.core.pattern import (
-    extend_pattern,
     pattern_from_instances,
     single_event_pattern,
     splice_triples,
 )
-from repro.events import CONTAINS, FOLLOWS, OVERLAPS, EventInstance, RelationConfig
+from repro.events import (
+    CONTAINS,
+    FOLLOWS,
+    OVERLAPS,
+    EventInstance,
+    RelationConfig,
+    relation_between,
+)
 from repro.exceptions import MiningError
 
 CONFIG = RelationConfig()
@@ -114,6 +120,24 @@ class TestPatternFromInstances:
         assert pattern_from_instances(instances, config) is None
 
 
+def _spliced(base, new):
+    """The pattern of ``base + [new]`` by splicing: the parent's triples
+    plus the new instance's relation with each parent instance, or
+    ``None`` if one of those pairs is unrelated."""
+    ordered = sorted(base, key=EventInstance.sort_key)
+    parent = pattern_from_instances(ordered, CONFIG)
+    position = sum(inst.sort_key() <= new.sort_key() for inst in ordered)
+    partner = []
+    for index, other in enumerate(ordered):
+        first, second = (other, new) if index < position else (new, other)
+        rel = relation_between(first, second, CONFIG)
+        if rel is None:
+            return None
+        partner.append(Triple(rel, first.event, second.event))
+    events = parent.events[:position] + (new.event,) + parent.events[position:]
+    return events, splice_triples(parent.triples, partner, position, len(events))
+
+
 class TestIncrementalExtension:
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_splice_matches_full_construction_k3(self, position):
@@ -121,31 +145,17 @@ class TestIncrementalExtension:
         starts = {0: (1, 1), 1: (5, 5), 2: (11, 12)}[position]
         new = EventInstance("C:1", *starts)
         full = pattern_from_instances(base + [new], CONFIG)
-        extended = extend_pattern(
-            ("A:1", "B:1"),
-            (Triple(FOLLOWS, "A:1", "B:1"),),
-            tuple(base),
-            new,
-            CONFIG,
-        )
-        assert extended is not None
-        events, triples, ordered, _ = extended
-        assert (events, triples) == (full.events, full.triples)
-        assert ordered == tuple(sorted(base + [new], key=EventInstance.sort_key))
+        assert full.events.index("C:1") == position
+        assert _spliced(base, new) == (full.events, full.triples)
 
     def test_splice_matches_full_construction_k4(self):
         base = _instances(("A:1", 1, 3), ("B:1", 5, 7), ("C:1", 9, 12))
-        parent = pattern_from_instances(base, CONFIG)
         new = EventInstance("D:1", 6, 14)
         full = pattern_from_instances(base + [new], CONFIG)
-        extended = extend_pattern(
-            parent.events, parent.triples, tuple(base), new, CONFIG
-        )
         if full is None:
-            assert extended is None
+            assert _spliced(base, new) is None
         else:
-            events, triples, _, _ = extended
-            assert (events, triples) == (full.events, full.triples)
+            assert _spliced(base, new) == (full.events, full.triples)
 
     def test_splice_triples_general_path(self):
         prev = (Triple(FOLLOWS, "A", "B"),)

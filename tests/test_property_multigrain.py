@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Alphabet, SymbolicDatabase, build_sequence_database
-from repro.core.supportset import make_support_set
+from repro.core.supportset import SupportSet
 
 MAX_LENGTH = 48
 
@@ -83,7 +83,7 @@ def test_coarsened_rows_equal_rebuilt_rows(case):
 def test_fold_matches_the_scalar_fold(positions, factor):
     ordered = sorted(positions)
     expected = sorted({(p - 1) // factor + 1 for p in ordered})
-    assert list(make_support_set(ordered).coarsen(factor)) == expected
+    assert list(SupportSet.from_positions(ordered).coarsen(factor)) == expected
     limit = max(expected, default=0) // 2
     capped = [p for p in expected if p <= limit]
-    assert list(make_support_set(ordered).coarsen(factor, limit)) == capped
+    assert list(SupportSet.from_positions(ordered).coarsen(factor, limit)) == capped

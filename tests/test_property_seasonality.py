@@ -12,7 +12,7 @@ from repro.core.seasonality import (
     is_season_candidate,
     split_near_support_sets,
 )
-from repro.core.supportset import BitsetSupportSet
+from repro.core.supportset import SupportSet
 
 supports = st.lists(
     st.integers(1, 120), min_size=0, max_size=40, unique=True
@@ -130,6 +130,7 @@ def _assert_same_view(view, expected):
 @settings(max_examples=200)
 def test_season_chain_matches_compute_seasons_after_every_chunk(support, params, sizes):
     chain = SeasonChain()
+    _assert_same_view(chain.refresh(params), compute_seasons([], params))
     start = 0
     for size in cycle(sizes):
         if start >= len(support):
@@ -165,6 +166,78 @@ def test_season_chain_older_position_takes_the_full_recompute(support, params, d
     chain.extend(more)
     assert not chain.fresh
     _assert_same_view(chain.refresh(params), compute_seasons(merged + more, params))
+
+
+# -- compute_seasons against a plain-loop oracle --------------------------
+
+
+def chain_seasons(support, params) -> tuple[tuple[int, ...], ...]:
+    """The seasons of S, as a plain loop over lists: walk the near sets
+    left to right, keeping every season chain (trim leading granules
+    closer than distMin to the chain's last season, the H9 rule; break
+    the chain at a distance above distMax), and return the first longest."""
+    chains: list[list[list[int]]] = []
+    current: list[list[int]] = []
+    for near_set in split_near_support_sets(support, params.max_period):
+        candidate = near_set
+        if current:
+            last_end = current[-1][-1]
+            start = 0
+            while start < len(candidate) and candidate[start] - last_end < params.dist_min:
+                start += 1
+            candidate = candidate[start:]
+            if not candidate:
+                continue
+            if candidate[0] - last_end > params.dist_max:
+                chains.append(current)
+                current = []
+                candidate = near_set
+        if len(candidate) >= params.min_density:
+            current.append(candidate)
+    if current:
+        chains.append(current)
+    best = max(chains, key=len) if chains else []
+    return tuple(tuple(season) for season in best)
+
+
+@st.composite
+def chained_supports(draw):
+    """Supports built near set by near set, with gaps up to past distMax
+    (chain breaks) and, where distMin > maxPeriod + 1, gaps below distMin
+    (H9 trims)."""
+    params = draw(
+        st.builds(
+            MiningParams,
+            max_period=st.integers(1, 3),
+            min_density=st.integers(1, 3),
+            dist_interval=st.integers(0, 12).flatmap(
+                lambda low: st.tuples(st.just(low), st.integers(low, 24))
+            ),
+            min_season=st.just(1),
+        )
+    )
+    support: list[int] = []
+    position = 0
+    for _ in range(draw(st.integers(0, 8))):
+        position += draw(st.integers(params.max_period + 1, params.dist_max + 4))
+        support.append(position)
+        for _ in range(draw(st.integers(0, 4))):
+            position += draw(st.integers(1, params.max_period))
+            support.append(position)
+    return support, params
+
+
+@given(chained_supports())
+@example(_H9)
+@example(_TIED_CHAINS)
+@settings(max_examples=400)
+def test_compute_seasons_matches_the_chain_oracle(case):
+    support, params = case
+    view = compute_seasons(support, params)
+    assert view.seasons == chain_seasons(support, params)
+    assert view.near_sets == tuple(
+        tuple(near) for near in split_near_support_sets(support, params.max_period)
+    )
 
 
 # -- The near-set bound B, the reference the season-chain bound tightens --
@@ -276,7 +349,7 @@ _SPREAD = (
 @settings(max_examples=400)
 def test_season_gate_agrees_with_the_chain_bound(support, params):
     bound = chain_bound(support, params)
-    bitset = BitsetSupportSet.from_positions(support)
+    bitset = SupportSet.from_positions(support)
     # The drawn minSeason, and the thresholds on either side of C, which
     # pin C itself.
     for min_season in {params.min_season, max(bound, 1), bound + 1}:

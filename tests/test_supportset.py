@@ -17,14 +17,11 @@ from hypothesis import strategies as st
 from repro.core.supportset import (
     _COARSEN_CHUNK,
     _SMALL_BITS,
-    BitsetSupportSet,
     SupportSet,
     _pack_bits,
     as_positions,
-    as_support_list,
     bit_positions,
     coarsen_bits,
-    make_support_set,
 )
 from repro.exceptions import ConfigError
 
@@ -36,20 +33,20 @@ positions_lists = st.lists(
 @given(positions_lists)
 @settings(max_examples=100, deadline=None)
 def test_roundtrip_equivalence(positions):
-    support = make_support_set(positions)
+    support = SupportSet.from_positions(positions)
     assert list(support) == positions
     assert support.positions() == tuple(positions)
     assert len(support) == len(positions)
     assert bool(support) == bool(positions)
     assert support == positions
-    assert as_support_list(support) == positions
+    assert as_positions(support) == tuple(positions)
 
 
 @given(positions_lists, positions_lists)
 @settings(max_examples=100, deadline=None)
 def test_intersection_matches_list_algebra(left, right):
     expected = sorted(set(left) & set(right))
-    both = make_support_set(left) & make_support_set(right)
+    both = SupportSet.from_positions(left) & SupportSet.from_positions(right)
     assert list(both) == expected
     assert len(both) == len(expected)
 
@@ -58,26 +55,25 @@ def test_intersection_matches_list_algebra(left, right):
 @settings(max_examples=50, deadline=None)
 def test_cross_backend_intersection(left, right):
     # A support set intersects with a plain position sequence as well as
-    # with another support set, and the result is always a bitset.
+    # with another support set, and the result is always a SupportSet.
     expected = sorted(set(left) & set(right))
-    support = make_support_set(left)
-    for other in (right, tuple(right), make_support_set(right)):
+    support = SupportSet.from_positions(left)
+    for other in (right, tuple(right), SupportSet.from_positions(right)):
         both = support & other
-        assert type(both) is BitsetSupportSet
+        assert type(both) is SupportSet
         assert list(both) == expected
-        assert support.intersect(other) == both
 
 
 @given(positions_lists, st.integers(min_value=0, max_value=401))
 @settings(max_examples=100, deadline=None)
 def test_membership_matches(positions, probe):
-    assert (probe in make_support_set(positions)) == (probe in positions)
+    assert (probe in SupportSet.from_positions(positions)) == (probe in positions)
 
 
 @given(positions_lists)
 @settings(max_examples=50, deadline=None)
 def test_indexing_and_slicing(positions):
-    support = make_support_set(positions)
+    support = SupportSet.from_positions(positions)
     if positions:
         assert support[0] == positions[0]
         assert support[-1] == positions[-1]
@@ -88,25 +84,24 @@ def test_indexing_and_slicing(positions):
 @given(positions_lists)
 @settings(max_examples=50, deadline=None)
 def test_pickle_roundtrip(positions):
-    support = make_support_set(positions)
+    support = SupportSet.from_positions(positions)
     clone = pickle.loads(pickle.dumps(support))
     assert clone == support
-    assert type(clone) is BitsetSupportSet
+    assert type(clone) is SupportSet
 
 
 class TestUnits:
     def test_bitset_stores_big_int(self):
-        support = make_support_set([1, 3, 5])
-        assert isinstance(support, BitsetSupportSet)
+        support = SupportSet.from_positions([1, 3, 5])
         assert support.bits == 0b101010
         assert len(support) == 3
 
     def test_unsorted_duplicated_input_is_normalized(self):
         raw = [9, 3, 5, 3, 9]
-        assert list(make_support_set(raw)) == sorted(set(raw))
+        assert list(SupportSet.from_positions(raw)) == sorted(set(raw))
 
     def test_equality_against_lists_and_tuples(self):
-        support = make_support_set([2, 4])
+        support = SupportSet.from_positions([2, 4])
         assert support == [2, 4]
         assert support == (2, 4)
         assert [2, 4] == support  # reflected comparison
@@ -114,26 +109,27 @@ class TestUnits:
         assert support != "24"
 
     def test_hash_consistent_with_equality(self):
-        a = make_support_set([1, 9])
-        b = make_support_set((9, 1))
+        a = SupportSet.from_positions([1, 9])
+        b = SupportSet.from_positions((9, 1))
         assert a == b
         assert hash(a) == hash(b) == hash((1, 9))
 
     def test_negative_bits_rejected(self):
         with pytest.raises(ConfigError):
-            BitsetSupportSet(-1)
+            SupportSet(-1)
 
     def test_as_positions_passthrough(self):
         raw = [1, 2, 3]
         assert as_positions(raw) is raw
-        assert as_positions(make_support_set(raw)) == (1, 2, 3)
+        assert as_positions(SupportSet.from_positions(raw)) == (1, 2, 3)
 
-    def test_abstract_interface_guards(self):
-        base = SupportSet()
-        with pytest.raises(NotImplementedError):
-            base.positions()
-        with pytest.raises(NotImplementedError):
-            len(base)
+    def test_from_sorted_keeps_the_positions_it_packs(self):
+        granules = [2, 5, 9]
+        support = SupportSet.from_sorted(granules)
+        assert support.bits == SupportSet.from_positions(granules).bits
+        assert support.positions() == (2, 5, 9)
+        with pytest.raises(ConfigError):
+            SupportSet.from_sorted([-1, 3])
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +183,7 @@ def test_coarsen_bits_matches_scalar_semantics(positions, factor, n_granules):
 @settings(max_examples=100, deadline=None)
 def test_supportset_coarsen_matches_scalar_fold(positions, factor, n_granules):
     expected = _reference_coarse(positions, factor, n_granules)
-    folded = make_support_set(positions).coarsen(factor, n_granules)
+    folded = SupportSet.from_positions(positions).coarsen(factor, n_granules)
     assert list(folded) == expected
 
 
@@ -210,11 +206,11 @@ def test_pack_bits_rejects_negative_positions():
     with pytest.raises(ConfigError):
         _pack_bits([4, -1])
     with pytest.raises(ConfigError):
-        BitsetSupportSet.from_positions([-2])
+        SupportSet.from_positions([-2])
 
 
 def test_coarsen_rejects_bad_factor():
     with pytest.raises(ConfigError):
         coarsen_bits(0b10, 0)
     with pytest.raises(ConfigError):
-        make_support_set([1]).coarsen(-1)
+        SupportSet.from_positions([1]).coarsen(-1)

@@ -15,7 +15,7 @@ from repro.symbolic import (
     TimeSeries,
 )
 from repro.streaming.ingest import StreamingSymbolizer
-from repro.symbolic.mapping import ExplicitMapper, quantile_breakpoints
+from repro.symbolic.mapping import quantile_breakpoints
 
 
 class TestAlphabet:
@@ -160,13 +160,6 @@ class TestMappers:
             TimeSeries.from_array("B", 3.5 * values + 11.0)
         )
         assert a.symbols == b.symbols
-
-    def test_explicit_mapper(self):
-        mapper = ExplicitMapper(("1", "0"), Alphabet.binary())
-        encoded = mapper.encode(TimeSeries("X", (9.0, 9.0)))
-        assert encoded.symbols == ("1", "0")
-        with pytest.raises(SymbolizationError):
-            mapper.encode(TimeSeries("X", (9.0,)))
 
 
 class TestSymbolicDatabase:
