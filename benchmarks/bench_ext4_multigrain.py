@@ -6,9 +6,11 @@ baseline mines every level on its own -- ``build_sequence_database``
 from the raw symbol stream, then E-STPM at the level's resolved
 thresholds, re-scanning every event's support at every level; the
 hierarchical miner builds the finest level once and *derives* each
-coarser level -- event supports by big-int bit-folds, and granule rows
-merged from the fine rows only when mining first reads one (a
-single-event level never does).
+coarser level -- event supports by folding the fine level's support
+positions in one vectorised pass (``(p - 1) // f + 1``), then packing
+the coarse level's bitsets at once, and granule rows merged from the
+fine rows only when mining first reads one (a single-event level never
+does).
 
 Workload: the multigrain seasonal *event* scan (``max_pattern_length=1``
 -- "which events are seasonal at which granularity?"), the first-stage

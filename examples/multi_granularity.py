@@ -8,7 +8,8 @@ hierarchy to daily sequences in one hierarchical job:
 1. declare the hierarchy (3-hourly ⊴2 6-hourly ⊴2 12-hourly ⊴2 daily);
 2. mine every level at once with :class:`repro.HierarchicalMiner`
    (the finest level is built once; coarser levels derive their event
-   supports by bit-folds and their rows by run merges);
+   supports by folding its support positions and their rows by run
+   merges);
 3. ask the cross-level questions the old per-level loop could not:
    which patterns persist from sub-daily to daily granularity, which
    are granularity artifacts, and how a pattern's season count moves;

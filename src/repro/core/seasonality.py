@@ -69,14 +69,19 @@ For support sets whose near sets chain without breaks (the common case and
 all of the paper's examples) this is exactly the paper's definition.
 
 One step of the walk is :func:`_chain_step`, and every season view is
-built with it: :func:`compute_seasons` folds it over the near sets of a
-whole support.  The walk is left to right, so a support that only grows
-at its end keeps every near set but the last (the *open* one) and the
-chain state in front of it: :class:`SeasonChain` holds that state for the
-streaming miner, which walks a fresh support once and then re-walks only
-the open near set and the new granules per append.
-:func:`count_seasons` counts the same chains without building them, for
-the gates that only need the number.
+built with it: :func:`season_view` folds it over the near sets of a
+whole support.  :func:`compute_seasons` splits one support into its near
+sets and calls it; step 2.1 of the batch miner gets every admitted
+event's near sets from one split of the whole level
+(:meth:`~repro.transform.sequence_db.TemporalSequenceDatabase.near_support_sets`)
+and calls it directly, so an event's support is walked once for its
+view and its frequency is ``view.n_seasons >= minSeason``.  The walk is
+left to right, so a support that only grows at its end keeps every near
+set but the last (the *open* one) and the chain state in front of it:
+:class:`SeasonChain` holds that state for the streaming miner, which
+walks a fresh support once and then re-walks only the open near set and
+the new granules per append.  :func:`count_seasons` counts the same
+chains without building them, for the gates that only need the number.
 """
 
 from __future__ import annotations
@@ -154,12 +159,14 @@ def is_season_candidate(support: SupportLike | int, params: MiningParams) -> boo
     return False
 
 
-def _iter_near_sets(support, max_period: int) -> Iterator[list[int]]:
-    """Stream the maximal near support sets one at a time.
+def iter_near_sets(support, max_period: int) -> Iterator[list[int]]:
+    """Stream the maximal near support sets of one support, one at a time.
 
-    The single source of truth for the Def. 3.13 split (gap <=
-    maxPeriod); only the current set is materialized, so counting
-    callers never hold the full decomposition.
+    The Def. 3.13 split (gap <= maxPeriod) of :func:`compute_seasons`,
+    :func:`count_seasons` and the pure-Python twin of
+    :meth:`~repro.transform.sequence_db.TemporalSequenceDatabase.near_support_sets`;
+    only the current set is materialized, so counting callers never hold
+    the full decomposition.
     """
     current: list[int] = []
     for position in support:
@@ -170,15 +177,6 @@ def _iter_near_sets(support, max_period: int) -> Iterator[list[int]]:
             current.append(position)
     if current:
         yield current
-
-
-def split_near_support_sets(support: SupportLike, max_period: int) -> list[list[int]]:
-    """Maximal near support sets: split where the period exceeds maxPeriod.
-
-    ``support`` may be a plain sorted position list or a
-    :class:`~repro.core.supportset.SupportSet`.
-    """
-    return list(_iter_near_sets(as_positions(support), max_period))
 
 
 def season_distance(season_i: list[int], season_j: list[int]) -> int:
@@ -254,6 +252,24 @@ def _chain_step(
     return best, current
 
 
+def season_view(
+    support: tuple[int, ...],
+    near_sets: tuple[tuple[int, ...], ...],
+    params: MiningParams,
+) -> SeasonView:
+    """The seasonal decomposition of ``support``, given its maximal near
+    support sets: :func:`_chain_step` folded over them in order."""
+    best: _Chain = ()
+    current: _Chain = ()
+    for near_set in near_sets:
+        best, current = _chain_step(best, current, near_set, params)
+    return SeasonView(
+        support=support,
+        near_sets=near_sets,
+        seasons=current if len(current) > len(best) else best,
+    )
+
+
 def compute_seasons(support: SupportLike, params: MiningParams) -> SeasonView:
     """Full seasonal decomposition of a support set under ``params``.
 
@@ -261,17 +277,9 @@ def compute_seasons(support: SupportLike, params: MiningParams) -> SeasonView:
     :class:`~repro.core.supportset.SupportSet` -- this is the point where
     a lazily-packed bitset support is materialized.
     """
-    support = as_positions(support)
-    near_sets = tuple(tuple(s) for s in _iter_near_sets(support, params.max_period))
-    best: _Chain = ()
-    current: _Chain = ()
-    for near_set in near_sets:
-        best, current = _chain_step(best, current, near_set, params)
-    return SeasonView(
-        support=tuple(support),
-        near_sets=near_sets,
-        seasons=current if len(current) > len(best) else best,
-    )
+    support = tuple(as_positions(support))
+    near_sets = tuple(tuple(s) for s in iter_near_sets(support, params.max_period))
+    return season_view(support, near_sets, params)
 
 
 class SeasonChain:
@@ -386,7 +394,7 @@ def count_seasons(
     best = 0
     current = 0
     last_end = 0
-    for near_set in _iter_near_sets(support, params.max_period):
+    for near_set in iter_near_sets(support, params.max_period):
         start_index = 0
         if current:
             # Trim leading granules that sit closer than dist_min to the

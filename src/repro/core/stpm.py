@@ -8,7 +8,9 @@ database ``DSEQ``:
   populate ``HLH1`` with their support and their instance columns
   (:meth:`~repro.transform.sequence_db.TemporalSequenceDatabase.instance_columns`);
   candidates passing the full seasonal check (maxPeriod / minDensity /
-  distInterval / minSeason) are frequent.
+  distInterval / minSeason) are frequent.  The candidates' near support
+  sets come from one split of the whole level, and each candidate's
+  season view is chained from them once.
 * **Step 2.2** -- mine frequent seasonal k-event patterns, k >= 2:
   candidate k-event groups come from the Cartesian product
   ``F_{k-1} x FilteredF1`` with support-set intersection; patterns are
@@ -76,6 +78,7 @@ from repro.core.seasonality import (
     compute_seasons,
     is_frequent_seasonal,
     is_season_candidate,
+    season_view,
 )
 from repro.core.supportset import SupportSet
 from repro.exceptions import MiningError
@@ -424,6 +427,7 @@ class ESTPM:
         with span("estpm/step2.1/hlh1_scan") as scan_span:
             event_supports = sorted(self.dseq.event_support().items())
             scan_span.set(events=len(event_supports))
+        admitted: list[tuple[str, SupportSet]] = []
         for event, support in event_supports:
             if self.series_filter is not None and series_of(event) not in self.series_filter:
                 stats.n_events_pruned += 1
@@ -434,12 +438,16 @@ class ESTPM:
             stats.n_events_scanned += 1
             if self.pruning.apriori and not is_season_candidate(support, params):
                 continue
-            if is_frequent_seasonal(support, params):
-                patterns.append(
-                    SeasonalPattern(
-                        single_event_pattern(event), compute_seasons(support, params)
-                    )
-                )
+            admitted.append((event, support))
+        # The view is the frequency check too, so a frequent support is
+        # walked once, not by the early-exit counter and again for it.
+        near_sets = self.dseq.near_support_sets(
+            params.max_period, [event for event, _ in admitted]
+        )
+        for event, support in admitted:
+            view = season_view(support.positions(), near_sets[event], params)
+            if view.n_seasons >= params.min_season:
+                patterns.append(SeasonalPattern(single_event_pattern(event), view))
             hlh1.add_event(
                 event,
                 support,

@@ -18,6 +18,13 @@ Python big int (bit ``p`` set <=> granule ``p`` is in the set), so
 intersection is a single C-level ``&`` and cardinality a single
 ``int.bit_count()``.  Support sets compare equal to plain position
 lists/tuples, so callers and tests can treat them as sorted lists.
+
+Event supports never walk their bits: the sequence database packs a
+whole level's supports at once and hands each the ascending positions
+it was packed from (:meth:`SupportSet.from_packed`), fine and coarse
+levels alike.  :func:`bit_positions` serves the supports born from an
+intersection and the streaming miner's raw bitmasks; :func:`_pack_bits`
+packs one position list (the pure-Python twin of the level packing).
 """
 
 from __future__ import annotations
@@ -33,11 +40,6 @@ SupportLike = Union["SupportSet", Sequence[int]]
 #: paths -- a handful of big-int ops on a few words beats the ``to_bytes``
 #: round trip.
 _SMALL_BITS = 4096
-
-#: Coarse granules folded per chunk by :func:`coarsen_bits` (the fine
-#: chunk is ``factor`` times wider); multiples of 8 keep every chunk
-#: byte-aligned for any factor.
-_COARSEN_CHUNK = 512
 
 
 def bit_positions(bits: int) -> list[int]:
@@ -71,66 +73,6 @@ def bit_positions(bits: int) -> list[int]:
     return positions
 
 
-def coarsen_bits(bits: int, factor: int, n_granules: int | None = None) -> int:
-    """Fold a 1-based support bitmask onto a ``factor``-times coarser scale.
-
-    Coarse bit ``q`` is set iff any fine bit in the block
-    ``(q-1)*factor+1 .. q*factor`` is set -- the support-set image of the
-    sequence mapping ``g: XS ->factor H``.  ``n_granules`` caps the coarse
-    positions (granules beyond it come from a trailing partial block that
-    the sequence mapping drops).
-
-    Small masks fold with one mask/shift pair per coarse granule.  Large
-    masks are exported once with ``int.to_bytes`` and folded in
-    byte-aligned chunks of :data:`_COARSEN_CHUNK` coarse granules, so each
-    shift touches a fixed-size machine-word window instead of the whole
-    remaining big int -- linear total cost where the scalar loop is
-    quadratic.
-    """
-    if factor < 1:
-        raise ConfigError(f"coarsening factor must be >= 1, got {factor}")
-    if factor == 1:
-        folded = bits
-        if n_granules is not None:
-            folded &= (1 << (n_granules + 1)) - 1
-        return folded
-    block_mask = (1 << factor) - 1
-    remaining = bits >> 1  # drop the never-set bit 0: fine position p -> bit p-1
-    if remaining.bit_length() <= _SMALL_BITS:
-        folded = 0
-        coarse = 1
-        while remaining:
-            if n_granules is not None and coarse > n_granules:
-                break
-            if remaining & block_mask:
-                folded |= 1 << coarse
-            remaining >>= factor
-            coarse += 1
-        return folded
-    data = remaining.to_bytes((remaining.bit_length() + 7) // 8, "little")
-    from_bytes = int.from_bytes
-    chunk_bytes = factor * (_COARSEN_CHUNK // 8)
-    folded = 0
-    coarse_base = 0
-    for offset in range(0, len(data), chunk_bytes):
-        if n_granules is not None and coarse_base >= n_granules:
-            break
-        chunk = from_bytes(data[offset : offset + chunk_bytes], "little")
-        if chunk:
-            local = 0
-            position = 0
-            while chunk:
-                if chunk & block_mask:
-                    local |= 1 << position
-                chunk >>= factor
-                position += 1
-            folded |= local << (coarse_base + 1)
-        coarse_base += _COARSEN_CHUNK
-    if n_granules is not None:
-        folded &= (1 << (n_granules + 1)) - 1
-    return folded
-
-
 class SupportSet:
     """A support set packed into one Python big int.
 
@@ -160,8 +102,15 @@ class SupportSet:
     def from_sorted(cls, positions: Sequence[int]) -> "SupportSet":
         """Pack strictly ascending positions and keep them as the cached
         positions, so :meth:`positions` never re-derives them from the bits."""
-        support = cls(_pack_bits(positions))
-        support._cached = tuple(positions)
+        return cls.from_packed(_pack_bits(positions), tuple(positions))
+
+    @classmethod
+    def from_packed(cls, bits: int, positions: tuple[int, ...]) -> "SupportSet":
+        """A support set of already packed ``bits`` whose cached positions
+        are ``positions``: the set bits of ``bits``, ascending, as Python
+        ints (the caller packed one from the other)."""
+        support = cls(bits)
+        support._cached = positions
         return support
 
     def positions(self) -> tuple[int, ...]:
@@ -169,19 +118,6 @@ class SupportSet:
         if self._cached is None:
             self._cached = tuple(bit_positions(self.bits))
         return self._cached
-
-    def coarsen(self, factor: int, n_granules: int | None = None) -> "SupportSet":
-        """The support set's image under a ``factor``-coarser sequence mapping.
-
-        A coarse granule is in the folded set iff it covers at least one
-        fine granule of this set.  For *events* the fold is exact: an
-        event occurs in a coarse granule iff it occurs in one of the
-        covered fine granules, so folding a fine event support yields the
-        support the coarse-level DSEQ scan would recompute.  ``n_granules``
-        drops coarse positions beyond the mapped database's length (the
-        trailing partial block of Def. 3.3).
-        """
-        return SupportSet(coarsen_bits(self.bits, factor, n_granules))
 
     def __and__(self, other: SupportLike) -> "SupportSet":
         """``a & b``: the intersection, with a support set or a position

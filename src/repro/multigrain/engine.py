@@ -9,10 +9,11 @@ job instead of N independent ones:
 2. every coarser level whose ratio is a multiple of the finest is
    derived with
    :meth:`~repro.transform.sequence_db.TemporalSequenceDatabase.coarsen`:
-   its event supports are the fine supports *folded*
-   (:meth:`~repro.core.supportset.SupportSet.coarsen` -- exact for
-   events), and its granule rows *merge* the fine rows only when first
-   read, never re-walking the raw symbol stream;
+   its event supports are the fine supports *folded* (fine position
+   ``p`` to coarse ``(p - 1) // f + 1``, one vectorised pass over the
+   level's flat position array -- exact for events), and its granule
+   rows *merge* the fine rows only when first read, never re-walking the
+   raw symbol stream;
 3. the levels run one after another as independent level tasks
    (:func:`mine_level_task`, through the same retry and resume machinery
    as E-STPM's group tasks) and are mined with E-STPM or A-STPM.  Each

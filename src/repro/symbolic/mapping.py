@@ -162,5 +162,6 @@ class QuantileMapper:
             return SymbolicSeries(
                 series.name, (self.alphabet.symbols[0],) * len(series), self.alphabet
             )
-        breakpoints = quantile_breakpoints(series.values, n_bins)
+        values = series.as_array() if get_numpy() is not None else series.values
+        breakpoints = quantile_breakpoints(values, n_bins)
         return _encode_with_breakpoints(series, breakpoints, self.alphabet)

@@ -45,12 +45,19 @@ class TimeSeries:
 
     name: str
     values: tuple[float, ...]
+    #: The values as a read-only float64 numpy array, kept by
+    #: :meth:`from_array` when it converts a float array (``None``
+    #: otherwise); :meth:`as_array` returns it.
+    _array: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise SymbolizationError("a time series needs a non-empty name")
         if not self.values:
             raise SymbolizationError(f"time series {self.name!r} has no values")
+        np = get_numpy()
+        if self._array is not None and np is not None and np.isfinite(self._array).all():
+            return  # the kept array, checked in one pass
         bad = first_non_finite(self.values)
         if bad is not None:
             raise DatasetError(
@@ -63,11 +70,12 @@ class TimeSeries:
         """Build from any iterable / numpy array of numbers.
 
         A one-dimensional numpy array of float64, float32 or float16 is
-        converted in C with one ``tolist()``, which yields the same
-        Python floats as ``float(v)`` per element; every other input
-        (integer, bool, object and long-double arrays, lists, iterables)
-        is converted element by element.  The non-finite check runs on
-        every value either way.
+        copied once to a read-only float64 array, which the series keeps
+        for :meth:`as_array`, and converted in C with one ``tolist()``,
+        which yields the same Python floats as ``float(v)`` per element;
+        the non-finite check is one ``np.isfinite`` over that array.
+        Every other input (integer, bool, object and long-double arrays,
+        lists, iterables) is converted and checked element by element.
         """
         np = get_numpy()
         if (
@@ -78,17 +86,22 @@ class TimeSeries:
             # long double's tolist() keeps numpy scalars, not floats
             and values.dtype.itemsize <= 8
         ):
-            return cls(name, tuple(values.tolist()))
+            array = values.astype(np.float64)
+            array.flags.writeable = False
+            return cls(name, tuple(array.tolist()), array)
         return cls(name, tuple(float(v) for v in values))
 
     def __len__(self) -> int:
         return len(self.values)
 
     def as_array(self):
-        """The values as a float numpy array (copy).
+        """The values as a read-only float64 numpy array, not a copy.
 
-        Only meaningful on the numpy backend; the pure-Python twins work
-        from :attr:`values` directly and never call this.
+        A series built by :meth:`from_array` from a float array returns
+        the array it keeps; any other series builds one from
+        :attr:`values` per call.  No caller writes to it.  Only
+        meaningful on the numpy backend; the pure-Python twins work from
+        :attr:`values` directly and never call this.
         """
         np = get_numpy()
         if np is None:
@@ -97,7 +110,11 @@ class TimeSeries:
                 "(REPRO_COMPUTE=python selected or numpy unavailable); "
                 "use .values on the pure path"
             )
-        return np.asarray(self.values, dtype=float)
+        if self._array is not None:
+            return self._array
+        array = np.asarray(self.values, dtype=float)
+        array.flags.writeable = False
+        return array
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,15 @@ when numpy is enabled, a single scalar sweep otherwise) and every run
 feeds the per-event support positions.  The numpy builder pools the runs
 of all series and groups them by event with one stable sort, so each
 event's run table and support positions are slices of the grouped pool.
-The granule rows are deferred behind a thunk under both builders, and
+It keeps every event's support positions as one flat array, a
+:class:`_PositionPool`, and each whole-level step runs on that array
+once: packing the supports (:meth:`TemporalSequenceDatabase.event_support`),
+folding them to a coarser level (:meth:`~TemporalSequenceDatabase.coarsen`,
+whose result keeps its own pool) and splitting them into near support
+sets (:meth:`~TemporalSequenceDatabase.near_support_sets`).  The pure
+builder keeps a position list per event, and each step has a per-event
+pure-Python twin, which also serves databases assembled from rows or
+streamed.  The granule rows are deferred behind a thunk under both builders, and
 :meth:`TemporalSequenceDatabase.coarsen` defers its row merge the same
 way; the numpy builder's canonical instance sort runs only there, when
 something first reads a row.
@@ -37,10 +45,11 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.core.config import get_numpy
 from repro.core.instance_index import InstanceColumn
+from repro.core.seasonality import iter_near_sets
 from repro.core.supportset import SupportSet
 from repro.events.event import EventInstance
 from repro.events.sequence import TemporalSequence
@@ -53,6 +62,20 @@ from repro.symbolic.database import SymbolicDatabase
 #: switches to numpy (below it, the array round trip costs more than the
 #: scalar sweep saves).
 _NUMPY_MIN_SYMBOLS = 192
+
+
+class _PositionPool(NamedTuple):
+    """Every event's support positions as one flat array.
+
+    ``positions`` is a numpy int32 array holding each event's ascending
+    positions back to back: ``events[i]``'s are
+    ``positions[offsets[i]:offsets[i + 1]]``, and every event listed has
+    at least one.
+    """
+
+    events: list[str]
+    positions: object
+    offsets: list[int]
 
 
 class _LazyRows:
@@ -131,16 +154,23 @@ class TemporalSequenceDatabase:
     rows: list[TemporalSequence]
     ratio: int
     source_names: list[str] = field(default_factory=list)
-    #: Per-event supports, filled by the first :meth:`event_support`
-    #: call (or by :meth:`coarsen`, with the folded fine supports).
+    #: Per-event supports, filled by the first :meth:`event_support` call.
     _support_cache: dict[str, SupportSet] | None = field(
         default=None, repr=False, compare=False
     )
-    #: Per-event ascending support positions, primed by the columnar
-    #: front end and consumed by the first :meth:`event_support` call
-    #: (``None`` on databases assembled from rows -- supports are then
-    #: recomputed by scanning the rows).
+    #: Per-event ascending support positions, primed by the pure-Python
+    #: builder and fold and consumed by the first :meth:`event_support`
+    #: call (``None`` on numpy-built and numpy-folded databases, which
+    #: hold :attr:`_position_pool` instead, and on databases assembled
+    #: from rows -- supports are then recomputed by scanning the rows).
     _event_positions: dict[str, list[int]] | None = field(
+        default=None, repr=False, compare=False
+    )
+    #: Every event's support positions in one flat array, primed by the
+    #: numpy builder and the numpy fold (see :class:`_PositionPool`); it
+    #: stays after :meth:`event_support`, for :meth:`coarsen` and
+    #: :meth:`near_support_sets`.
+    _position_pool: _PositionPool | None = field(
         default=None, repr=False, compare=False
     )
     #: Per-event flat run tables primed by the numpy builder:
@@ -178,25 +208,93 @@ class TemporalSequenceDatabase:
         single scan of DSEQ (as Alg. 1 step 2.1 requires) and cached; a
         coarsened database serves the folded fine supports instead
         (:meth:`coarsen`).  The returned sets compare equal to plain
-        sorted position lists.  Each scanned set keeps the ascending
-        positions it was packed from, so its ``positions()`` never
-        re-derives them from the bits.
+        sorted position lists.
+
+        The whole level is packed at once.  With a position pool (numpy
+        built or folded) one ``np.bincount`` of ``1 << (p & 7)`` at
+        ``event * n_bytes + (p >> 3)`` fills an events x bytes table --
+        an event's positions are distinct, so each cell sums distinct
+        powers of two, which is their OR -- and each event's bits are
+        one ``int.from_bytes`` of its row.  Otherwise each event's
+        position list is packed on its own (the pure-Python twin).
+        Either way every set keeps the ascending positions it was packed
+        from, so its ``positions()`` never re-derives them from the bits.
         """
         cached = self._support_cache
         if cached is None:
-            positions = self._event_positions
-            if positions is None:
-                positions = {}
-                for row in self.rows:
-                    for event in row.events():
-                        positions.setdefault(event, []).append(row.position)
-            cached = {
-                event: SupportSet.from_sorted(granules)
-                for event, granules in positions.items()
-            }
+            pool = self._position_pool
+            np = get_numpy()
+            if pool is not None and np is not None:
+                cached = _pack_pool(np, pool)
+            else:
+                cached = {
+                    event: SupportSet.from_sorted(granules)
+                    for event, granules in self._positions_by_event().items()
+                }
             self._support_cache = cached
             self._event_positions = None
         return cached
+
+    def _positions_by_event(self) -> dict[str, Sequence[int]]:
+        """Each event's ascending support positions for the pure-Python
+        twins, never from the bits of a support: the cached supports'
+        positions, the primed lists, or else a scan of the rows."""
+        if self._support_cache is not None:
+            return {
+                event: support.positions()
+                for event, support in self._support_cache.items()
+            }
+        if self._event_positions is not None:
+            return self._event_positions
+        positions: dict[str, list[int]] = {}
+        for row in self.rows:
+            for event in row.events():
+                positions.setdefault(event, []).append(row.position)
+        return positions
+
+    def near_support_sets(
+        self, max_period: int, events: Sequence[str]
+    ) -> dict[str, tuple[tuple[int, ...], ...]]:
+        """The maximal near support sets (Def. 3.13) of each of ``events``.
+
+        Each near set is a slice of the event's support positions
+        (``event_support()[event].positions()``), cut wherever a step
+        exceeds ``max_period``.  With a position pool the cuts of every
+        event come from one ``np.diff`` over the pool, plus the event
+        starts; otherwise each event's positions are split on their own
+        (the pure-Python twin).
+        """
+        supports = self.event_support()
+        pool = self._position_pool
+        np = get_numpy()
+        if pool is None or np is None:
+            return {
+                event: tuple(
+                    tuple(near_set)
+                    for near_set in iter_near_sets(supports[event].positions(), max_period)
+                )
+                for event in events
+            }
+        flat = pool.positions
+        offsets = pool.offsets
+        starts = np.ones(len(flat), dtype=bool)
+        np.greater(np.diff(flat), max_period, out=starts[1:])
+        starts[offsets[:-1]] = True
+        cuts = np.flatnonzero(starts)
+        first_cut = np.searchsorted(cuts, offsets).tolist()
+        cuts = cuts.tolist()
+        cuts.append(len(flat))
+        index_of = {event: index for index, event in enumerate(pool.events)}
+        near_sets: dict[str, tuple[tuple[int, ...], ...]] = {}
+        for event in events:
+            index = index_of[event]
+            lo = offsets[index]
+            positions = supports[event].positions()
+            near_sets[event] = tuple(
+                positions[cuts[cut] - lo : cuts[cut + 1] - lo]
+                for cut in range(first_cut[index], first_cut[index + 1])
+            )
+        return near_sets
 
     def instance_columns(self, event: str) -> dict[int, InstanceColumn]:
         """The instance columns of ``event``: HLH1's GH entry for it.
@@ -279,6 +377,7 @@ class TemporalSequenceDatabase:
         # streaming appends invalidate it (the streaming miner keeps its
         # own incrementally extended supports and columns).
         self._event_positions = None
+        self._position_pool = None
         self._run_tables = None
 
     def prefix(self, n_granules: int) -> "TemporalSequenceDatabase":
@@ -300,12 +399,17 @@ class TemporalSequenceDatabase:
     def coarsen(self, factor: int) -> "TemporalSequenceDatabase":
         """Derive the ``factor``-times coarser DSEQ from this one.
 
-        Its :meth:`event_support` is this database's supports folded by
-        :meth:`SupportSet.coarsen <repro.core.supportset.SupportSet.coarsen>`
+        Its :meth:`event_support` is this database's supports folded
         (exact for events: a coarse granule holds an event iff one of
-        the fine granules it covers does), with empty folds -- events
-        occurring only in the dropped trailing block -- left out; no row
-        is scanned.  Its rows are deferred: on first read, every
+        the fine granules it covers does): fine position ``p`` maps to
+        ``(p - 1) // factor + 1``, repeats within an event and positions
+        past the last complete coarse granule are dropped, and empty
+        folds -- events occurring only in the dropped trailing block --
+        are left out.  With a position pool the fold is one vectorised
+        pass over it and the coarse database keeps the folded pool;
+        otherwise each event's position list is folded on its own (the
+        pure-Python twin).  No row is scanned and no bit is walked.
+        Its rows are deferred: on first read, every
         ``factor`` adjacent fine rows merge into one coarse row whose
         instances are re-run-grouped at the boundaries (Def. 3.10: runs
         never span granule boundaries *of their own granularity*, so runs
@@ -322,11 +426,18 @@ class TemporalSequenceDatabase:
             raise TransformError(
                 f"coarsening factor {factor} exceeds the {len(self.rows)} rows"
             )
-        supports: dict[str, SupportSet] = {}
-        for event, support in self.event_support().items():
-            folded = support.coarsen(factor, n_coarse)
-            if folded:
-                supports[event] = folded
+        pool = self._position_pool
+        np = get_numpy()
+        event_positions: dict[str, list[int]] | None = None
+        if pool is not None and np is not None:
+            pool = _fold_pool(np, pool, factor, n_coarse)
+        else:
+            pool = None
+            event_positions = {}
+            for event, positions in self._positions_by_event().items():
+                folded = _fold_positions(positions, factor, n_coarse)
+                if folded:
+                    event_positions[event] = folded
         fine_rows = self.rows
 
         def build_rows() -> list[TemporalSequence]:
@@ -344,8 +455,82 @@ class TemporalSequenceDatabase:
             rows=_LazyRows(n_coarse, build_rows),
             ratio=self.ratio * factor,
             source_names=list(self.source_names),
-            _support_cache=supports,
+            _event_positions=event_positions,
+            _position_pool=pool,
         )
+
+
+def _fold_positions(positions: Sequence[int], factor: int, n_coarse: int) -> list[int]:
+    """One event's ascending positions folded onto a ``factor``-times
+    coarser scale of ``n_coarse`` granules (see
+    :meth:`TemporalSequenceDatabase.coarsen`; the pure-Python twin of
+    :func:`_fold_pool`)."""
+    folded: list[int] = []
+    last = 0
+    for position in positions:
+        coarse = (position - 1) // factor + 1
+        if coarse > n_coarse:
+            break
+        if coarse != last:
+            folded.append(coarse)
+            last = coarse
+    return folded
+
+
+def _fold_pool(np, pool: _PositionPool, factor: int, n_coarse: int) -> _PositionPool:
+    """Every event's positions folded at once (see
+    :meth:`TemporalSequenceDatabase.coarsen`).
+
+    A coarse position is kept unless it repeats the previous one within
+    its event or lies past ``n_coarse``; each event's new bounds are one
+    ``searchsorted`` of its old bounds into the kept indices, and events
+    left with no position drop out of the pool.
+    """
+    coarse = (pool.positions - 1) // factor + 1
+    keep = np.ones(len(coarse), dtype=bool)
+    np.not_equal(coarse[1:], coarse[:-1], out=keep[1:])
+    keep[pool.offsets[:-1]] = True
+    keep &= coarse <= n_coarse
+    kept = np.flatnonzero(keep)
+    bounds = np.searchsorted(kept, pool.offsets).tolist()
+    events: list[str] = []
+    offsets: list[int] = []
+    for index, event in enumerate(pool.events):
+        if bounds[index] < bounds[index + 1]:
+            events.append(event)
+            offsets.append(bounds[index])
+    offsets.append(len(kept))
+    return _PositionPool(events, coarse[kept], offsets)
+
+
+def _pack_pool(np, pool: _PositionPool) -> dict[str, SupportSet]:
+    """Every event's support set, packed at once (see
+    :meth:`TemporalSequenceDatabase.event_support`).
+
+    The events x bytes table has one float64 cell per byte of the packed
+    bitsets; each set's cached positions are a slice of one ``tolist()``,
+    so they are Python ints.
+    """
+    flat = pool.positions
+    offsets = pool.offsets
+    n_events = len(pool.events)
+    n_bytes = (int(flat.max()) >> 3) + 1
+    rows = np.repeat(np.arange(n_events, dtype=np.int64), np.diff(offsets))
+    table = np.bincount(
+        rows * n_bytes + (flat >> 3),
+        weights=np.left_shift(1, flat & 7),
+        minlength=n_events * n_bytes,
+    )
+    data = table.astype(np.uint8).tobytes()
+    positions = flat.tolist()
+    from_bytes = int.from_bytes
+    return {
+        event: SupportSet.from_packed(
+            from_bytes(data[index * n_bytes : (index + 1) * n_bytes], "little"),
+            tuple(positions[offsets[index] : offsets[index + 1]]),
+        )
+        for index, event in enumerate(pool.events)
+    }
 
 
 def merge_sequences(
@@ -516,7 +701,8 @@ def _build_columnar_numpy(
     every group is its event's runs in start order: the event's run
     table is three slices of the grouped arrays, and its support
     positions are the group's granules with repeats dropped (one
-    vectorized dedupe for all events).  No ``EventInstance`` objects
+    vectorized dedupe for all events, kept as the database's
+    :class:`_PositionPool`).  No ``EventInstance`` objects
     are created here at all: the rows are a :class:`_LazyRows` thunk
     that does the row-only work -- the canonical ``(start, -end,
     event)`` lexsort and the row cuts -- only when something reads a
@@ -552,22 +738,19 @@ def _build_columnar_numpy(
     new_position[0] = True
     np.not_equal(granules1[1:], granules1[:-1], out=new_position[1:])
     new_position[offsets[:-1][counts > 0]] = True
-    position_offsets = np.searchsorted(
-        np.flatnonzero(new_position), offsets
-    ).tolist()
-    positions = granules1[new_position].tolist()
+    kept = np.flatnonzero(new_position)
+    position_offsets = np.searchsorted(kept, offsets).tolist()
     offsets = offsets.tolist()
 
     tables: dict[str, tuple] = {}
-    event_positions: dict[str, list[int]] = {}
+    pool_offsets: list[int] = []
     for code, event in enumerate(event_names):
         lo, hi = offsets[code], offsets[code + 1]
         if lo == hi:  # alphabet symbol never emitted
             continue
         tables[event] = (granules1[lo:hi], starts1[lo:hi], ends1[lo:hi])
-        event_positions[event] = positions[
-            position_offsets[code] : position_offsets[code + 1]
-        ]
+        pool_offsets.append(position_offsets[code])
+    pool_offsets.append(len(kept))
 
     def build_rows() -> list[TemporalSequence]:
         # Canonical order (start, -end, event): rank events by name so
@@ -615,7 +798,12 @@ def _build_columnar_numpy(
         rows=_LazyRows(n_granules, build_rows),
         ratio=ratio,
         source_names=dsyb.names,
-        _event_positions=event_positions,
+        # int32 halves the pool the database keeps: a position is a
+        # granule index, and the one product that can outgrow it, the
+        # bincount key of ``_pack_pool``, is int64.
+        _position_pool=_PositionPool(
+            list(tables), granules1[kept].astype(np.int32), pool_offsets
+        ),
         _run_tables=tables,
     )
 

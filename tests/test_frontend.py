@@ -303,14 +303,27 @@ class TestInstanceColumns:
         _assert_columns_match_oracle(database.dseq, oracle_dseq(long_dsyb, 3))
 
 
-class TestEventSupportPositions:
-    """An event support keeps the ascending positions it was packed from."""
+def fold_derived(dsyb, ratio):
+    """The level ``coarsen(2)`` derives from the built database."""
+    return build_sequence_database(dsyb, ratio).coarsen(2)
 
-    @pytest.mark.parametrize("build", [build_sequence_database, oracle_dseq])
+
+def oracle_fold_derived(dsyb, ratio):
+    """The level ``coarsen(2)`` derives from a database of rows."""
+    return oracle_dseq(dsyb, ratio).coarsen(2)
+
+
+class TestEventSupportPositions:
+    """An event support keeps the ascending positions it was packed from,
+    on built, row-scanned and fold-derived levels alike."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [build_sequence_database, oracle_dseq, fold_derived, oracle_fold_derived],
+    )
     def test_positions_are_not_rederived(
         self, long_dsyb, compute_backend, monkeypatch, build
     ):
-        supports = build(long_dsyb, 3).event_support()
         derive = supportset.bit_positions
         calls = []
 
@@ -319,6 +332,8 @@ class TestEventSupportPositions:
             return derive(bits)
 
         monkeypatch.setattr(supportset, "bit_positions", spy)
+        supports = build(long_dsyb, 3).event_support()
+        assert supports
         for support in supports.values():
             assert support.positions() == tuple(derive(support.bits))
         assert calls == []

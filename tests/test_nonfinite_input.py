@@ -44,6 +44,20 @@ def test_nan_series_rejected_under_both_backends(compute_backend):
         TimeSeries.from_array("T", np.asarray(values, dtype=np.float64))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("index", [0, 17, 199])
+def test_from_array_names_the_first_non_finite_index(dtype, index, compute_backend):
+    # NaN first, in the middle, last; a later inf never hides an earlier NaN.
+    values = np.linspace(-1.0, 1.0, 200).astype(dtype)
+    values[index] = np.nan
+    if index < 199:
+        values[199] = np.inf
+    with pytest.raises(DatasetError, match=rf"'T' .*nan at index {index}$"):
+        TimeSeries.from_array("T", values)
+    with pytest.raises(DatasetError, match=rf"at index {index}$"):
+        TimeSeries.from_array("T", values.tolist())
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_every_non_finite_kind_rejected(bad, compute_backend):
     with pytest.raises(DatasetError, match="at index 2"):

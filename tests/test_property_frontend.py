@@ -8,7 +8,7 @@ supports, byte-identical symbolization, and equivalent step-2.1 results.
 
 from __future__ import annotations
 
-from dseq_oracle import oracle_dseq
+from dseq_oracle import each_backend, oracle_dseq
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +19,6 @@ from repro import (
     SymbolicDatabase,
     build_sequence_database,
 )
-from repro.core.config import set_compute_backend
 from repro.core.results import results_equivalent
 from repro.streaming import StreamingDatabase
 from repro.symbolic.mapping import QuantileMapper, ThresholdMapper
@@ -90,17 +89,8 @@ def _encodings(mapper, series):
         except Exception as exc:  # noqa: BLE001 -- the type is compared
             outcomes.append(type(exc))
 
-    _each_backend(check)
+    each_backend(check)
     return outcomes
-
-
-def _each_backend(check):
-    for backend in (None, "python"):
-        set_compute_backend(backend)
-        try:
-            check()
-        finally:
-            set_compute_backend(None)
 
 
 def _rows_and_supports(dseq):
@@ -128,7 +118,7 @@ def test_columnar_matches_scalar_on_both_backends(db_and_ratio):
         else:
             assert scalar == reference  # backends agree with each other
 
-    _each_backend(check)
+    each_backend(check)
 
 
 @given(databases(), st.integers(1, 3), st.lists(st.integers(1, 40), max_size=6))
@@ -157,7 +147,7 @@ def test_derived_rows_match_oracle_on_both_backends(db_and_ratio, factor, pushes
         database.append_symbols({name: symbols[cut:] for name, symbols in streams.items()})
         assert list(database.dseq.rows) == list(reference.rows)
 
-    _each_backend(check)
+    each_backend(check)
 
 
 @given(raw_series(), st.sampled_from([2, 3, 5]))
@@ -212,7 +202,7 @@ def test_step21_results_equivalent_across_frontends(db_and_ratio):
         for dseq in (build_sequence_database(dsyb, ratio), oracle_dseq(dsyb, ratio)):
             results.append(ESTPM(dseq, params).mine())
 
-    _each_backend(check)
+    each_backend(check)
     first = results[0]
     for other in results[1:]:
         assert results_equivalent(first, other)

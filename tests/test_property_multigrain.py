@@ -3,30 +3,48 @@
 The soundness of the whole fold-derived engine rests on two equalities,
 asserted here for random databases and ratios:
 
-* ``SupportSet.coarsen(factor)`` on a fine event support equals the
-  support recomputed by scanning a freshly rebuilt coarse DSEQ, and so
-  does ``TemporalSequenceDatabase.coarsen(factor).event_support()``;
+* ``TemporalSequenceDatabase.coarsen(factor).event_support()`` equals
+  the supports recomputed by scanning a freshly rebuilt coarse DSEQ,
+  and both equal the plain scalar fold of the fine supports;
 * ``TemporalSequenceDatabase.coarsen(factor)`` produces exactly the rows
   ``build_sequence_database`` would produce at the coarse ratio.
 
 The fold itself is checked against the plain scalar fold of a sorted
-position list, ``p -> (p - 1) // factor + 1``.
+position list, ``p -> (p - 1) // factor + 1``.  The draws reach both
+builders and so both folds: streams shorter than ``_NUMPY_MIN_SYMBOLS``
+take the pure-Python builder, longer ones the numpy builder and its
+array fold when numpy is on.
 """
 
+from dseq_oracle import support_dsyb
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Alphabet, SymbolicDatabase, build_sequence_database
-from repro.core.supportset import SupportSet
+from repro.transform.sequence_db import _NUMPY_MIN_SYMBOLS
 
 MAX_LENGTH = 48
+#: Stream lengths that keep at least ``_NUMPY_MIN_SYMBOLS`` symbols at
+#: every fine ratio drawn below (at most 4), so the numpy builder runs.
+LONG_LENGTHS = st.integers(_NUMPY_MIN_SYMBOLS + 3, _NUMPY_MIN_SYMBOLS + 100)
+
+
+def _scalar_fold(positions, factor, n_coarse):
+    """``p -> (p - 1) // factor + 1``, repeats and granules past
+    ``n_coarse`` dropped."""
+    return [q for q in sorted({(p - 1) // factor + 1 for p in positions}) if q <= n_coarse]
 
 
 @st.composite
 def fold_cases(draw):
-    """A random DSYB plus a fine ratio and a coarsening factor."""
+    """A random DSYB plus a fine ratio and a coarsening factor.
+
+    Now and then the factor is 1 or the whole fine row count, and where
+    the coarse level drops a trailing block of fine rows, a series ``T``
+    may hold its second symbol only there: an event whose fold is empty.
+    """
     n_series = draw(st.integers(1, 3))
-    length = draw(st.integers(8, MAX_LENGTH))
+    length = draw(st.one_of(st.integers(8, MAX_LENGTH), LONG_LENGTHS))
     alphabet = draw(st.sampled_from(["01", "abc"]))
     rows = {
         f"S{i}": "".join(
@@ -36,7 +54,16 @@ def fold_cases(draw):
     }
     base_ratio = draw(st.integers(1, 4).filter(lambda r: length // r >= 2))
     n_fine = length // base_ratio
-    factor = draw(st.integers(1, 4).filter(lambda f: n_fine // f >= 1))
+    factor = draw(
+        st.one_of(st.integers(2, 4), st.sampled_from([1, n_fine])).filter(
+            lambda f: n_fine // f >= 1
+        )
+    )
+    kept_end = (n_fine // factor) * factor * base_ratio
+    fine_end = n_fine * base_ratio
+    if kept_end < fine_end and draw(st.booleans()):
+        low, high = alphabet[0], alphabet[1]
+        rows["T"] = low * kept_end + high * (fine_end - kept_end) + low * (length - fine_end)
     dsyb = SymbolicDatabase.from_rows(rows, Alphabet(tuple(alphabet)))
     return dsyb, base_ratio, factor
 
@@ -50,14 +77,15 @@ def test_folded_supports_equal_rebuilt_coarse_supports(case):
     n_coarse = len(coarse)
     recomputed = coarse.event_support()
     folded = {
-        event: support.coarsen(factor, n_coarse)
+        event: _scalar_fold(support, factor, n_coarse)
         for event, support in fine.event_support().items()
     }
-    folded = {event: support for event, support in folded.items() if support}
-    assert set(folded) == set(recomputed)
-    for event, support in folded.items():
-        assert support == recomputed[event]
-    assert fine.coarsen(factor).event_support() == recomputed
+    folded = {event: positions for event, positions in folded.items() if positions}
+    assert folded == {event: list(support) for event, support in recomputed.items()}
+    derived = fine.coarsen(factor).event_support()
+    assert derived == recomputed  # the bits
+    for event, support in derived.items():
+        assert support.positions() == recomputed[event].positions()
 
 
 @given(fold_cases())
@@ -81,9 +109,11 @@ def test_coarsened_rows_equal_rebuilt_rows(case):
 )
 @settings(max_examples=120, deadline=None)
 def test_fold_matches_the_scalar_fold(positions, factor):
+    """One event's fold in a database ending at its last position (the
+    trailing partial block dropped) and in one long enough for the numpy
+    builder."""
     ordered = sorted(positions)
-    expected = sorted({(p - 1) // factor + 1 for p in ordered})
-    assert list(SupportSet.from_positions(ordered).coarsen(factor)) == expected
-    limit = max(expected, default=0) // 2
-    capped = [p for p in expected if p <= limit]
-    assert list(SupportSet.from_positions(ordered).coarsen(factor, limit)) == capped
+    for n_fine in (max(ordered + [factor]), max(ordered + [_NUMPY_MIN_SYMBOLS])):
+        fine = build_sequence_database(support_dsyb({"x": ordered}, n_fine), 1)
+        expected = _scalar_fold(ordered, factor, n_fine // factor)
+        assert list(fine.coarsen(factor).event_support().get("x:1", ())) == expected

@@ -2,17 +2,18 @@
 
 from itertools import compress, cycle, product
 
-from hypothesis import assume, example, given, settings
+from dseq_oracle import support_dsyb
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from repro import MiningParams, compute_seasons, max_season
+from repro import MiningParams, build_sequence_database, compute_seasons, max_season
 from repro.core.seasonality import (
     SeasonChain,
     count_seasons,
     is_season_candidate,
-    split_near_support_sets,
 )
 from repro.core.supportset import SupportSet
+from repro.transform.sequence_db import _NUMPY_MIN_SYMBOLS
 
 supports = st.lists(
     st.integers(1, 120), min_size=0, max_size=40, unique=True
@@ -25,6 +26,18 @@ params_strategy = st.builds(
     dist_interval=st.tuples(st.integers(0, 5), st.integers(5, 30)),
     min_season=st.integers(1, 5),
 )
+
+
+def split_near_support_sets(support, max_period) -> list[list[int]]:
+    """The maximal near support sets of S (Def. 3.13), as a plain loop:
+    a new set starts wherever the step from the previous granule
+    exceeds maxPeriod."""
+    sets: list[list[int]] = []
+    for position in support:
+        if not sets or position - sets[-1][-1] > max_period:
+            sets.append([])
+        sets[-1].append(position)
+    return sets
 
 
 @given(supports, st.integers(1, 6))
@@ -42,6 +55,61 @@ def test_near_sets_are_maximal(support, max_period):
             assert b - a <= max_period
     for left, right in zip(sets, sets[1:]):
         assert right[0] - left[-1] > max_period
+
+
+@st.composite
+def level_split_cases(draw):
+    """A maxPeriod and supports of one to three events whose steps are
+    often exactly maxPeriod or maxPeriod + 1, over a horizon short
+    enough for the pure-Python builder or long enough for the numpy one."""
+    max_period = draw(st.integers(1, 6))
+    n_granules = draw(
+        st.one_of(
+            st.integers(20, 60),
+            st.integers(_NUMPY_MIN_SYMBOLS, _NUMPY_MIN_SYMBOLS + 60),
+        )
+    )
+    step = st.one_of(
+        st.sampled_from([max_period, max_period + 1]), st.integers(1, 3 * max_period)
+    )
+    level = {}
+    for index in range(draw(st.integers(1, 3))):
+        position = draw(st.integers(1, n_granules))
+        positions = [position]
+        for gap in draw(st.lists(step, max_size=30)):
+            position += gap
+            if position > n_granules:
+                break
+            positions.append(position)
+        level[f"S{index}"] = positions
+    return level, n_granules, max_period
+
+
+@given(case=level_split_cases())
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_level_split_matches_the_oracle(compute_backend, case):
+    """``near_support_sets`` splits a whole level (fine, and folded by 2)
+    exactly as the plain loop splits each of its supports."""
+    level, n_granules, max_period = case
+    fine = build_sequence_database(support_dsyb(level, n_granules), 1)
+    for database in (fine, fine.coarsen(2)):
+        by_event = database.event_support()
+        events = sorted(by_event)
+        expected = {
+            event: tuple(
+                tuple(near) for near in split_near_support_sets(by_event[event], max_period)
+            )
+            for event in events
+        }
+        assert database.near_support_sets(max_period, events) == expected
+        some = events[::2]
+        assert database.near_support_sets(max_period, some) == {
+            event: expected[event] for event in some
+        }
 
 
 @given(supports, params_strategy)

@@ -1,5 +1,7 @@
 """Unit + golden tests for the seasonality measures (Defs. 3.13-3.15, Eq. 1)."""
 
+from test_property_seasonality import split_near_support_sets
+
 from repro import MiningParams, compute_seasons, max_season
 from repro.core.seasonality import (
     count_seasons,
@@ -7,7 +9,6 @@ from repro.core.seasonality import (
     is_frequent_seasonal,
     is_season_candidate,
     season_distance,
-    split_near_support_sets,
 )
 
 

@@ -4,26 +4,29 @@ The bitset representation must be observationally equivalent to plain
 sorted-list algebra on every operation the miners use: intersection
 (against ``sorted(set(a) & set(b))``), cardinality, ascending iteration,
 membership, equality.  The machine-word kernels (``bit_positions`` /
-``coarsen_bits`` / ``_pack_bits``) must match their scalar reference
-semantics on masks straddling the small/large cutovers.
+``_pack_bits``) must match their scalar reference semantics on masks
+straddling the small/large cutovers, and so must the supports the
+sequence database folds to a coarser level and packs, a whole level at
+once (``TemporalSequenceDatabase.coarsen`` / ``event_support``), under
+both compute backends.
 """
 
 import pickle
 
 import pytest
+from dseq_oracle import each_backend, support_dsyb
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import build_sequence_database
 from repro.core.supportset import (
-    _COARSEN_CHUNK,
     _SMALL_BITS,
     SupportSet,
     _pack_bits,
     as_positions,
     bit_positions,
-    coarsen_bits,
 )
-from repro.exceptions import ConfigError
+from repro.exceptions import ConfigError, TransformError
 
 positions_lists = st.lists(
     st.integers(min_value=1, max_value=400), unique=True, max_size=60
@@ -133,12 +136,11 @@ class TestUnits:
 
 
 # ---------------------------------------------------------------------------
-# Machine-word kernels vs their scalar reference semantics
+# Machine-word kernels and the level fold vs their scalar reference semantics
 # ---------------------------------------------------------------------------
 
-#: Position lists that straddle the small/large cutovers of the chunked
-#: kernels: masks shorter and longer than ``_SMALL_BITS`` bits, and chunk
-#: boundaries of ``_COARSEN_CHUNK`` coarse granules.
+#: Position lists that straddle the small/large cutover of the kernels:
+#: masks shorter and longer than ``_SMALL_BITS`` bits.
 kernel_positions = st.lists(
     st.one_of(
         st.integers(min_value=1, max_value=200),
@@ -150,10 +152,9 @@ kernel_positions = st.lists(
 ).map(sorted)
 
 coarsen_factors = st.integers(min_value=1, max_value=9)
-granule_caps = st.one_of(
-    st.none(), st.integers(min_value=0, max_value=2 * _SMALL_BITS)
-)
-
+#: Fine granules past the last position: the trailing block the fold
+#: drops is 0 to 8 granules long for the factors above.
+trailing_granules = st.integers(min_value=0, max_value=17)
 
 def _reference_coarse(positions, factor, n_granules):
     """Scalar semantics reference: fine p -> (p - 1) // factor + 1."""
@@ -161,6 +162,15 @@ def _reference_coarse(positions, factor, n_granules):
     if n_granules is not None:
         coarse = [q for q in coarse if q <= n_granules]
     return coarse
+
+
+def _fold_case(positions, factor, trailing):
+    """The fine ratio-1 database holding ``positions`` as event ``x:1``,
+    with ``trailing`` more granules (and at least ``factor``), and the
+    scalar fold of ``positions`` onto its ``factor``-coarser level."""
+    n_fine = max(max(positions, default=1) + trailing, factor)
+    fine = build_sequence_database(support_dsyb({"x": positions}, n_fine), 1)
+    return fine, _reference_coarse(positions, factor, n_fine // factor)
 
 
 @given(kernel_positions)
@@ -171,35 +181,57 @@ def test_pack_bits_and_bit_positions_roundtrip(positions):
     assert bit_positions(bits) == positions
 
 
-@given(kernel_positions, coarsen_factors, granule_caps)
-@settings(max_examples=200, deadline=None)
-def test_coarsen_bits_matches_scalar_semantics(positions, factor, n_granules):
-    expected = _reference_coarse(positions, factor, n_granules)
-    folded = coarsen_bits(_pack_bits(positions), factor, n_granules)
-    assert bit_positions(folded) == expected
-
-
-@given(kernel_positions, coarsen_factors, granule_caps)
+@given(kernel_positions, coarsen_factors, trailing_granules)
 @settings(max_examples=100, deadline=None)
-def test_supportset_coarsen_matches_scalar_fold(positions, factor, n_granules):
-    expected = _reference_coarse(positions, factor, n_granules)
-    folded = SupportSet.from_positions(positions).coarsen(factor, n_granules)
-    assert list(folded) == expected
+def test_coarsen_bits_matches_scalar_semantics(positions, factor, trailing):
+    """The bits of a fold-derived support: the level fold, then the
+    level packing, against the scalar fold, under both backends."""
+
+    def check():
+        fine, expected = _fold_case(positions, factor, trailing)
+        folded = fine.coarsen(factor).event_support().get("x:1", SupportSet())
+        assert folded.bits == sum(1 << q for q in expected)
+
+    each_backend(check)
+
+
+@given(kernel_positions, coarsen_factors, trailing_granules)
+@settings(max_examples=100, deadline=None)
+def test_supportset_coarsen_matches_scalar_fold(positions, factor, trailing):
+    """The positions a fold-derived support is seeded with, under both
+    backends; an empty fold leaves the event out."""
+
+    def check():
+        fine, expected = _fold_case(positions, factor, trailing)
+        supports = fine.coarsen(factor).event_support()
+        assert ("x:1" in supports) == bool(expected)
+        assert list(supports.get("x:1", ())) == expected
+
+    each_backend(check)
 
 
 def test_large_mask_kernels_cross_chunk_boundaries():
-    """One deterministic case pinning the chunked large-mask paths: every
-    coarse chunk boundary of ``coarsen_bits`` and every 64-bit word
-    boundary of ``bit_positions`` is straddled."""
+    """One deterministic case pinning the large-mask paths: every 64-bit
+    word boundary of ``bit_positions`` is straddled, and the level fold
+    and packing run on masks longer than ``_SMALL_BITS`` bits, with and
+    without a trailing block to drop, under both backends."""
     factor = 3
-    positions = list(range(1, factor * _COARSEN_CHUNK * 3 + 7, 2))
+    positions = list(range(1, factor * 512 * 3 + 7, 2))
     bits = _pack_bits(positions)
     assert bits.bit_length() > _SMALL_BITS
     assert bit_positions(bits) == positions
-    for n_granules in (None, _COARSEN_CHUNK - 1, _COARSEN_CHUNK, 2 * _COARSEN_CHUNK + 5):
-        assert bit_positions(coarsen_bits(bits, factor, n_granules)) == (
-            _reference_coarse(positions, factor, n_granules)
-        )
+
+    def check():
+        for n_fine in (positions[-1], positions[-1] + 1, positions[-1] + 2, 512 * factor - 1):
+            kept = [p for p in positions if p <= n_fine]
+            fine = build_sequence_database(support_dsyb({"x": kept}, n_fine), 1)
+            assert fine.event_support()["x:1"].bits == _pack_bits(kept)
+            folded = fine.coarsen(factor).event_support()["x:1"]
+            expected = _reference_coarse(kept, factor, n_fine // factor)
+            assert folded.positions() == tuple(expected)
+            assert folded.bits == _pack_bits(expected)
+
+    each_backend(check)
 
 
 def test_pack_bits_rejects_negative_positions():
@@ -210,7 +242,10 @@ def test_pack_bits_rejects_negative_positions():
 
 
 def test_coarsen_rejects_bad_factor():
-    with pytest.raises(ConfigError):
-        coarsen_bits(0b10, 0)
-    with pytest.raises(ConfigError):
-        SupportSet.from_positions([1]).coarsen(-1)
+    def check():
+        fine = build_sequence_database(support_dsyb({"x": [1, 3]}, 4), 1)
+        for factor in (0, -1, 5):  # below 1, or more than the 4 rows
+            with pytest.raises(TransformError):
+                fine.coarsen(factor)
+
+    each_backend(check)

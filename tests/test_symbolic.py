@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from repro.core.config import get_numpy
 from repro.exceptions import SymbolizationError
 from repro.symbolic import (
     Alphabet,
@@ -16,6 +17,7 @@ from repro.symbolic import (
 )
 from repro.streaming.ingest import StreamingSymbolizer
 from repro.symbolic.mapping import quantile_breakpoints
+from repro.symbolic.sax import SaxMapper
 
 
 class TestAlphabet:
@@ -48,7 +50,11 @@ class TestTimeSeries:
         series = TimeSeries.from_array("X", np.array([1, 2, 3]))
         assert len(series) == 3
         assert series.values == (1.0, 2.0, 3.0)
-        assert series.as_array().dtype == float
+        if get_numpy() is None:
+            with pytest.raises(SymbolizationError):
+                series.as_array()  # a numpy-only view
+        else:
+            assert series.as_array().dtype == float
 
     @pytest.mark.parametrize(
         "values",
@@ -70,9 +76,19 @@ class TestTimeSeries:
     )
     def test_from_array_converts_like_float(self, values, compute_backend):
         expected = tuple(float(v) for v in values)
-        converted = TimeSeries.from_array("X", values).values
+        series = TimeSeries.from_array("X", values)
+        converted = series.values
         assert [type(v) for v in converted] == [float] * len(expected)
         assert [v.hex() for v in converted] == [v.hex() for v in expected]
+        if get_numpy() is not None:
+            # The float64 array the series keeps (or builds), read-only.
+            array = series.as_array()
+            assert array.dtype == np.float64
+            assert [v.hex() for v in array.tolist()] == [
+                v.hex() for v in np.asarray(converted, dtype=float).tolist()
+            ]
+            with pytest.raises(ValueError):
+                array[0] = 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(SymbolizationError):
@@ -149,6 +165,25 @@ class TestMappers:
         for mode in ("frozen", "rolling"):
             pushed = StreamingSymbolizer({"X": alphabet}, mode).push({"X": values})
             assert pushed["X"] == ("L", "L", "H")
+
+    @pytest.mark.parametrize(
+        "mapper",
+        [
+            QuantileMapper(Alphabet.levels(["L", "M", "H"])),
+            ThresholdMapper((-0.5, 0.25), Alphabet.levels(["L", "M", "H"])),
+            SaxMapper(Alphabet.levels(["a", "b", "c", "d"])),
+        ],
+        ids=["quantile", "threshold", "sax"],
+    )
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_array_and_tuple_series_encode_alike(self, mapper, dtype, compute_backend):
+        values = (np.sin(np.arange(240) / 7.0) + np.arange(240) % 5 / 10.0).astype(dtype)
+        from_array = mapper.encode(TimeSeries.from_array("X", values))
+        from_tuple = mapper.encode(TimeSeries("X", tuple(float(v) for v in values)))
+        assert from_array.symbols == from_tuple.symbols
+        assert (from_array.codes is None) == (from_tuple.codes is None)
+        if from_array.codes is not None:
+            assert list(from_array.codes) == list(from_tuple.codes)
 
     def test_quantile_preserves_monotone_transforms(self):
         # The property A-STPM's duplicate families rely on.
