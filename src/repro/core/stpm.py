@@ -37,12 +37,12 @@ granule; only supports that pass both have their positions walked.  The
 per-group work of step 2.2 -- intersect supports,
 enumerate instance pairs, grow assignments -- is expressed as *group
 tasks* (:func:`mine_pair_task` / :func:`mine_extension_task`, each taking
-its level's shared :class:`LevelContext`).  :meth:`ESTPM._dispatch` runs
-them in-process one at a time through
-:func:`~repro.resilience.policy.run_task` (retry and quarantine) and
-registers each outcome before the next task runs, so a level never holds
-more than one group's outcome at once.  The outcomes are what a job
-checkpoint records and a resumed run replays.
+its level's shared :class:`LevelContext`).  They run in-process one at a
+time through :func:`~repro.resilience.policy.run_tasks` (the task loop
+the multigrain miner runs its levels through too: retry, quarantine and
+resume), and each outcome is registered before the next task runs, so a
+level never holds more than one group's outcome at once.  The outcomes
+are what a job checkpoint records and a resumed run replays.
 
 The step-2.2 inner loops are the kernels of :mod:`repro.core.array_kernel`
 over the columnar instance index (:mod:`repro.core.instance_index`): HLH1's
@@ -84,7 +84,7 @@ from repro.core.supportset import SupportSet
 from repro.exceptions import MiningError
 from repro.obs import counters as metrics
 from repro.obs.trace import span
-from repro.resilience.policy import FailedTask, RetryPolicy, run_task, task_key_of
+from repro.resilience.policy import FailedTask, RetryPolicy, run_tasks
 from repro.transform.sequence_db import TemporalSequenceDatabase
 
 
@@ -370,47 +370,6 @@ class ESTPM:
             },
         )
 
-    def _dispatch(
-        self,
-        fn,
-        tasks: list,
-        context: "LevelContext",
-        prefix: str,
-        checkpoint,
-        failures: list[FailedTask],
-    ):
-        """Run a level's tasks lazily, yielding outcomes in task order.
-
-        Each task runs only when the caller asks for the next outcome,
-        so every outcome is registered (and freed) before the next group
-        is mined.  Around :func:`~repro.resilience.policy.run_task`
-        (retry and quarantine) this adds the two resilience concerns the
-        miner owns: *resume* (tasks whose key is already in the job
-        checkpoint are skipped -- their recorded outcome is yielded in
-        place, counted in ``resume.tasks_skipped``) and *quarantine*
-        (a :class:`FailedTask` outcome is collected into ``failures``
-        instead of being yielded, leaving that group's patterns out of
-        the result).  Completed outcomes are checkpointed as they are
-        produced, so progress is durable every ``flush_every`` tasks.
-        """
-        keys = [f"{prefix}:{task_key_of(task)}" for task in tasks]
-        done = set() if checkpoint is None else {key for key in keys if key in checkpoint}
-        if done:
-            metrics.inc("resume.tasks_skipped", len(done))
-        index = 0
-        for task, key in zip(tasks, keys):
-            if key in done:
-                yield checkpoint.get(key)
-                continue
-            outcome = run_task(fn, task, context, index, self.retry)
-            index += 1
-            if isinstance(outcome, FailedTask):
-                failures.append(outcome)
-                continue
-            if checkpoint is not None:
-                checkpoint.record(key, outcome)
-            yield outcome
-
     # ------------------------------------------------------------------
     # Step 2.1: single events
     # ------------------------------------------------------------------
@@ -466,8 +425,8 @@ class ESTPM:
         hlh1: HLH1,
         patterns: list[SeasonalPattern],
         stats: MiningStats,
-        checkpoint=None,
-        failures: list[FailedTask] | None = None,
+        checkpoint,
+        failures: list[FailedTask],
     ) -> HLHk:
         hlh2 = HLHk(k=2)
         f1 = sorted(hlh1.candidates)
@@ -478,9 +437,9 @@ class ESTPM:
         context = LevelContext(
             params=self.params, apriori=self.pruning.apriori, hlh1=hlh1
         )
-        outcomes = self._dispatch(
-            mine_pair_task, tasks, context, "k2", checkpoint,
-            failures if failures is not None else [],
+        outcomes = run_tasks(
+            mine_pair_task, tasks, context, "k2", checkpoint, failures,
+            self.retry,
         )
         for outcome in outcomes:
             if outcome.support is None:
@@ -505,8 +464,8 @@ class ESTPM:
         k: int,
         patterns: list[SeasonalPattern],
         stats: MiningStats,
-        checkpoint=None,
-        failures: list[FailedTask] | None = None,
+        checkpoint,
+        failures: list[FailedTask],
     ) -> HLHk:
         hlhk = HLHk(k=k)
         if self.pruning.transitivity:
@@ -532,9 +491,9 @@ class ESTPM:
             previous=previous,
             candidate_triples=candidate_triples,
         )
-        outcomes = self._dispatch(
+        outcomes = run_tasks(
             mine_extension_task, tasks, context, f"k{k}", checkpoint,
-            failures if failures is not None else [],
+            failures, self.retry,
         )
         for outcome in outcomes:
             if outcome.support is None:

@@ -52,6 +52,7 @@ three flags.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 
@@ -318,7 +319,19 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(raw)
     try:
         with _telemetry(args):
-            return _dispatch(args)
+            status = _dispatch(args)
+            # Flushed here, so a reader that closed stdout early
+            # surfaces below, not in the interpreter's final flush.
+            sys.stdout.flush()
+            return status
+    except BrokenPipeError:
+        # stdout closed early (``freqstpfts ... | head -1``).  Point
+        # fd 1 at devnull so the final flush cannot raise again, and
+        # exit with the conventional SIGPIPE status (128 + 13).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ConfigError, DatasetError) as exc:
         # A flag value argparse cannot vet (``--max-retries 0``,
         # ``--min-season 0``, ...) or an unusable input: a usage error,

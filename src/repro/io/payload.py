@@ -3,7 +3,9 @@
 Every archive format of the :mod:`repro.io` layer is a JSON object with
 an explicit ``format_version``.  This helper centralizes the common
 scaffolding -- path-vs-text sniffing, parse-error wrapping, object and
-version checks -- so the formats reject foreign payloads identically.
+version checks -- so the formats reject foreign payloads identically,
+and the one codec of the :class:`~repro.core.config.MiningParams` they
+embed (multigrain archives, stream checkpoints).
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.core.config import MiningParams
+from repro.events.relations import RelationConfig
 from repro.exceptions import ReproError
 
 
@@ -64,4 +68,41 @@ def load_versioned_payload(
     """
     return check_payload_version(
         load_payload(source, what), expected_version, what
+    )
+
+
+def params_to_dict(params: MiningParams) -> dict:
+    """The JSON form of ``params`` (see :func:`params_from_dict`)."""
+    return {
+        "max_period": params.max_period,
+        "min_density": params.min_density,
+        "dist_interval": list(params.dist_interval),
+        "min_season": params.min_season,
+        "max_pattern_length": params.max_pattern_length,
+        "relation": {
+            "epsilon": params.relation.epsilon,
+            "min_overlap": params.relation.min_overlap,
+        },
+    }
+
+
+def params_from_dict(payload: dict) -> MiningParams:
+    """Rebuild the :class:`MiningParams` that :func:`params_to_dict` wrote.
+
+    A missing ``max_pattern_length`` or ``relation`` takes its default.
+    A payload of the wrong shape raises ``AttributeError``, ``KeyError``,
+    ``TypeError`` or ``ValueError``; the loaders map those to
+    :class:`ReproError`.
+    """
+    relation = payload.get("relation", {})
+    return MiningParams(
+        max_period=payload["max_period"],
+        min_density=payload["min_density"],
+        dist_interval=tuple(payload["dist_interval"]),
+        min_season=payload["min_season"],
+        max_pattern_length=payload.get("max_pattern_length", 3),
+        relation=RelationConfig(
+            epsilon=relation.get("epsilon", 0),
+            min_overlap=relation.get("min_overlap", 1),
+        ),
     )

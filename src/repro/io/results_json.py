@@ -18,17 +18,17 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.core.config import MiningParams
 from repro.core.pattern import TemporalPattern, Triple
 from repro.core.results import MiningResult, MiningStats, SeasonalPattern
 from repro.core.seasonality import SeasonView
-from repro.events.relations import RelationConfig
 from repro.exceptions import ReproError
 from repro.io.atomic import write_text_atomic
 from repro.io.payload import (
     check_payload_version,
     load_payload,
     load_versioned_payload,
+    params_from_dict,
+    params_to_dict,
 )
 from repro.multigrain.result import GranularityLevel, MultiGranularityResult
 
@@ -123,35 +123,6 @@ def result_from_json(source: str | Path) -> MiningResult:
 # ---------------------------------------------------------------------------
 
 
-def _params_to_dict(params: MiningParams) -> dict:
-    return {
-        "max_period": params.max_period,
-        "min_density": params.min_density,
-        "dist_interval": list(params.dist_interval),
-        "min_season": params.min_season,
-        "max_pattern_length": params.max_pattern_length,
-        "relation": {
-            "epsilon": params.relation.epsilon,
-            "min_overlap": params.relation.min_overlap,
-        },
-    }
-
-
-def _params_from_dict(payload: dict) -> MiningParams:
-    relation = payload.get("relation", {})
-    return MiningParams(
-        max_period=payload["max_period"],
-        min_density=payload["min_density"],
-        dist_interval=tuple(payload["dist_interval"]),
-        min_season=payload["min_season"],
-        max_pattern_length=payload.get("max_pattern_length", 3),
-        relation=RelationConfig(
-            epsilon=relation.get("epsilon", 0),
-            min_overlap=relation.get("min_overlap", 1),
-        ),
-    )
-
-
 def multigrain_to_json(
     result: MultiGranularityResult, path: str | Path | None = None
 ) -> str:
@@ -166,7 +137,7 @@ def multigrain_to_json(
                 "derived_from": level.derived_from,
                 "n_granules_skipped": level.n_granules_skipped,
                 "seconds": level.seconds,
-                "params": _params_to_dict(level.params),
+                "params": params_to_dict(level.params),
                 "result": _result_to_dict(level.result),
             }
             for level in result.levels
@@ -198,7 +169,7 @@ def _multigrain_from_payload(payload: dict) -> MultiGranularityResult:
             GranularityLevel(
                 ratio=entry["ratio"],
                 n_sequences=entry["n_sequences"],
-                params=_params_from_dict(entry["params"]),
+                params=params_from_dict(entry["params"]),
                 result=_result_from_dict(entry["result"]),
                 derived_from=entry.get("derived_from"),
                 n_granules_skipped=entry.get("n_granules_skipped", 0),

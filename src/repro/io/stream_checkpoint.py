@@ -19,44 +19,17 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.core.config import MiningParams
-from repro.events.relations import RelationConfig
 from repro.exceptions import ReproError
 from repro.io.atomic import write_text_atomic
-from repro.io.payload import load_versioned_payload
+from repro.io.payload import (
+    load_versioned_payload,
+    params_from_dict,
+    params_to_dict,
+)
 from repro.symbolic.alphabet import Alphabet
 from repro.symbolic.mapping import ThresholdMapper
 
 STREAM_FORMAT_VERSION = 1
-
-
-def _params_to_dict(params: MiningParams) -> dict:
-    return {
-        "max_period": params.max_period,
-        "min_density": params.min_density,
-        "dist_interval": list(params.dist_interval),
-        "min_season": params.min_season,
-        "max_pattern_length": params.max_pattern_length,
-        "relation": {
-            "epsilon": params.relation.epsilon,
-            "min_overlap": params.relation.min_overlap,
-        },
-    }
-
-
-def _params_from_dict(payload: dict) -> MiningParams:
-    relation = payload.get("relation", {})
-    return MiningParams(
-        max_period=payload["max_period"],
-        min_density=payload["min_density"],
-        dist_interval=tuple(payload["dist_interval"]),
-        min_season=payload["min_season"],
-        max_pattern_length=payload.get("max_pattern_length", 3),
-        relation=RelationConfig(
-            epsilon=relation.get("epsilon", 0),
-            min_overlap=relation.get("min_overlap", 1),
-        ),
-    )
 
 
 def _symbolizer_to_dict(symbolizer) -> dict | None:
@@ -112,7 +85,7 @@ def save_stream_checkpoint(service, path: str | Path | None = None) -> str:
     miner = service.miner
     payload = {
         "format_version": STREAM_FORMAT_VERSION,
-        "params": _params_to_dict(miner.params),
+        "params": params_to_dict(miner.params),
         "reanchor_every": miner.reanchor_every,
         "ratio": database.ratio,
         "alphabets": {
@@ -155,11 +128,11 @@ def load_stream_checkpoint(source: str | Path):
         symbolizer = _symbolizer_from_dict(payload.get("symbolizer"))
         service = StreamingMiningService(
             database,
-            _params_from_dict(payload["params"]),
+            params_from_dict(payload["params"]),
             symbolizer=symbolizer,
             reanchor_every=payload.get("reanchor_every"),
         )
         service.push_symbols(symbol_history)
-    except (KeyError, TypeError, ValueError) as error:
+    except (AttributeError, KeyError, TypeError, ValueError) as error:
         raise ReproError(f"malformed stream checkpoint: {error!r}") from None
     return service

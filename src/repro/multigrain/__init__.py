@@ -8,10 +8,13 @@ package turns that from a loop over independent jobs into one
 hierarchical job:
 
 * :mod:`repro.multigrain.engine` -- :class:`HierarchicalMiner`, which
-  builds the finest level once, derives every coarser level from it
+  builds the finest level once and then derives and mines one level at
+  a time, each a task of the loop E-STPM runs its group tasks through
+  (:func:`~repro.resilience.policy.run_tasks`); a coarser level is
+  folded from the finest when its turn comes
   (:meth:`~repro.transform.sequence_db.TemporalSequenceDatabase.coarsen`:
   event supports folded exactly, granule rows merged only when first
-  read), and mines the levels as independent level tasks;
+  read) and freed once it is mined;
 * :mod:`repro.multigrain.result` -- :class:`MultiGranularityResult`,
   aligning the frequent patterns across levels ("which patterns persist
   from hourly to daily?").

@@ -14,13 +14,15 @@ job instead of N independent ones:
    level's flat position array -- exact for events), and its granule
    rows *merge* the fine rows only when first read, never re-walking the
    raw symbol stream;
-3. the levels run one after another as independent level tasks
-   (:func:`mine_level_task`, through the same retry and resume machinery
-   as E-STPM's group tasks) and are mined with E-STPM or A-STPM.  Each
-   level's step 2.1 is its only candidate gate: it cuts instance
-   columns (and so reads rows) only for the events the gate admits, so
-   a single-event level (``max_pattern_length == 1``) never builds a
-   row and any other level builds its rows once.
+3. the levels run one after another as level tasks, through the task
+   loop E-STPM runs its group tasks through
+   (:func:`~repro.resilience.policy.run_tasks`: retry, quarantine and
+   resume).  Each task derives its level when its turn comes and mines
+   it with E-STPM or A-STPM, so no coarse level's database outlives its
+   task.  Each level's step 2.1 is its only candidate gate: it cuts
+   instance columns (and so reads rows) only for the events the gate
+   admits, so a single-event level (``max_pattern_length == 1``) never
+   builds a row and any other level builds its rows once.
 
 Each level's :class:`~repro.core.results.MiningResult` is equivalent to
 mining that level standalone (same patterns, same supports / near sets /
@@ -43,7 +45,7 @@ from repro.granularity.hierarchy import GranularityHierarchy
 from repro.multigrain.result import GranularityLevel, MultiGranularityResult
 from repro.obs import counters as metrics
 from repro.obs.trace import span
-from repro.resilience.policy import FailedTask, RetryPolicy, run_task
+from repro.resilience.policy import RetryPolicy, run_tasks
 from repro.symbolic.database import SymbolicDatabase
 from repro.transform.sequence_db import (
     TemporalSequenceDatabase,
@@ -82,69 +84,6 @@ def resolve_level_params(
         dist_interval=(dist_min, max(dist_min, dist_max)),
         min_season=min_season,
         max_pattern_length=max_pattern_length,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Level tasks: the pure per-level unit of work
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LevelJob:
-    """Everything one level task needs beyond the shared context.
-
-    ``dseq is None`` means the task rebuilds the level from the symbolic
-    database (a ratio the fold cannot reach).
-    """
-
-    ratio: int
-    n_sequences: int
-    params: MiningParams
-    dseq: TemporalSequenceDatabase | None
-    derived_from: int | None
-
-
-@dataclass(frozen=True)
-class HierarchicalContext:
-    """Read-only state shared by every level task of one hierarchical run."""
-
-    jobs: tuple[LevelJob, ...]
-    dsyb: SymbolicDatabase
-    pruning: PruningConfig
-    miner: str
-    event_level: bool
-
-
-def mine_level_task(index: int, context: HierarchicalContext) -> GranularityLevel:
-    """Mine one hierarchy level (pure function of ``index`` and the
-    hierarchy's shared context)."""
-    job = context.jobs[index]
-    started = time.perf_counter()
-    with span("multigrain/level", ratio=job.ratio, miner=context.miner):
-        metrics.inc("multigrain.levels_mined")
-        dseq = job.dseq
-        if dseq is None:
-            dseq = build_sequence_database(context.dsyb, job.ratio)
-        if context.miner == MINER_APPROXIMATE:
-            result = ASTPM(
-                context.dsyb,
-                job.ratio,
-                job.params,
-                pruning=context.pruning,
-                dseq=dseq,
-                event_level=context.event_level,
-            ).mine()
-        else:
-            result = ESTPM(dseq, job.params, context.pruning).mine()
-    return GranularityLevel(
-        ratio=job.ratio,
-        n_sequences=job.n_sequences,
-        params=job.params,
-        result=result,
-        derived_from=job.derived_from,
-        n_granules_skipped=dseq.unbuilt_rows(),
-        seconds=time.perf_counter() - started,
     )
 
 
@@ -252,59 +191,62 @@ class HierarchicalMiner:
             max_pattern_length=self.max_pattern_length,
         )
 
-    def _validated_levels(self) -> list[tuple[int, int]]:
-        """Ascending ``(ratio, n_sequences)`` pairs, size-checked."""
-        levels: list[tuple[int, int]] = []
-        for ratio in sorted(self.ratios):
+    def _validated_ratios(self) -> list[int]:
+        """The ratios ascending, each checked to leave enough sequences."""
+        ratios = sorted(self.ratios)
+        for ratio in ratios:
             n_sequences = self.dsyb.n_instants // ratio
             if n_sequences < self.min_sequences:
                 raise ConfigError(
                     f"ratio {ratio} leaves only {n_sequences} sequences "
                     f"(< {self.min_sequences}); drop it or supply more data"
                 )
-            levels.append((ratio, n_sequences))
-        return levels
+        return ratios
 
-    def _build_jobs(self) -> list[LevelJob]:
-        """Plan one job per level, deriving every coarse level whose ratio
-        is a multiple of the base ratio from the base level."""
-        levels = self._validated_levels()
-        jobs: list[LevelJob] = []
-        base_ratio, base_n = levels[0]
-        base_dseq = build_sequence_database(self.dsyb, base_ratio)
-        jobs.append(
-            LevelJob(
-                ratio=base_ratio,
-                n_sequences=base_n,
-                params=self.params_for(base_ratio, base_n),
-                dseq=base_dseq,
-                derived_from=None,
-            )
-        )
-        for ratio, n_sequences in levels[1:]:
-            params = self.params_for(ratio, n_sequences)
-            if ratio % base_ratio != 0:
+    def _mine_level(
+        self, ratio: int, base: TemporalSequenceDatabase
+    ) -> GranularityLevel:
+        """Derive and mine one level (the level task).
+
+        The base level is ``base`` itself; a ratio that is a multiple of
+        the base ratio is folded from it, and any other ratio is rebuilt
+        from the symbolic database.  Nothing but this call holds the
+        level's database, so it is freed as soon as the level is mined.
+        """
+        started = time.perf_counter()
+        n_sequences = self.dsyb.n_instants // ratio
+        params = self.params_for(ratio, n_sequences)
+        with span("multigrain/level", ratio=ratio, miner=self.miner):
+            metrics.inc("multigrain.levels_mined")
+            derived_from = None
+            if ratio == base.ratio:
+                dseq = base
+            elif ratio % base.ratio == 0:
+                dseq = base.coarsen(ratio // base.ratio)
+                derived_from = base.ratio
+            else:
                 # Not reachable by an integer fold; rebuild this level.
-                jobs.append(
-                    LevelJob(
-                        ratio=ratio,
-                        n_sequences=n_sequences,
-                        params=params,
-                        dseq=None,
-                        derived_from=None,
-                    )
-                )
-                continue
-            jobs.append(
-                LevelJob(
-                    ratio=ratio,
-                    n_sequences=n_sequences,
-                    params=params,
-                    dseq=base_dseq.coarsen(ratio // base_ratio),
-                    derived_from=base_ratio,
-                )
-            )
-        return jobs
+                dseq = build_sequence_database(self.dsyb, ratio)
+            if self.miner == MINER_APPROXIMATE:
+                result = ASTPM(
+                    self.dsyb,
+                    ratio,
+                    params,
+                    pruning=self.pruning,
+                    dseq=dseq,
+                    event_level=self.event_level,
+                ).mine()
+            else:
+                result = ESTPM(dseq, params, self.pruning).mine()
+        return GranularityLevel(
+            ratio=ratio,
+            n_sequences=n_sequences,
+            params=params,
+            result=result,
+            derived_from=derived_from,
+            n_granules_skipped=dseq.unbuilt_rows(),
+            seconds=time.perf_counter() - started,
+        )
 
     def _open_checkpoint(self):
         """The per-level job checkpoint, or ``None`` when not configured.
@@ -341,8 +283,9 @@ class HierarchicalMiner:
     def mine(self) -> MultiGranularityResult:
         """Mine every level and align the results across the hierarchy.
 
-        The level tasks run in-process, one after another, and each
-        level is recorded before the next one is mined.  With
+        The level tasks run in-process, one after another: each derives
+        its level's database when its turn comes (:meth:`_mine_level`),
+        mines it, and is recorded before the next level is derived.  With
         ``checkpoint_path`` set, levels already present in the
         checkpoint are not re-mined (their recorded outcome is used,
         counted in ``resume.tasks_skipped``) and every freshly completed
@@ -363,44 +306,17 @@ class HierarchicalMiner:
         with span(
             "multigrain/mine", miner=self.miner, levels=len(self.ratios)
         ) as mine_span:
-            with span("multigrain/build_jobs"):
-                jobs = self._build_jobs()
-            context = HierarchicalContext(
-                jobs=tuple(jobs),
-                dsyb=self.dsyb,
-                pruning=self.pruning,
-                miner=self.miner,
-                event_level=self.event_level,
-            )
-            # Checkpoint keys are the level *ratios*: stable across
-            # reruns, unlike task list positions, which renumber once
-            # completed levels are skipped.
-            keys = [f"ratio:{job.ratio}" for job in jobs]
-            if checkpoint is None:
-                pending = list(range(len(jobs)))
-            else:
-                pending = [
-                    index for index, key in enumerate(keys)
-                    if key not in checkpoint
-                ]
-                skipped = len(jobs) - len(pending)
-                if skipped:
-                    metrics.inc("resume.tasks_skipped", skipped)
-            levels: list[GranularityLevel] = [
-                checkpoint.get(keys[index])
-                for index in range(len(jobs))
-                if index not in set(pending)
-            ]
-            for position, index in enumerate(pending):
-                outcome = run_task(
-                    mine_level_task, index, context, position, self.retry
+            ratios = self._validated_ratios()
+            base = build_sequence_database(self.dsyb, ratios[0])
+            # Checkpoint keys are the level *ratios* (``ratio:<r>``):
+            # stable across reruns, unlike task list positions, which
+            # renumber once completed levels are skipped.
+            levels = list(
+                run_tasks(
+                    self._mine_level, ratios, base, "ratio",
+                    checkpoint, failures, self.retry,
                 )
-                if isinstance(outcome, FailedTask):
-                    failures.append(outcome)
-                    continue
-                levels.append(outcome)
-                if checkpoint is not None:
-                    checkpoint.record(keys[index], outcome)
+            )
             if checkpoint is not None:
                 checkpoint.flush()
             mine_span.set(

@@ -32,6 +32,9 @@ class GranularityLevel:
     from its run tables), 0 once step 2.1 cut a column from the rows.
     The events step 2.1's gate rejected number
     ``result.stats.n_events_scanned - result.stats.n_candidate_events``.
+    ``seconds`` is the level task's wall clock: deriving the level (the
+    fold, or a rebuild from the symbolic database) and mining it; the
+    base level's build is not in it.
     """
 
     ratio: int

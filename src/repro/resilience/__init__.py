@@ -5,9 +5,10 @@ The package is stdlib-only and splits into two halves:
 * :mod:`repro.resilience.policy` -- the *recovery* side: a configurable
   :class:`RetryPolicy` (bounded attempts, exponential backoff with
   deterministic jitter), :func:`run_task`, the one place a mining task
-  runs, and the :class:`FailedTask` quarantine record that a task
-  failing all its attempts collapses into instead of killing the whole
-  job.
+  runs, :func:`run_tasks`, the one task loop both miners run (lazy,
+  resumable from a job checkpoint), and the :class:`FailedTask`
+  quarantine record that a task failing all its attempts collapses into
+  instead of killing the whole job.
 * :mod:`repro.resilience.faults` -- the *chaos* side: a seeded,
   declarative :class:`FaultPlan` (fail that task, interrupt that durable
   write) injectable into the task runner and the atomic writer,
@@ -37,6 +38,7 @@ from repro.resilience.policy import (
     FailedTask,
     RetryPolicy,
     run_task,
+    run_tasks,
 )
 
 __all__ = [
@@ -51,4 +53,5 @@ __all__ = [
     "FailedTask",
     "RetryPolicy",
     "run_task",
+    "run_tasks",
 ]

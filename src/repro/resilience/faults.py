@@ -19,11 +19,13 @@ Injection sites:
 
 ``task``
     Consulted by :func:`repro.resilience.policy.run_task` immediately
-    before running a task attempt.  Matched by task index, task key
-    substring, and attempt number.  Gated to dispatch depth 1 (see
+    before running a task attempt.  Matched by task index (its position
+    among the tasks its :func:`~repro.resilience.policy.run_tasks` loop
+    runs), task key substring (a hierarchy level's key is its ratio),
+    and attempt number.  Gated to task depth 1 (see
     :func:`fault_task_scope`): the miners a hierarchy-level task runs
-    have their own dispatch loops, and without the gate a fault aimed
-    at a level task would also fire on the group tasks inside it.
+    have their own task loops, and without the gate a fault aimed at a
+    level task would also fire on the group tasks inside it.
 ``write``
     Consulted by :func:`repro.io.atomic.write_text_atomic` between
     writing the temp file and the atomic rename.  Matched by write
@@ -69,7 +71,7 @@ class FaultSpec:
 
     A spec *matches* a site consultation when the site names agree and
     every constraint that is not ``None`` agrees too: ``index`` equals
-    the dispatch index, ``key`` is a substring of the task key / target
+    the task index, ``key`` is a substring of the task key / target
     path, ``attempt`` equals the attempt number.  An unconstrained spec
     (``index=key=attempt=None``) matches every consultation of its
     site -- useful with ``attempt=0`` to mean "fail the first try of

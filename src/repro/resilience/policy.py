@@ -1,4 +1,4 @@
-"""Retry policies, failure quarantine records, and the task runner.
+"""Retry policies, failure quarantine records, and the task loop.
 
 A :class:`RetryPolicy` describes how the miners respond to task
 failures: how many attempts each task gets and how long to back off
@@ -6,13 +6,15 @@ between attempts (exponential with *deterministic* jitter -- the
 schedule is a pure function of the task key and attempt number, so
 chaos runs and their re-runs sleep identically).
 
-:func:`run_task` is the one place a mining task runs: the miners'
-dispatch loops hand it every group task and hierarchy-level task in
-turn.  A task that exhausts its attempts is *quarantined* into a
-:class:`FailedTask` record instead of aborting the job: the miner
-collects it into ``MiningResult.failures``, and the job's ``strict``
-flag decides whether that surfaces as an exception (the default) or as
-a partial result.
+:func:`run_task` is the one place a mining task runs, and
+:func:`run_tasks` the one task loop around it: E-STPM's group tasks and
+the multigrain miner's level tasks all go through it, one task at a
+time.  The loop adds *resume* (tasks already in a job checkpoint are
+replayed, not re-run) and records every completed outcome.  A task that
+exhausts its attempts is *quarantined* into a :class:`FailedTask` record
+instead of aborting the job: the miner collects it into
+``MiningResult.failures``, and the job's ``strict`` flag decides whether
+that surfaces as an exception (the default) or as a partial result.
 
 Both classes are frozen dataclasses of primitives only: quarantine
 records ride outcome streams, and the pickling rules keep them safe to
@@ -24,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from repro.exceptions import ConfigError
 from repro.obs import counters as metrics
@@ -36,6 +38,7 @@ __all__ = [
     "FailedTask",
     "DEFAULT_RETRY_POLICY",
     "run_task",
+    "run_tasks",
     "task_key_of",
 ]
 
@@ -45,8 +48,8 @@ logger = get_logger(__name__)
 def task_key_of(task: object) -> str:
     """The stable string identity of one task.
 
-    Tasks are plain key tuples (event pairs, ``(group, event)`` pairs,
-    level indexes), so ``repr`` is deterministic across processes and
+    Tasks are plain keys (event pairs, ``(group, event)`` pairs, level
+    ratios), so ``repr`` is deterministic across processes and
     runs -- unlike ``hash()``, which is salted per interpreter.
     """
     return repr(task)
@@ -154,10 +157,10 @@ def run_task(
     ``executor.quarantined``; each retry counts in ``executor.retries``).
     Never raises for a task-level failure -- only BaseExceptions
     (interrupts) escape.  ``index`` is the task's position among the
-    tasks its dispatch loop runs, which ``task``-site fault specs match
-    on.  Each attempt consults the fault plan inside a
+    tasks its :func:`run_tasks` loop runs, which ``task``-site fault
+    specs match on.  Each attempt consults the fault plan inside a
     :func:`fault_task_scope`, so injected faults target only the
-    outermost dispatch, not the miners a hierarchy-level task nests.
+    outermost loop, not the miners a hierarchy-level task nests.
     """
     policy = policy or DEFAULT_RETRY_POLICY
     key = task_key_of(task)
@@ -184,3 +187,47 @@ def run_task(
             )
             if delay > 0:
                 time.sleep(delay)
+
+
+def run_tasks(
+    fn: Callable[[Any, Any], Any],
+    tasks: list,
+    context: Any,
+    prefix: str,
+    checkpoint: Any,
+    failures: list[FailedTask],
+    policy: RetryPolicy | None = None,
+) -> Iterator[Any]:
+    """Run ``fn(task, context)`` for each task lazily, yielding outcomes
+    in task order.
+
+    Each task runs only when the caller asks for the next outcome, so a
+    caller that registers (and frees) every outcome before asking for
+    the next never holds more than one at once.  Around :func:`run_task`
+    (retry and quarantine) this adds *resume*: a task whose key
+    ``prefix:task_key_of(task)`` is already in the job ``checkpoint`` is
+    skipped and its recorded outcome is yielded in its place (counted in
+    ``resume.tasks_skipped``).  A :class:`FailedTask` outcome is
+    appended to ``failures`` instead of being yielded.  Every completed
+    outcome is recorded in the checkpoint (when there is one) as it is
+    produced, so progress is durable every ``flush_every`` tasks.  The
+    ``index`` that ``task``-site fault specs match counts only the
+    tasks that run, in order.
+    """
+    keys = [f"{prefix}:{task_key_of(task)}" for task in tasks]
+    done = set() if checkpoint is None else {key for key in keys if key in checkpoint}
+    if done:
+        metrics.inc("resume.tasks_skipped", len(done))
+    index = 0
+    for task, key in zip(tasks, keys):
+        if key in done:
+            yield checkpoint.get(key)
+            continue
+        outcome = run_task(fn, task, context, index, policy)
+        index += 1
+        if isinstance(outcome, FailedTask):
+            failures.append(outcome)
+            continue
+        if checkpoint is not None:
+            checkpoint.record(key, outcome)
+        yield outcome

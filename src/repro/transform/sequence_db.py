@@ -580,6 +580,26 @@ def merge_sequences(
     return merged.finalize()
 
 
+def _run_bounds_numpy(np, arr, total: int, ratio: int):
+    """The 0-based ``(starts, ends)`` arrays of the Def. 3.10 runs of
+    ``arr`` (``total`` symbols or codes): a run starts at index 0, at
+    every symbol change and at every granule boundary (a multiple of
+    ``ratio``), and ends just before the next run starts."""
+    boundary = np.empty(total, dtype=bool)
+    boundary[0] = True
+    if ratio == 1:
+        boundary[1:] = True
+    else:
+        np.not_equal(arr[1:], arr[:-1], out=boundary[1:])
+        boundary[ratio::ratio] = True
+    starts = np.flatnonzero(boundary)
+    ends = np.empty(len(starts), dtype=np.int64)
+    ends[:-1] = starts[1:]
+    ends[:-1] -= 1
+    ends[-1] = total - 1
+    return starts, ends
+
+
 def series_runs(symbols: Sequence[str], total: int, ratio: int, offset: int = 0):
     """Yield the ``(start0, end0)`` runs of ``symbols[offset:offset+total]``.
 
@@ -593,19 +613,9 @@ def series_runs(symbols: Sequence[str], total: int, ratio: int, offset: int = 0)
     """
     np = get_numpy()
     if np is not None and total >= _NUMPY_MIN_SYMBOLS:
-        arr = np.asarray(symbols[offset : offset + total])
-        boundary = np.empty(total, dtype=bool)
-        boundary[0] = True
-        if ratio == 1:
-            boundary[1:] = True
-        else:
-            np.not_equal(arr[1:], arr[:-1], out=boundary[1:])
-            boundary[ratio::ratio] = True
-        starts = np.flatnonzero(boundary)
-        ends = np.empty(len(starts), dtype=np.int64)
-        ends[:-1] = starts[1:]
-        ends[:-1] -= 1
-        ends[-1] = total - 1
+        starts, ends = _run_bounds_numpy(
+            np, np.asarray(symbols[offset : offset + total]), total, ratio
+        )
         yield from zip(starts.tolist(), ends.tolist())
         return
     # Pure sweep: runs never cross granule boundaries (Def. 3.10), so
@@ -633,8 +643,9 @@ def build_region_rows(
     Builds the ``n_granules`` temporal sequences covering the instants
     ``offset .. offset + n_granules*ratio - 1`` of every series buffer
     (``offset`` must be a multiple of ``ratio``), with 1-based positions
-    starting at ``first_position``.  The streaming ingestion layer's
-    row builder: one run detection per series for the whole region.
+    starting at ``first_position``.  The row builder of the streaming
+    ingestion layer and of the pure-Python DSEQ builder's deferred rows:
+    one run detection per series for the whole region.
     """
     total = n_granules * ratio
     row_instances: list[list[EventInstance]] = [[] for _ in range(n_granules)]
@@ -673,18 +684,7 @@ def _series_runs_numpy(np, symbolic, total, ratio):
         uniques, inverse = np.unique(arr, return_inverse=True)
         symbols = uniques.tolist()
         arr = inverse
-    boundary = np.empty(total, dtype=bool)
-    boundary[0] = True
-    if ratio == 1:
-        boundary[1:] = True
-    else:
-        np.not_equal(arr[1:], arr[:-1], out=boundary[1:])
-        boundary[ratio::ratio] = True
-    starts = np.flatnonzero(boundary)
-    ends = np.empty(len(starts), dtype=np.int64)
-    ends[:-1] = starts[1:]
-    ends[:-1] -= 1
-    ends[-1] = total - 1
+    starts, ends = _run_bounds_numpy(np, arr, total, ratio)
     name = symbolic.name
     event_names = [f"{name}:{symbol}" for symbol in symbols]
     return starts, ends, arr[starts], event_names
@@ -840,39 +840,6 @@ def _columnar_positions_pure(name, symbols, total, ratio, event_positions) -> in
     return n_runs
 
 
-def _columnar_rows_pure(
-    series_list, total, ratio, n_granules
-) -> list[TemporalSequence]:
-    """Deferred pure-twin row materialization (see ``_build_columnar``).
-
-    Replays the whole-stream run grouping of every series, this time
-    emitting the boundary-split :class:`EventInstance` objects into
-    their granule rows.  Runs only when something actually indexes or
-    iterates the rows -- a support-only mining pass never does.
-    """
-    row_instances: list[list[EventInstance]] = [[] for _ in range(n_granules)]
-    for symbolic in series_list:
-        name = symbolic.name
-        key_of: dict[str, str] = {}
-        position = 0
-        for symbol, group in groupby(symbolic.symbols[:total]):
-            stop = position + len(list(group))
-            event = key_of.get(symbol)
-            if event is None:
-                event = key_of[symbol] = f"{name}:{symbol}"
-            while position < stop:
-                granule_index = position // ratio
-                boundary = min(stop, granule_index * ratio + ratio)
-                row_instances[granule_index].append(
-                    EventInstance(event, position + 1, boundary)
-                )
-                position = boundary
-    return [
-        TemporalSequence(position=index + 1, instances=instances).finalize()
-        for index, instances in enumerate(row_instances)
-    ]
-
-
 def _build_columnar(
     dsyb: SymbolicDatabase, ratio: int, n_granules: int
 ) -> TemporalSequenceDatabase:
@@ -906,7 +873,13 @@ def _build_columnar(
     return TemporalSequenceDatabase(
         rows=_LazyRows(
             n_granules,
-            lambda: _columnar_rows_pure(series_list, total, ratio, n_granules),
+            lambda: build_region_rows(
+                {symbolic.name: symbolic.symbols for symbolic in series_list},
+                0,
+                n_granules,
+                ratio,
+                1,
+            ),
         ),
         ratio=ratio,
         source_names=dsyb.names,

@@ -1,6 +1,10 @@
 """Unit tests for the experiment harness (tables, figures, registry, CLI)."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -280,3 +284,28 @@ class TestCli:
         )
         out = capsys.readouterr().out
         assert "archived patterns match" in out
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["mine", "--dataset", "RE", "--profile", "tiny", "--min-season", "4"],
+            ["multigrain", "--dataset", "RE", "--profile", "tiny", "--min-season", "4"],
+        ],
+        ids=["mine", "multigrain"],
+    )
+    def test_closed_stdout_exits_quietly(self, command):
+        # `freqstpfts ... | head -1`: the reader is gone before the
+        # command writes, so the exit is SIGPIPE's 141, with no traceback.
+        src = Path(__file__).resolve().parent.parent / "src"
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro.harness.cli", *command],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            text=True,
+        )
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=180) == 141
+        assert "Traceback" not in err
+        assert "BrokenPipeError" not in err

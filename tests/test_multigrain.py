@@ -7,7 +7,9 @@ for E-STPM and A-STPM -- and to the brute-force :class:`NaiveSTPM`
 oracle on that mapping.
 """
 
+import gc
 import sys
+import weakref
 
 import pytest
 
@@ -20,7 +22,9 @@ from repro.datasets import load_dataset
 from repro.exceptions import ConfigError
 from repro.granularity import GranularityHierarchy, TimeDomain
 from repro.multigrain import HierarchicalMiner
+from repro.multigrain import engine
 from repro.transform import build_sequence_database
+from repro.transform.sequence_db import TemporalSequenceDatabase
 
 #: Per-dataset thresholds keeping the tiny profiles fast *and* fruitful
 #: (every dataset finds patterns at some level under these settings).
@@ -228,6 +232,42 @@ class TestLevelParity:
                 build_sequence_database(motif_dsyb, level.ratio), level.params
             ).mine()
             assert results_equivalent(level.result, standalone)
+
+
+class TestLevelLifetimes:
+    def test_each_coarse_level_is_freed_once_mined(self, motif_dsyb, monkeypatch):
+        # Each level is derived when its turn comes and nothing else
+        # holds it: when a level's miner starts, no coarse database other
+        # than the one it mines is still alive.
+        folded = []
+        coarsen = TemporalSequenceDatabase.coarsen
+
+        def recording(self, factor):
+            coarse = coarsen(self, factor)
+            folded.append(weakref.ref(coarse))
+            return coarse
+
+        others_alive = []
+
+        class CheckingESTPM(ESTPM):
+            def mine(self):
+                gc.collect()
+                others_alive.append(
+                    sum(
+                        1 for ref in folded
+                        if ref() is not None and ref() is not self.dseq
+                    )
+                )
+                return super().mine()
+
+        monkeypatch.setattr(TemporalSequenceDatabase, "coarsen", recording)
+        monkeypatch.setattr(engine, "ESTPM", CheckingESTPM)
+        hierarchical = HierarchicalMiner(
+            motif_dsyb, ratios=[1, 2, 3, 4], dist_interval=(0, 120), min_season=2
+        ).mine()
+        assert [level.derived_from for level in hierarchical] == [None, 1, 1, 1]
+        assert len(folded) == 3
+        assert others_alive == [0, 0, 0, 0]
 
 
 class TestScreening:

@@ -488,6 +488,14 @@ class TestMultigrainChaos:
         for mine, theirs in zip(resumed, baseline):
             assert results_equivalent(mine.result, theirs.result)
 
+    def test_checkpoint_keys_are_level_ratios(self, tmp_path, paper_dsyb):
+        # One outcome per level, keyed ``ratio:<r>``: the keys that
+        # checkpoints written by earlier releases carry, so they resume.
+        ckpt = tmp_path / "multigrain.ckpt.json"
+        self._miner(paper_dsyb, checkpoint_path=str(ckpt)).mine()
+        keys = list(json.loads(ckpt.read_text())["outcomes"])
+        assert sorted(keys) == ["ratio:3", "ratio:6"]
+
     def test_checkpoint_rejects_other_pruning(self, tmp_path, paper_dsyb):
         ckpt = str(tmp_path / "multigrain.ckpt.json")
         self._miner(paper_dsyb, checkpoint_path=ckpt).mine()

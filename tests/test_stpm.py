@@ -9,6 +9,7 @@ from repro.core.pattern import single_event_pattern
 from repro.core.stpm import mine_seasonal_patterns, series_of
 from repro.events import EventInstance
 from repro.exceptions import MiningError
+from repro.resilience.policy import run_tasks
 
 
 def _dseq(rows, ratio=2):
@@ -49,8 +50,7 @@ class TestDispatch:
             seen.append(task)
             return task
 
-        miner = ESTPM(_dseq({"A": "1100"}), _params())
-        outcomes = miner._dispatch(record, [1, 2, 3], None, "k2", None, [])
+        outcomes = run_tasks(record, [1, 2, 3], None, "k2", None, [])
         assert seen == []  # nothing ran yet
         assert next(outcomes) == 1
         assert seen == [1]  # one group at a time

@@ -435,3 +435,8 @@ class TestStreamCheckpoint:
             load_stream_checkpoint(json.dumps([1, 2]))
         with pytest.raises(ReproError):
             load_stream_checkpoint(json.dumps({"format_version": 1}))
+        # A JSON array where an object belongs.
+        payload = json.loads(save_stream_checkpoint(self._seeded_service()))
+        for key in ("params", "alphabets"):
+            with pytest.raises(ReproError):
+                load_stream_checkpoint(json.dumps({**payload, key: []}))

@@ -17,6 +17,7 @@ import pickle
 
 import pytest
 
+import repro.core.stpm as stpm
 import repro.streaming.incremental as incremental
 from repro.core.instance_index import VerdictStore
 from repro.core.stpm import ESTPM, LevelContext, mine_extension_task
@@ -37,14 +38,14 @@ def small_inf():
 def _extension_levels(dseq, params, monkeypatch) -> list[tuple[list, LevelContext]]:
     """Mine once, recording each extension level's tasks and context."""
     levels = []
-    dispatch = ESTPM._dispatch
+    dispatch = stpm.run_tasks
 
-    def recording(self, fn, tasks, context, *args):
+    def recording(fn, tasks, context, *args):
         if fn is mine_extension_task:
             levels.append((list(tasks), context))
-        return dispatch(self, fn, tasks, context, *args)
+        return dispatch(fn, tasks, context, *args)
 
-    monkeypatch.setattr(ESTPM, "_dispatch", recording)
+    monkeypatch.setattr(stpm, "run_tasks", recording)
     ESTPM(dseq, params).mine()
     monkeypatch.undo()
     return levels
