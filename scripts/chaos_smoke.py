@@ -5,8 +5,8 @@ Runs the ``freqstpfts multigrain`` CLI in subprocesses, end to end:
 
 1. uninjected, archiving the baseline multi-level result;
 2. with a ``REPRO_FAULT_PLAN`` that fails one level task after all its
-   retries -- the strict job must exit non-zero, leaving its
-   ``--resume`` job-progress checkpoint holding the completed level;
+   retries -- the strict job must exit 1 without a traceback, leaving
+   its ``--resume`` job-progress checkpoint holding the completed level;
 3. with the fault cleared and the same ``--resume`` path -- the job
    must skip the checkpointed level, mine the one that failed, and
    archive a result equivalent to the baseline.
@@ -92,8 +92,13 @@ def main() -> int:
         leg = run_cli(
             ["--resume", str(checkpoint), "--max-retries", "1"], plan=CRASH_PLAN
         )
-        if leg.returncode == 0:
-            return fail("injected run succeeded; expected the strict job to abort")
+        if leg.returncode != 1:
+            return fail(
+                f"injected run exited {leg.returncode}; expected the strict job "
+                f"to abort with exit 1"
+            )
+        if "Traceback" in leg.stderr:
+            return fail(f"injected run printed a traceback:\n{leg.stderr}")
         if not checkpoint.exists():
             return fail("crashed run left no job checkpoint")
         completed = json.loads(checkpoint.read_text())["outcomes"]

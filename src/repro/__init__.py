@@ -86,7 +86,7 @@ from repro.resilience import (
 )
 from repro.transform import TemporalSequenceDatabase, build_sequence_database
 
-__version__ = "1.24.0"
+__version__ = "1.25.0"
 
 __all__ = [
     # granularity

@@ -32,7 +32,8 @@ Mining runs in-process, one task at a time.  ``mine`` and ``multigrain``
 take ``--max-retries N``, the attempts each mining task gets: transient
 task failures retry with deterministic exponential backoff, and tasks
 that exhaust their attempts are quarantined into the result's
-``failures`` (and re-raised, strict mode being the engine default).
+``failures`` (and re-raised, strict mode being the engine default; the
+command then logs one ERROR line and exits with status 1).
 They also take ``--resume PATH``, a job-progress checkpoint written
 atomically as groups/levels complete; re-running the same command with
 the same PATH skips the completed work.  Ctrl-C still writes
@@ -61,7 +62,7 @@ from repro.core.query import PatternQuery
 from repro.core.stpm import ESTPM
 from repro.datasets.registry import DATASET_BUILDERS, PROFILES, load_dataset
 from repro.events.relations import RELATIONS
-from repro.exceptions import ConfigError, DatasetError
+from repro.exceptions import ConfigError, DatasetError, MiningError
 from repro.harness.experiments import EXPERIMENTS, run_experiment
 from repro.harness.runner import run_all
 from repro.io.results_json import load_results_archive, multigrain_to_json
@@ -338,6 +339,11 @@ def main(argv: list[str] | None = None) -> int:
         # reported like ``--multiples`` and ``--level`` are.
         logger.error("%s", exc)
         return 2
+    except MiningError as exc:
+        # A strict run whose task failed after all its retries: a run
+        # failure, not a usage error.
+        logger.error("%s", exc)
+        return 1
     except KeyboardInterrupt:
         # _telemetry's finally has written the partial --trace file; all
         # that is left is the conventional SIGINT exit status.

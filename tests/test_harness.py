@@ -11,6 +11,7 @@ import pytest
 from repro.harness import EXPERIMENTS, Figure, Table, run_experiment
 from repro.harness.cli import main as cli_main
 from repro.harness.runner import run_all
+from repro.resilience import FAULT_PLAN_ENV, FaultPlan, FaultSpec
 
 
 class TestTable:
@@ -309,3 +310,29 @@ class TestCli:
         assert child.wait(timeout=180) == 141
         assert "Traceback" not in err
         assert "BrokenPipeError" not in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["mine", "--dataset", "RE", "--profile", "tiny", "--min-season", "4"],
+            ["multigrain", "--dataset", "RE", "--profile", "tiny", "--min-season", "4"],
+        ],
+        ids=["mine", "multigrain"],
+    )
+    def test_failed_strict_run_logs_one_error_line(self, command):
+        # Every attempt of the second task fails, so the strict run
+        # aborts: a run failure (exit 1) reported as one ERROR line.
+        src = Path(__file__).resolve().parent.parent / "src"
+        plan = FaultPlan(seed=42, faults=(FaultSpec(site="task", op="raise", index=1),))
+        child = subprocess.run(
+            [sys.executable, "-m", "repro.harness.cli", *command],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(src), FAULT_PLAN_ENV: plan.to_json()},
+            text=True,
+            timeout=180,
+        )
+        assert child.returncode == 1
+        assert "Traceback" not in child.stderr
+        errors = [line for line in child.stderr.splitlines() if " ERROR " in line]
+        assert len(errors) == 1
+        assert "failed after retries" in errors[0]

@@ -9,9 +9,14 @@ reproduce the naive ``product`` / ``combinations`` +
 orientation), same supports, same deduplicated assignments.  A second
 property runs whole random mining jobs against the brute-force
 :class:`~repro.baselines.naive.NaiveSTPM` oracle, covering the extension
-kernel's verdict rows and Iterative Check.
+kernel's verdict rows and Iterative Check.  A third runs dense jobs
+(several instances per column) at ``max_pattern_length`` 3, where the
+extension kernel trims the walks of separated assignments, and at 4,
+where the same k = 3 level keeps every assignment: the size-3 output
+must agree in order and supports.
 """
 
+import dataclasses
 import random
 from itertools import combinations, product
 
@@ -24,6 +29,7 @@ from repro.core.array_kernel import array_collect_pair_patterns
 from repro.core.hlh import HLH1
 from repro.core.instance_index import InstanceColumn, decode_assignment
 from repro.core.pattern import TemporalPattern, Triple
+from repro.core.prune import PruningConfig
 from repro.core.results import results_equivalent
 from repro.events.event import EventInstance
 from repro.events.relations import (
@@ -32,6 +38,7 @@ from repro.events.relations import (
     relation_of_bounds,
     relation_of_pair,
 )
+from repro.obs.counters import capture
 
 
 @st.composite
@@ -232,3 +239,78 @@ def test_whole_jobs_agree_with_naive_oracle(inputs):
     assert results_equivalent(
         ESTPM(dseq, params).mine(), NaiveSTPM(dseq, params).mine()
     )
+
+
+def _dense_rows(rng: random.Random, n_series: int, length: int) -> dict[str, str]:
+    """Binary rows of alternating 1-3 instant runs: at a ratio of 8 or
+    more, every (event, granule) column holds several instances."""
+    rows = {}
+    for index in range(n_series):
+        symbols = ""
+        while len(symbols) < length:
+            symbols += rng.choice("01") * rng.randint(1, 3)
+        rows[f"S{index}"] = symbols[:length]
+    return rows
+
+
+@st.composite
+def dense_jobs(draw):
+    ratio = draw(st.sampled_from([8, 12]))
+    rows = _dense_rows(
+        draw(st.randoms(use_true_random=False)),
+        draw(st.integers(2, 3)),
+        ratio * draw(st.integers(4, 7)),
+    )
+    params = MiningParams(
+        max_period=draw(st.integers(1, 3)),
+        min_density=1,
+        dist_interval=(draw(st.integers(0, 2)), draw(st.integers(3, 10))),
+        min_season=draw(st.integers(1, 2)),
+        relation=draw(relation_configs),
+        max_pattern_length=3,
+    )
+    pruning = PruningConfig(apriori=draw(st.booleans()), transitivity=True)
+    return build_sequence_database(SymbolicDatabase.from_rows(rows), ratio), params, pruning
+
+
+def _size_3(dseq, params, pruning):
+    """The frequent size-3 patterns in emission order, and the k = 3
+    candidate count."""
+    result = ESTPM(dseq, params, pruning).mine()
+    return (
+        [(sp.pattern, sp.support) for sp in result.by_size(3)],
+        result.stats.n_candidate_patterns.get(3, 0),
+    )
+
+
+@given(dense_jobs())
+@settings(max_examples=25, deadline=None)
+def test_last_level_keeps_emission_order_and_supports(job):
+    """At the last level the extension kernel trims the windows of
+    separated assignments to what they can still add; at
+    max_pattern_length 4 the same k = 3 level keeps every assignment and
+    trims nothing.  Both emit the same size-3 patterns, in the same order,
+    with the same supports."""
+    dseq, params, pruning = job
+    deeper = dataclasses.replace(params, max_pattern_length=4)
+    assert _size_3(dseq, params, pruning) == _size_3(dseq, deeper, pruning)
+
+
+def test_dense_last_level_skips_assignments():
+    """A fixed dense job whose last level skips whole assignments, so
+    the suite always runs the skip."""
+    dseq = build_sequence_database(
+        SymbolicDatabase.from_rows(_dense_rows(random.Random(5), 2, 96)), 12
+    )
+    params = MiningParams(
+        max_period=2,
+        min_density=1,
+        dist_interval=(0, 6),
+        min_season=2,
+        relation=RelationConfig(epsilon=0, min_overlap=1),
+        max_pattern_length=3,
+    )
+    with capture() as registry:
+        size_3, _ = _size_3(dseq, params, PruningConfig.all())
+    assert size_3
+    assert registry.counters.get("kernel.extend.assignments_skipped", 0) > 0
